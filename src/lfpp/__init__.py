@@ -89,7 +89,7 @@ from .experiments import (
     weyl_shift_test,
 )
 from .fieldio import read_field, write_field
-from .cache import CacheIndex, cache_key, cache_lookup, cache_store, load_index
+from .cache import cache_key, cache_lookup, cache_store
 
 __all__ = [
     "__version__",
@@ -119,5 +119,5 @@ __all__ = [
     "weyl_shift_test",
     # persistence
     "read_field", "write_field",
-    "CacheIndex", "cache_key", "cache_lookup", "cache_store", "load_index",
+    "cache_key", "cache_lookup", "cache_store",
 ]

@@ -1,34 +1,43 @@
-"""Disk cache for derived artifacts, keyed by exact parameter digests.
+"""Disk cache for derived artifacts: one file per key, no index.
 
-Keys are sha256 digests of (operation, fully resolved params) where floats
-are rendered by their hex bit pattern, so a 1-ulp change in any parameter is
-a different key.  Hits are verified against the artifact itself (binary
+An entry is the file `<root>/<key><suffix>`, with the suffix fixed by the
+artifact kind, so the directory is its own index.  Keys are sha256 digests
+of (operation, NUMERICS_VERSION, fully resolved params) where floats are
+rendered by their hex bit pattern: a 1-ulp change in any parameter is a
+different key, and bumping NUMERICS_VERSION retires every entry computed by
+older numerics.  Hits are verified against the artifact itself (binary
 header for field files, required keys for JSON results); anything that fails
-verification is evicted and reported as a miss.  All writes go through a
-temp-file-then-rename step so a crashed run never leaves a torn artifact.
+verification is deleted and reported as a miss.  Every store goes through
+`fieldio.atomic_write`, so concurrent runs on one root never see a torn
+artifact and never lose each other's entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-import time
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import List, Optional, Tuple
 
 from . import fieldio
 from .errors import InvalidArgument
 
-_INDEX_NAME = "index.json"
+# Bumped whenever a change alters the bits of any cached artifact.
+NUMERICS_VERSION = 1
 
-# Keys that must be present for a JSON artifact of each kind to count as
-# intact; "field" artifacts are verified by their binary header instead.
-_KIND_KEYS = {
-    "a_eps": ("epsilon", "median", "trials", "ci_lo", "ci_hi", "master_seed"),
-}
+
+def _estimate_ok(path: Path) -> bool:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError):
+        return False
+    required = ("epsilon", "median", "trials", "ci_lo", "ci_hi", "master_seed")
+    return isinstance(doc, dict) and all(k in doc for k in required)
+
+
+# kind -> (file suffix, verifier)
+_KINDS = {"field": (".lfpf", fieldio.verify_field), "a_eps": (".json", _estimate_ok)}
 
 
 def _canon(value):
@@ -45,84 +54,50 @@ def _canon(value):
 
 
 def cache_key(operation: str, params: dict) -> str:
-    payload = json.dumps({"op": operation, "params": _canon(params)},
+    payload = json.dumps({"op": operation, "numerics": NUMERICS_VERSION,
+                          "params": _canon(params)},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class CacheIndex:
-    """In-memory view of one cache directory."""
-
-    root: Path
-    entries: Dict[str, dict] = dataclass_field(default_factory=dict)
+def _entry_path(root, key: str, kind: str) -> Path:
+    if kind not in _KINDS:
+        raise InvalidArgument(f"unknown cache artifact kind '{kind}'")
+    return Path(root) / (key + _KINDS[kind][0])
 
 
-def load_index(root) -> CacheIndex:
-    """Read the index; an unreadable or malformed index starts empty."""
-    root = Path(root)
-    idx = CacheIndex(root=root)
-    index_path = root / _INDEX_NAME
-    if index_path.is_file():
-        try:
-            raw = json.loads(index_path.read_text(encoding="utf-8"))
-            entries = raw.get("entries", {})
-            if isinstance(entries, dict):
-                idx.entries = {
-                    str(k): dict(v) for k, v in entries.items() if isinstance(v, dict)
-                }
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            idx.entries = {}
-    return idx
+def cache_store(root, key: str, kind: str, payload: bytes) -> Path:
+    """Atomically store one artifact under its key."""
+    path = _entry_path(root, key, kind)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fieldio.atomic_write(path, payload)
+    return path
 
 
-def _write_index(idx: CacheIndex) -> None:
-    idx.root.mkdir(parents=True, exist_ok=True)
-    tmp = idx.root / (_INDEX_NAME + ".tmp")
-    tmp.write_text(json.dumps({"entries": idx.entries}, indent=2, sort_keys=True),
-                   encoding="utf-8")
-    os.replace(tmp, idx.root / _INDEX_NAME)
-
-
-def _artifact_ok(kind: str, path: Path) -> bool:
+def cache_lookup(root, key: str, kind: str) -> Optional[Path]:
+    """Exact-digest lookup; a corrupt artifact is deleted and is a miss."""
+    path = _entry_path(root, key, kind)
     if not path.is_file():
-        return False
-    if kind == "field":
-        return fieldio.verify_field(path)
-    required = _KIND_KEYS.get(kind)
-    if required is None:
-        return False  # unknown kinds never hit
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-        return False
-    return isinstance(doc, dict) and all(k in doc for k in required)
-
-
-def cache_store(idx: CacheIndex, key: str, kind: str, payload: bytes,
-                suffix: str) -> Path:
-    """Atomically store one artifact and record it under its key."""
-    idx.root.mkdir(parents=True, exist_ok=True)
-    name = key[:24] + suffix
-    tmp = idx.root / (name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, idx.root / name)
-    idx.entries[key] = {"kind": kind, "path": name, "created": time.time()}
-    _write_index(idx)
-    return idx.root / name
-
-
-def cache_lookup(idx: CacheIndex, key: str) -> Optional[Path]:
-    """Exact-digest lookup; corrupt or missing artifacts are evicted."""
-    entry = idx.entries.get(key)
-    if entry is None:
         return None
-    path = idx.root / str(entry.get("path", ""))
-    if _artifact_ok(str(entry.get("kind", "")), path):
+    if _KINDS[kind][1](path):
         return path
-    del idx.entries[key]
-    _write_index(idx)
+    path.unlink(missing_ok=True)
     print(f"warning: cache entry {key[:12]}... failed verification and was evicted",
           file=sys.stderr)
     return None
+
+
+def cache_entries(root) -> List[Tuple[str, str, str, float]]:
+    """(key, kind, file name, mtime) of every entry under root, by key."""
+    kind_of = {suffix: kind for kind, (suffix, _) in _KINDS.items()}
+    entries = []
+    for path in sorted(Path(root).glob("*")):
+        kind = kind_of.get(path.suffix)
+        if kind is None or len(path.stem) != 64:   # temp files, foreign files
+            continue
+        try:
+            mtime = path.stat().st_mtime
+        except FileNotFoundError:   # evicted by a concurrent run
+            continue
+        entries.append((path.stem, kind, path.name, mtime))
+    return entries

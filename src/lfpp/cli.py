@@ -22,7 +22,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import __version__, cache, fieldio
 from .errors import InvalidArgument, LfppError
@@ -50,6 +50,7 @@ from .renorm import (
     MCConfig,
     MedianEstimate,
     estimate_a_eps,
+    estimate_cache_key,
     fit_exponent,
     scaling_ratio,
 )
@@ -117,11 +118,21 @@ def _json_num(x: float) -> Optional[float]:
     return float(x) if math.isfinite(x) else None
 
 
-def _cache_index(ns) -> Optional[cache.CacheIndex]:
-    root = ns.cache_dir or os.environ.get("LFPP_CACHE")
-    if not root:
-        return None
-    return cache.load_index(root)
+def _cache_root(ns) -> Optional[str]:
+    return ns.cache_dir or os.environ.get("LFPP_CACHE") or None
+
+
+def _cached(ns, key: str, kind: str, compute: Callable[[], bytes]) -> bytes:
+    """A verified cache hit, else compute() (stored when a cache root is set)."""
+    root = _cache_root(ns)
+    if root is not None:
+        hit = cache.cache_lookup(root, key, kind)
+        if hit is not None:
+            return hit.read_bytes()
+    payload = compute()
+    if root is not None:
+        cache.cache_store(root, key, kind, payload)
+    return payload
 
 
 def _gnuplot_script(csv_path: str, xcol: int, ycol: int) -> bytes:
@@ -155,22 +166,12 @@ def _handle_field_sample(ns) -> dict:
     resolved = {"kind": ns.kind, "n": ns.n, "spacing": spacing,
                 "origin": list(origin), "seed": ns.seed, "out": ns.out}
     core = {k: resolved[k] for k in ("kind", "n", "spacing", "origin", "seed")}
-    outputs = []
-    idx = _cache_index(ns)
-    key = cache.cache_key("field_sample", core)
-    payload = None
-    if idx is not None:
-        hit = cache.cache_lookup(idx, key)
-        if hit is not None:
-            payload = hit.read_bytes()
-    if payload is None:
-        sampler = sample_torus_gff if ns.kind == "torus" else sample_dirichlet_gff
-        payload = fieldio.field_bytes(sampler(spec, ns.seed))
-        if idx is not None:
-            cache.cache_store(idx, key, "field", payload, ".lfpf")
-    outputs.append((ns.out, payload))
-    return {"command": "field-sample", "outputs": outputs, "resolved": resolved,
-            "master_seed": ns.seed, "warnings": [], "supercritical": False}
+    sampler = sample_torus_gff if ns.kind == "torus" else sample_dirichlet_gff
+    payload = _cached(ns, cache.cache_key("field_sample", core), "field",
+                      lambda: fieldio.field_bytes(sampler(spec, ns.seed)))
+    return {"command": "field-sample", "outputs": [(ns.out, payload)],
+            "resolved": resolved, "master_seed": ns.seed, "warnings": [],
+            "supercritical": False}
 
 
 def _path_csv_rows(grid, path):
@@ -279,20 +280,9 @@ def _handle_a_eps(ns) -> dict:
                 "spacing": mc.lattice.spacing, "origin": list(mc.lattice.origin),
                 "trials": ns.trials, "seed": ns.seed, "localized": ns.localized,
                 "out": ns.out}
-    core = {k: resolved[k] for k in
-            ("xi", "eps", "n", "spacing", "origin", "trials", "seed", "localized")}
-    idx = _cache_index(ns)
-    key = cache.cache_key("a_eps", core)
-    payload = None
-    if idx is not None:
-        hit = cache.cache_lookup(idx, key)
-        if hit is not None:
-            payload = hit.read_bytes()
-    if payload is None:
-        est = estimate_a_eps(ns.eps, params, mc, workers=ns.threads)
-        payload = _json_bytes(_estimate_doc(est))
-        if idx is not None:
-            cache.cache_store(idx, key, "a_eps", payload, ".json")
+    key = estimate_cache_key(ns.eps, params, mc)
+    payload = _cached(ns, key, "a_eps", lambda: _json_bytes(_estimate_doc(
+        estimate_a_eps(ns.eps, params, mc, workers=ns.threads))))
     return {"command": "a-eps", "outputs": [(ns.out, payload)],
             "resolved": resolved, "master_seed": ns.seed, "warnings": [],
             "supercritical": params.supercritical}
@@ -399,18 +389,16 @@ def _handle_exp(ns) -> dict:
 
 
 def _handle_cache_info(ns) -> dict:
-    idx = _cache_index(ns)
-    if idx is None:
+    root = _cache_root(ns)
+    if root is None:
         raise InvalidArgument("no cache root: pass --cache-dir or set LFPP_CACHE")
-    lines = [f"cache root: {idx.root}", f"entries: {len(idx.entries)}"]
-    for key in sorted(idx.entries):
-        entry = idx.entries[key]
-        created = datetime.fromtimestamp(entry.get("created", 0),
-                                         timezone.utc).isoformat()
-        lines.append(f"  {key[:16]}  {entry.get('kind', '?'):8s} "
-                     f"{entry.get('path', '?')}  {created}")
+    entries = cache.cache_entries(root)
+    lines = [f"cache root: {root}", f"entries: {len(entries)}"]
+    for key, kind, name, mtime in entries:
+        stamp = datetime.fromtimestamp(mtime, timezone.utc).isoformat()
+        lines.append(f"  {key[:16]}  {kind:8s} {name}  {stamp}")
     return {"command": "cache-info", "outputs": [], "stdout": "\n".join(lines),
-            "resolved": {"cache_dir": str(idx.root)}, "master_seed": None,
+            "resolved": {"cache_dir": root}, "master_seed": None,
             "warnings": [], "supercritical": False}
 
 
@@ -532,9 +520,7 @@ def _write_manifest(out_path: str, result: dict, started_at: str,
         manifest["warnings"].append(
             f"xi is at or above the reference threshold {XI_CRIT_REF}; "
             "estimates here are outside the calibrated regime")
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    fieldio.atomic_write(out_path + ".manifest.json", _json_bytes(manifest))
 
 
 def parse_and_dispatch(argv: List[str]) -> int:
@@ -556,8 +542,7 @@ def parse_and_dispatch(argv: List[str]) -> int:
         result = ns.handler(ns)
         runtime = time.perf_counter() - t0
         for out_path, payload in result["outputs"]:
-            with open(out_path, "wb") as fh:
-                fh.write(payload)
+            fieldio.atomic_write(out_path, payload)
         for out_path, _ in result["outputs"]:
             _write_manifest(out_path, result, started_at, runtime,
                             getattr(ns, "threads", None))

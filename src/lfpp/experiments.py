@@ -59,6 +59,7 @@ _PAIR_KEY = 0x9A12        # spawn key: random pair streams
 _SEG_KEY = 0x5E6          # spawn key: small-segment pair streams
 _N_GAP_PAIRS = 50
 _N_SEG_PAIRS = 100
+_PAIR_DRAWS = 1000        # draw budget per requested pair of distinct sites
 _SEG_MAX_RUNGS = 4
 _RING_HALF_WIDTH = 0.75   # boundary ring half-width in spacing units
 
@@ -199,12 +200,19 @@ def _uniform_point(rng: np.random.Generator, window: Rect) -> Tuple[float, float
 
 def _distinct_pairs(rng: np.random.Generator, spec: LatticeSpec, window: Rect,
                     count: int) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+    """`count` uniform pairs in `window` whose ends snap to different sites;
+    EmptyRegion once the draw budget is spent, so a one-site window never hangs."""
     pairs = []
-    while len(pairs) < count:
+    for _ in range(_PAIR_DRAWS * count):
+        if len(pairs) == count:
+            return pairs
         z = _uniform_point(rng, window)
         w = _uniform_point(rng, window)
         if spec.index_of(z) != spec.index_of(w):
             pairs.append((z, w))
+    if len(pairs) < count:
+        raise EmptyRegion(f"window {[*window.lo, *window.hi]} gave {len(pairs)} of "
+                          f"{count} pairs of distinct lattice sites")
     return pairs
 
 

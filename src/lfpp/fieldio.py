@@ -3,8 +3,9 @@
 Layout, all little endian: magic bytes "LFPF", format version u16, kind u8,
 n u32, spacing f64, seed u64, then n*n f64 field values row-major.  The
 container carries no lattice origin and no mean-removal flag; files read
-back get the default origin (0, 0) and mean_removed = False, which is
-harmless because every consumer is invariant under constant shifts.
+back get the default origin (0, 0) and mean_removed = False.  That is not
+harmless: a field sampled with a non-zero origin is read back in the (0, 0)
+frame, so point queries on it (`lfpp dist --from/--to`) snap to wrong sites.
 """
 
 from __future__ import annotations
@@ -32,8 +33,25 @@ def field_bytes(field: FieldSample) -> bytes:
     return header + np.ascontiguousarray(field.values, dtype="<f8").tobytes()
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Replace `path` with `data`; readers see the old or the new file, never
+    a torn one.  The temp file name is unique per call (pid plus a random
+    suffix), and it is opened "xb" rather than made by mkstemp so the result
+    gets the permissions a plain open() gives.  Every package write ends here.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_field(field: FieldSample, path) -> None:
-    Path(path).write_bytes(field_bytes(field))
+    atomic_write(path, field_bytes(field))
 
 
 def read_header(path) -> Tuple[int, int, float, int]:

@@ -149,15 +149,12 @@ class WeightedGrid:
     xi: float
     site_cost: np.ndarray   # (n, n) float64, strictly positive inside mask
     mask: np.ndarray        # (n, n) bool, active sites
-    connectivity: int = 8
 
     def __post_init__(self) -> None:
         if self.site_cost.shape != (self.spec.n, self.spec.n):
             raise InvalidArgument("site_cost shape does not match the lattice")
         if self.mask.shape != (self.spec.n, self.spec.n):
             raise InvalidArgument("mask shape does not match the lattice")
-        if self.connectivity != 8:
-            raise InvalidArgument("only 8-neighbor connectivity is supported")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ correlations).  Trials are seeded from a master seed through spawn keys, so
 estimates are reproducible bit for bit regardless of worker count; medians
 and bootstrap confidence intervals are reduced in trial-index order.
 
-A small in-process memo keyed by the full estimate configuration lets ratio
-and diagnostic code reuse estimates; cached and fresh values are identical.
+A small in-process memo keyed by `estimate_cache_key` lets ratio and
+diagnostic code reuse estimates; cached and fresh values are identical.  The
+CLI's disk cache uses the same key, so an estimate has one identity.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cache import cache_key
 from .errors import (
     DegenerateFit,
     InsufficientTrials,
@@ -159,17 +161,17 @@ def _crossing_trial(args: tuple) -> float:
 # estimates
 # ---------------------------------------------------------------------------
 
-_est_cache: Dict[tuple, MedianEstimate] = {}
+_est_cache: Dict[str, MedianEstimate] = {}
 
 
-def estimate_cache_key(epsilon: float, params: Params, mc: MCConfig) -> tuple:
-    """Exact-bit cache key; gamma is omitted because crossing distances
-    depend on the field only through xi."""
+def estimate_cache_key(epsilon: float, params: Params, mc: MCConfig) -> str:
+    """Exact-bit key of one estimate for the memo and the disk cache; gamma
+    is omitted because crossing distances depend on the field only through xi."""
     lat = mc.lattice
-    return (float(epsilon).hex(), float(params.xi).hex(), lat.n,
-            float(lat.spacing).hex(),
-            float(lat.origin[0]).hex(), float(lat.origin[1]).hex(),
-            mc.trials, mc.master_seed, mc.localized)
+    return cache_key("a_eps", {
+        "eps": float(epsilon), "xi": float(params.xi), "n": lat.n,
+        "spacing": float(lat.spacing), "origin": [float(c) for c in lat.origin],
+        "trials": mc.trials, "seed": mc.master_seed, "localized": bool(mc.localized)})
 
 
 def clear_estimate_cache() -> None:

@@ -1,10 +1,31 @@
 """Shared fixtures and small builders for the test suite."""
 
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lfpp
 from lfpp import LatticeSpec, Params, build_weighted_grid, sample_torus_gff
 from lfpp.gff import FieldKind, FieldSample, MollifiedField
+
+
+LFPP = [sys.executable, "-m", "lfpp"]
+
+
+def lfpp_env() -> dict:
+    """Environment for a child interpreter that imports this lfpp package.
+
+    Tests that can hang or race run the code in a child process with a
+    timeout, so a regression fails the test instead of stalling the suite.
+    """
+    env = dict(os.environ)
+    src = str(Path(lfpp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("LFPP_CACHE", None)
+    return env
 
 
 def make_moll(spec: LatticeSpec, values: np.ndarray,

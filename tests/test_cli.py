@@ -1,9 +1,13 @@
 """Command-line driver: exit codes, manifests, caching, byte determinism."""
 
+import hashlib
 import json
+import subprocess
 
 import numpy as np
 import pytest
+
+from conftest import LFPP, lfpp_env
 
 from lfpp import (
     FieldKind,
@@ -302,8 +306,7 @@ class TestCaching:
         assert main(self.SAMPLE + ["--cache-dir", str(cdir),
                                    "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
-        index = load_json(cdir / "index.json")
-        assert len(index["entries"]) == 1   # output path is not in the key
+        assert len(list(cdir.iterdir())) == 1   # output path is not in the key
 
     def test_one_ulp_spacing_is_a_different_entry(self, tmp_path):
         cdir = tmp_path / "cache"
@@ -313,7 +316,7 @@ class TestCaching:
         assert main(["field", "sample", "--n", "32", "--spacing", bumped,
                      "--seed", "99", "--cache-dir", str(cdir),
                      "--out", str(tmp_path / "b.lfpf")]) == 0
-        assert len(load_json(cdir / "index.json")["entries"]) == 2
+        assert len(list(cdir.iterdir())) == 2
 
     def test_corrupt_entry_evicted_and_regenerated(self, tmp_path, capsys):
         cdir = tmp_path / "cache"
@@ -332,7 +335,7 @@ class TestCaching:
         cdir = tmp_path / "envcache"
         monkeypatch.setenv("LFPP_CACHE", str(cdir))
         assert main(self.SAMPLE + ["--out", str(tmp_path / "f.lfpf")]) == 0
-        assert (cdir / "index.json").is_file()
+        assert [p.suffix for p in cdir.iterdir()] == [".lfpf"]
 
     def test_cache_info(self, tmp_path, capsys):
         cdir = tmp_path / "cache"
@@ -345,3 +348,84 @@ class TestCaching:
     def test_cache_info_without_root(self, monkeypatch):
         monkeypatch.delenv("LFPP_CACHE", raising=False)
         assert main(["cache-info"]) == 1
+
+
+def _dir_state(root):
+    return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in root.iterdir()}
+
+
+class TestConcurrentCache:
+    # 8 processes on one cache root: more than the cores of a small machine,
+    # so stores from different runs interleave.
+    SEEDS = (1, 2, 3, 4, 5, 6, 7, 7)
+
+    def _sample_argv(self, cdir, seed, out):
+        return ["field", "sample", "--n", "64", "--seed", str(seed),
+                "--cache-dir", str(cdir), "--out", str(out)]
+
+    def test_parallel_runs_keep_every_entry(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LFPP_CACHE", raising=False)
+        cdir = tmp_path / "cache"
+        outs = [tmp_path / f"f{k}.lfpf" for k in range(len(self.SEEDS))]
+        procs = [subprocess.Popen(LFPP + self._sample_argv(cdir, seed, out),
+                                  env=lfpp_env(), stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for seed, out in zip(self.SEEDS, outs)]
+        try:
+            for proc in procs:
+                _, err = proc.communicate(timeout=180)
+                assert proc.returncode == 0, err
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert outs[-1].read_bytes() == outs[-2].read_bytes()
+
+        assert main(["cache-info", "--cache-dir", str(cdir)]) == 0
+        assert "entries: 7" in capsys.readouterr().out
+
+        before = _dir_state(cdir)
+        for k, seed in enumerate(self.SEEDS):
+            again = tmp_path / f"again{k}.lfpf"
+            assert main(self._sample_argv(cdir, seed, again)) == 0
+            assert again.read_bytes() == outs[k].read_bytes()
+        assert _dir_state(cdir) == before   # every rerun was a hit
+        assert not list(cdir.glob("*.tmp"))
+
+
+class TestGoldenBytes:
+    # sha256 of small fixed-seed primary outputs.  A change to any of them
+    # is a numerics change and must bump lfpp.cache.NUMERICS_VERSION.
+    GOLDEN = {
+        "f.lfpf": "80cc7ed46bd87a6173cac97910ee166b1a32a255a8daa39b2d1fc0484a098087",
+        "a.json": "86c9a760191f91e2d6b6b9a63f9e39a1acc56479b41104d30e16a8ca7c9e906c",
+        "d.json": "ea1befb3a58ecf073de7b143128e9f54740a1b97561d2244e6ac093ed1df3eea",
+        "p.csv": "8c9bb20fa36b44877922d532b8015272447f62c969cce5f69e78bd8b543e9109",
+    }
+
+    def _run(self, d, extra):
+        d.mkdir()
+        f = str(d / "f.lfpf")
+        assert main(["field", "sample", "--n", "64", "--seed", "11",
+                     "--out", f] + extra) == 0
+        assert main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
+                     "--trials", "20", "--seed", "5",
+                     "--out", str(d / "a.json")] + extra) == 0
+        assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                     "--from", "1.2,1.5", "--to", "2.6,2.4",
+                     "--emit-path", str(d / "p.csv"),
+                     "--out", str(d / "d.json")] + extra) == 0
+        return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+                for name in self.GOLDEN}
+
+    @pytest.mark.parametrize("runs", [("plain",), ("miss", "hit")])
+    def test_primary_outputs_match_golden_hashes(self, runs, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.delenv("LFPP_CACHE", raising=False)
+        for label in runs:
+            clear_estimate_cache()
+            extra = [] if label == "plain" else ["--cache-dir",
+                                                 str(tmp_path / "cache")]
+            assert self._run(tmp_path / label, extra) == self.GOLDEN, label

@@ -1,8 +1,13 @@
 """Experiment runners: exact identities, trend machinery, config dispatch."""
 
+import json
 import math
+import subprocess
+import sys
 
 import pytest
+
+from conftest import LFPP, lfpp_env
 
 from lfpp import (
     EmptyRegion,
@@ -35,6 +40,7 @@ PARAMS = Params(xi=0.2, gamma=1.0)
 WINDOW = Rect(lo=(1.6, 1.6), hi=(2.3, 2.3))
 UNIT = Rect(lo=(1.5, 1.5), hi=(2.5, 2.5))
 PAIRS =ap = [((1.6, 1.7), (2.3, 2.2)), ((1.5, 1.6), (2.4, 2.3))]
+ONE_SITE = [2.0, 2.0, 2.001, 2.001]   # every point snaps to one site at n=64
 
 
 class TestWeylShift:
@@ -94,6 +100,21 @@ class TestLocalizedGap:
         with pytest.raises(InvalidArgument):
             localized_gap(field64, [0.25, 0.125],
                           Rect(lo=(0.1, 0.1), hi=(0.6, 0.6)), PARAMS)
+
+    def test_one_site_window_raises_instead_of_hanging(self):
+        code = (
+            "from lfpp import EmptyRegion, LatticeSpec, Params, Rect\n"
+            "from lfpp import localized_gap, sample_torus_gff\n"
+            "f = sample_torus_gff(LatticeSpec(n=64, spacing=0.0625), seed=404)\n"
+            "try:\n"
+            f"    localized_gap(f, [0.25, 0.125], Rect(lo={tuple(ONE_SITE[:2])}, "
+            f"hi={tuple(ONE_SITE[2:])}), Params(xi=0.2))\n"
+            "except EmptyRegion:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=lfpp_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConvergenceDiagnostic:
@@ -230,6 +251,21 @@ class TestDispatch:
         rep = run_experiment("weyl_shift_test", cfg)
         assert rep.verdict is Verdict.PASS
         assert rep.name == "weyl_shift_test"
+
+    def test_sampled_pairs_from_one_site_window_exit_one(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
+             "epsilon": 0.25, "c": 1.0, "xi": 0.2,
+             "pairs": {"window": ONE_SITE, "seed": 7, "count": 4}}),
+            encoding="utf-8")
+        proc = subprocess.run(
+            LFPP + ["exp", "weyl_shift_test", "--config", str(cfg),
+                    "--out", str(tmp_path / "rep.json")],
+            env=lfpp_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "distinct lattice sites" in proc.stderr
+        assert not (tmp_path / "rep.json").exists()
 
 
 class TestSpearmanTrend:

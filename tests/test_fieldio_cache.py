@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lfpp import InvalidArgument, read_field, write_field
-from lfpp.cache import cache_key, cache_lookup, cache_store, load_index
+from lfpp.cache import cache_entries, cache_key, cache_lookup, cache_store
 from lfpp.fieldio import MAGIC, field_bytes, read_header, verify_field
 
 
@@ -101,58 +101,50 @@ class TestCacheKeys:
 
 class TestCacheStore:
     def test_store_then_lookup_field(self, field64, tmp_path):
-        idx = load_index(tmp_path / "cache")
+        root = tmp_path / "cache"
         key = cache_key("sample", {"seed": 404})
-        stored = cache_store(idx, key, "field", field_bytes(field64), ".lfpf")
-        hit = cache_lookup(idx, key)
+        stored = cache_store(root, key, "field", field_bytes(field64))
+        assert stored == root / (key + ".lfpf")
+        hit = cache_lookup(root, key, "field")
         assert hit == stored
         assert np.array_equal(read_field(hit).values, field64.values)
-        # a fresh index over the same directory sees the entry
-        again = load_index(tmp_path / "cache")
-        assert cache_lookup(again, key) == stored
+        assert cache_entries(root)[0][:3] == (key, "field", key + ".lfpf")
 
     def test_miss_on_unknown_key(self, tmp_path):
-        idx = load_index(tmp_path / "cache")
-        assert cache_lookup(idx, "0" * 64) is None
+        assert cache_lookup(tmp_path / "cache", "0" * 64, "field") is None
 
     def test_corrupt_artifact_evicted_with_warning(self, field64, tmp_path,
                                                    capsys):
-        idx = load_index(tmp_path / "cache")
+        root = tmp_path / "cache"
         key = cache_key("sample", {"seed": 404})
-        stored = cache_store(idx, key, "field", field_bytes(field64), ".lfpf")
+        stored = cache_store(root, key, "field", field_bytes(field64))
         stored.write_bytes(stored.read_bytes()[:40])   # truncate in place
-        assert cache_lookup(idx, key) is None
+        assert cache_lookup(root, key, "field") is None
         assert "evicted" in capsys.readouterr().err
-        assert key not in idx.entries
-        assert key not in load_index(tmp_path / "cache").entries
+        assert not stored.exists()
+        assert cache_entries(root) == []
 
     def test_json_artifact_needs_required_keys(self, tmp_path):
-        idx = load_index(tmp_path / "cache")
+        root = tmp_path / "cache"
         good = {"epsilon": 0.125, "median": 1.0, "trials": 50,
                 "ci_lo": 0.9, "ci_hi": 1.1, "master_seed": 1}
         k1 = cache_key("a_eps", {"v": 1})
-        cache_store(idx, k1, "a_eps", json.dumps(good).encode(), ".json")
-        assert cache_lookup(idx, k1) is not None
+        cache_store(root, k1, "a_eps", json.dumps(good).encode())
+        assert cache_lookup(root, k1, "a_eps") is not None
         bad = {"epsilon": 0.125}
         k2 = cache_key("a_eps", {"v": 2})
-        cache_store(idx, k2, "a_eps", json.dumps(bad).encode(), ".json")
-        assert cache_lookup(idx, k2) is None
+        cache_store(root, k2, "a_eps", json.dumps(bad).encode())
+        assert cache_lookup(root, k2, "a_eps") is None
 
-    def test_unknown_kind_never_hits(self, tmp_path):
-        idx = load_index(tmp_path / "cache")
+    def test_unknown_kind_rejected(self, tmp_path):
         key = cache_key("x", {})
-        cache_store(idx, key, "mystery", b"{}", ".bin")
-        assert cache_lookup(idx, key) is None
-
-    def test_malformed_index_starts_empty(self, tmp_path):
-        root = tmp_path / "cache"
-        root.mkdir()
-        (root / "index.json").write_text("{not json", encoding="utf-8")
-        assert load_index(root).entries == {}
+        with pytest.raises(InvalidArgument):
+            cache_store(tmp_path / "cache", key, "mystery", b"{}")
+        with pytest.raises(InvalidArgument):
+            cache_lookup(tmp_path / "cache", key, "mystery")
 
     def test_no_temp_files_left_behind(self, field64, tmp_path):
         root = tmp_path / "cache"
-        idx = load_index(root)
-        cache_store(idx, cache_key("sample", {"seed": 1}), "field",
-                    field_bytes(field64), ".lfpf")
+        cache_store(root, cache_key("sample", {"seed": 1}), "field",
+                    field_bytes(field64))
         assert not list(root.glob("*.tmp"))
