@@ -72,7 +72,6 @@ from .renorm import (
     trial_seed,
 )
 from .experiments import (
-    EXPERIMENT_COLUMNS,
     EXPERIMENTS,
     ExperimentReport,
     Verdict,
@@ -112,7 +111,7 @@ __all__ = [
     "estimate_cache_key", "fit_exponent", "ladders_overlap",
     "log_correction_check", "scaling_ratio", "trial_seed",
     # experiments
-    "EXPERIMENT_COLUMNS", "EXPERIMENTS", "ExperimentReport", "Verdict",
+    "EXPERIMENTS", "ExperimentReport", "Verdict",
     "annulus_event_stats", "convergence_diagnostic", "field_continuity_check",
     "field_sup_bound_check", "gmc_mass", "localized_gap", "run_experiment",
     "scale_covariance_test", "small_segment_sup", "spearman_trend",

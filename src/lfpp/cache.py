@@ -6,10 +6,10 @@ of (operation, NUMERICS_VERSION, fully resolved params) where floats are
 rendered by their hex bit pattern: a 1-ulp change in any parameter is a
 different key, and bumping NUMERICS_VERSION retires every entry computed by
 older numerics.  Hits are verified against the artifact itself (binary
-header for field files, required keys for JSON results); anything that fails
-verification is deleted and reported as a miss.  Every store goes through
-`fieldio.atomic_write`, so concurrent runs on one root never see a torn
-artifact and never lose each other's entries.
+header for field files, `MedianEstimate.from_dict` for estimates); anything
+that fails verification is deleted and reported as a miss.  Every store goes
+through `fieldio.atomic_write`, so concurrent runs on one root never see a
+torn artifact and never lose each other's entries.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ NUMERICS_VERSION = 1
 
 
 def _estimate_ok(path: Path) -> bool:
+    from .renorm import MedianEstimate   # renorm imports this module
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError):
+        MedianEstimate.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, KeyError, TypeError, ValueError, InvalidArgument):
         return False
-    required = ("epsilon", "median", "trials", "ci_lo", "ci_hi", "master_seed")
-    return isinstance(doc, dict) and all(k in doc for k in required)
+    return True
 
 
 # kind -> (file suffix, verifier)

@@ -54,7 +54,7 @@ from .renorm import (
     fit_exponent,
     scaling_ratio,
 )
-from .experiments import EXPERIMENT_COLUMNS, run_experiment
+from .experiments import EXPERIMENTS, _resolve_spacing, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,16 +97,6 @@ def _parse_region(text: str):
         return Rect(lo=(vals[0], vals[1]), hi=(vals[2], vals[3]))
     raise argparse.ArgumentTypeError(
         f"region must be disk:cx,cy,r or annulus:cx,cy,r1,r2 or rect:x0,y0,x1,y1, got {text!r}")
-
-
-def _resolve_spacing(raw: str, n: int) -> float:
-    # auto places the unit square in the central quarter: spacing = 4/n.
-    if raw == "auto":
-        return 4.0 / n
-    try:
-        return float(raw)
-    except ValueError:
-        raise InvalidArgument(f"--spacing must be a number or 'auto', got {raw!r}")
 
 
 def _json_bytes(obj) -> bytes:
@@ -268,11 +258,6 @@ def _mc_from_flags(ns) -> MCConfig:
                     localized=ns.localized, parallel=parallel)
 
 
-def _estimate_doc(est: MedianEstimate) -> dict:
-    return {"epsilon": est.epsilon, "median": est.median, "trials": est.trials,
-            "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "master_seed": est.master_seed}
-
-
 def _handle_a_eps(ns) -> dict:
     params = Params(xi=ns.xi)
     mc = _mc_from_flags(ns)
@@ -281,8 +266,8 @@ def _handle_a_eps(ns) -> dict:
                 "trials": ns.trials, "seed": ns.seed, "localized": ns.localized,
                 "out": ns.out}
     key = estimate_cache_key(ns.eps, params, mc)
-    payload = _cached(ns, key, "a_eps", lambda: _json_bytes(_estimate_doc(
-        estimate_a_eps(ns.eps, params, mc, workers=ns.threads))))
+    payload = _cached(ns, key, "a_eps", lambda: _json_bytes(
+        estimate_a_eps(ns.eps, params, mc, workers=ns.threads).to_dict()))
     return {"command": "a-eps", "outputs": [(ns.out, payload)],
             "resolved": resolved, "master_seed": ns.seed, "warnings": [],
             "supercritical": params.supercritical}
@@ -297,17 +282,10 @@ def _load_estimates(dir_path: str) -> List[MedianEstimate]:
         if path.name.endswith(".manifest.json"):
             continue
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            found.append(MedianEstimate.from_dict(
+                json.loads(path.read_text(encoding="utf-8"))))
+        except (KeyError, TypeError, ValueError):   # not an estimate document
             continue
-        if not (isinstance(doc, dict)
-                and all(k in doc for k in ("epsilon", "median", "trials",
-                                           "ci_lo", "ci_hi", "master_seed"))):
-            continue
-        found.append(MedianEstimate(
-            epsilon=float(doc["epsilon"]), median=float(doc["median"]),
-            trials=int(doc["trials"]), ci_lo=float(doc["ci_lo"]),
-            ci_hi=float(doc["ci_hi"]), master_seed=int(doc["master_seed"])))
     if not found:
         raise InvalidArgument(f"no estimate JSON files found under {dir_path!r}")
     return found
@@ -348,8 +326,8 @@ def _handle_ratio(ns) -> dict:
 
 
 def _report_doc(report) -> dict:
-    # runtime_secs is wall time and would break byte-identical reruns; the
-    # manifest carries the measured value, the primary output a null.
+    # runtime_secs stays in the schema as null: wall time would break
+    # byte-identical reruns, and the manifest's runtime_secs times the command.
     return {
         "name": report.name,
         "params": report.params,
@@ -370,8 +348,7 @@ def _handle_exp(ns) -> dict:
     report = run_experiment(ns.name, cfg)
     outputs = [(ns.out, _json_bytes(_report_doc(report)))]
     if ns.csv:
-        outputs.append((ns.csv, _csv_bytes(EXPERIMENT_COLUMNS[report.name],
-                                           report.rows)))
+        outputs.append((ns.csv, _csv_bytes(EXPERIMENTS[ns.name].columns, report.rows)))
         if ns.emit_gnuplot:
             outputs.append((ns.csv + ".gnu", _gnuplot_script(ns.csv, 1, 2)))
     seed = None
@@ -382,8 +359,7 @@ def _handle_exp(ns) -> dict:
     xi = cfg.get("xi")
     supercritical = isinstance(xi, (int, float)) and xi >= XI_CRIT_REF
     resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
-                "out": ns.out, "csv": ns.csv,
-                "runtime_secs_measured": report.runtime_secs}
+                "out": ns.out, "csv": ns.csv}
     return {"command": "exp", "outputs": outputs, "resolved": resolved,
             "master_seed": seed, "warnings": [], "supercritical": supercritical}
 
@@ -414,12 +390,13 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
                         help="worker hint; never changes output bytes")
-    common.add_argument("--cache-dir", default=None,
+    cached = _Parser(add_help=False)
+    cached.add_argument("--cache-dir", default=None,
                         help="cache root (overrides LFPP_CACHE)")
 
     p_field = sub.add_parser("field", help="field sampling commands")
     field_sub = p_field.add_subparsers(dest="field_command")
-    p_sample = field_sub.add_parser("sample", parents=[common],
+    p_sample = field_sub.add_parser("sample", parents=[common, cached],
                                     help="sample a field to an LFPF file")
     p_sample.add_argument("--kind", choices=("torus", "dirichlet"), default="torus")
     p_sample.add_argument("--n", type=int, required=True)
@@ -450,7 +427,7 @@ def _build_parser() -> _Parser:
     p_dist.add_argument("--out", default=None)
     p_dist.set_defaults(handler=_handle_dist)
 
-    p_aeps = sub.add_parser("a-eps", parents=[common],
+    p_aeps = sub.add_parser("a-eps", parents=[common, cached],
                             help="estimate the crossing-median normalizer")
     p_aeps.add_argument("--xi", type=float, required=True)
     p_aeps.add_argument("--eps", type=float, required=True)
@@ -488,14 +465,14 @@ def _build_parser() -> _Parser:
     p_ratio.set_defaults(handler=_handle_ratio)
 
     p_exp = sub.add_parser("exp", parents=[common], help="run a named experiment")
-    p_exp.add_argument("name", choices=sorted(EXPERIMENT_COLUMNS))
+    p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--csv", default=None)
     p_exp.add_argument("--emit-gnuplot", action="store_true")
     p_exp.set_defaults(handler=_handle_exp)
 
-    p_info = sub.add_parser("cache-info", parents=[common],
+    p_info = sub.add_parser("cache-info", parents=[common, cached],
                             help="list cache entries")
     p_info.set_defaults(handler=_handle_cache_info)
 

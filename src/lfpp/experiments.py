@@ -16,11 +16,12 @@ non-increase checks where the verdict rule is deterministic.
 
 from __future__ import annotations
 
+import inspect
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as sstats
@@ -78,29 +79,7 @@ class ExperimentReport:
     params: Dict[str, object]     # every input including seeds
     rows: Tuple[tuple, ...]       # fixed per-experiment column schema
     verdict: Verdict
-    runtime_secs: float
     stats: Dict[str, float] = dataclass_field(default_factory=dict)
-
-
-# Column schemas for row dumps; documented in docs/experiments.md.
-EXPERIMENT_COLUMNS: Dict[str, Tuple[str, ...]] = {
-    "weyl_shift_test": (
-        "pair", "zx", "zy", "wx", "wy", "d_base", "d_shifted", "ratio", "rel_err"),
-    "scale_covariance_test": ("trial", "lhs", "rhs"),
-    "localized_gap": ("epsilon", "sup_gap", "max_ratio_dev"),
-    "convergence_diagnostic": (
-        "eps_coarse", "eps_fine", "pair", "value_coarse", "value_fine", "abs_diff"),
-    "annulus_event_stats": (
-        "trial", "r", "around", "across", "ratio3",
-        "around_proxy", "across_proxy", "ratio3_proxy", "ratio1"),
-    "gmc_mass": ("epsilon", "mass", "rel_diff"),
-    "field_continuity_check": (
-        "n", "eps_coarse", "eps_fine", "gap_plain", "gap_localized",
-        "bound_unit", "c_plain", "c_localized"),
-    "field_sup_bound_check": (
-        "epsilon", "sup_plain", "sup_localized", "c_plain", "c_localized"),
-    "small_segment_sup": ("epsilon", "separation", "max_normalized_dist"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +177,49 @@ def _uniform_point(rng: np.random.Generator, window: Rect) -> Tuple[float, float
             window.lo[1] + v * (window.hi[1] - window.lo[1]))
 
 
-def _distinct_pairs(rng: np.random.Generator, spec: LatticeSpec, window: Rect,
-                    count: int) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    """`count` uniform pairs in `window` whose ends snap to different sites;
-    EmptyRegion once the draw budget is spent, so a one-site window never hangs."""
-    pairs = []
-    for _ in range(_PAIR_DRAWS * count):
-        if len(pairs) == count:
-            return pairs
-        z = _uniform_point(rng, window)
-        w = _uniform_point(rng, window)
-        if spec.index_of(z) != spec.index_of(w):
-            pairs.append((z, w))
-    if len(pairs) < count:
-        raise EmptyRegion(f"window {[*window.lo, *window.hi]} gave {len(pairs)} of "
-                          f"{count} pairs of distinct lattice sites")
-    return pairs
-
-
 def _in_rect(p: Tuple[float, float], window: Rect) -> bool:
     return (window.lo[0] <= p[0] <= window.hi[0]
             and window.lo[1] <= p[1] <= window.hi[1])
+
+
+def _draw_pairs(draw: Callable[[], Optional[tuple]], count: int, window: Rect,
+                what: str) -> list:
+    """`count` pairs accepted by draw() (None rejects a draw); EmptyRegion once
+    _PAIR_DRAWS draws per pair are spent, so a degenerate window never hangs."""
+    pairs = []
+    for _ in range(_PAIR_DRAWS * count):
+        if len(pairs) == count:
+            break
+        pair = draw()
+        if pair is not None:
+            pairs.append(pair)
+    if len(pairs) < count:
+        raise EmptyRegion(f"window {[*window.lo, *window.hi]} gave {len(pairs)} of "
+                          f"{count} {what}")
+    return pairs
+
+
+def _apart_pair(rng: np.random.Generator, spec: LatticeSpec, window: Rect):
+    """Uniform pair in `window`, or None when both ends snap to one site."""
+    z = _uniform_point(rng, window)
+    w = _uniform_point(rng, window)
+    return (z, w) if spec.index_of(z) != spec.index_of(w) else None
+
+
+def _near_pair(rng: np.random.Generator, window: Rect, sep: float):
+    """Uniform z in `window` and w within `sep` of it, or None when w leaves."""
+    z = _uniform_point(rng, window)
+    theta = rng.random() * 2.0 * math.pi
+    rad = rng.random() * sep
+    w = (z[0] + rad * math.cos(theta), z[1] + rad * math.sin(theta))
+    return (z, w) if _in_rect(w, window) else None
+
+
+def _distinct_pairs(rng: np.random.Generator, spec: LatticeSpec, window: Rect,
+                    count: int) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
+    """`count` uniform pairs in `window` whose ends snap to different sites."""
+    return _draw_pairs(partial(_apart_pair, rng, spec, window), count, window,
+                       "pairs of distinct lattice sites")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,6 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
     Localized smoothing commutes with constants, so this is an exact
     identity checked at 1e-10 relative, not a statistical test.
     """
-    t0 = time.perf_counter()
     window = crossing_square(field.spec)
     for z, w in pairs:
         if not (_in_rect(z, window) and _in_rect(w, window)):
@@ -263,7 +263,6 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
                 "c": float(c), "xi": params.xi, "pairs": _pairs_json(pairs),
                 "statement_type": "exact-identity"},
         rows=tuple(rows), verdict=verdict,
-        runtime_secs=time.perf_counter() - t0,
         stats={"max_rel_err": worst, "target_ratio": target})
 
 
@@ -282,7 +281,6 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     two-sample Mann-Whitney p-value.  Dilations are centered at the lattice
     origin corner.
     """
-    t0 = time.perf_counter()
     if not _pow2(a):
         raise InvalidArgument(f"scale factor a must be a power of two, got {a}")
     if not math.isfinite(q_hat):
@@ -331,7 +329,6 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
                 "common_random_numbers": True,
                 "statement_type": "monte-carlo-in-law"},
         rows=tuple(rows), verdict=Verdict.INFORMATIONAL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"median_lhs": float(q_l[1]), "median_rhs": float(q_r[1]),
                "iqr_lhs": float(q_l[2] - q_l[0]), "iqr_rhs": float(q_r[2] - q_r[0]),
                "mw_p": float(mw.pvalue), "prefactor": float(prefactor)})
@@ -349,7 +346,6 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     deviation over sampled pairs should fall along a halving ladder; one
     uptick within 5% is tolerated per sequence.
     """
-    t0 = time.perf_counter()
     _validate_decreasing(eps_ladder, min_rungs=2)
     _require_inside(window, _central_quarter(field.spec), "window")
     wmask = region_mask(field.spec, window)
@@ -385,7 +381,6 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"first_gap": gaps[0], "last_gap": gaps[-1],
                "first_dev": devs[0], "last_dev": devs[-1]})
 
@@ -403,7 +398,6 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     estimates under mc.  The verdict passes when the max-over-pairs
     successive difference at the fine end does not exceed the coarse end.
     """
-    t0 = time.perf_counter()
     _validate_halving(eps_ladder, min_rungs=4)
     lat = mc.lattice
     field_seed = int(np.random.SeedSequence(
@@ -443,7 +437,6 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"first_max_diff": max_diffs[0], "last_max_diff": max_diffs[-1],
                "spearman_rho": rho, "spearman_p": p})
 
@@ -463,7 +456,6 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
     the zero-scale metric, labeled proxy).  Quantiles are reported; no
     bound is asserted.
     """
-    t0 = time.perf_counter()
     if not (0.875 < alpha < 1.0):
         raise InvalidArgument(f"alpha must lie in (7/8, 1), got {alpha}")
     lat = mc.lattice
@@ -521,7 +513,6 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
                 "proxy": "finest-scale metric stands in for the scale-zero metric",
                 "statement_type": "monte-carlo-quantiles"},
         rows=tuple(rows), verdict=Verdict.INFORMATIONAL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"ratio3_q50": float(q3[0]), "ratio3_q90": float(q3[1]),
                "ratio3_q99": float(q3[2]), "ratio1_q50": float(q1[0]),
                "ratio1_q90": float(q1[1]), "ratio1_q99": float(q1[2]),
@@ -540,7 +531,6 @@ def gmc_mass(field: FieldSample, gamma: float, eps_ladder: Sequence[float],
     limit integrates to the exact window area.  Pass when the final
     successive relative mass difference is below the first.
     """
-    t0 = time.perf_counter()
     if not (0.0 < gamma < 2.0):
         raise InvalidArgument(f"gamma must lie in (0, 2), got {gamma}")
     _validate_decreasing(eps_ladder, min_rungs=3)
@@ -577,7 +567,6 @@ def gmc_mass(field: FieldSample, gamma: float, eps_ladder: Sequence[float],
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"first_rel_diff": rel_diffs[0], "last_rel_diff": rel_diffs[-1],
                "window_sites": int(mask.sum()), "final_mass": masses[-1]})
 
@@ -594,7 +583,6 @@ def field_continuity_check(field: FieldSample, a: float,
     (((n+1)/n)^a - 1) across the ladder, for both smoothers; passes when a
     single finite constant works everywhere.
     """
-    t0 = time.perf_counter()
     if not (math.isfinite(a) and a > 0):
         raise InvalidArgument(f"a must be positive, got {a}")
     if len(n_ladder) < 2 or any(m2 <= m1 for m1, m2 in zip(n_ladder, n_ladder[1:])):
@@ -632,7 +620,6 @@ def field_continuity_check(field: FieldSample, a: float,
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"C_plain": cp, "C_localized": cl})
 
 
@@ -648,7 +635,6 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     increase over the last three rungs for either smoother (the log term
     dominates as the scale shrinks).
     """
-    t0 = time.perf_counter()
     if not (math.isfinite(eta) and eta > 0):
         raise InvalidArgument(f"eta must be positive, got {eta}")
     _validate_decreasing(eps_ladder, min_rungs=3)
@@ -677,7 +663,6 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if tail_ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"C_plain": max(cps), "C_localized": max(cls)})
 
 
@@ -693,7 +678,6 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
     Runs a halving ladder from epsilon (up to four admissible rungs) and
     passes when the per-rung maximum decreases down the ladder.
     """
-    t0 = time.perf_counter()
     if not (0.0 < zeta < 1.0):
         raise InvalidArgument(f"zeta must lie in (0, 1), got {zeta}")
     spec = field.spec
@@ -717,14 +701,8 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
         sep = 4.0 * eps_k ** (1.0 - zeta)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=field.seed, spawn_key=(_SEG_KEY, k)))
-        pairs = []
-        while len(pairs) < _N_SEG_PAIRS:
-            z = _uniform_point(rng, window)
-            theta = rng.random() * 2.0 * math.pi
-            rad = rng.random() * sep
-            w = (z[0] + rad * math.cos(theta), z[1] + rad * math.sin(theta))
-            if _in_rect(w, window):
-                pairs.append((z, w))
+        pairs = _draw_pairs(partial(_near_pair, rng, window, sep), _N_SEG_PAIRS,
+                            window, f"pairs closer than {sep}")
         grid = build_weighted_grid(mollify_localized(field, eps_k), params.xi)
         a_hat = estimate_a_eps(eps_k, params, mc, workers=workers).median
         worst = 0.0
@@ -743,13 +721,53 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
                 "statement_type": "fixed-seed-trend"},
         rows=tuple(rows),
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        runtime_secs=time.perf_counter() - t0,
         stats={"first_sup": vals[0], "last_sup": vals[-1]})
 
 
 # ---------------------------------------------------------------------------
-# registry and config adaptation
+# registry and config parsing
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment: its runner and the columns of its rows."""
+
+    run: Callable[..., ExperimentReport]
+    columns: Tuple[str, ...]
+
+
+# Names, runners and CSV columns; documented in docs/experiments.md.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "weyl_shift_test": Experiment(weyl_shift_test, (
+        "pair", "zx", "zy", "wx", "wy", "d_base", "d_shifted", "ratio", "rel_err")),
+    "scale_covariance_test": Experiment(scale_covariance_test, ("trial", "lhs", "rhs")),
+    "localized_gap": Experiment(localized_gap, ("epsilon", "sup_gap", "max_ratio_dev")),
+    "convergence_diagnostic": Experiment(convergence_diagnostic, (
+        "eps_coarse", "eps_fine", "pair", "value_coarse", "value_fine", "abs_diff")),
+    "annulus_event_stats": Experiment(annulus_event_stats, (
+        "trial", "r", "around", "across", "ratio3",
+        "around_proxy", "across_proxy", "ratio3_proxy", "ratio1")),
+    "gmc_mass": Experiment(gmc_mass, ("epsilon", "mass", "rel_diff")),
+    "field_continuity_check": Experiment(field_continuity_check, (
+        "n", "eps_coarse", "eps_fine", "gap_plain", "gap_localized",
+        "bound_unit", "c_plain", "c_localized")),
+    "field_sup_bound_check": Experiment(field_sup_bound_check, (
+        "epsilon", "sup_plain", "sup_localized", "c_plain", "c_localized")),
+    "small_segment_sup": Experiment(small_segment_sup, (
+        "epsilon", "separation", "max_normalized_dist")),
+}
+
+
+def _resolve_spacing(raw, n: int) -> float:
+    """A number, or `auto`: 4/n, which centers the unit square in the
+    central quarter (n = 0 is left for LatticeSpec to reject)."""
+    if raw == "auto":
+        return 4.0 / max(n, 1)
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"spacing must be a number or 'auto', got {raw!r}") from None
+
 
 def _cfg_get(cfg: dict, key: str):
     if key not in cfg:
@@ -759,11 +777,9 @@ def _cfg_get(cfg: dict, key: str):
 
 def _cfg_lattice(cfg: dict) -> LatticeSpec:
     n = int(_cfg_get(cfg, "n"))
-    spacing = cfg.get("spacing", "auto")
-    if spacing == "auto":
-        spacing = 4.0 / n
     origin = tuple(cfg.get("origin", (0.0, 0.0)))
-    return LatticeSpec(n=n, spacing=float(spacing), origin=(float(origin[0]), float(origin[1])))
+    return LatticeSpec(n=n, spacing=_resolve_spacing(cfg.get("spacing", "auto"), n),
+                       origin=(float(origin[0]), float(origin[1])))
 
 
 def _cfg_field(cfg: dict) -> FieldSample:
@@ -777,112 +793,68 @@ def _cfg_field(cfg: dict) -> FieldSample:
     raise InvalidArgument(f"unknown field kind '{kind}'")
 
 
-def _cfg_params(cfg: dict) -> Params:
-    return Params(xi=float(_cfg_get(cfg, "xi")), gamma=cfg.get("gamma"))
-
-
 def _cfg_mc(cfg: dict) -> MCConfig:
-    sub = _cfg_get(cfg, "mc")
-    return MCConfig(lattice=_cfg_lattice(sub), trials=int(_cfg_get(sub, "trials")),
-                    master_seed=int(_cfg_get(sub, "seed")),
-                    localized=bool(sub.get("localized", False)),
-                    parallel=bool(sub.get("parallel", False)))
+    return MCConfig(lattice=_cfg_lattice(cfg), trials=int(_cfg_get(cfg, "trials")),
+                    master_seed=int(_cfg_get(cfg, "seed")),
+                    localized=bool(cfg.get("localized", False)),
+                    parallel=bool(cfg.get("parallel", False)))
 
 
-def _cfg_window(cfg: dict, key: str = "window") -> Rect:
-    w = _cfg_get(cfg, key)
+def _cfg_window(w) -> Rect:
     return Rect(lo=(float(w[0]), float(w[1])), hi=(float(w[2]), float(w[3])))
 
 
-def _cfg_pairs(cfg: dict, spec: LatticeSpec):
-    raw = _cfg_get(cfg, "pairs")
+def _cfg_pairs(raw, spec: LatticeSpec):
+    """An explicit pair list, or {window, seed, count} sampled on spec."""
     if isinstance(raw, dict):
-        window = _cfg_window(raw)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(_cfg_get(raw, "seed")),
-                                   spawn_key=(_PAIR_KEY,)))
+        window = _cfg_window(_cfg_get(raw, "window"))
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=int(_cfg_get(raw, "seed")), spawn_key=(_PAIR_KEY,)))
         return _distinct_pairs(rng, spec, window, int(_cfg_get(raw, "count")))
-    return [((float(z[0]), float(z[1])), (float(w[0]), float(w[1])))
-            for z, w in raw]
+    return [((float(z[0]), float(z[1])), (float(w[0]), float(w[1]))) for z, w in raw]
 
 
-def _run_weyl(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return weyl_shift_test(fld, float(_cfg_get(cfg, "epsilon")),
-                           float(_cfg_get(cfg, "c")),
-                           _cfg_pairs(cfg, fld.spec), _cfg_params(cfg))
+def _value(parse: Callable) -> Callable:
+    """Parser of the config value stored under the parameter's own name."""
+    return lambda cfg, key, done: parse(_cfg_get(cfg, key))
 
 
-def _run_scale_cov(cfg: dict) -> ExperimentReport:
-    return scale_covariance_test(float(_cfg_get(cfg, "a")),
-                                 float(_cfg_get(cfg, "epsilon")),
-                                 _cfg_params(cfg), _cfg_mc(cfg),
-                                 float(_cfg_get(cfg, "q_hat")))
-
-
-def _run_localized_gap(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return localized_gap(fld, [float(e) for e in _cfg_get(cfg, "eps_ladder")],
-                         _cfg_window(cfg), _cfg_params(cfg))
-
-
-def _run_convergence(cfg: dict) -> ExperimentReport:
-    mc = _cfg_mc(cfg)
-    return convergence_diagnostic(_cfg_pairs(cfg, mc.lattice),
-                                  [float(e) for e in _cfg_get(cfg, "eps_ladder")],
-                                  _cfg_params(cfg), mc)
-
-
-def _run_annulus(cfg: dict) -> ExperimentReport:
-    return annulus_event_stats(float(_cfg_get(cfg, "epsilon")),
-                               [float(r) for r in _cfg_get(cfg, "r_set")],
-                               float(_cfg_get(cfg, "alpha")),
-                               _cfg_params(cfg), _cfg_mc(cfg))
-
-
-def _run_gmc(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return gmc_mass(fld, float(_cfg_get(cfg, "gamma")),
-                    [float(e) for e in _cfg_get(cfg, "eps_ladder")],
-                    _cfg_window(cfg))
-
-
-def _run_continuity(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return field_continuity_check(fld, float(_cfg_get(cfg, "a")),
-                                  [int(m) for m in _cfg_get(cfg, "n_ladder")],
-                                  _cfg_window(cfg))
-
-
-def _run_sup_bound(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return field_sup_bound_check(fld, [float(e) for e in _cfg_get(cfg, "eps_ladder")],
-                                 float(_cfg_get(cfg, "eta")), _cfg_window(cfg))
-
-
-def _run_small_segment(cfg: dict) -> ExperimentReport:
-    fld = _cfg_field(_cfg_get(cfg, "field"))
-    return small_segment_sup(fld, float(_cfg_get(cfg, "epsilon")),
-                             float(_cfg_get(cfg, "zeta")), _cfg_window(cfg),
-                             _cfg_params(cfg), _cfg_mc(cfg))
-
-
-EXPERIMENTS = {
-    "weyl_shift_test": _run_weyl,
-    "scale_covariance_test": _run_scale_cov,
-    "localized_gap": _run_localized_gap,
-    "convergence_diagnostic": _run_convergence,
-    "annulus_event_stats": _run_annulus,
-    "gmc_mass": _run_gmc,
-    "field_continuity_check": _run_continuity,
-    "field_sup_bound_check": _run_sup_bound,
-    "small_segment_sup": _run_small_segment,
+# Runner parameter -> parser(config, key, parameters parsed so far), applied
+# in this order: `pairs` snaps to the lattice of the `field` or `mc` before it.
+_PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
+    "field": _value(_cfg_field),
+    "mc": _value(_cfg_mc),
+    "pairs": lambda cfg, key, done: _cfg_pairs(_cfg_get(cfg, key), (
+        done["field"].spec if "field" in done else done["mc"].lattice)),
+    "params": lambda cfg, key, done: Params(xi=float(_cfg_get(cfg, "xi")),
+                                            gamma=cfg.get("gamma")),
+    "window": _value(_cfg_window),
+    "n_ladder": _value(lambda values: [int(v) for v in values]),
+    **dict.fromkeys(("eps_ladder", "r_set"),
+                    _value(lambda values: [float(v) for v in values])),
+    **dict.fromkeys(("epsilon", "c", "a", "q_hat", "alpha", "gamma", "eta", "zeta"),
+                    _value(float)),
 }
 
 
 def run_experiment(name: str, cfg: dict) -> ExperimentReport:
-    """Dispatch a named experiment from a plain configuration mapping."""
+    """Run a registered experiment from a plain configuration mapping.
+
+    The config keys are the runner's parameter names, except that `params`
+    is read from `xi` and an optional `gamma`.  A malformed value is an
+    InvalidArgument naming its key.
+    """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise InvalidArgument(f"unknown experiment '{name}' (known: {known})")
-    return EXPERIMENTS[name](cfg)
+    run = EXPERIMENTS[name].run
+    wanted = inspect.signature(run).parameters   # `workers` has no parser
+    args = {}
+    for key, parse in _PARSERS.items():
+        if key in wanted:
+            try:
+                args[key] = parse(cfg, key, args)
+            except (TypeError, ValueError, KeyError, IndexError) as exc:
+                raise InvalidArgument(
+                    f"experiment config key '{key}' is malformed: {exc}") from None
+    return run(**args)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -78,6 +78,17 @@ class MedianEstimate:
             raise InvalidArgument(f"median must be positive, got {self.median}")
         if not (self.ci_lo <= self.median <= self.ci_hi):
             raise InvalidArgument("confidence interval must bracket the median")
+
+    def to_dict(self) -> Dict[str, object]:
+        """The estimate's JSON document: its fields in declaration order."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc) -> "MedianEstimate":
+        """Inverse of to_dict; KeyError, TypeError or ValueError when doc
+        lacks a field or holds a value of the wrong kind."""
+        types = get_type_hints(cls)
+        return cls(**{f.name: types[f.name](doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 
 import numpy as np
@@ -22,7 +23,7 @@ from lfpp import (
     write_field,
 )
 from lfpp.cli import main
-from lfpp.experiments import EXPERIMENT_COLUMNS
+from lfpp.experiments import EXPERIMENTS
 
 
 def zero_field(n=64, spacing=0.0625):
@@ -79,6 +80,14 @@ class TestFieldSample:
         out = tmp_path / "f.lfpf"
         assert main(["field", "sample", "--n", "3", "--seed", "1",
                      "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("n, spacing, message", [
+        ("0", "auto", "n must be"), ("64", "wide", "spacing must be")])
+    def test_bad_lattice_flags_exit_one(self, n, spacing, message, tmp_path,
+                                        capsys):
+        assert main(["field", "sample", "--n", n, "--spacing", spacing,
+                     "--seed", "1", "--out", str(tmp_path / "f.lfpf")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unwritable_output_exits_two(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "f.lfpf"
@@ -263,10 +272,10 @@ class TestExp:
         assert doc["verdict"] == "Pass"
         assert doc["runtime_secs"] is None   # wall time lives in the manifest
         header = csv_out.read_text().splitlines()[0]
-        assert header == ",".join(EXPERIMENT_COLUMNS["weyl_shift_test"])
+        assert header == ",".join(EXPERIMENTS["weyl_shift_test"].columns)
         assert (tmp_path / "rep.csv.gnu").is_file()
         manifest = load_json(tmp_path / "rep.json.manifest.json")
-        assert manifest["resolved_params"]["runtime_secs_measured"] > 0
+        assert manifest["runtime_secs"] > 0
         assert manifest["master_seed"] == 404
 
     def test_rerun_byte_identical_primary_output(self, tmp_path):
@@ -291,6 +300,106 @@ class TestExp:
     def test_unknown_experiment_name(self, tmp_path):
         assert main(["exp", "bogus", "--config", "x",
                      "--out", str(tmp_path / "y.json")]) == 1
+
+    GAP_CFG = {"field": {"n": 64, "seed": 404}, "eps_ladder": [0.25, 0.125],
+               "window": [1.6, 1.6, 2.3, 2.3], "xi": 0.2}
+
+    @pytest.mark.parametrize("name, path, value, key", [
+        ("weyl_shift_test", ("field", "n"), "abc", "field"),
+        ("weyl_shift_test", ("field", "spacing"), "wide", "spacing"),
+        ("weyl_shift_test", ("epsilon",), "x", "epsilon"),
+        ("weyl_shift_test", ("pairs",), [[1.6, 1.7]], "pairs"),
+        ("localized_gap", ("eps_ladder",), 0.25, "eps_ladder"),
+    ])
+    def test_malformed_value_exits_one_naming_key(self, name, path, value, key,
+                                                  tmp_path, capsys):
+        cfg = json.loads(json.dumps(
+            self.CFG if name == "weyl_shift_test" else self.GAP_CFG))
+        node = cfg
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["exp", name, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+        assert not (tmp_path / "rep.json").exists()
+
+
+class TestExperimentGoldenBytes:
+    # sha256 of (report JSON, CSV rows) for one small admissible config per
+    # experiment, run through `lfpp exp`.  A change to any of them changes
+    # an experiment's numerics or its output schema and must be deliberate.
+    W = [1.6, 1.6, 2.3, 2.3]
+    F64 = {"n": 64, "seed": 404}
+    CASES = {
+        "weyl_shift_test": (
+            {"field": F64, "epsilon": 0.25, "c": 1.0, "xi": 0.2,
+             "pairs": {"window": W, "seed": 7, "count": 3}},
+            "6a426f8754d066c21f846b9bc889b2b26c480599286d6277d89d64e70740e27e",
+            "7794f220b486e5d44be482e94dfa017c8aa085e04bda2dbc8b406837b6057067"),
+        "scale_covariance_test": (
+            {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+             "mc": {"n": 64, "trials": 20, "seed": 7}},
+            "70de44bde76ffaa7ab7c27ba350eadddf41afa1dde6a808d05b40ea961230712",
+            "152f6e2be05a61a95a658ceb761c0fa6318f562582b67be4b0dce68f0501f7d4"),
+        "localized_gap": (
+            {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
+             "eps_ladder": [0.25, 0.125], "window": W, "xi": 0.2},
+            "77996c0c0ad95359ded7d85425b37912caffa97c0d548e004c8ce31cd941f8ee",
+            "d127bf5fa1cbebf1ff724e6aa80a803621b9354026a779566e4a27091de5ec53"),
+        "convergence_diagnostic": (
+            {"pairs": [[[1.6, 1.7], [2.3, 2.2]], [[1.5, 1.5], [2.4, 2.4]]],
+             "eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
+             "mc": {"n": 256, "trials": 20, "seed": 11}},
+            "c8f2353a61bb1439c4823cc6cf9a94c8644145d1fb5a1531a119680073f32fd6",
+            "663ae50bb94e4e26c1c9654ed647c06ca7f46101ca393d26ac9475ddf6292346"),
+        "annulus_event_stats": (
+            {"epsilon": 0.25, "r_set": [2.0], "alpha": 0.9, "xi": 0.2,
+             "mc": {"n": 64, "trials": 20, "seed": 13}},
+            "ede8a28789bb70c12b3995ad3ec29e4ef4afd2d754122a4c0b0f079515d85645",
+            "adc8617c5e667f1946a72015b2ebedabcb65b51b3040ee83798d90de18ec3951"),
+        "gmc_mass": (
+            {"field": {"n": 64, "seed": 404, "kind": "dirichlet"}, "gamma": 1.0,
+             "eps_ladder": [0.5, 0.25, 0.125], "window": [1.5, 1.5, 2.5, 2.5]},
+            "43a0086e7e8dfcf264631ee6ec6aebd21947811e37b0bbedb51257465931480d",
+            "4c6ef49933d5b72700ac5d6b15ecef12548e56eb4ba6610d6ff5dacbaba30b6e"),
+        "field_continuity_check": (
+            {"field": {"n": 64, "seed": 404, "origin": [0.5, 0.5]},
+             "a": 0.5, "n_ladder": [8, 10, 15], "window": W},
+            "3409588813ae3980ab98bbbfc6677707bd367a29e8d0f8c88fabc581c152b9e0",
+            "606811713c384904d5b9f19de62e8cf494f022d9702bd683df08b18179026600"),
+        "field_sup_bound_check": (
+            {"field": {"n": 64, "spacing": 0.03125, "seed": 404},
+             "eps_ladder": [0.25, 0.125, 0.0625], "eta": 0.1,
+             "window": [0.6, 0.6, 1.4, 1.4]},
+            "96f39b455ab6c34e3c74f92525fbb2b0f73a6b6859266f0580e7a0a909c1c28f",
+            "b5ee565353d8ded4bc3c8ed9f08f1cfa144592039740e204dc89854fe8f88572"),
+        "small_segment_sup": (
+            {"field": F64, "epsilon": 0.25, "zeta": 0.5,
+             "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.2,
+             "mc": {"n": 64, "trials": 20, "seed": 17}},
+            "6b706afb66025547a0f63449070e2b5bb6fac1fa4680d82de33fa9b7df847cb2",
+            "e0c1fb86aeeef9be431cd15a22823af5f064d9aeee3ddc382e843f6c4f7ea125"),
+    }
+
+    def test_every_experiment_has_a_case(self):
+        assert set(self.CASES) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_and_csv_match_golden_hashes(self, name, tmp_path):
+        clear_estimate_cache()
+        cfg, report_sha, csv_sha = self.CASES[name]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["exp", name, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json"),
+                     "--csv", str(tmp_path / "r.csv")]) == 0
+        digest = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                  for f in ("r.json", "r.csv")]
+        assert digest == [report_sha, csv_sha]
 
 
 class TestCaching:
@@ -349,6 +458,19 @@ class TestCaching:
         monkeypatch.delenv("LFPP_CACHE", raising=False)
         assert main(["cache-info"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--field", "f.lfpf", "--eps", "0.25", "--xi", "0.2"],
+        ["fit", "--in", "est", "--xi", "0.2", "--out", "fit.json"],
+        ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.5", "--n", "32",
+         "--trials", "20", "--seed", "7", "--out", "r.json"],
+        ["exp", "weyl_shift_test", "--config", "cfg.json", "--out", "rep.json"],
+    ], ids=["dist", "fit", "ratio", "exp"])
+    def test_cache_dir_only_where_a_cache_is_used(self, argv, capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--cache-dir", "cache"]) == 1
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
 
 def _dir_state(root):
     return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
@@ -405,18 +527,18 @@ class TestGoldenBytes:
         "p.csv": "8c9bb20fa36b44877922d532b8015272447f62c969cce5f69e78bd8b543e9109",
     }
 
-    def _run(self, d, extra):
+    def _run(self, d, cache):
         d.mkdir()
         f = str(d / "f.lfpf")
         assert main(["field", "sample", "--n", "64", "--seed", "11",
-                     "--out", f] + extra) == 0
+                     "--out", f] + cache) == 0
         assert main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
                      "--trials", "20", "--seed", "5",
-                     "--out", str(d / "a.json")] + extra) == 0
+                     "--out", str(d / "a.json")] + cache) == 0
         assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
                      "--from", "1.2,1.5", "--to", "2.6,2.4",
                      "--emit-path", str(d / "p.csv"),
-                     "--out", str(d / "d.json")] + extra) == 0
+                     "--out", str(d / "d.json")]) == 0
         return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
                 for name in self.GOLDEN}
 
@@ -426,6 +548,6 @@ class TestGoldenBytes:
         monkeypatch.delenv("LFPP_CACHE", raising=False)
         for label in runs:
             clear_estimate_cache()
-            extra = [] if label == "plain" else ["--cache-dir",
+            cache = [] if label == "plain" else ["--cache-dir",
                                                  str(tmp_path / "cache")]
-            assert self._run(tmp_path / label, extra) == self.GOLDEN, label
+            assert self._run(tmp_path / label, cache) == self.GOLDEN, label

@@ -1,9 +1,12 @@
 """Experiment runners: exact identities, trend machinery, config dispatch."""
 
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,6 @@ from lfpp import (
     clear_estimate_cache,
 )
 from lfpp.experiments import (
-    EXPERIMENT_COLUMNS,
     EXPERIMENTS,
     Verdict,
     annulus_event_stats,
@@ -235,11 +237,23 @@ class TestSmallSegmentSup:
         with pytest.raises(InvalidArgument):
             small_segment_sup(field64, 0.25, 1.5, UNIT, PARAMS, mc)
 
+    def test_one_site_window_exits_one_instead_of_hanging(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
+             "epsilon": 0.25, "zeta": 0.5, "window": [2, 2, 2.0000001, 2.0000001],
+             "xi": 0.2, "mc": {"n": 64, "trials": 20, "seed": 17}}),
+            encoding="utf-8")
+        proc = subprocess.run(
+            LFPP + ["exp", "small_segment_sup", "--config", str(cfg),
+                    "--out", str(tmp_path / "rep.json")],
+            env=lfpp_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "pairs closer than" in proc.stderr
+        assert not (tmp_path / "rep.json").exists()
+
 
 class TestDispatch:
-    def test_registry_matches_column_schemas(self):
-        assert set(EXPERIMENTS) == set(EXPERIMENT_COLUMNS)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidArgument):
             run_experiment("not_an_experiment", {})
@@ -280,3 +294,32 @@ class TestSpearmanTrend:
         rho, p = spearman_trend(xs, [1.0, 2.0, 4.0, 5.0, 7.0, 9.0])
         assert rho == pytest.approx(1.0)
         assert p > 0.10
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "experiments.md"
+
+
+def _doc_sections():
+    parts = re.split(r"^## (.+)$", DOCS.read_text(encoding="utf-8"), flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+class TestDocsMatchRegistry:
+    def test_sections_are_exactly_the_registered_names(self):
+        assert sorted(_doc_sections()) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_csv_columns_line(self, name):
+        cols = re.search(r"CSV columns: `([^`]*)`", _doc_sections()[name]).group(1)
+        assert [c.strip() for c in cols.split(",")] == list(EXPERIMENTS[name].columns)
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_config_sentence_names_every_key(self, name):
+        # `params` is read from the top-level `xi` (and optional `gamma`)
+        sentence = re.search(r"Config: (.*?)\.(?:\s|$)", _doc_sections()[name],
+                             re.S).group(1)
+        named = set(re.findall(r"`([a-z_]+)`", sentence))
+        required = [p.name for p in
+                    inspect.signature(EXPERIMENTS[name].run).parameters.values()
+                    if p.default is p.empty]
+        assert named == {"xi" if k == "params" else k for k in required}
