@@ -155,7 +155,9 @@ def _handle_field_sample(ns) -> dict:
     spec = LatticeSpec(n=ns.n, spacing=spacing, origin=origin)
     resolved = {"kind": ns.kind, "n": ns.n, "spacing": spacing,
                 "origin": list(origin), "seed": ns.seed, "out": ns.out}
+    # the container version is part of the key: an older layout is never served
     core = {k: resolved[k] for k in ("kind", "n", "spacing", "origin", "seed")}
+    core["lfpf_version"] = fieldio.VERSION
     sampler = sample_torus_gff if ns.kind == "torus" else sample_dirichlet_gff
     payload = _cached(ns, cache.cache_key("field_sample", core), "field",
                       lambda: fieldio.field_bytes(sampler(spec, ns.seed)))
@@ -220,7 +222,6 @@ def _handle_dist(ns) -> dict:
     doc = {
         "value": _json_num(res.value),
         "unreachable": res.unreachable,
-        "settled": res.settled,
         "path": None if res.path is None else {
             "sites": [[int(i), int(j)] for i, j in res.path.sites],
             "length": _json_num(res.path.length),
@@ -247,7 +248,8 @@ def _handle_dist(ns) -> dict:
             outputs.append((ns.emit_path + ".gnu", _gnuplot_script(ns.emit_path, 2, 3)))
     return {"command": "dist", "outputs": outputs, "stdout": stdout,
             "resolved": resolved, "master_seed": None, "warnings": [],
-            "supercritical": params.supercritical}
+            "supercritical": params.supercritical,
+            "stats": {"settled": res.settled}}
 
 
 def _mc_from_flags(ns) -> MCConfig:
@@ -345,7 +347,7 @@ def _handle_exp(ns) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidArgument("experiment config must be a JSON object")
-    report = run_experiment(ns.name, cfg)
+    report = run_experiment(ns.name, cfg, workers=ns.threads)
     outputs = [(ns.out, _json_bytes(_report_doc(report)))]
     if ns.csv:
         outputs.append((ns.csv, _csv_bytes(EXPERIMENTS[ns.name].columns, report.rows)))
@@ -493,6 +495,8 @@ def _write_manifest(out_path: str, result: dict, started_at: str,
         "warnings": list(result["warnings"]),
         "supercritical_xi": bool(result.get("supercritical", False)),
     }
+    if "stats" in result:   # solver statistics stay out of primary outputs
+        manifest["stats"] = result["stats"]
     if manifest["supercritical_xi"]:
         manifest["warnings"].append(
             f"xi is at or above the reference threshold {XI_CRIT_REF}; "

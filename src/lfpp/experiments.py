@@ -837,19 +837,21 @@ _PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
 }
 
 
-def run_experiment(name: str, cfg: dict) -> ExperimentReport:
+def run_experiment(name: str, cfg: dict,
+                   workers: Optional[int] = None) -> ExperimentReport:
     """Run a registered experiment from a plain configuration mapping.
 
     The config keys are the runner's parameter names, except that `params`
     is read from `xi` and an optional `gamma`.  A malformed value is an
-    InvalidArgument naming its key.
+    InvalidArgument naming its key.  `workers` is passed to the runners
+    that take it, as their process-pool size; it never changes the report.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise InvalidArgument(f"unknown experiment '{name}' (known: {known})")
     run = EXPERIMENTS[name].run
     wanted = inspect.signature(run).parameters   # `workers` has no parser
-    args = {}
+    args = {"workers": workers} if "workers" in wanted else {}
     for key, parse in _PARSERS.items():
         if key in wanted:
             try:

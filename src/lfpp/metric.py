@@ -7,14 +7,16 @@ edge-weight sums over lattice paths, computed with Dijkstra's algorithm.
 
 Point distances are solved from the lexicographically smaller endpoint, so
 dist(z, w) and dist(w, z) are the same float bit for bit.  Geodesics are
-deterministic too: ties break by walking back from the target through the
-lexicographically smallest predecessor index that attains the settled
-distance.  `dist_around_annulus` finds the shortest cycle separating the two
-boundary circles of an annulus by lifting the annulus graph to a two-sheet
-cover in which crossing the rightward horizontal ray from the center switches
-sheets; the answer is the minimum over cut-adjacent sites of the distance
-between the site's two copies, which equals the minimum over separating
-cycles of their one-direction running weight sum.
+deterministic too: ties break by walking back from the target, in the graph
+the solve ran on, through the smallest-index predecessor u with
+dist[u] + weight == dist[v]; within a crop that is the lexicographically
+smallest (i, j).  `dist_around_annulus` finds the shortest cycle separating
+the two boundary circles of an annulus by lifting the annulus graph to a
+two-sheet cover in which crossing the rightward horizontal ray from the
+center switches sheets; the answer is the minimum over cut-adjacent sites of
+the distance between the site's two copies, which equals the minimum over
+separating cycles of their one-direction running weight sum.  Its cycle is
+walked back by the same rule, in (sheet, i, j) order on the cover.
 """
 
 from __future__ import annotations
@@ -35,17 +37,10 @@ from .errors import (
 )
 from .gff import LatticeSpec, MollifiedField
 
-# Neighbor offsets in lexicographic (di, dj) order; predecessor ties are
-# resolved by scanning in exactly this order.
-_OFFSETS: Tuple[Tuple[int, int], ...] = (
-    (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
 # Undirected edge directions (each edge built once, then mirrored).
 _EDGE_DIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
-
-_NO_PRED = -9999   # scipy csgraph predecessor sentinel
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def build_weighted_grid(moll: MollifiedField, xi: float,
 def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> float:
     """Weight of the grid edge between 8-neighbor sites u and v."""
     di, dj = v[0] - u[0], v[1] - u[1]
-    if (di, dj) not in _OFFSETS:
+    if max(abs(di), abs(dj)) != 1:
         raise InvalidArgument(f"{u} and {v} are not 8-neighbors")
     pref = 0.5 * grid.spec.spacing * math.hypot(di, dj)
     return (grid.site_cost[u] + grid.site_cost[v]) * pref
@@ -230,7 +225,10 @@ def _crop_box(mask: np.ndarray) -> Tuple[slice, slice]:
 
 
 def _edge_arrays(cost: np.ndarray, mask: np.ndarray, spacing: float):
-    """Directed (head, tail, weight) arrays over in-mask 8-neighbor pairs."""
+    """Undirected in-mask 8-neighbor edges (a, b, weight), each once.
+
+    Endpoints are flat indices i * w + j into the (h, w) crop.
+    """
     h, w = mask.shape
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
     heads, tails, weights = [], [], []
@@ -240,40 +238,50 @@ def _edge_arrays(cost: np.ndarray, mask: np.ndarray, spacing: float):
         a_sl = (slice(r0, r1), slice(c0, c1))
         b_sl = (slice(r0 + di, r1 + di), slice(c0 + dj, c1 + dj))
         keep = mask[a_sl] & mask[b_sl]
-        if not keep.any():
-            continue
-        a = idx[a_sl][keep]
-        b = idx[b_sl][keep]
         pref = 0.5 * spacing * math.hypot(di, dj)
-        wgt = (cost[a_sl][keep] + cost[b_sl][keep]) * pref
-        heads.extend((a, b))
-        tails.extend((b, a))
-        weights.extend((wgt, wgt))
-    if not heads:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0, dtype=np.float64)
+        heads.append(idx[a_sl][keep])
+        tails.append(idx[b_sl][keep])
+        weights.append((cost[a_sl][keep] + cost[b_sl][keep]) * pref)
     return np.concatenate(heads), np.concatenate(tails), np.concatenate(weights)
+
+
+def _graph(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
+           n_nodes: int) -> csr_matrix:
+    """CSR graph holding each undirected edge in both directions.
+
+    Each pair is listed once, so adding the transpose sums no two entries.
+    """
+    one_way = csr_matrix((weight, (a, b)), shape=(n_nodes, n_nodes))
+    return one_way + one_way.T
+
+
+def _crop(grid: WeightedGrid, mask: np.ndarray):
+    """(crop slices, cropped mask, edges over the crop) of an active mask."""
+    rs, cs = _crop_box(mask)
+    m = mask[rs, cs]
+    return (rs, cs), m, _edge_arrays(grid.site_cost[rs, cs], m, grid.spec.spacing)
 
 
 def _solve(grid: WeightedGrid, sources: np.ndarray,
            sub_mask: Optional[np.ndarray] = None):
     """Multi-source Dijkstra over the (cropped) active mask.
 
-    Returns (dist over crop, crop slices, cropped mask, cropped cost) so
-    callers can read off targets and reconstruct geodesics.
+    Returns (dist over the crop's flat indices, crop slices, CSR graph) so
+    callers can read off targets and walk geodesics back on that graph.
     """
     mask = grid.mask if sub_mask is None else (grid.mask & sub_mask)
     if not mask.any():
         raise EmptyRegion("active region is empty")
-    rs, cs = _crop_box(mask)
-    m = mask[rs, cs]
-    cost = grid.site_cost[rs, cs]
-    h, w = m.shape
-    heads, tails, weights = _edge_arrays(cost, m, grid.spec.spacing)
-    graph = csr_matrix((weights, (heads, tails)), shape=(h * w, h * w))
-    src_flat = (sources[:, 0] - rs.start) * w + (sources[:, 1] - cs.start)
-    dist = _csgraph_dijkstra(graph, directed=True, indices=src_flat, min_only=True)
-    return dist, (rs, cs), m, cost
+    crop, m, (a, b, wgt) = _crop(grid, mask)
+    graph = _graph(a, b, wgt, m.size)
+    dist = _csgraph_dijkstra(graph, directed=True, indices=_flat(sources, crop),
+                             min_only=True)
+    return dist, crop, graph
+
+
+def _flat(sites: np.ndarray, crop) -> np.ndarray:
+    rs, cs = crop
+    return (sites[:, 0] - rs.start) * (cs.stop - cs.start) + (sites[:, 1] - cs.start)
 
 
 def _sites_of_mask(mask: np.ndarray) -> np.ndarray:
@@ -288,47 +296,40 @@ def _check_in(grid: WeightedGrid, site: Tuple[int, int],
         raise OutOfRegion(f"{what} site {tuple(site)} is outside the active region")
 
 
-def _walk_back(dist: np.ndarray, m: np.ndarray, cost: np.ndarray,
-               spacing: float, target: Tuple[int, int],
-               source_set: frozenset) -> List[Tuple[int, int]]:
-    """Deterministic geodesic: lexicographically smallest optimal predecessor.
+def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
+               sources, crop) -> List[Tuple[int, int]]:
+    """Deterministic geodesic from a source node to `target`, as lattice sites.
 
-    Predecessor equality is checked with the exact float relaxation
-    dist[u] + weight == dist[v]; edge weights here are bitwise the same
-    expression as in the CSR builder, so the walk always finds the trail.
+    From each node v it steps to the smallest-index neighbor u with
+    dist[u] + weight == dist[v], reading neighbors and weights from v's row
+    of the graph the solve ran on, so the sums are the solver's own.  Node c
+    is site divmod(c % (h * w), w) of the (h, w) crop, so on the annulus
+    cover both sheets map to the same sites.
     """
-    h, w = m.shape
-    prefs = {off: 0.5 * spacing * math.hypot(*off) for off in _OFFSETS}
-    rev: List[Tuple[int, int]] = [target]
-    cur = target
-    seen = {target}
-    while cur not in source_set:
-        ci, cj = cur
-        dcur = dist[ci * w + cj]
-        nxt = None
-        for di, dj in _OFFSETS:
-            ui, uj = ci + di, cj + dj
-            if not (0 <= ui < h and 0 <= uj < w) or not m[ui, uj]:
-                continue
-            wgt = (cost[ui, uj] + cost[ci, cj]) * prefs[(di, dj)]
-            if dist[ui * w + uj] + wgt == dcur:
-                nxt = (ui, uj)
-                break
-        if nxt is None or nxt in seen:
-            raise RuntimeError("geodesic reconstruction lost the trail")
-        seen.add(nxt)
-        rev.append(nxt)
-        cur = nxt
-    rev.reverse()
-    return rev
-
-
-def _result(dist: np.ndarray, crop, m: np.ndarray, cost: np.ndarray,
-            spacing: float, targets: np.ndarray, sources: np.ndarray,
-            want_path: bool, reverse_path: bool = False) -> DistResult:
     rs, cs = crop
-    w = m.shape[1]
-    t_flat = (targets[:, 0] - rs.start) * w + (targets[:, 1] - cs.start)
+    w = cs.stop - cs.start
+    n_base = (rs.stop - rs.start) * w
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
+    chain = [target]
+    seen = {target}
+    while chain[-1] not in sources:
+        v = chain[-1]
+        row = slice(indptr[v], indptr[v + 1])
+        nbrs = indices[row]
+        opt = nbrs[dist[nbrs] + weights[row] == dist[v]]
+        u = int(opt.min()) if opt.size else None
+        if u is None or u in seen:
+            raise RuntimeError("geodesic reconstruction lost the trail")
+        seen.add(u)
+        chain.append(u)
+    return [(i + rs.start, j + cs.start)
+            for i, j in (divmod(c % n_base, w) for c in reversed(chain))]
+
+
+def _result(dist: np.ndarray, crop, graph: csr_matrix, targets: np.ndarray,
+            sources: np.ndarray, want_path: bool,
+            reverse_path: bool = False) -> DistResult:
+    t_flat = _flat(targets, crop)
     t_dist = dist[t_flat]
     settled = int(np.isfinite(dist).sum())
     best = int(np.argmin(t_dist))  # first minimum = lexicographically smallest
@@ -337,14 +338,11 @@ def _result(dist: np.ndarray, crop, m: np.ndarray, cost: np.ndarray,
         return DistResult(value=math.inf, unreachable=True, path=None, settled=settled)
     path = None
     if want_path:
-        target = (int(targets[best, 0] - rs.start), int(targets[best, 1] - cs.start))
-        src_local = frozenset((int(a - rs.start), int(b - cs.start))
-                              for a, b in sources)
-        sites_local = _walk_back(dist, m, cost, spacing, target, src_local)
+        sites = _walk_back(graph, dist, int(t_flat[best]),
+                           frozenset(int(s) for s in _flat(sources, crop)), crop)
         if reverse_path:
-            sites_local.reverse()
-        sites = tuple((i + rs.start, j + cs.start) for i, j in sites_local)
-        path = Path(sites=sites, length=value)
+            sites.reverse()
+        path = Path(sites=tuple(sites), length=value)
     return DistResult(value=value, unreachable=False, path=path, settled=settled)
 
 
@@ -386,9 +384,9 @@ def _point_dist(grid: WeightedGrid, z, w, sub_mask, want_path: bool) -> DistResu
     lo, hi = (sw, sz) if swapped else (sz, sw)
     sources = np.array([lo], dtype=np.int64)
     targets = np.array([hi], dtype=np.int64)
-    dist, crop, m, cost = _solve(grid, sources, sub_mask=sub_mask)
-    return _result(dist, crop, m, cost, grid.spec.spacing, targets, sources,
-                   want_path, reverse_path=swapped)
+    dist, crop, graph = _solve(grid, sources, sub_mask=sub_mask)
+    return _result(dist, crop, graph, targets, sources, want_path,
+                   reverse_path=swapped)
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
@@ -410,9 +408,9 @@ def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
     sites_b = _sites_of_mask(mask_b)
     swapped = tuple(sites_b[0]) < tuple(sites_a[0])
     sources, targets = (sites_b, sites_a) if swapped else (sites_a, sites_b)
-    dist, crop, m, cost = _solve(grid, sources)
-    return _result(dist, crop, m, cost, grid.spec.spacing, targets, sources,
-                   want_path, reverse_path=swapped)
+    dist, crop, graph = _solve(grid, sources)
+    return _result(dist, crop, graph, targets, sources, want_path,
+                   reverse_path=swapped)
 
 
 def lr_crossing(grid: WeightedGrid, square: Rect,
@@ -435,75 +433,43 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
     right[:, jr] = sub[:, jr]
     sources = _sites_of_mask(left)
     targets = _sites_of_mask(right)
-    dist, crop, m, cost = _solve(grid, sources, sub_mask=sub)
-    return _result(dist, crop, m, cost, grid.spec.spacing, targets, sources, want_path)
+    dist, crop, graph = _solve(grid, sources, sub_mask=sub)
+    return _result(dist, crop, graph, targets, sources, want_path)
 
 
 # ---------------------------------------------------------------------------
 # separating cycles
 # ---------------------------------------------------------------------------
 
-def _annulus_cover(spec: LatticeSpec, m: np.ndarray, crop, cost: np.ndarray,
+def _annulus_cover(spec: LatticeSpec, crop, m: np.ndarray, edges,
                    center: Tuple[float, float]):
     """Two-sheet cover of the annulus graph, cut along the rightward ray.
 
-    Returns (csr cover graph on 2*h*w nodes, sorted upper cut site array).
-    An edge is a cut edge when its endpoints straddle the horizontal line
-    y = center_y (one at or above, one strictly below) and its segment meets
-    that line strictly right of the center; traversing a cut edge switches
-    sheets.  The flags are exactly the crossings of a fixed arc from the
-    inner hole to the outside, so a cycle's flag parity equals its winding
-    parity around the center.
+    Takes the crop's base edges (a, b, weight) and returns (csr cover graph
+    on 2*h*w nodes, sorted upper cut site array).  An edge is a cut edge
+    when its endpoints straddle the horizontal line y = center_y (one at or
+    above, one strictly below) and its segment meets that line strictly
+    right of the center; a cut edge moves its b end to the other sheet, so
+    traversing it switches sheets.  The flags are exactly the crossings of
+    a fixed arc from the inner hole to the outside, so a cycle's flag parity
+    equals its winding parity around the center.
     """
     rs, cs = crop
-    h, w = m.shape
-    delta = spec.spacing
+    w = m.shape[1]
+    n_base = m.size
+    a, b, wgt = edges
     cx, cy = center
-    ys = spec.origin[1] + np.arange(rs.start, rs.stop, dtype=np.float64) * delta
-    xs = spec.origin[0] + np.arange(cs.start, cs.stop, dtype=np.float64) * delta
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    n_base = h * w
-    heads, tails, weights = [], [], []
-    upper: List[np.ndarray] = []
-    for di, dj in _EDGE_DIRS:
-        r0, r1 = max(0, -di), h - max(0, di)
-        c0, c1 = max(0, -dj), w - max(0, dj)
-        a_sl = (slice(r0, r1), slice(c0, c1))
-        b_sl = (slice(r0 + di, r1 + di), slice(c0 + dj, c1 + dj))
-        keep = m[a_sl] & m[b_sl]
-        if not keep.any():
-            continue
-        a = idx[a_sl][keep]
-        b = idx[b_sl][keep]
-        pref = 0.5 * delta * math.hypot(di, dj)
-        wgt = (cost[a_sl][keep] + cost[b_sl][keep]) * pref
-        ya = np.broadcast_to(ys[r0:r1, None], keep.shape)[keep]
-        yb = np.broadcast_to(ys[r0 + di:r1 + di, None], keep.shape)[keep]
-        xa = np.broadcast_to(xs[None, c0:c1], keep.shape)[keep]
-        xb = np.broadcast_to(xs[None, c0 + dj:c1 + dj], keep.shape)[keep]
-        straddle = ((ya >= cy) & (yb < cy)) | ((yb >= cy) & (ya < cy))
-        t = np.divide(cy - ya, yb - ya, out=np.zeros_like(ya), where=straddle)
-        x_cross = xa + (xb - xa) * t
-        cut = straddle & (x_cross > cx)
-        sheet = cut.astype(np.int64) * n_base
-        for u, v in ((a, b), (b, a)):
-            # sheet 0 copy: cut edges land on sheet 1; sheet 1 mirrors back.
-            heads.extend((u, u + n_base))
-            tails.extend((v + sheet, v + n_base - sheet))
-            weights.extend((wgt, wgt))
-        if cut.any():
-            for side, yside in ((a, ya), (b, yb)):
-                pick = cut & (yside >= cy)
-                if pick.any():
-                    upper.append(side[pick])
-    if not heads:
-        return None, np.zeros(0, dtype=np.int64)
-    graph = csr_matrix(
-        (np.concatenate(weights), (np.concatenate(heads), np.concatenate(tails))),
-        shape=(2 * n_base, 2 * n_base))
-    cut_sites = (np.unique(np.concatenate(upper)) if upper
-                 else np.zeros(0, dtype=np.int64))
-    return graph, cut_sites
+    ya, yb = (spec.origin[1] + (c // w + rs.start) * spec.spacing for c in (a, b))
+    xa, xb = (spec.origin[0] + (c % w + cs.start) * spec.spacing for c in (a, b))
+    straddle = ((ya >= cy) & (yb < cy)) | ((yb >= cy) & (ya < cy))
+    t = np.divide(cy - ya, yb - ya, out=np.zeros_like(ya), where=straddle)
+    cut = straddle & (xa + (xb - xa) * t > cx)
+    sheet = cut.astype(np.int64) * n_base
+    cover = _graph(np.concatenate((a, a + n_base)),
+                   np.concatenate((b + sheet, b + n_base - sheet)),
+                   np.concatenate((wgt, wgt)), 2 * n_base)
+    upper = np.concatenate((a[cut & (ya >= cy)], b[cut & (yb >= cy)]))
+    return cover, np.unique(upper)
 
 
 def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
@@ -515,7 +481,8 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     separating cycle is the minimum over upper cut sites of the distance
     from the site to its twin on the other sheet.  The returned cycle stays
     inside the annulus and has odd crossing number with the ray (winding
-    once for the minimizer).
+    once for the minimizer); it is walked back on the cover from the twin
+    of the minimizing site, with the module's tie rule.
     """
     spec = grid.spec
     delta = spec.spacing
@@ -527,27 +494,20 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
         raise EmptyRegion("annulus contains no lattice sites")
     if (region & ~grid.mask).any():
         raise OutOfRegion("annulus leaves the grid's active region")
-    rs, cs = _crop_box(region)
-    m = region[rs, cs]
-    cost = grid.site_cost[rs, cs]
-    h, w = m.shape
-    n_base = h * w
-
-    cover, cut_sites = _annulus_cover(spec, m, (rs, cs), cost, ann.center)
-    if cover is None or cut_sites.size == 0:
+    crop, m, edges = _crop(grid, region)
+    n_base = m.size
+    cover, cut_sites = _annulus_cover(spec, crop, m, edges, ann.center)
+    if cut_sites.size == 0:
         raise DegenerateAnnulus("cut ray does not cross the annulus graph")
 
-    best = math.inf
-    best_site = -1
-    settled = 0
+    best, best_site, best_dist, settled = math.inf, -1, None, 0
     for s in cut_sites:
         s = int(s)
         limit = best if math.isfinite(best) else np.inf
         dist = _csgraph_dijkstra(cover, directed=True, indices=s, limit=limit)
         d = float(dist[s + n_base])
         if d < best:
-            best = d
-            best_site = s
+            best, best_site, best_dist = d, s, dist
             settled = int((np.isfinite(dist[:n_base])
                            | np.isfinite(dist[n_base:])).sum())
     if not math.isfinite(best):
@@ -555,16 +515,6 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
 
     path = None
     if want_path:
-        _, pred = _csgraph_dijkstra(cover, directed=True, indices=best_site,
-                                    limit=best, return_predecessors=True)
-        chain = [best_site + n_base]
-        while chain[-1] != best_site:
-            prev = int(pred[chain[-1]])
-            if prev == _NO_PRED:
-                raise RuntimeError("cycle reconstruction lost the trail")
-            chain.append(prev)
-        chain.reverse()
-        sites = tuple(((c % n_base) // w + rs.start, (c % n_base) % w + cs.start)
-                      for c in chain)
-        path = Path(sites=sites, length=best)
+        sites = _walk_back(cover, best_dist, best_site + n_base, {best_site}, crop)
+        path = Path(sites=tuple(sites), length=best)
     return DistResult(value=best, unreachable=False, path=path, settled=settled)

@@ -3,8 +3,9 @@
 Everything here is deliberately written against plain Python/numpy rather
 than the package's solvers: shortest paths come from a sorted-edge
 relaxation fixpoint (so the floating-point sums associate exactly like a
-label-setting solver's left-to-right accumulation), and separating cycles
-come from exhaustive DFS enumeration with cost pruning.
+label-setting solver's left-to-right accumulation), separating cycles come
+from exhaustive DFS enumeration with cost pruning, and geodesics from a walk
+back over an adjacency list under the smallest-index tie rule.
 """
 
 from __future__ import annotations
@@ -163,16 +164,12 @@ def brute_separating_cycle(cost: np.ndarray, mask: np.ndarray, spacing: float,
     return found
 
 
-def cover_relax_around(cost: np.ndarray, mask: np.ndarray, spacing: float,
-                       origin: Tuple[float, float],
-                       center: Tuple[float, float]) -> float:
-    """Separating-cycle length via relaxation on the two-sheet parity cover.
-
-    Builds the doubled graph (crossing the cut ray switches sheets) with
-    plain dictionaries and runs the sorted-edge relaxation fixpoint from
-    every upper cut site's sheet-0 copy to its sheet-1 copy, taking the
-    minimum.  Independent of the library's cropped CSR pipeline but
-    computes the same minimum over the same left-associated path sums.
+def _cover_edges(cost: np.ndarray, mask: np.ndarray, spacing: float,
+                 origin: Tuple[float, float], center: Tuple[float, float]):
+    """Undirected edges [(u, v, w)] of the two-sheet parity cover, plus the
+    upper cut sites.  Site (i, j) of sheet k is node k*n_base + i*n_cols + j,
+    so node order is (sheet, i, j) order; crossing the cut ray switches
+    sheets.
     """
     n_rows, n_cols = cost.shape
     n_base = n_rows * n_cols
@@ -187,11 +184,63 @@ def cover_relax_around(cost: np.ndarray, mask: np.ndarray, spacing: float,
                 else:
                     edges.append((u, v, w))
                     edges.append((u + n_base, v + n_base, w))
-    best = math.inf
+    return edges, cut_upper
+
+
+def _cover_best(cost, mask, spacing, origin, center):
+    """(minimum, first cut site attaining it, its distances, edges)."""
+    n_base = cost.size
+    edges, cut_upper = _cover_edges(cost, mask, spacing, origin, center)
+    best, best_site, best_dist = math.inf, None, None
     for s in sorted(cut_upper):
         dist = relax_single_source(2 * n_base, edges, [s])
-        best = min(best, float(dist[s + n_base]))
-    return best
+        if dist[s + n_base] < best:
+            best, best_site, best_dist = float(dist[s + n_base]), s, dist
+    return best, best_site, best_dist, edges
+
+
+def cover_relax_around(cost: np.ndarray, mask: np.ndarray, spacing: float,
+                       origin: Tuple[float, float],
+                       center: Tuple[float, float]) -> float:
+    """Separating-cycle length via relaxation on the two-sheet parity cover.
+
+    Builds the doubled graph (crossing the cut ray switches sheets) with
+    plain dictionaries and runs the sorted-edge relaxation fixpoint from
+    every upper cut site's sheet-0 copy to its sheet-1 copy, taking the
+    minimum.  Independent of the library's cropped CSR pipeline but
+    computes the same minimum over the same left-associated path sums.
+    """
+    return _cover_best(cost, mask, spacing, origin, center)[0]
+
+
+def walk_back(edges, dist: np.ndarray, target: int, sources) -> List[int]:
+    """Node chain from a source to `target` under the geodesic tie rule.
+
+    From each node v it steps to the smallest-index neighbor u with
+    dist[u] + w == dist[v], scanning a plain adjacency list.
+    """
+    nbrs: Dict[int, List[Tuple[int, float]]] = {}
+    for u, v, w in edges:
+        nbrs.setdefault(u, []).append((v, w))
+        nbrs.setdefault(v, []).append((u, w))
+    chain = [target]
+    while chain[-1] not in sources:
+        v = chain[-1]
+        chain.append(min(u for u, w in nbrs[v] if dist[u] + w == dist[v]))
+    return chain[::-1]
+
+
+def cover_walk_cycle(cost: np.ndarray, mask: np.ndarray, spacing: float,
+                     origin: Tuple[float, float], center: Tuple[float, float]):
+    """(length, sites) of the shortest separating cycle under the tie rule.
+
+    The cycle runs from the first minimizing upper cut site to its twin on
+    the other sheet, walked back from the twin in (sheet, i, j) order.
+    """
+    n_cols = cost.shape[1]
+    best, site, dist, edges = _cover_best(cost, mask, spacing, origin, center)
+    chain = walk_back(edges, dist, site + cost.size, {site})
+    return best, [divmod(c % cost.size, n_cols) for c in chain]
 
 
 def path_cycle_checks(sites, mask: np.ndarray, spacing: float,

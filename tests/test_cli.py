@@ -89,6 +89,17 @@ class TestFieldSample:
                      "--seed", "1", "--out", str(tmp_path / "f.lfpf")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_origin_survives_for_point_queries(self, tmp_path):
+        out = tmp_path / "f.lfpf"
+        assert main(["field", "sample", "--n", "64", "--origin", "1,1",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert read_field(out).spec.origin == (1.0, 1.0)
+        # (4.9, 4.9) lies in [1, 5)^2 but outside the (0, 0) frame's [0, 4)^2
+        assert main(["dist", "--field", str(out), "--eps", "0.25", "--xi", "0.2",
+                     "--from", "4.9,4.9", "--to", "3,3",
+                     "--out", str(tmp_path / "d.json")]) == 0
+        assert load_json(tmp_path / "d.json")["value"] > 0
+
     def test_unwritable_output_exits_two(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "f.lfpf"
         assert main(["field", "sample", "--n", "32", "--seed", "1",
@@ -118,8 +129,10 @@ class TestDist:
         assert float(lines[-1].split(",")[-1]) == doc["value"]
         gnu = (tmp_path / "path.csv.gnu").read_text()
         assert "path.csv" in gnu
-        # one manifest per output file
-        assert (tmp_path / "d.json.manifest.json").is_file()
+        # one manifest per output file; solver statistics live there only
+        assert "settled" not in doc
+        manifest = load_json(tmp_path / "d.json.manifest.json")
+        assert manifest["stats"]["settled"] == 64 * 64
         assert (tmp_path / "path.csv.manifest.json").is_file()
 
     def test_crossing_mode(self, zero_path, tmp_path):
@@ -300,6 +313,26 @@ class TestExp:
     def test_unknown_experiment_name(self, tmp_path):
         assert main(["exp", "bogus", "--config", "x",
                      "--out", str(tmp_path / "y.json")]) == 1
+
+    def test_threads_reach_the_runner_pools(self, tmp_path, monkeypatch):
+        import lfpp.renorm as renorm
+        sizes = []
+        real = renorm.ProcessPoolExecutor
+
+        def pool(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(renorm, "ProcessPoolExecutor", pool)
+        clear_estimate_cache()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+             "mc": {"n": 32, "trials": 20, "seed": 7, "parallel": True}}),
+            encoding="utf-8")
+        assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json"), "--threads", "1"]) == 0
+        assert sizes == [1, 1]
 
     GAP_CFG = {"field": {"n": 64, "seed": 404}, "eps_ladder": [0.25, 0.125],
                "window": [1.6, 1.6, 2.3, 2.3], "xi": 0.2}
@@ -518,13 +551,28 @@ class TestConcurrentCache:
 
 
 class TestGoldenBytes:
-    # sha256 of small fixed-seed primary outputs.  A change to any of them
-    # is a numerics change and must bump lfpp.cache.NUMERICS_VERSION.
+    # sha256 of small fixed-seed primary outputs, one `dist` per mode.  A
+    # change to the float bits of any of them is a numerics change and must
+    # bump lfpp.cache.NUMERICS_VERSION; a deliberate format change (such as
+    # a new LFPF header or a key leaving a JSON document) is re-recorded
+    # here and listed in CHANGES.md.
     GOLDEN = {
-        "f.lfpf": "80cc7ed46bd87a6173cac97910ee166b1a32a255a8daa39b2d1fc0484a098087",
+        "f.lfpf": "92c6666371057bb4b02c18ad88025dbab8f2e9aecf14442dac05dd46385b2133",
         "a.json": "86c9a760191f91e2d6b6b9a63f9e39a1acc56479b41104d30e16a8ca7c9e906c",
-        "d.json": "ea1befb3a58ecf073de7b143128e9f54740a1b97561d2244e6ac093ed1df3eea",
+        "d.json": "81546350ce48fa432a05ec652c195564dc336058f77babd37d84081766d292cf",
         "p.csv": "8c9bb20fa36b44877922d532b8015272447f62c969cce5f69e78bd8b543e9109",
+        "c.json": "932eab7de64e1f3c7561f1b1a6a8dfc1bfe03d88ecb0a274bd6748c482d6d465",
+        "w.json": "88f08217bceada70f2bc1a2d8984d078157864d32ace8e15bd41f58ec626020d",
+        "wp.csv": "92edd4da9f0630ac2bfbb418e7d2c38eec97a03ad4631a9ce6f7a88739721830",
+        "r.json": "928ad9327865a025863a2551ee42d77dfd3b3ef966b62292ce94aed2baf2d7c4",
+        "rp.csv": "697da152b13abf612f780de044d22084da09c73d7667efe52d15a679e942167c",
+    }
+    DIST = {
+        "d.json": ["--from", "1.2,1.5", "--to", "2.6,2.4", "--emit-path", "p.csv"],
+        "c.json": ["--crossing", "rect:1.5,1.5,2.5,2.5"],
+        "w.json": ["--from", "1.5,1.8", "--to", "2.5,2.2",
+                   "--within", "disk:2,2,0.75", "--emit-path", "wp.csv"],
+        "r.json": ["--around", "annulus:2,2,0.4,0.8", "--emit-path", "rp.csv"],
     }
 
     def _run(self, d, cache):
@@ -535,10 +583,10 @@ class TestGoldenBytes:
         assert main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
                      "--trials", "20", "--seed", "5",
                      "--out", str(d / "a.json")] + cache) == 0
-        assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
-                     "--from", "1.2,1.5", "--to", "2.6,2.4",
-                     "--emit-path", str(d / "p.csv"),
-                     "--out", str(d / "d.json")]) == 0
+        for out, flags in self.DIST.items():
+            flags = [str(d / v) if v.endswith(".csv") else v for v in flags]
+            assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                         "--out", str(d / out)] + flags) == 0
         return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
                 for name in self.GOLDEN}
 

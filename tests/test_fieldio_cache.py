@@ -1,11 +1,13 @@
 """Binary field container round trips and the verified disk cache."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from lfpp import InvalidArgument, read_field, write_field
+from lfpp import (FieldKind, FieldSample, InvalidArgument, LatticeSpec, read_field,
+                  write_field)
 from lfpp.cache import cache_entries, cache_key, cache_lookup, cache_store
 from lfpp.fieldio import MAGIC, field_bytes, read_header, verify_field
 
@@ -20,9 +22,46 @@ class TestFieldContainer:
         assert back.spec.spacing == field64.spec.spacing
         assert back.kind is field64.kind
         assert back.seed == field64.seed
-        # the container does not carry origin or the mean-removal flag
-        assert back.spec.origin == (0.0, 0.0)
-        assert back.mean_removed is False
+        assert back.spec.origin == field64.spec.origin
+        assert back.mean_removed is field64.mean_removed is True
+        assert back.derived is False
+
+    @pytest.mark.parametrize("mean_removed, derived", [
+        (True, False), (False, True), (False, False)])
+    def test_round_trip_origin_and_flags(self, mean_removed, derived, tmp_path):
+        spec = LatticeSpec(n=8, spacing=0.25, origin=(1.0, -0.5))
+        values = np.arange(64, dtype=np.float64).reshape(8, 8)
+        field = FieldSample(spec=spec, kind=FieldKind.DIRICHLET_SQUARE, seed=9,
+                            values=values, mean_removed=mean_removed,
+                            derived=derived)
+        path = tmp_path / "f.lfpf"
+        write_field(field, path)
+        assert len(field_bytes(field)) == 44 + 64 * 8
+        back = read_field(path)
+        assert back.spec == spec
+        assert (back.mean_removed, back.derived) == (mean_removed, derived)
+        assert np.array_equal(back.values, values)
+        assert verify_field(path)
+
+    def test_version_1_file_still_reads(self, field64, tmp_path):
+        v1 = struct.pack("<4sHBIdQ", MAGIC, 1, int(field64.kind), 64, 0.0625, 404)
+        path = tmp_path / "v1.lfpf"
+        path.write_bytes(v1 + field64.values.astype("<f8").tobytes())
+        assert verify_field(path)
+        assert read_header(path) == (int(field64.kind), 64, 0.0625, 404)
+        back = read_field(path)
+        assert np.array_equal(back.values, field64.values)
+        assert back.spec == LatticeSpec(n=64, spacing=0.0625)
+        assert (back.mean_removed, back.derived) == (False, False)
+
+    def test_unknown_flag_bits_rejected(self, field64, tmp_path):
+        raw = bytearray(field_bytes(field64))
+        raw[43] = 0x80
+        path = tmp_path / "bad.lfpf"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidArgument):
+            read_field(path)
+        assert not verify_field(path)
 
     def test_serialization_is_deterministic(self, field64):
         assert field_bytes(field64) == field_bytes(field64)

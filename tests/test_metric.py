@@ -322,6 +322,36 @@ class TestLrCrossing:
             lr_crossing(grid, Rect(lo=(1.0, 1.0), hi=(1.1, 2.0)))
 
 
+class TestTieRule:
+    """Geodesics and cycles take the smallest-index optimal predecessor.
+
+    The zero field ties many paths bitwise, so these pin the rule itself
+    against a plain-Python walk over relaxation-fixpoint distances.
+    """
+
+    def test_point_path_follows_tie_rule(self):
+        spec, grid = zero_grid(32, 1.0 / 32.0)
+        z, w = spec.index_of((0.2, 0.3)), spec.index_of((0.7, 0.55))
+        assert z < w
+        res = dist_point(grid, (0.2, 0.3), (0.7, 0.55), want_path=True)
+        edges = oracles.grid_edges(grid.site_cost, grid.mask, spec.spacing)
+        dist = oracles.relax_single_source(32 * 32, edges, [z[0] * 32 + z[1]])
+        chain = oracles.walk_back(edges, dist, w[0] * 32 + w[1], {z[0] * 32 + z[1]})
+        assert res.value == dist[w[0] * 32 + w[1]]
+        assert list(res.path.sites) == [divmod(c, 32) for c in chain]
+
+    def test_cycle_follows_tie_rule(self):
+        spec, grid = zero_grid(32, 1.0 / 32.0)
+        ann = Annulus(center=(0.5, 0.5), r_inner=0.18, r_outer=0.30)
+        res = dist_around_annulus(grid, ann, want_path=True)
+        value, sites = oracles.cover_walk_cycle(
+            grid.site_cost, region_mask(spec, ann), spec.spacing, spec.origin,
+            (0.5, 0.5))
+        assert res.value == value == ZERO32_AROUND
+        assert sites[:2] == [(16, 22), (17, 22)]
+        assert list(res.path.sites) == sites
+
+
 class TestAroundAnnulus:
     def _grid(self, n, seed, eps, xi=0.25):
         spec = LatticeSpec(n=n, spacing=1.0 / n)
