@@ -4,8 +4,9 @@ Every command resolves its flags to a full parameter set, runs the library
 operation, writes the primary output files, and drops a sidecar manifest
 (`<output>.manifest.json`) echoing the resolved parameters so any artifact
 can be regenerated from its manifest alone.  Primary outputs are
-deterministic functions of the flags; thread count is a throughput hint that
-never changes bytes, and wall-clock fields live only in the manifest.
+deterministic functions of the flags; `--threads` (on the commands that run
+Monte Carlo pools: a-eps, ratio, exp) is a throughput setting that never
+changes bytes, and wall-clock fields live only in the manifest.
 
 Exit codes: 0 success, 1 usage or validation error, 2 runtime error.
 """
@@ -179,45 +180,49 @@ def _path_csv_rows(grid, path):
     return rows
 
 
-def _region_from_flag(text: Optional[str]):
+def _region_from_flag(text: Optional[str], kind=object, flag: str = ""):
+    """The region a flag spells, or None when it is absent."""
     if text is None:
         return None
     try:
-        return _parse_region(text)
+        region = _parse_region(text)
     except argparse.ArgumentTypeError as exc:
         raise InvalidArgument(str(exc))
+    if not isinstance(region, kind):
+        raise InvalidArgument(f"{flag} takes only {kind.__name__.lower()} regions")
+    return region
 
 
 def _handle_dist(ns) -> dict:
+    within = _region_from_flag(ns.within)
+    around = _region_from_flag(ns.around, Annulus, "--around")
+    crossing = _region_from_flag(ns.crossing, Rect, "--crossing")
+    if around or crossing:
+        if ns.src or ns.dst:
+            raise InvalidArgument("--from/--to do not combine with --around or --crossing")
+    elif ns.src is None or ns.dst is None:
+        raise InvalidArgument("--from and --to are required unless "
+                              "--around or --crossing is given")
+    want_path = ns.emit_path is not None
+    if ns.emit_gnuplot and not want_path:
+        raise InvalidArgument("--emit-gnuplot needs --emit-path")
+
     field = fieldio.read_field(ns.field)
     params = Params(xi=ns.xi)
     moll = mollify_localized(field, ns.eps) if ns.localized else mollify(field, ns.eps)
     grid = build_weighted_grid(moll, params.xi)
-    want_path = ns.emit_path is not None
-    within = _region_from_flag(ns.within)
-    around = _region_from_flag(ns.around)
-    crossing = _region_from_flag(ns.crossing)
-
-    if around is not None:
-        if not isinstance(around, Annulus):
-            raise InvalidArgument("--around takes an annulus region")
+    if around:
         res = dist_around_annulus(grid, around, want_path=want_path)
         mode = "around"
-    elif crossing is not None:
-        if not isinstance(crossing, Rect):
-            raise InvalidArgument("--crossing takes a rect region")
+    elif crossing:
         res = lr_crossing(grid, crossing, want_path=want_path)
         mode = "crossing"
+    elif within:
+        res = dist_internal(grid, ns.src, ns.dst, within, want_path=want_path)
+        mode = "internal"
     else:
-        if ns.src is None or ns.dst is None:
-            raise InvalidArgument("--from and --to are required unless "
-                                  "--around or --crossing is given")
-        if within is not None:
-            res = dist_internal(grid, ns.src, ns.dst, within, want_path=want_path)
-            mode = "internal"
-        else:
-            res = dist_point(grid, ns.src, ns.dst, want_path=want_path)
-            mode = "point"
+        res = dist_point(grid, ns.src, ns.dst, want_path=want_path)
+        mode = "point"
 
     doc = {
         "value": _json_num(res.value),
@@ -232,7 +237,8 @@ def _handle_dist(ns) -> dict:
                 "from": list(ns.src) if ns.src else None,
                 "to": list(ns.dst) if ns.dst else None,
                 "within": ns.within, "around": ns.around,
-                "crossing": ns.crossing, "out": ns.out}
+                "crossing": ns.crossing, "out": ns.out,
+                "emit_path": ns.emit_path, "emit_gnuplot": ns.emit_gnuplot}
     outputs = []
     stdout = None
     if ns.out:
@@ -252,24 +258,24 @@ def _handle_dist(ns) -> dict:
             "stats": {"settled": res.settled}}
 
 
-def _mc_from_flags(ns) -> MCConfig:
+def _mc_from_flags(ns) -> Tuple[MCConfig, dict]:
+    """The MCConfig of the shared Monte Carlo flags and their resolved values."""
     spacing = _resolve_spacing(ns.spacing, ns.n)
     lattice = LatticeSpec(n=ns.n, spacing=spacing, origin=ns.origin)
-    parallel = ns.threads is not None and ns.threads > 1
-    return MCConfig(lattice=lattice, trials=ns.trials, master_seed=ns.seed,
-                    localized=ns.localized, parallel=parallel)
+    mc = MCConfig(lattice=lattice, trials=ns.trials, master_seed=ns.seed,
+                  localized=ns.localized, workers=ns.threads)
+    return mc, {"xi": ns.xi, "n": ns.n, "spacing": lattice.spacing,
+                "origin": list(lattice.origin), "trials": ns.trials,
+                "seed": ns.seed, "localized": ns.localized}
 
 
 def _handle_a_eps(ns) -> dict:
     params = Params(xi=ns.xi)
-    mc = _mc_from_flags(ns)
-    resolved = {"xi": ns.xi, "eps": ns.eps, "n": ns.n,
-                "spacing": mc.lattice.spacing, "origin": list(mc.lattice.origin),
-                "trials": ns.trials, "seed": ns.seed, "localized": ns.localized,
-                "out": ns.out}
+    mc, resolved = _mc_from_flags(ns)
+    resolved.update(eps=ns.eps, out=ns.out)
     key = estimate_cache_key(ns.eps, params, mc)
     payload = _cached(ns, key, "a_eps", lambda: _json_bytes(
-        estimate_a_eps(ns.eps, params, mc, workers=ns.threads).to_dict()))
+        estimate_a_eps(ns.eps, params, mc).to_dict()))
     return {"command": "a-eps", "outputs": [(ns.out, payload)],
             "resolved": resolved, "master_seed": ns.seed, "warnings": [],
             "supercritical": params.supercritical}
@@ -309,19 +315,15 @@ def _handle_fit(ns) -> dict:
 
 def _handle_ratio(ns) -> dict:
     params = Params(xi=ns.xi)
-    mc = _mc_from_flags(ns)
+    mc, resolved = _mc_from_flags(ns)
     q_hat = ns.q_hat
     if q_hat is None:
-        estimates = [estimate_a_eps(eps, params, mc, workers=ns.threads)
-                     for eps in ns.eps]
+        estimates = [estimate_a_eps(eps, params, mc) for eps in ns.eps]
         q_hat = fit_exponent(estimates, params).q_hat
-    series = scaling_ratio(ns.eps, ns.r, params, mc, q_hat, workers=ns.threads)
+    series = scaling_ratio(ns.eps, ns.r, params, mc, q_hat)
     doc = {"r": series.r, "rows": [[e, rho] for e, rho in series.rows],
            "q_hat_used": series.q_hat_used}
-    resolved = {"xi": ns.xi, "eps": list(ns.eps), "r": ns.r, "n": ns.n,
-                "spacing": mc.lattice.spacing, "origin": list(mc.lattice.origin),
-                "trials": ns.trials, "seed": ns.seed, "localized": ns.localized,
-                "q_hat": q_hat, "out": ns.out}
+    resolved.update(eps=list(ns.eps), r=ns.r, q_hat=q_hat, out=ns.out)
     return {"command": "ratio", "outputs": [(ns.out, _json_bytes(doc))],
             "resolved": resolved, "master_seed": ns.seed, "warnings": [],
             "supercritical": params.supercritical}
@@ -343,6 +345,8 @@ def _report_doc(report) -> dict:
 
 
 def _handle_exp(ns) -> dict:
+    if ns.emit_gnuplot and not ns.csv:
+        raise InvalidArgument("--emit-gnuplot needs --csv")
     with open(ns.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -361,7 +365,7 @@ def _handle_exp(ns) -> dict:
     xi = cfg.get("xi")
     supercritical = isinstance(xi, (int, float)) and xi >= XI_CRIT_REF
     resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
-                "out": ns.out, "csv": ns.csv}
+                "out": ns.out, "csv": ns.csv, "emit_gnuplot": ns.emit_gnuplot}
     return {"command": "exp", "outputs": outputs, "resolved": resolved,
             "master_seed": seed, "warnings": [], "supercritical": supercritical}
 
@@ -389,39 +393,44 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lfpp {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    common = _Parser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker hint; never changes output bytes")
+    pooled = _Parser(add_help=False)
+    pooled.add_argument("--threads", type=int, default=1,
+                        help="Monte Carlo process-pool size; never changes output bytes")
+    lattice = _Parser(add_help=False)   # a LatticeSpec and the seed sampled on it
+    lattice.add_argument("--n", type=int, required=True)
+    lattice.add_argument("--spacing", default="auto")
+    lattice.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
+    lattice.add_argument("--seed", type=int, required=True)
+    mc_flags = _Parser(add_help=False, parents=[lattice, pooled])   # an MCConfig
+    mc_flags.add_argument("--xi", type=float, required=True)
+    mc_flags.add_argument("--trials", type=int, required=True)
+    mc_flags.add_argument("--localized", action="store_true")
     cached = _Parser(add_help=False)
     cached.add_argument("--cache-dir", default=None,
                         help="cache root (overrides LFPP_CACHE)")
 
     p_field = sub.add_parser("field", help="field sampling commands")
     field_sub = p_field.add_subparsers(dest="field_command")
-    p_sample = field_sub.add_parser("sample", parents=[common, cached],
+    p_sample = field_sub.add_parser("sample", parents=[lattice, cached],
                                     help="sample a field to an LFPF file")
     p_sample.add_argument("--kind", choices=("torus", "dirichlet"), default="torus")
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--spacing", default="auto")
-    p_sample.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
-    p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(handler=_handle_field_sample)
 
-    p_dist = sub.add_parser("dist", parents=[common],
-                            help="distances on a stored field")
+    p_dist = sub.add_parser("dist", help="distances on a stored field")
     p_dist.add_argument("--field", required=True)
     p_dist.add_argument("--eps", type=float, required=True)
     p_dist.add_argument("--xi", type=float, required=True)
     p_dist.add_argument("--localized", action="store_true")
     p_dist.add_argument("--from", dest="src", type=_parse_point, default=None)
     p_dist.add_argument("--to", dest="dst", type=_parse_point, default=None)
-    p_dist.add_argument("--within", default=None,
+    region = p_dist.add_mutually_exclusive_group()
+    region.add_argument("--within", default=None,
                         help="restrict paths to a region (internal metric), "
                              "e.g. annulus:0.5,0.5,0.1,0.3")
-    p_dist.add_argument("--around", default=None,
+    region.add_argument("--around", default=None,
                         help="shortest separating cycle of an annulus")
-    p_dist.add_argument("--crossing", default=None,
+    region.add_argument("--crossing", default=None,
                         help="left-right crossing of a rect:x0,y0,x1,y1")
     p_dist.add_argument("--emit-path", default=None,
                         help="write the geodesic as CSV (idx,x,y,cum_length)")
@@ -429,44 +438,29 @@ def _build_parser() -> _Parser:
     p_dist.add_argument("--out", default=None)
     p_dist.set_defaults(handler=_handle_dist)
 
-    p_aeps = sub.add_parser("a-eps", parents=[common, cached],
+    p_aeps = sub.add_parser("a-eps", parents=[mc_flags, cached],
                             help="estimate the crossing-median normalizer")
-    p_aeps.add_argument("--xi", type=float, required=True)
     p_aeps.add_argument("--eps", type=float, required=True)
-    p_aeps.add_argument("--n", type=int, required=True)
-    p_aeps.add_argument("--spacing", default="auto")
-    p_aeps.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
-    p_aeps.add_argument("--trials", type=int, required=True)
-    p_aeps.add_argument("--seed", type=int, required=True)
-    p_aeps.add_argument("--localized", action="store_true")
     p_aeps.add_argument("--out", required=True)
     p_aeps.set_defaults(handler=_handle_a_eps)
 
-    p_fit = sub.add_parser("fit", parents=[common],
-                           help="fit the scaling exponent from estimate files")
+    p_fit = sub.add_parser("fit", help="fit the scaling exponent from estimate files")
     p_fit.add_argument("--in", dest="in_dir", required=True)
     p_fit.add_argument("--xi", type=float, required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(handler=_handle_fit)
 
-    p_ratio = sub.add_parser("ratio", parents=[common],
+    p_ratio = sub.add_parser("ratio", parents=[mc_flags],
                              help="scale-invariance ratios along a ladder")
-    p_ratio.add_argument("--xi", type=float, required=True)
     p_ratio.add_argument("--eps", type=_parse_floats, required=True,
                          help="comma-separated epsilon ladder")
     p_ratio.add_argument("--r", type=float, required=True)
-    p_ratio.add_argument("--n", type=int, required=True)
-    p_ratio.add_argument("--spacing", default="auto")
-    p_ratio.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
-    p_ratio.add_argument("--trials", type=int, required=True)
-    p_ratio.add_argument("--seed", type=int, required=True)
-    p_ratio.add_argument("--localized", action="store_true")
     p_ratio.add_argument("--q-hat", dest="q_hat", type=float, default=None,
                          help="exponent to use; fitted from the ladder when absent")
     p_ratio.add_argument("--out", required=True)
     p_ratio.set_defaults(handler=_handle_ratio)
 
-    p_exp = sub.add_parser("exp", parents=[common], help="run a named experiment")
+    p_exp = sub.add_parser("exp", parents=[pooled], help="run a named experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", required=True)
@@ -474,7 +468,7 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--emit-gnuplot", action="store_true")
     p_exp.set_defaults(handler=_handle_exp)
 
-    p_info = sub.add_parser("cache-info", parents=[common, cached],
+    p_info = sub.add_parser("cache-info", parents=[cached],
                             help="list cache entries")
     p_info.set_defaults(handler=_handle_cache_info)
 
@@ -513,7 +507,7 @@ def parse_and_dispatch(argv: List[str]) -> int:
     if getattr(ns, "handler", None) is None:
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(ns, "threads", None) is not None and ns.threads < 1:
+    if getattr(ns, "threads", 1) < 1:
         print("lfpp: error: --threads must be a positive integer", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -140,7 +140,7 @@ def _field_dict(fld: FieldSample) -> Dict[str, object]:
 def _mc_dict(mc: MCConfig) -> Dict[str, object]:
     d = _lattice_dict(mc.lattice)
     d.update(trials=mc.trials, master_seed=mc.master_seed,
-             localized=mc.localized, parallel=mc.parallel)
+             localized=mc.localized)
     return d
 
 
@@ -271,8 +271,7 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
 # ---------------------------------------------------------------------------
 
 def scale_covariance_test(a: float, epsilon: float, params: Params,
-                          mc: MCConfig, q_hat: float,
-                          workers: Optional[int] = None) -> ExperimentReport:
+                          mc: MCConfig, q_hat: float) -> ExperimentReport:
     """Compare D at scaled endpoints with the rescaled-field prediction.
 
     Per trial the same field sample feeds both sides (common random
@@ -301,8 +300,8 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
         z_pt = (ox + (az_pt[0] - ox) / a, oy + (az_pt[1] - oy) / a)
         w_pt = (ox + (aw_pt[0] - ox) / a, oy + (aw_pt[1] - oy) / a)
 
-    a_big = estimate_a_eps(epsilon, params, mc, workers=workers)
-    a_small = estimate_a_eps(epsilon / a, params, mc, workers=workers)
+    a_big = estimate_a_eps(epsilon, params, mc)
+    a_small = estimate_a_eps(epsilon / a, params, mc)
     prefactor = a ** (1.0 - params.xi * q_hat) * (a_small.median / a_big.median)
 
     rows = []
@@ -390,8 +389,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
-                           mc: MCConfig,
-                           workers: Optional[int] = None) -> ExperimentReport:
+                           mc: MCConfig) -> ExperimentReport:
     """Cauchy-style trend of normalized distances on one fixed field.
 
     Distances use the localized smoother; normalizers come from Monte Carlo
@@ -400,15 +398,14 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     """
     _validate_halving(eps_ladder, min_rungs=4)
     lat = mc.lattice
-    field_seed = int(np.random.SeedSequence(
-        entropy=mc.master_seed, spawn_key=(_FIELD_KEY,)).generate_state(1, np.uint64)[0])
+    field_seed = trial_seed(mc.master_seed, _FIELD_KEY)
     fld = sample_torus_gff(lat, field_seed)
     _check_pair_points(lat, pairs)
 
     values = np.empty((len(pairs), len(eps_ladder)))
     for j, eps in enumerate(eps_ladder):
         grid = build_weighted_grid(mollify_localized(fld, eps), params.xi)
-        norm = estimate_a_eps(eps, params, mc, workers=workers).median
+        norm = estimate_a_eps(eps, params, mc).median
         for k, (z, w) in enumerate(pairs):
             values[k, j] = dist_point(grid, z, w).value / norm
 
@@ -671,8 +668,7 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
-                      window: Rect, params: Params, mc: MCConfig,
-                      workers: Optional[int] = None) -> ExperimentReport:
+                      window: Rect, params: Params, mc: MCConfig) -> ExperimentReport:
     """Worst normalized distance over pairs closer than 4*eps^(1-zeta).
 
     Runs a halving ladder from epsilon (up to four admissible rungs) and
@@ -704,7 +700,7 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
         pairs = _draw_pairs(partial(_near_pair, rng, window, sep), _N_SEG_PAIRS,
                             window, f"pairs closer than {sep}")
         grid = build_weighted_grid(mollify_localized(field, eps_k), params.xi)
-        a_hat = estimate_a_eps(eps_k, params, mc, workers=workers).median
+        a_hat = estimate_a_eps(eps_k, params, mc).median
         worst = 0.0
         for z, w in pairs:
             worst = max(worst, dist_point(grid, z, w).value / a_hat)
@@ -796,8 +792,7 @@ def _cfg_field(cfg: dict) -> FieldSample:
 def _cfg_mc(cfg: dict) -> MCConfig:
     return MCConfig(lattice=_cfg_lattice(cfg), trials=int(_cfg_get(cfg, "trials")),
                     master_seed=int(_cfg_get(cfg, "seed")),
-                    localized=bool(cfg.get("localized", False)),
-                    parallel=bool(cfg.get("parallel", False)))
+                    localized=bool(cfg.get("localized", False)))
 
 
 def _cfg_window(w) -> Rect:
@@ -837,21 +832,20 @@ _PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
 }
 
 
-def run_experiment(name: str, cfg: dict,
-                   workers: Optional[int] = None) -> ExperimentReport:
+def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
     """Run a registered experiment from a plain configuration mapping.
 
     The config keys are the runner's parameter names, except that `params`
     is read from `xi` and an optional `gamma`.  A malformed value is an
-    InvalidArgument naming its key.  `workers` is passed to the runners
-    that take it, as their process-pool size; it never changes the report.
+    InvalidArgument naming its key.  `workers` is the process-pool size of
+    a parsed `mc` (MCConfig.workers); it never changes the report.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise InvalidArgument(f"unknown experiment '{name}' (known: {known})")
     run = EXPERIMENTS[name].run
-    wanted = inspect.signature(run).parameters   # `workers` has no parser
-    args = {"workers": workers} if "workers" in wanted else {}
+    wanted = inspect.signature(run).parameters
+    args = {}
     for key, parse in _PARSERS.items():
         if key in wanted:
             try:
@@ -859,4 +853,6 @@ def run_experiment(name: str, cfg: dict,
             except (TypeError, ValueError, KeyError, IndexError) as exc:
                 raise InvalidArgument(
                     f"experiment config key '{key}' is malformed: {exc}") from None
+    if "mc" in args:
+        args["mc"] = replace(args["mc"], workers=workers)
     return run(**args)

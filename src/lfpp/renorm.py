@@ -4,8 +4,8 @@ The normalizer at scale epsilon is the median over independent field samples
 of the left-right crossing distance of a unit square placed at the center of
 the torus (so the square sits in the central quarter, away from wrap-around
 correlations).  Trials are seeded from a master seed through spawn keys, so
-estimates are reproducible bit for bit regardless of worker count; medians
-and bootstrap confidence intervals are reduced in trial-index order.
+estimates are bit for bit the same at any pool size (`MCConfig.workers`);
+medians and bootstrap confidence intervals are reduced in trial-index order.
 
 A small in-process memo keyed by `estimate_cache_key` lets ratio and
 diagnostic code reuse estimates; cached and fresh values are identical.  The
@@ -15,10 +15,9 @@ CLI's disk cache uses the same key, so an estimate has one identity.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -38,7 +37,6 @@ _BOOT_KEY = 0xB007        # spawn key reserved for the bootstrap stream
 _FIT_MIN_POINTS = 4
 _FIT_MIN_SPAN = 8.0       # required max/min ratio of the epsilon ladder
 _CERT_SLACK = 1.05        # coarse-half certificate must extend within this
-_MAX_WORKERS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +51,13 @@ class MCConfig:
     trials: int
     master_seed: int
     localized: bool = False   # smooth with the truncated kernel instead
-    parallel: bool = False
+    workers: int = 1          # process-pool size; never part of an estimate
 
     def __post_init__(self) -> None:
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise InvalidArgument(f"trials must be a positive integer, got {self.trials}")
+        if not (isinstance(self.workers, int) and self.workers >= 1):
+            raise InvalidArgument(f"workers must be a positive integer, got {self.workers}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):
             raise InvalidArgument("master_seed must be a uint64")
 
@@ -189,13 +189,11 @@ def clear_estimate_cache() -> None:
     _est_cache.clear()
 
 
-def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig,
-                   workers: Optional[int] = None,
-                   use_cache: bool = True) -> MedianEstimate:
+def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstimate:
     """Median unit-square crossing distance over mc.trials field samples.
 
-    Pure function of (epsilon, params, mc); `workers` is a throughput hint
-    only and `use_cache=False` bypasses the in-process memo entirely.
+    Memoized pure function of (epsilon, params, mc); a pool of mc.workers
+    processes runs the trials when mc.workers and mc.trials both exceed 1.
     """
     if mc.trials < _MIN_TRIALS:
         raise InsufficientTrials(
@@ -204,21 +202,19 @@ def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig,
         raise MollificationTooFine(
             f"epsilon {epsilon} below 2*spacing = {2.0 * mc.lattice.spacing}")
     key = estimate_cache_key(epsilon, params, mc)
-    if use_cache and key in _est_cache:
+    if key in _est_cache:
         return _est_cache[key]
 
     lat = mc.lattice
     args = [(lat.n, lat.spacing, lat.origin, trial_seed(mc.master_seed, i),
              float(epsilon), params.xi, mc.localized)
             for i in range(mc.trials)]
-    if mc.parallel and mc.trials > 1:
-        max_workers = workers or min(_MAX_WORKERS, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            values = np.fromiter(pool.map(_crossing_trial, args), dtype=np.float64,
-                                 count=mc.trials)
+    if mc.workers > 1 and mc.trials > 1:
+        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+            crossings = list(pool.map(_crossing_trial, args))
     else:
-        values = np.fromiter(map(_crossing_trial, args), dtype=np.float64,
-                             count=mc.trials)
+        crossings = list(map(_crossing_trial, args))
+    values = np.array(crossings, dtype=np.float64)
 
     median = float(np.median(values))
     rng = np.random.default_rng(
@@ -229,8 +225,7 @@ def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig,
     est = MedianEstimate(epsilon=float(epsilon), median=median, trials=mc.trials,
                          ci_lo=min(float(lo), median), ci_hi=max(float(hi), median),
                          master_seed=mc.master_seed)
-    if use_cache:
-        _est_cache[key] = est
+    _est_cache[key] = est
     return est
 
 
@@ -285,8 +280,7 @@ def _is_pow2(r: float) -> bool:
 
 
 def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
-                  mc: MCConfig, q_hat: float,
-                  workers: Optional[int] = None) -> RatioSeries:
+                  mc: MCConfig, q_hat: float) -> RatioSeries:
     """rho(eps, r) = r^(1 - xi*q_hat) * median(eps/r) / median(eps).
 
     Both estimates per row share mc.master_seed, so the same field samples
@@ -305,8 +299,8 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     expo = 1.0 - params.xi * q_hat
     rows = []
     for eps in eps_ladder:
-        a1 = estimate_a_eps(eps, params, mc, workers=workers)
-        a2 = estimate_a_eps(eps / r, params, mc, workers=workers)
+        a1 = estimate_a_eps(eps, params, mc)
+        a2 = estimate_a_eps(eps / r, params, mc)
         rows.append((float(eps), r ** expo * (a2.median / a1.median)))
     return RatioSeries(r=float(r), rows=tuple(rows), q_hat_used=float(q_hat))
 

@@ -9,6 +9,7 @@ how a study would reuse normalizer estimates.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -45,7 +46,8 @@ from lfpp.experiments import (
 
 PARAMS = Params(xi=0.2)
 LAT512 = LatticeSpec(n=512, spacing=4.0 / 512.0)
-MC512 = MCConfig(lattice=LAT512, trials=200, master_seed=1, parallel=True)
+MC512 = MCConfig(lattice=LAT512, trials=200, master_seed=1,
+                 workers=min(8, os.cpu_count() or 1))
 LADDER = [2.0 ** -k for k in range(3, 7)]            # 1/8 .. 1/64
 UNIT = Rect(lo=(1.5, 1.5), hi=(2.5, 2.5))
 
@@ -259,20 +261,21 @@ def test_c11_normalized_distances_converge(ladder_fit):
 
 
 def test_c12_thread_count_never_changes_outputs(ladder_fit, tmp_path):
-    """Worker counts are throughput hints; primary outputs are byte-stable.
+    """Pool sizes are throughput settings; primary outputs are byte-stable.
 
-    Thread counts enter the library only through estimate_a_eps worker
-    pools (every runner forwards `workers` there and is otherwise a pure
-    function of its seeds, which the rerun checks in the module suites
-    cover).  Here the parallel full-scale estimate from criterion 7 is
-    reproduced serially and bit-compared, and a CLI run is byte-compared
-    across thread counts.
+    Thread counts enter the library only as MCConfig.workers, the size of
+    estimate_a_eps's process pool (runners receive it inside `mc` and are
+    otherwise pure functions of their seeds, which the rerun checks in the
+    module suites cover).  Here the parallel full-scale estimate from
+    criterion 7 is reproduced serially and bit-compared, and a CLI run is
+    byte-compared across thread counts.
     """
     t0 = time.perf_counter()
     ests, _ = ladder_fit
     serial_mc = MCConfig(lattice=LAT512, trials=200,
-                         master_seed=MC512.master_seed, parallel=False)
-    serial = estimate_a_eps(LADDER[-1], PARAMS, serial_mc, use_cache=False)
+                         master_seed=MC512.master_seed, workers=1)
+    clear_estimate_cache()
+    serial = estimate_a_eps(LADDER[-1], PARAMS, serial_mc)
     parallel = ests[-1]
     assert (serial.median, serial.ci_lo, serial.ci_hi) == \
            (parallel.median, parallel.ci_lo, parallel.ci_hi)

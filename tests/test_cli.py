@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,13 +47,39 @@ class TestBasics:
     def test_unknown_flag_is_usage_error(self):
         assert main(["dist", "--nonsense"]) == 1
 
-    def test_bad_threads_rejected(self, tmp_path, field64):
-        path = tmp_path / "f.lfpf"
-        write_field(field64, path)
-        code = main(["dist", "--field", str(path), "--eps", "0.25",
-                     "--xi", "0.2", "--from", "1,1", "--to", "2,2",
-                     "--threads", "0"])
+    def test_bad_threads_rejected(self, tmp_path):
+        code = main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
+                     "--trials", "20", "--seed", "7", "--threads", "0",
+                     "--out", str(tmp_path / "a.json")])
         assert code == 1
+        assert not (tmp_path / "a.json").exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "sample", "--n", "32", "--seed", "1", "--out", "f.lfpf"],
+        ["dist", "--field", "f.lfpf", "--eps", "0.25", "--xi", "0.2"],
+        ["fit", "--in", "est", "--xi", "0.2", "--out", "fit.json"],
+        ["cache-info", "--cache-dir", "cache"],
+    ], ids=["field-sample", "dist", "fit", "cache-info"])
+    def test_threads_only_where_a_pool_runs(self, argv, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32", "--trials", "20",
+         "--seed", "7", "--out", "a.json"],
+        ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "1", "--q-hat", "2.5",
+         "--n", "32", "--trials", "20", "--seed", "7", "--out", "r.json"],
+        ["exp", "weyl_shift_test", "--config", "cfg.json", "--out", "rep.json"],
+    ], ids=["a-eps", "ratio", "exp"])
+    def test_threads_accepted_where_a_pool_runs(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(TestExp.CFG), encoding="utf-8")
+        assert main(argv + ["--threads", "1"]) == 0
+        out = argv[argv.index("--out") + 1]
+        assert load_json(tmp_path / f"{out}.manifest.json")["threads"] == 1
 
 
 class TestFieldSample:
@@ -169,6 +196,22 @@ class TestDist:
                      "--xi", "0.2", "--around", "annulus:2,2,oops",
                      "--out", str(tmp_path / "x.json")]) == 1
 
+    ANNULUS = ["--around", "annulus:2,2,0.4,0.8"]
+    RECT = ["--crossing", "rect:1.5,1.5,2.5,2.5"]
+    DISK = ["--within", "disk:2,2,0.75"]
+    ENDS = ["--from", "1.0,2.0", "--to", "2.0,2.0"]
+
+    @pytest.mark.parametrize("flags", [
+        ANNULUS + RECT, ANNULUS + DISK, RECT + DISK, ENDS + ANNULUS, ENDS + RECT,
+        ENDS + ["--emit-gnuplot"],
+    ], ids=["around+crossing", "around+within", "crossing+within",
+            "ends+around", "ends+crossing", "gnuplot-without-path"])
+    def test_flags_that_would_be_ignored_exit_one(self, flags, zero_path, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
+                     "--xi", "0.2", "--out", str(out)] + flags) == 1
+        assert not out.exists()
+
     def test_supercritical_xi_flagged_in_manifest(self, zero_path, tmp_path):
         out = tmp_path / "s.json"
         code = main(["dist", "--field", str(zero_path), "--eps", "0.25",
@@ -191,7 +234,8 @@ class TestAEps:
         doc = load_json(out)
         mc = MCConfig(lattice=LatticeSpec(n=32, spacing=0.125),
                       trials=20, master_seed=7)
-        est = estimate_a_eps(0.5, Params(xi=0.2), mc, use_cache=False)
+        clear_estimate_cache()
+        est = estimate_a_eps(0.5, Params(xi=0.2), mc)
         assert doc["median"] == est.median
         assert doc["ci_lo"] == est.ci_lo and doc["ci_hi"] == est.ci_hi
         assert load_json(tmp_path / "a.json.manifest.json")["master_seed"] == 7
@@ -324,15 +368,42 @@ class TestExp:
             return real(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(renorm, "ProcessPoolExecutor", pool)
-        clear_estimate_cache()
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
-             "mc": {"n": 32, "trials": 20, "seed": 7, "parallel": True}}),
-            encoding="utf-8")
-        assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "r.json"), "--threads", "1"]) == 0
-        assert sizes == [1, 1]
+             "mc": {"n": 32, "trials": 20, "seed": 7}}), encoding="utf-8")
+        for threads, want in (("1", []), ("2", [2, 2])):
+            clear_estimate_cache()
+            sizes.clear()
+            assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r.json"), "--threads", threads]) == 0
+            assert sizes == want, threads
+
+    def test_report_bytes_independent_of_pool_size(self, tmp_path):
+        # `--threads` and the retired `mc.parallel` key never reach the report
+        mc = {"n": 32, "trials": 20, "seed": 7}
+        runs = {"t1": (mc, "1"), "t2": (mc, "2"),
+                "old_key": (dict(mc, parallel=True), "1")}
+        reports = {}
+        for label, (mc_cfg, threads) in runs.items():
+            cfg_path = tmp_path / f"{label}.cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5, "mc": mc_cfg}),
+                encoding="utf-8")
+            out = tmp_path / f"{label}.json"
+            clear_estimate_cache()
+            assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                         "--out", str(out), "--threads", threads]) == 0
+            reports[label] = out.read_bytes()
+        assert reports["t2"] == reports["t1"]
+        assert reports["old_key"] == reports["t1"]
+
+    def test_emit_gnuplot_needs_csv(self, tmp_path):
+        cfg_path = tmp_path / "w.json"
+        cfg_path.write_text(json.dumps(self.CFG), encoding="utf-8")
+        assert main(["exp", "weyl_shift_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json"), "--emit-gnuplot"]) == 1
+        assert not (tmp_path / "rep.json").exists()
 
     GAP_CFG = {"field": {"n": 64, "seed": 404}, "eps_ladder": [0.25, 0.125],
                "window": [1.6, 1.6, 2.3, 2.3], "xi": 0.2}
@@ -376,7 +447,7 @@ class TestExperimentGoldenBytes:
         "scale_covariance_test": (
             {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
              "mc": {"n": 64, "trials": 20, "seed": 7}},
-            "70de44bde76ffaa7ab7c27ba350eadddf41afa1dde6a808d05b40ea961230712",
+            "95799b1677a879b4d65c678a14810356160a33845b122b06cd8bbdb8c5e032c7",
             "152f6e2be05a61a95a658ceb761c0fa6318f562582b67be4b0dce68f0501f7d4"),
         "localized_gap": (
             {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
@@ -387,12 +458,12 @@ class TestExperimentGoldenBytes:
             {"pairs": [[[1.6, 1.7], [2.3, 2.2]], [[1.5, 1.5], [2.4, 2.4]]],
              "eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
              "mc": {"n": 256, "trials": 20, "seed": 11}},
-            "c8f2353a61bb1439c4823cc6cf9a94c8644145d1fb5a1531a119680073f32fd6",
+            "65ce196efcc8f2f81a6134423e271684c4d9fc1e4dba4cbc4ceed941c168dafd",
             "663ae50bb94e4e26c1c9654ed647c06ca7f46101ca393d26ac9475ddf6292346"),
         "annulus_event_stats": (
             {"epsilon": 0.25, "r_set": [2.0], "alpha": 0.9, "xi": 0.2,
              "mc": {"n": 64, "trials": 20, "seed": 13}},
-            "ede8a28789bb70c12b3995ad3ec29e4ef4afd2d754122a4c0b0f079515d85645",
+            "a8d9c644a23728f0feb9ff7a9682b3c928ac4753ab33f090c9662d4a1bca85c0",
             "adc8617c5e667f1946a72015b2ebedabcb65b51b3040ee83798d90de18ec3951"),
         "gmc_mass": (
             {"field": {"n": 64, "seed": 404, "kind": "dirichlet"}, "gamma": 1.0,
@@ -414,7 +485,7 @@ class TestExperimentGoldenBytes:
             {"field": F64, "epsilon": 0.25, "zeta": 0.5,
              "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.2,
              "mc": {"n": 64, "trials": 20, "seed": 17}},
-            "6b706afb66025547a0f63449070e2b5bb6fac1fa4680d82de33fa9b7df847cb2",
+            "443d4a5971930ce9d1f7b38fe5d74443752858c41ab2a20c8233ae54cd53da39",
             "e0c1fb86aeeef9be431cd15a22823af5f064d9aeee3ddc382e843f6c4f7ea125"),
     }
 
@@ -548,6 +619,73 @@ class TestConcurrentCache:
             assert again.read_bytes() == outs[k].read_bytes()
         assert _dir_state(cdir) == before   # every rerun was a hit
         assert not list(cdir.glob("*.tmp"))
+
+
+def _replay_argv(manifest, in_dir, out_dir):
+    """argv that regenerates an artifact from its manifest alone, writing
+    every output under out_dir (and an exp config body under in_dir)."""
+    resolved = dict(manifest["resolved_params"])
+    command = manifest["command"]
+    argv = ["field", "sample"] if command == "field-sample" else [command]
+    if command == "exp":
+        argv.append(resolved.pop("name"))
+        config = in_dir / "cfg.json"
+        config.write_text(json.dumps(resolved.pop("config_body")), encoding="utf-8")
+        resolved["config"] = str(config)
+    for key in ("field_seed", "mode"):   # recorded facts, not flags
+        resolved.pop(key, None)
+    for key, value in resolved.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if value is True:
+            argv.append(flag)
+        elif key in ("out", "emit_path", "csv"):
+            argv += [flag, str(out_dir / Path(value).name)]
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+class TestManifestReplay:
+    def test_manifest_regenerates_primary_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LFPP_CACHE", raising=False)
+        orig, replay, cfg_dir = (tmp_path / d for d in ("orig", "replay", "in"))
+        for d in (orig, replay, cfg_dir):
+            d.mkdir()
+        f = str(orig / "f.lfpf")
+        cfg = cfg_dir / "w.json"
+        cfg.write_text(json.dumps(TestExp.CFG), encoding="utf-8")
+        runs = {
+            "f.lfpf": ["field", "sample", "--n", "64", "--seed", "11"],
+            "d.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                       "--from", "1.2,1.5", "--to", "2.6,2.4",
+                       "--emit-path", str(orig / "p.csv"), "--emit-gnuplot"],
+            "r.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                       "--localized", "--around", "annulus:2,2,0.4,0.8"],
+            "a.json": ["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
+                       "--trials", "20", "--seed", "5", "--origin", "0.5,0.25"],
+            "q.json": ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.5",
+                       "--q-hat", "2.5", "--n", "32", "--trials", "20",
+                       "--seed", "5"],
+            "e.json": ["exp", "weyl_shift_test", "--config", str(cfg),
+                       "--csv", str(orig / "e.csv"), "--emit-gnuplot"],
+        }
+        for out, argv in runs.items():
+            assert main(argv + ["--out", str(orig / out)]) == 0, out
+        for out in runs:
+            clear_estimate_cache()
+            manifest = load_json(orig / f"{out}.manifest.json")
+            assert main(_replay_argv(manifest, cfg_dir, replay)) == 0, out
+
+        def outputs(d):
+            return {p.name: p.read_bytes() for p in d.iterdir()
+                    if not p.name.endswith(".manifest.json")}
+        assert set(outputs(orig)) == {*runs, "p.csv", "p.csv.gnu", "e.csv",
+                                      "e.csv.gnu"}
+        assert outputs(replay) == outputs(orig)
 
 
 class TestGoldenBytes:

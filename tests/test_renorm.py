@@ -1,6 +1,7 @@
 """Normalizer estimation: seeding, caching, fits, ratio and certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,8 +67,11 @@ class TestEstimate:
             estimate_a_eps(0.2, PARAMS, SMALL_MC)   # 2 * spacing = 0.25
 
     def test_deterministic_without_cache(self):
-        a = estimate_a_eps(0.5, PARAMS, SMALL_MC, use_cache=False)
-        b = estimate_a_eps(0.5, PARAMS, SMALL_MC, use_cache=False)
+        clear_estimate_cache()
+        a = estimate_a_eps(0.5, PARAMS, SMALL_MC)
+        clear_estimate_cache()
+        b = estimate_a_eps(0.5, PARAMS, SMALL_MC)
+        assert b is not a
         assert (a.median, a.ci_lo, a.ci_hi) == (b.median, b.ci_lo, b.ci_hi)
         assert a.ci_lo <= a.median <= a.ci_hi
 
@@ -81,12 +85,23 @@ class TestEstimate:
         assert c is not a and c.median == a.median
 
     def test_parallel_matches_serial_bitwise(self):
-        serial = estimate_a_eps(0.5, PARAMS, SMALL_MC, use_cache=False)
-        par_mc = MCConfig(lattice=SMALL_MC.lattice, trials=SMALL_MC.trials,
-                          master_seed=SMALL_MC.master_seed, parallel=True)
-        par = estimate_a_eps(0.5, PARAMS, par_mc, workers=3, use_cache=False)
+        clear_estimate_cache()
+        serial = estimate_a_eps(0.5, PARAMS, SMALL_MC)
+        clear_estimate_cache()
+        par_mc = replace(SMALL_MC, workers=3)
+        par = estimate_a_eps(0.5, PARAMS, par_mc)
+        assert par is not serial
         assert (par.median, par.ci_lo, par.ci_hi) == \
                (serial.median, serial.ci_lo, serial.ci_hi)
+        # the pool size is not part of an estimate's identity
+        assert estimate_cache_key(0.5, PARAMS, par_mc) == \
+               estimate_cache_key(0.5, PARAMS, SMALL_MC)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    def test_workers_must_be_positive_integer(self, workers):
+        with pytest.raises(InvalidArgument):
+            MCConfig(lattice=SMALL_MC.lattice, trials=24, master_seed=1,
+                     workers=workers)
 
     def test_cache_key_sensitive_to_one_ulp(self):
         k1 = estimate_cache_key(0.5, PARAMS, SMALL_MC)
