@@ -50,6 +50,7 @@ from .metric import (
 )
 from .renorm import MCConfig, crossing_square, estimate_a_eps, trial_seed
 from .renorm import _is_pow2 as _pow2
+from .renorm import _pool_map
 
 TREND_ALPHA = 0.10        # one-sided Spearman significance for trend verdicts
 TWO_SAMPLE_ALPHA = 0.01   # Mann-Whitney level for in-law comparisons
@@ -270,6 +271,17 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
 # in-law identity: dyadic rescaling
 # ---------------------------------------------------------------------------
 
+def _covariance_trial(seed: int, lat: LatticeSpec, epsilon: float, a: float,
+                      q_hat: float, xi: float, scaled, unit) -> Tuple[float, float]:
+    """One trial's D between the scaled endpoints on the field and D between
+    the unit endpoints on its rescaling, both unnormalized."""
+    h = sample_torus_gff(lat, seed)
+    d_l = dist_point(build_weighted_grid(mollify(h, epsilon), xi), *scaled).value
+    ht = rescale_field(h, a, lat.origin, q_hat)
+    d_r = dist_point(build_weighted_grid(mollify(ht, epsilon / a), xi), *unit).value
+    return d_l, d_r
+
+
 def scale_covariance_test(a: float, epsilon: float, params: Params,
                           mc: MCConfig, q_hat: float) -> ExperimentReport:
     """Compare D at scaled endpoints with the rescaled-field prediction.
@@ -304,17 +316,13 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     a_small = estimate_a_eps(epsilon / a, params, mc)
     prefactor = a ** (1.0 - params.xi * q_hat) * (a_small.median / a_big.median)
 
-    rows = []
-    lhs = np.empty(mc.trials)
-    rhs = np.empty(mc.trials)
-    for i in range(mc.trials):
-        h = sample_torus_gff(lat, trial_seed(mc.master_seed, i))
-        grid_l = build_weighted_grid(mollify(h, epsilon), params.xi)
-        lhs[i] = dist_point(grid_l, az_pt, aw_pt).value / a_big.median
-        ht = rescale_field(h, a, lat.origin, q_hat)
-        grid_r = build_weighted_grid(mollify(ht, epsilon / a), params.xi)
-        rhs[i] = prefactor * (dist_point(grid_r, z_pt, w_pt).value / a_small.median)
-        rows.append((i, float(lhs[i]), float(rhs[i])))
+    trial = partial(_covariance_trial, lat=lat, epsilon=epsilon, a=a, q_hat=q_hat,
+                    xi=params.xi, scaled=(az_pt, aw_pt), unit=(z_pt, w_pt))
+    seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
+    dists = np.array(_pool_map(trial, seeds, mc.workers))
+    lhs = dists[:, 0] / a_big.median
+    rhs = prefactor * (dists[:, 1] / a_small.median)
+    rows = [(i, float(lhs[i]), float(rhs[i])) for i in range(mc.trials)]
 
     mw = sstats.mannwhitneyu(lhs, rhs, alternative="two-sided")
     q_l = np.percentile(lhs, [25, 50, 75])
@@ -442,6 +450,27 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
 # annulus crossing statistics
 # ---------------------------------------------------------------------------
 
+def _annulus_trial(i: int, lat: LatticeSpec, master_seed: int, epsilon: float,
+                   proxy_eps: float, xi: float, annuli) -> List[tuple]:
+    """Report rows of trial i, one per (annulus, r, inner ring, outer ring)."""
+    h = sample_torus_gff(lat, trial_seed(master_seed, i))
+    grid_e = build_weighted_grid(mollify_localized(h, epsilon), xi)
+    grid_p = build_weighted_grid(mollify_localized(h, proxy_eps), xi)
+    rows = []
+    for ann, r, inner, outer in annuli:
+        around_e = dist_around_annulus(grid_e, ann).value
+        across_e = dist_sets(grid_e, inner, outer, want_path=True)
+        around_p = dist_around_annulus(grid_p, ann).value
+        across_p = dist_sets(grid_p, inner, outer).value
+        u = grid_e.spec.point_of(*across_e.path.sites[0])
+        v = grid_e.spec.point_of(*across_e.path.sites[-1])
+        d_uv_proxy = dist_point(grid_p, u, v).value
+        rows.append((i, float(r), around_e, across_e.value, around_e / across_e.value,
+                     around_p, across_p, around_p / across_p,
+                     across_e.value / d_uv_proxy))
+    return rows
+
+
 def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
                         params: Params, mc: MCConfig) -> ExperimentReport:
     """Around/across ratios of centered annuli over sampled fields.
@@ -464,7 +493,7 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
     dmat = np.hypot(np.broadcast_to(xs[None, :], (lat.n, lat.n)) - cx,
                     np.broadcast_to(ys[:, None], (lat.n, lat.n)) - cy)
 
-    rings = {}
+    annuli = []
     grid_kind = "dyadic" if all(_pow2(r) for r in r_set) else "custom"
     for r in r_set:
         if not (0 < alpha * r < r and r <= 0.5 * lat.side):
@@ -473,35 +502,16 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
         outer = Mask(np.abs(dmat - r) <= _RING_HALF_WIDTH * delta)
         if not (inner.mask.any() and outer.mask.any()):
             raise EmptyRegion(f"boundary ring at radius {r} captures no sites")
-        rings[r] = (inner, outer)
+        annuli.append((Annulus((cx, cy), alpha * r, r), r, inner, outer))
 
-    rows = []
-    ratio3_all = []
-    ratio1_all = []
-    for i in range(mc.trials):
-        h = sample_torus_gff(lat, trial_seed(mc.master_seed, i))
-        grid_e = build_weighted_grid(mollify_localized(h, epsilon), params.xi)
-        grid_p = build_weighted_grid(mollify_localized(h, proxy_eps), params.xi)
-        for r in r_set:
-            ann = Annulus((cx, cy), alpha * r, r)
-            inner, outer = rings[r]
-            around_e = dist_around_annulus(grid_e, ann).value
-            across_e = dist_sets(grid_e, inner, outer, want_path=True)
-            around_p = dist_around_annulus(grid_p, ann).value
-            across_p = dist_sets(grid_p, inner, outer).value
-            u = grid_e.spec.point_of(*across_e.path.sites[0])
-            v = grid_e.spec.point_of(*across_e.path.sites[-1])
-            d_uv_proxy = dist_point(grid_p, u, v).value
-            ratio3 = around_e / across_e.value
-            ratio3_p = around_p / across_p
-            ratio1 = across_e.value / d_uv_proxy
-            ratio3_all.append(ratio3)
-            ratio1_all.append(ratio1)
-            rows.append((i, float(r), around_e, across_e.value, ratio3,
-                         around_p, across_p, ratio3_p, ratio1))
+    trial = partial(_annulus_trial, lat=lat, master_seed=mc.master_seed,
+                    epsilon=epsilon, proxy_eps=proxy_eps, xi=params.xi, annuli=annuli)
+    rows = [row for trial_rows in _pool_map(trial, range(mc.trials), mc.workers)
+            for row in trial_rows]
 
-    q3 = np.percentile(ratio3_all, [50, 90, 99])
-    q1 = np.percentile(ratio1_all, [50, 90, 99])
+    # the ratio3 and ratio1 columns
+    q3 = np.percentile([row[4] for row in rows], [50, 90, 99])
+    q1 = np.percentile([row[8] for row in rows], [50, 90, 99])
     return ExperimentReport(
         name="annulus_event_stats",
         params={"epsilon": float(epsilon), "proxy_epsilon": float(proxy_eps),

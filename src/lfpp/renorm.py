@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -168,6 +168,15 @@ def _crossing_trial(args: tuple) -> float:
     return lr_crossing(grid, square).value
 
 
+def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
+    """[fn(a) for a in args], in a pool of `workers` processes when both
+    `workers` and len(args) exceed 1; results keep the order of `args`."""
+    if workers > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, args))
+    return list(map(fn, args))
+
+
 # ---------------------------------------------------------------------------
 # estimates
 # ---------------------------------------------------------------------------
@@ -209,12 +218,7 @@ def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstima
     args = [(lat.n, lat.spacing, lat.origin, trial_seed(mc.master_seed, i),
              float(epsilon), params.xi, mc.localized)
             for i in range(mc.trials)]
-    if mc.workers > 1 and mc.trials > 1:
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-            crossings = list(pool.map(_crossing_trial, args))
-    else:
-        crossings = list(map(_crossing_trial, args))
-    values = np.array(crossings, dtype=np.float64)
+    values = np.array(_pool_map(_crossing_trial, args, mc.workers), dtype=np.float64)
 
     median = float(np.median(values))
     rng = np.random.default_rng(

@@ -64,6 +64,44 @@ def relax_single_source(n_sites: int, edges, sources: Sequence[int]) -> np.ndarr
     return dist
 
 
+def full_point_solve(cost: np.ndarray, mask: np.ndarray, spacing: float,
+                     source: Tuple[int, int], target: Tuple[int, int]):
+    """(distances from `source` over all flat sites, site chain or None).
+
+    An unbounded scipy Dijkstra on a CSR graph built here from `grid_edges`,
+    then `walk_back` from `target`; the chain is None when the target is
+    unreachable.  The reference for the library's bounded point solves.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n_rows, n_cols = cost.shape
+    n_sites = n_rows * n_cols
+    edges = grid_edges(cost, mask, spacing)
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    a, b = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    graph = coo_matrix((np.concatenate((e[:, 2], e[:, 2])),
+                        (np.concatenate((a, b)), np.concatenate((b, a)))),
+                       shape=(n_sites, n_sites)).tocsr()
+    s = source[0] * n_cols + source[1]
+    t = target[0] * n_cols + target[1]
+    dist = dijkstra(graph, directed=True, indices=s)
+    if not math.isfinite(dist[t]):
+        return dist, None
+    return dist, [divmod(c, n_cols) for c in walk_back(edges, dist, t, {s})]
+
+
+def bound_box_mask(shape: Tuple[int, int], a: Tuple[int, int], b: Tuple[int, int],
+                   min_pad: int = 8) -> np.ndarray:
+    """Sites of a pair's bound box: the pair's bounding box widened on every
+    side by half its longer side, rounded up, and by at least `min_pad`."""
+    pad = max(min_pad, -(-max(abs(a[0] - b[0]), abs(a[1] - b[1])) // 2))
+    box = np.zeros(shape, dtype=bool)
+    box[max(0, min(a[0], b[0]) - pad):max(a[0], b[0]) + pad + 1,
+        max(0, min(a[1], b[1]) - pad):max(a[1], b[1]) + pad + 1] = True
+    return box
+
+
 def crossing_parity_edge(pa: Tuple[float, float], pb: Tuple[float, float],
                          center: Tuple[float, float]) -> bool:
     """True when segment pa->pb crosses the rightward horizontal ray from center.

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import LFPP, lfpp_env
 
 from lfpp import (
@@ -19,6 +20,8 @@ from lfpp import (
     estimate_a_eps,
     MCConfig,
     Params,
+    build_weighted_grid,
+    mollify,
     read_field,
     sample_torus_gff,
     write_field,
@@ -35,6 +38,21 @@ def zero_field(n=64, spacing=0.0625):
 
 def load_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool lfpp starts, in order."""
+    import lfpp.renorm as renorm
+    sizes = []
+    real = renorm.ProcessPoolExecutor
+
+    def pool(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(renorm, "ProcessPoolExecutor", pool)
+    return sizes
 
 
 class TestBasics:
@@ -159,7 +177,16 @@ class TestDist:
         # one manifest per output file; solver statistics live there only
         assert "settled" not in doc
         manifest = load_json(tmp_path / "d.json.manifest.json")
-        assert manifest["stats"]["settled"] == 64 * 64
+        # the bounded solve settles exactly the sites within value * (1 + 1e-9):
+        # on the zero field the straight path is optimal inside the bound box
+        grid = build_weighted_grid(mollify(read_field(zero_path), 0.25), 0.2)
+        spec = grid.spec
+        dist, _ = oracles.full_point_solve(grid.site_cost, grid.mask, spec.spacing,
+                                           spec.index_of((1.0, 2.0)),
+                                           spec.index_of((2.0, 2.0)))
+        within = int((dist <= doc["value"] * (1.0 + 1e-9)).sum())
+        assert 0 < within < 64 * 64
+        assert manifest["stats"]["settled"] == within
         assert (tmp_path / "path.csv.manifest.json").is_file()
 
     def test_crossing_mode(self, zero_path, tmp_path):
@@ -358,26 +385,17 @@ class TestExp:
         assert main(["exp", "bogus", "--config", "x",
                      "--out", str(tmp_path / "y.json")]) == 1
 
-    def test_threads_reach_the_runner_pools(self, tmp_path, monkeypatch):
-        import lfpp.renorm as renorm
-        sizes = []
-        real = renorm.ProcessPoolExecutor
-
-        def pool(max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(renorm, "ProcessPoolExecutor", pool)
+    def test_threads_reach_the_runner_pools(self, tmp_path, pool_sizes):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
              "mc": {"n": 32, "trials": 20, "seed": 7}}), encoding="utf-8")
-        for threads, want in (("1", []), ("2", [2, 2])):
+        for threads, want in (("1", []), ("2", [2, 2, 2])):
             clear_estimate_cache()
-            sizes.clear()
+            pool_sizes.clear()
             assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
                          "--out", str(tmp_path / "r.json"), "--threads", threads]) == 0
-            assert sizes == want, threads
+            assert pool_sizes == want, threads
 
     def test_report_bytes_independent_of_pool_size(self, tmp_path):
         # `--threads` and the retired `mc.parallel` key never reach the report
@@ -492,18 +510,24 @@ class TestExperimentGoldenBytes:
     def test_every_experiment_has_a_case(self):
         assert set(self.CASES) == set(EXPERIMENTS)
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_report_and_csv_match_golden_hashes(self, name, tmp_path):
+    def _digests(self, name, tmp_path, *flags):
         clear_estimate_cache()
-        cfg, report_sha, csv_sha = self.CASES[name]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        cfg_path.write_text(json.dumps(self.CASES[name][0]), encoding="utf-8")
         assert main(["exp", name, "--config", str(cfg_path),
                      "--out", str(tmp_path / "r.json"),
-                     "--csv", str(tmp_path / "r.csv")]) == 0
-        digest = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                  for f in ("r.json", "r.csv")]
-        assert digest == [report_sha, csv_sha]
+                     "--csv", str(tmp_path / "r.csv"), *flags]) == 0
+        return [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("r.json", "r.csv")]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_and_csv_match_golden_hashes(self, name, tmp_path):
+        assert self._digests(name, tmp_path) == list(self.CASES[name][1:])
+
+    def test_trial_pool_keeps_annulus_bytes(self, tmp_path, pool_sizes):
+        assert (self._digests("annulus_event_stats", tmp_path, "--threads", "2")
+                == list(self.CASES["annulus_event_stats"][1:]))
+        assert pool_sizes == [2]    # its per-trial loop ran in the pool
 
 
 class TestCaching:

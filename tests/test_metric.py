@@ -1,9 +1,13 @@
 """Weighted-grid metrics: solver equivalence, exact identities, regions."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_moll, random_grid, zero_grid
@@ -17,6 +21,7 @@ from lfpp import (
     Mask,
     OutOfRegion,
     Rect,
+    WeightedGrid,
     build_weighted_grid,
     dist_around_annulus,
     dist_internal,
@@ -225,6 +230,152 @@ class TestDistPoint:
         res = dist_point(grid, spec.point_of(0, 0), spec.point_of(9, 9),
                          want_path=True)
         assert res.unreachable and res.value == math.inf and res.path is None
+
+
+@st.composite
+def walled_grids(draw):
+    """(grid, site a, site b): high-variance costs on n = 8..32 with up to
+    three full-row or full-column walls, each with one gap or none."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    spec = LatticeSpec(n=n, spacing=1.0 / n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = draw(st.sampled_from([0.0, 1.0, 3.0])) * rng.normal(size=(n, n))
+    mask = np.ones((n, n), dtype=bool)
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, n - 1))
+        wall = mask[pos, :] if draw(st.booleans()) else mask[:, pos]
+        wall[:] = False
+        gap = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        if gap is not None:
+            wall[gap] = True
+    site = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    a, b = draw(site), draw(site)
+    if a == b:
+        b = ((a[0] + 1) % n, a[1])
+    mask[a] = mask[b] = True
+    grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
+    return grid, a, b
+
+
+def check_point_solve(grid, a, b, sub=None):
+    """dist_point (or dist_internal in `sub`) from site a to b, against the
+    full solve in tests/oracles.py: value and geodesic bitwise, and
+    `settled` equal to the count of sites no farther than the bound U (the
+    distance inside the pair's bound box) times 1 + 1e-9, or of every
+    reachable site when the box does not connect the pair.  Returns U."""
+    spec = grid.spec
+    m = grid.mask if sub is None else grid.mask & region_mask(spec, sub)
+    lo, hi = min(a, b), max(a, b)
+    t = hi[0] * spec.n + hi[1]
+    dist, chain = oracles.full_point_solve(grid.site_cost, m, spec.spacing, lo, hi)
+    box_dist, _ = oracles.full_point_solve(
+        grid.site_cost, m & oracles.bound_box_mask(m.shape, lo, hi), spec.spacing, lo, hi)
+    bound = box_dist[t]
+    z, w = spec.point_of(*a), spec.point_of(*b)
+    if sub is None:
+        res = dist_point(grid, z, w, want_path=True)
+    else:
+        res = dist_internal(grid, z, w, sub, want_path=True)
+    assert res.value == dist[t]
+    assert res.unreachable == (chain is None)
+    if chain is not None:
+        assert list(res.path.sites) == (chain if a == lo else chain[::-1])
+    within = np.isfinite(dist) & (dist <= bound * (1.0 + 1e-9))
+    assert res.settled == int(within.sum())
+    return bound
+
+
+class TestBoundedPointSolve:
+    """Bounded point solves on the grid's cached graph equal the full solve."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(walled_grids())
+    def test_dist_point_matches_full_solve(self, case):
+        check_point_solve(*case)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(walled_grids(), st.data())
+    def test_dist_internal_matches_full_solve(self, case, data):
+        grid, _, _ = case
+        spec = grid.spec
+        n = spec.n
+        center = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        disk = Disk(center=spec.point_of(*center),
+                    radius=data.draw(st.integers(1, n)) * spec.spacing)
+        sites = [tuple(int(v) for v in s)
+                 for s in np.argwhere(region_mask(spec, disk) & grid.mask)]
+        if len(sites) < 2:
+            return
+        pick = st.integers(0, len(sites) - 1)
+        i, j = data.draw(pick), data.draw(pick)
+        if i != j:
+            check_point_solve(grid, sites[i], sites[j], sub=disk)
+
+    def test_wall_gap_outside_box_forces_full_solve(self):
+        n = 32
+        spec = LatticeSpec(n=n, spacing=1.0 / n)
+        mask = np.ones((n, n), dtype=bool)
+        mask[:, 8] = False
+        mask[30, 8] = True      # the only gap, far below the pair's box
+        vals = np.random.default_rng(5).normal(size=(n, n))
+        grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
+        assert check_point_solve(grid, (2, 4), (2, 12)) == math.inf
+        assert check_point_solve(grid, (2, 12), (2, 4)) == math.inf
+
+    def test_unreachable_pair(self):
+        n = 16
+        spec = LatticeSpec(n=n, spacing=1.0 / n)
+        mask = np.ones((n, n), dtype=bool)
+        mask[:, 6] = False
+        vals = np.random.default_rng(6).normal(size=(n, n))
+        grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
+        check_point_solve(grid, (3, 2), (12, 10))
+        res = dist_point(grid, spec.point_of(12, 10), spec.point_of(3, 2))
+        assert res.unreachable and res.value == math.inf
+
+    def test_same_shape_grids_queried_alternately(self):
+        # localized_gap's pattern: two grids of one lattice, pair by pair
+        rng = np.random.default_rng(7)
+        grids = [random_grid(rng, 32, 1.0 / 32, xi=1.0, scale=2.0)[1]
+                 for _ in range(2)]
+        for a, b in rng.integers(0, 32, size=(6, 2, 2)):
+            a, b = tuple(int(v) for v in a), tuple(int(v) for v in b)
+            if a != b:
+                for grid in grids:
+                    check_point_solve(grid, a, b)
+
+
+class TestGraphCache:
+    """A grid's cached graph always describes the grid's own arrays."""
+
+    def test_grid_arrays_are_read_only(self):
+        spec, grid = random_grid(np.random.default_rng(8), 16, 0.25)
+        with pytest.raises(ValueError):
+            grid.site_cost[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            grid.mask[0, 0] = False
+
+    def test_caller_arrays_are_copied(self):
+        spec = LatticeSpec(n=16, spacing=0.25)
+        cost = np.ones((16, 16))
+        mask = np.ones((16, 16), dtype=bool)
+        grid = WeightedGrid(spec=spec, xi=0.3, site_cost=cost, mask=mask)
+        z, w = (0.5, 0.5), (3.0, 2.0)
+        before = dist_point(grid, z, w, want_path=True)
+        cost *= 10.0
+        mask[:, 5] = False
+        after = dist_point(grid, z, w, want_path=True)
+        assert after.value == before.value and after.path == before.path
+        assert (grid.site_cost == 1.0).all() and grid.mask.all()
+
+    def test_cached_graph_dies_with_grid(self):
+        spec, grid = random_grid(np.random.default_rng(9), 16, 0.25)
+        dist_point(grid, (0.5, 0.5), (3.0, 2.0))
+        graph = weakref.ref(grid._full_graph[1])
+        assert graph() is not None
+        del grid
+        gc.collect()
+        assert graph() is None
 
 
 class TestDistInternal:
