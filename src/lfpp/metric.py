@@ -6,19 +6,13 @@ endpoint costs (trapezoid rule along the segment).  Distances are infima of
 edge-weight sums over lattice paths, computed with Dijkstra's algorithm.
 
 Point distances are solved from the lexicographically smaller endpoint, so
-dist(z, w) and dist(w, z) are the same float bit for bit.  A point solve is
-bounded: a solve inside a small box around the pair gives an upper bound U
-(any path in the box is a path of the grid with the same left-to-right
-weight sum), and Dijkstra on the grid's graph, built once per grid, then
-settles only the sites within U * (1 + 1e-9).  Every site at or below that
-limit gets the same candidate sums dist[u] + weight as in a full solve, so
-the value and the geodesic are bit for bit those of the full solve; only
-`DistResult.settled`, which counts the sites the result's solve reached,
-is smaller.  When the box does not connect the pair, the solve is the full
-one.  Geodesics are deterministic too: ties break by walking back from the
-target, in the graph the solve ran on, through the smallest-index
-predecessor u with dist[u] + weight == dist[v]; within a crop that is the
-lexicographically smallest (i, j).
+dist(z, w) and dist(w, z) are the same float bit for bit.  A point solve
+runs Dijkstra over the whole active mask on the grid's graph, built once per
+grid, so every query on a grid costs the same whatever the pair.  Geodesics
+are deterministic too: ties break by walking back from the target, in the
+graph the solve ran on, through the smallest-index predecessor u with
+dist[u] + weight == dist[v]; within a crop that is the lexicographically
+smallest (i, j).
 
 `dist_around_annulus` finds the shortest cycle separating the two boundary
 circles of an annulus by lifting the annulus graph to a two-sheet cover in
@@ -52,8 +46,6 @@ from .gff import LatticeSpec, MollifiedField
 _EDGE_DIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
-_BOX_PAD = 8       # least widening, in sites, of a point pair's bound box
-_LIMIT_SLACK = 1.0 + 1e-9   # a bounded solve settles sites within U * this
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ class DistResult:
     value: float
     unreachable: bool
     path: Optional[Path]
-    settled: int                 # sites the result's solve reached (finite distance)
+    settled: int                 # sites with a finite computed distance
 
 
 def build_weighted_grid(moll: MollifiedField, xi: float,
@@ -298,32 +290,21 @@ def _mask_graph(grid: WeightedGrid, mask: np.ndarray):
     return crop, _graph(*edges, m.size)
 
 
-def _graph_of(grid: WeightedGrid, sub_mask: Optional[np.ndarray]):
-    """(crop slices, CSR graph) of the active mask, cut to `sub_mask` if given.
-
-    The uncut graph is the grid's own, built once and reused.
-    """
-    if sub_mask is None:
-        return grid._full_graph
-    return _mask_graph(grid, grid.mask & sub_mask)
-
-
-def _dijkstra(graph: csr_matrix, sources: np.ndarray, crop,
-              limit: float = np.inf) -> np.ndarray:
-    """Distances from the nearest source; sites beyond `limit` stay inf."""
-    return _csgraph_dijkstra(graph, directed=True, indices=_flat(sources, crop),
-                             min_only=True, limit=limit)
-
-
 def _solve(grid: WeightedGrid, sources: np.ndarray,
            sub_mask: Optional[np.ndarray] = None):
     """Multi-source Dijkstra over the (cropped) active mask.
 
     Returns (dist over the crop's flat indices, crop slices, CSR graph) so
-    callers can read off targets and walk geodesics back on that graph.
+    callers can read off targets and walk geodesics back on that graph.  The
+    uncut graph is the grid's own, built once and reused.
     """
-    crop, graph = _graph_of(grid, sub_mask)
-    return _dijkstra(graph, sources, crop), crop, graph
+    if sub_mask is None:
+        crop, graph = grid._full_graph
+    else:
+        crop, graph = _mask_graph(grid, grid.mask & sub_mask)
+    dist = _csgraph_dijkstra(graph, directed=True, indices=_flat(sources, crop),
+                             min_only=True)
+    return dist, crop, graph
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -431,36 +412,9 @@ def _point_dist(grid: WeightedGrid, z, w, sub_mask, want_path: bool) -> DistResu
     lo, hi = (sw, sz) if swapped else (sz, sw)
     sources = np.array([lo], dtype=np.int64)
     targets = np.array([hi], dtype=np.int64)
-    bound = _box_bound(grid, sources, targets, sub_mask)
-    crop, graph = _graph_of(grid, sub_mask)
-    # An inf bound (the box does not connect the pair) makes this the full
-    # solve.  The target's distance never exceeds a finite bound; were it
-    # ever reported unreached, the full solve would decide.
-    dist = _dijkstra(graph, sources, crop, limit=bound * _LIMIT_SLACK)
-    if math.isinf(dist[_flat(targets, crop)[0]]) and math.isfinite(bound):
-        dist = _dijkstra(graph, sources, crop)
+    dist, crop, graph = _solve(grid, sources, sub_mask=sub_mask)
     return _result(dist, crop, graph, targets, sources, want_path,
                    reverse_path=swapped)
-
-
-def _box_bound(grid: WeightedGrid, sources: np.ndarray, targets: np.ndarray,
-               sub_mask: Optional[np.ndarray]) -> float:
-    """Distance between a site pair along paths inside their bound box.
-
-    The box is the pair's bounding box widened on every side by half its
-    longer side, and by at least _BOX_PAD sites, clipped to the lattice and
-    cut to the active (and sub) mask.  It is an upper bound on the distance
-    in the whole graph, and inf when the box does not connect the pair.
-    """
-    n = grid.spec.n
-    ends = np.concatenate((sources, targets))
-    lo, hi = ends.min(axis=0), ends.max(axis=0)
-    pad = max(_BOX_PAD, (int((hi - lo).max()) + 1) // 2)
-    crop = tuple(slice(max(0, int(a) - pad), min(n, int(b) + pad + 1))
-                 for a, b in zip(lo, hi))
-    m = grid.mask[crop] if sub_mask is None else grid.mask[crop] & sub_mask[crop]
-    graph = _graph(*_edge_arrays(grid.site_cost[crop], m, grid.spec.spacing), m.size)
-    return float(_dijkstra(graph, sources, crop)[_flat(targets, crop)[0]])
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,

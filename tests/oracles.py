@@ -70,7 +70,7 @@ def full_point_solve(cost: np.ndarray, mask: np.ndarray, spacing: float,
 
     An unbounded scipy Dijkstra on a CSR graph built here from `grid_edges`,
     then `walk_back` from `target`; the chain is None when the target is
-    unreachable.  The reference for the library's bounded point solves.
+    unreachable.  The reference for the library's point solves.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -89,17 +89,6 @@ def full_point_solve(cost: np.ndarray, mask: np.ndarray, spacing: float,
     if not math.isfinite(dist[t]):
         return dist, None
     return dist, [divmod(c, n_cols) for c in walk_back(edges, dist, t, {s})]
-
-
-def bound_box_mask(shape: Tuple[int, int], a: Tuple[int, int], b: Tuple[int, int],
-                   min_pad: int = 8) -> np.ndarray:
-    """Sites of a pair's bound box: the pair's bounding box widened on every
-    side by half its longer side, rounded up, and by at least `min_pad`."""
-    pad = max(min_pad, -(-max(abs(a[0] - b[0]), abs(a[1] - b[1])) // 2))
-    box = np.zeros(shape, dtype=bool)
-    box[max(0, min(a[0], b[0]) - pad):max(a[0], b[0]) + pad + 1,
-        max(0, min(a[1], b[1]) - pad):max(a[1], b[1]) + pad + 1] = True
-    return box
 
 
 def crossing_parity_edge(pa: Tuple[float, float], pb: Tuple[float, float],
