@@ -12,6 +12,7 @@ import pytest
 from conftest import LFPP, lfpp_env
 
 from lfpp import (
+    Annulus,
     FieldKind,
     FieldSample,
     LatticeSpec,
@@ -19,6 +20,10 @@ from lfpp import (
     estimate_a_eps,
     MCConfig,
     Params,
+    build_weighted_grid,
+    dist_around_annulus,
+    mollify,
+    mollify_localized,
     read_field,
     sample_torus_gff,
     write_field,
@@ -236,6 +241,73 @@ class TestDist:
         manifest = load_json(tmp_path / "s.json.manifest.json")
         assert manifest["supercritical_xi"] is True
         assert any("0.41" in w for w in manifest["warnings"])
+
+
+class TestDistErrorPaths:
+    """Region queries on a sampled field fail, or agree with the library on
+    the full lattice, the same way with either smoother."""
+
+    @pytest.fixture(scope="class")
+    def field_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("field") / "f.lfpf"
+        assert main(["field", "sample", "--n", "64", "--seed", "11",
+                     "--out", str(path)]) == 0
+        return path
+
+    def _dist(self, field_path, tmp_path, *flags):
+        return main(["dist", "--field", str(field_path), "--eps", "0.25",
+                     "--xi", "0.2", "--out", str(tmp_path / "x.json"), *flags])
+
+    SMOOTHERS = pytest.mark.parametrize("smoother", [[], ["--localized"]],
+                                        ids=["plain", "localized"])
+
+    @SMOOTHERS
+    @pytest.mark.parametrize("ends, which", [
+        (["--from", "1.0,2.0", "--to", "2.0,2.0"], "source"),
+        (["--from", "2.0,2.0", "--to", "1.0,2.0"], "target"),
+    ], ids=["source", "target"])
+    def test_within_endpoint_outside_disk(self, field_path, tmp_path, capsys,
+                                          smoother, ends, which):
+        code = self._dist(field_path, tmp_path, *smoother, *ends,
+                          "--within", "disk:2,2,0.75")
+        assert code == 1
+        assert (f"{which} site (32, 16) is outside the active region"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.json").exists()
+
+    @SMOOTHERS
+    @pytest.mark.parametrize("rect", ["rect:1.51,1.51,1.55,1.55",
+                                      "rect:10,10,11,11"],
+                             ids=["between-sites", "off-lattice"])
+    def test_crossing_rect_without_sites(self, field_path, tmp_path, capsys,
+                                         smoother, rect):
+        code = self._dist(field_path, tmp_path, *smoother, "--crossing", rect)
+        assert code == 1
+        assert "crossing square contains no active sites" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @SMOOTHERS
+    @pytest.mark.parametrize("ann", [(0.2, 2.0, 0.4, 0.8), (0.5, 2.0, 0.2, 0.8),
+                                     (0.5, 0.5, 0.2, 0.8)],
+                             ids=["hole-clipped", "edge", "corner"])
+    def test_around_annulus_clipped_by_lattice_edge(self, field_path, tmp_path,
+                                                    capsys, smoother, ann):
+        code = self._dist(field_path, tmp_path, *smoother,
+                          "--around", "annulus:%r,%r,%r,%r" % ann,
+                          "--emit-path", str(tmp_path / "p.csv"))
+        field = read_field(field_path)
+        moll = (mollify_localized if smoother else mollify)(field, 0.25)
+        want = dist_around_annulus(build_weighted_grid(moll, 0.2),
+                                   Annulus(center=ann[:2], r_inner=ann[2],
+                                           r_outer=ann[3]), want_path=True)
+        if want.unreachable:   # a clipped hole leaves no separating cycle
+            assert code == 1
+            assert "no path to emit" in capsys.readouterr().err
+            return
+        assert code == 0
+        doc = load_json(tmp_path / "x.json")
+        assert doc["value"] == want.value
+        assert doc["path"]["sites"] == [list(s) for s in want.path.sites]
 
 
 class TestAEps:
@@ -677,6 +749,12 @@ class TestManifestReplay:
                        "--emit-path", str(orig / "p.csv"), "--emit-gnuplot"],
             "r.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
                        "--localized", "--around", "annulus:2,2,0.4,0.8"],
+            "c.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                       "--localized", "--crossing", "rect:1.5,1.5,2.5,2.5",
+                       "--emit-path", str(orig / "cp.csv")],
+            "w.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                       "--localized", "--from", "1.5,1.8", "--to", "2.5,2.2",
+                       "--within", "disk:2,2,0.75"],
             "a.json": ["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
                        "--trials", "20", "--seed", "5", "--origin", "0.5,0.25"],
             "q.json": ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.5",
@@ -695,8 +773,8 @@ class TestManifestReplay:
         def outputs(d):
             return {p.name: p.read_bytes() for p in d.iterdir()
                     if not p.name.endswith(".manifest.json")}
-        assert set(outputs(orig)) == {*runs, "p.csv", "p.csv.gnu", "e.csv",
-                                      "e.csv.gnu"}
+        assert set(outputs(orig)) == {*runs, "p.csv", "p.csv.gnu", "cp.csv",
+                                      "e.csv", "e.csv.gnu"}
         assert outputs(replay) == outputs(orig)
 
 
@@ -716,6 +794,14 @@ class TestGoldenBytes:
         "wp.csv": "92edd4da9f0630ac2bfbb418e7d2c38eec97a03ad4631a9ce6f7a88739721830",
         "r.json": "928ad9327865a025863a2551ee42d77dfd3b3ef966b62292ce94aed2baf2d7c4",
         "rp.csv": "697da152b13abf612f780de044d22084da09c73d7667efe52d15a679e942167c",
+        "ld.json": "35aca73a97bfb3f1d195c73db568ed6a93e47946b5b7eef3dc33489f40299639",
+        "ldp.csv": "c4ba3c79ba9192897148675433f1b1d70830a416af50a277159aa7fa37237a82",
+        "lc.json": "b9efe6efec8cba30d66ef098c4296c4d88c6585ab35897b85f462dcbf4fe6ee1",
+        "lcp.csv": "349cd4e1a40be5b656645bab29b755203b8a5c89f0347d2a961a9b996a7314c1",
+        "lw.json": "b933e0a789da58b6a718561a7d04e674312e82f4954fdc37deed182cd9449c3d",
+        "lwp.csv": "dc24cad06abe4477bd5661b9fce9ec652597aa6e375df2bd898065b0b1595488",
+        "lr.json": "89854f157bd6420772d4edbd504cc5143978339af202a92bcd588904e83558c4",
+        "lrp.csv": "615628338d8d79229d1af6a058cd35d47664e1183348a4eebe08e45dedb5c671",
     }
     DIST = {
         "d.json": ["--from", "1.2,1.5", "--to", "2.6,2.4", "--emit-path", "p.csv"],
@@ -723,6 +809,16 @@ class TestGoldenBytes:
         "w.json": ["--from", "1.5,1.8", "--to", "2.5,2.2",
                    "--within", "disk:2,2,0.75", "--emit-path", "wp.csv"],
         "r.json": ["--around", "annulus:2,2,0.4,0.8", "--emit-path", "rp.csv"],
+        # localized smoothing; each region plus the stencil margin (6 sites
+        # at eps 0.25) is strictly smaller than the 64-site lattice
+        "ld.json": ["--localized", "--from", "1.2,1.5", "--to", "2.6,2.4",
+                    "--emit-path", "ldp.csv"],
+        "lc.json": ["--localized", "--crossing", "rect:1.5,1.5,2.5,2.5",
+                    "--emit-path", "lcp.csv"],
+        "lw.json": ["--localized", "--from", "1.5,1.8", "--to", "2.5,2.2",
+                    "--within", "disk:2,2,0.75", "--emit-path", "lwp.csv"],
+        "lr.json": ["--localized", "--around", "annulus:2,2,0.4,0.8",
+                    "--emit-path", "lrp.csv"],
     }
 
     def _run(self, d, cache):
