@@ -53,6 +53,7 @@ from .metric import (
     dist_sets,
     edge_weight,
     lr_crossing,
+    region_box,
     region_mask,
 )
 from .renorm import (
@@ -104,7 +105,8 @@ __all__ = [
     # metric
     "Annulus", "Disk", "DistResult", "Mask", "Path", "Rect", "WeightedGrid",
     "build_weighted_grid", "dist_around_annulus", "dist_internal",
-    "dist_point", "dist_sets", "edge_weight", "lr_crossing", "region_mask",
+    "dist_point", "dist_sets", "edge_weight", "lr_crossing", "region_box",
+    "region_mask",
     # renorm
     "ExponentFit", "LogCorrectionReport", "MCConfig", "MedianEstimate",
     "RatioSeries", "clear_estimate_cache", "crossing_square", "estimate_a_eps",

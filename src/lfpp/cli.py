@@ -46,6 +46,7 @@ from .metric import (
     dist_point,
     edge_weight,
     lr_crossing,
+    region_box,
 )
 from .renorm import (
     MCConfig,
@@ -209,7 +210,14 @@ def _handle_dist(ns) -> dict:
 
     field = fieldio.read_field(ns.field)
     params = Params(xi=ns.xi)
-    moll = mollify_localized(field, ns.eps) if ns.localized else mollify(field, ns.eps)
+    if ns.localized:
+        # A region query reads only the sites of its region, and localized
+        # smoothing of their box is bitwise the full lattice's there.
+        region = around or crossing or within
+        box = None if region is None else region_box(field.spec, region)
+        moll = mollify_localized(field, ns.eps, box=box)
+    else:
+        moll = mollify(field, ns.eps)
     grid = build_weighted_grid(moll, params.xi)
     if around:
         res = dist_around_annulus(grid, around, want_path=want_path)

@@ -46,6 +46,7 @@ from .metric import (
     dist_around_annulus,
     dist_point,
     dist_sets,
+    region_box,
     region_mask,
 )
 from .renorm import MCConfig, crossing_square, estimate_a_eps, trial_seed
@@ -602,6 +603,8 @@ def field_continuity_check(field: FieldSample, a: float,
     wmask = region_mask(spec, window)
     if not wmask.any():
         raise EmptyRegion("window contains no lattice sites")
+    box = region_box(spec, window)
+    wbox = wmask[box]
 
     rows = []
     c_plain = []
@@ -611,8 +614,8 @@ def field_continuity_check(field: FieldSample, a: float,
         e_lo = float(m + 1) ** (-a)
         gp = float(np.abs(mollify(field, e_hi).values
                           - mollify(field, e_lo).values)[wmask].max())
-        gl = float(np.abs(mollify_localized(field, e_hi).values
-                          - mollify_localized(field, e_lo).values)[wmask].max())
+        gl = float(np.abs(mollify_localized(field, e_hi, box).values
+                          - mollify_localized(field, e_lo, box).values)[wbox].max())
         unit = a * math.log(m + 1) * (((m + 1) / m) ** a - 1.0)
         rows.append((m, e_hi, e_lo, gp, gl, unit, gp / unit, gl / unit))
         c_plain.append(gp / unit)
@@ -649,6 +652,8 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     wmask = region_mask(field.spec, window)
     if not wmask.any():
         raise EmptyRegion("window contains no lattice sites")
+    box = region_box(field.spec, window)
+    wbox = wmask[box]
 
     coef = (1.0 + eta) * (2.0 + eta)
     rows = []
@@ -656,7 +661,7 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     cls = []
     for eps in eps_ladder:
         sp = float(np.abs(mollify(field, eps).values)[wmask].max())
-        sl = float(np.abs(mollify_localized(field, eps).values)[wmask].max())
+        sl = float(np.abs(mollify_localized(field, eps, box).values)[wbox].max())
         budget = coef * math.log(1.0 / eps)
         rows.append((float(eps), sp, sl, sp - budget, sl - budget))
         cps.append(sp - budget)

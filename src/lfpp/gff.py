@@ -11,14 +11,21 @@ time eps^2/2 across the whole torus (spectral, exact circular convolution).
 radial cutoff so that the smoothed value at a site depends only on the field
 within distance eps*log(1/eps) of it; the retained kernel mass is tracked by
 the normalizer `normalizer_Z` and its lattice analogue `z_epsilon`.
+
+Because of that locality, `mollify_localized` can smooth just a box of the
+lattice: it reads the box plus the stencil margin (wrapping around the
+torus) and returns a `MollifiedField` whose values cover only the box, with
+`offset` naming the lattice site of values[0, 0].  Box values are bitwise
+equal to the full-lattice values on the box.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -125,9 +132,37 @@ class FieldKind(IntEnum):
     DIRICHLET_SQUARE = 2
 
 
-def _check_values(spec: LatticeSpec, values: np.ndarray) -> None:
-    if not isinstance(values, np.ndarray) or values.shape != (spec.n, spec.n):
-        raise InvalidSpec(f"values must be an ndarray of shape ({spec.n}, {spec.n})")
+Box = Tuple[slice, slice]   # rows, columns of a block of lattice sites
+
+
+def _box_bounds(spec: LatticeSpec, box: Box) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """((row start, stop), (column start, stop)) of a non-empty box that does
+    not wrap around the lattice."""
+    try:
+        rows, cols = box
+        bounds = tuple((operator.index(sl.start), operator.index(sl.stop))
+                       for sl in (rows, cols))
+        ok = all(sl.step in (None, 1) for sl in (rows, cols))
+    except (TypeError, ValueError, AttributeError):
+        raise InvalidArgument(f"box must be a pair of slices, got {box!r}")
+    if not (ok and all(0 <= lo < hi <= spec.n for lo, hi in bounds)):
+        raise InvalidArgument(f"box {box!r} is not a non-empty block of the "
+                              f"{spec.n} x {spec.n} lattice")
+    return bounds
+
+
+def _check_values(spec: LatticeSpec, values: np.ndarray,
+                  offset: Optional[Tuple[int, int]] = None) -> None:
+    """Finite float64 values over the whole lattice, or over the box of
+    their shape at `offset`."""
+    if offset is None:
+        if not isinstance(values, np.ndarray) or values.shape != (spec.n, spec.n):
+            raise InvalidSpec(f"values must be an ndarray of shape ({spec.n}, {spec.n})")
+    else:
+        if not isinstance(values, np.ndarray) or values.ndim != 2:
+            raise InvalidSpec("values must be a 2-D ndarray")
+        (i, j), (h, w) = offset, values.shape
+        _box_bounds(spec, (slice(i, i + h), slice(j, j + w)))
     if values.dtype != np.float64:
         raise InvalidSpec(f"values must be float64, got {values.dtype}")
     if not np.all(np.isfinite(values)):
@@ -153,23 +188,30 @@ class FieldSample:
 
 @dataclass(frozen=True, eq=False)
 class MollifiedField:
-    """A field smoothed at scale epsilon."""
+    """A field smoothed at scale epsilon, over the lattice or a box of it."""
 
     spec: LatticeSpec
     kind: FieldKind
     epsilon: float
-    values: np.ndarray
+    values: np.ndarray      # (h, w) over the box; (n, n) for the whole lattice
     localized: bool         # True when the truncated-window smoother was used
     z_epsilon: float        # retained kernel mass in (0, 1]; 1.0 when not localized
     source_seed: int
+    offset: Tuple[int, int] = (0, 0)   # lattice site (i, j) of values[0, 0]
 
     def __post_init__(self) -> None:
-        _check_values(self.spec, self.values)
+        _check_values(self.spec, self.values, self.offset)
         if not (math.isfinite(self.epsilon) and self.epsilon >= 2.0 * self.spec.spacing):
             raise MollificationTooFine(
                 f"epsilon must be >= 2*spacing = {2.0 * self.spec.spacing}, got {self.epsilon}")
         if not (0.0 < self.z_epsilon <= 1.0):
             raise InvalidSpec(f"z_epsilon must lie in (0, 1], got {self.z_epsilon}")
+
+    @property
+    def box(self) -> Box:
+        """The lattice sites `values` covers, as (rows, columns) slices."""
+        (i, j), (h, w) = self.offset, self.values.shape
+        return (slice(i, i + h), slice(j, j + w))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +445,20 @@ def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
                           z_epsilon=1.0, source_seed=field.seed)
 
 
-def mollify_localized(field: FieldSample, epsilon: float) -> MollifiedField:
+def _margin_axis(lo: int, hi: int, m: int, n: int):
+    """(indices, start) of sites lo..hi-1 plus m more on each side of one
+    torus axis, and where site lo sits among them.
+
+    When that reaches around the torus, the whole axis is taken as it is and
+    wrap-mode correlation supplies the margin.
+    """
+    if hi - lo + 2 * m >= n:
+        return slice(None), lo
+    return np.arange(lo - m, hi + m) % n, m
+
+
+def mollify_localized(field: FieldSample, epsilon: float,
+                      box: Optional[Box] = None) -> MollifiedField:
     """Heat-kernel smoothing through the compact truncation window.
 
     The kernel exp(-r^2/eps^2) is multiplied by the radial cutoff `bump`,
@@ -414,6 +469,14 @@ def mollify_localized(field: FieldSample, epsilon: float) -> MollifiedField:
     locality bitwise.  Division by the stencil sum preserves constants;
     `z_epsilon` records the stencil sum relative to the full-torus kernel
     sum.
+
+    `box`, a (rows, columns) pair of slices inside the lattice, smooths only
+    those sites: each axis reads the box plus the margin m = ceil(rho /
+    spacing) on both sides, wrapping around the torus, or the whole axis
+    when that would reach around it.  Since every site's sum runs over the
+    same stencil entries in the same order whatever block holds it, the
+    result is bitwise equal to the full-lattice values on the box.  The
+    default covers the whole lattice.
     """
     _check_moll_scale(field.spec, epsilon)
     if not (0.0 < epsilon < _EPS_MAX):
@@ -426,6 +489,9 @@ def mollify_localized(field: FieldSample, epsilon: float) -> MollifiedField:
     if 2 * m + 1 > n:
         raise InvalidArgument(
             f"truncation window radius {rho} exceeds the torus half-width")
+    if box is None:
+        box = (slice(0, n), slice(0, n))
+    (r0, r1), (c0, c1) = _box_bounds(spec, box)
     off = np.arange(-m, m + 1, dtype=np.float64) * delta
     radius = np.hypot(off[:, None], off[None, :])
     stencil = _bump_profile(radius / rho) * np.exp(-(radius / epsilon) ** 2)
@@ -433,11 +499,14 @@ def mollify_localized(field: FieldSample, epsilon: float) -> MollifiedField:
     # Full-torus kernel sum for the retained-mass diagnostic.
     d = np.minimum(np.arange(n), n - np.arange(n)) * delta
     full_sum = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2).sum()
-    values = ndimage.correlate(field.values, stencil, mode="wrap") / stencil_sum
+    rows, ri = _margin_axis(r0, r1, m, n)
+    cols, ci = _margin_axis(c0, c1, m, n)
+    block = ndimage.correlate(field.values[rows][:, cols], stencil, mode="wrap")
+    values = block[ri:ri + r1 - r0, ci:ci + c1 - c0] / stencil_sum
     return MollifiedField(spec=spec, kind=field.kind, epsilon=float(epsilon),
                           values=np.ascontiguousarray(values), localized=True,
                           z_epsilon=float(stencil_sum / full_sum),
-                          source_seed=field.seed)
+                          source_seed=field.seed, offset=(r0, c0))
 
 
 # ---------------------------------------------------------------------------

@@ -145,24 +145,41 @@ def region_mask(spec: LatticeSpec, region: Region) -> np.ndarray:
 class WeightedGrid:
     """8-neighbor grid with per-site costs exp(xi * smoothed field value).
 
+    `site_cost` covers a box of the lattice whose first site is `offset`
+    (the whole lattice by default); `mask` is lattice-shaped and every active
+    site lies in the box, so sites and paths keep their lattice indices.
     Solves reuse a graph built once from `site_cost` and `mask`, so both are
     held read-only; an array its caller could still write is copied first.
     """
 
     spec: LatticeSpec
     xi: float
-    site_cost: np.ndarray   # (n, n) float64, strictly positive inside mask
+    site_cost: np.ndarray   # (h, w) float64 over the box, > 0 inside mask
     mask: np.ndarray        # (n, n) bool, active sites
+    offset: Tuple[int, int] = (0, 0)   # lattice site (i, j) of site_cost[0, 0]
 
     def __post_init__(self) -> None:
+        n = self.spec.n
+        if self.mask.shape != (n, n):
+            raise InvalidArgument("mask shape does not match the lattice")
+        (i, j), shape = self.offset, self.site_cost.shape
+        if not (len(shape) == 2 and 0 <= i and 0 <= j
+                and i + shape[0] <= n and j + shape[1] <= n):
+            raise InvalidArgument("site_cost shape does not fit the lattice at its offset")
+        if self.mask.sum() != self.mask[self.box].sum():
+            raise InvalidArgument("mask has active sites outside the site_cost box")
         for name in ("site_cost", "mask"):
             arr = getattr(self, name)
-            if arr.shape != (self.spec.n, self.spec.n):
-                raise InvalidArgument(f"{name} shape does not match the lattice")
             if arr.flags.writeable or arr.base is not None:
                 arr = arr.copy()
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+
+    @property
+    def box(self) -> Tuple[slice, slice]:
+        """The lattice sites `site_cost` covers, as (rows, columns) slices."""
+        (i, j), (h, w) = self.offset, self.site_cost.shape
+        return (slice(i, i + h), slice(j, j + w))
 
     @cached_property
     def _full_graph(self):
@@ -199,38 +216,52 @@ class DistResult:
     settled: int                 # sites with a finite computed distance
 
 
+def region_box(spec: LatticeSpec, region: Region) -> Optional[Tuple[slice, slice]]:
+    """Smallest box of lattice sites holding all of the region's sites, as
+    (rows, columns) slices; None when the region holds no site."""
+    mask = region_mask(spec, region)
+    return _crop_box(mask) if mask.any() else None
+
+
 def build_weighted_grid(moll: MollifiedField, xi: float,
                         region: Optional[Region] = None) -> WeightedGrid:
     """Exponentiate the smoothed field and restrict to a region mask.
 
-    `region=None` keeps the whole lattice active.
+    The grid covers the sites `moll` covers (its box); `region=None` keeps
+    all of them active, otherwise the region's sites among them are.
     """
     if not (isinstance(xi, (int, float)) and math.isfinite(xi) and xi > 0):
         raise InvalidArgument(f"xi must be a positive finite real, got {xi}")
     spec = moll.spec
-    if region is None:
-        mask = np.ones((spec.n, spec.n), dtype=bool)
-    else:
-        mask = region_mask(spec, region)
+    mask = np.zeros((spec.n, spec.n), dtype=bool)
+    mask[moll.box] = True
+    if region is not None:
+        mask &= region_mask(spec, region)
     if not mask.any():
         raise EmptyRegion("region contains no lattice sites")
     site_cost = np.exp(float(xi) * moll.values)
     good = np.isfinite(site_cost) & (site_cost > 0.0)
-    if not good[mask].all():
+    if not good[mask[moll.box]].all():
         raise InvalidArgument(
             "site cost exp(xi * value) overflowed or vanished inside the region")
     site_cost.flags.writeable = False
     mask.flags.writeable = False
-    return WeightedGrid(spec=spec, xi=float(xi), site_cost=site_cost, mask=mask)
+    return WeightedGrid(spec=spec, xi=float(xi), site_cost=site_cost, mask=mask,
+                        offset=moll.offset)
 
 
 def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> float:
-    """Weight of the grid edge between 8-neighbor sites u and v."""
+    """Weight of the grid edge between 8-neighbor sites u and v of its box."""
     di, dj = v[0] - u[0], v[1] - u[1]
     if max(abs(di), abs(dj)) != 1:
         raise InvalidArgument(f"{u} and {v} are not 8-neighbors")
+    rows, cols = grid.box
+    for i, j in (u, v):
+        if not (rows.start <= i < rows.stop and cols.start <= j < cols.stop):
+            raise InvalidArgument(f"site {(i, j)} lies outside the grid's box")
     pref = 0.5 * grid.spec.spacing * math.hypot(di, dj)
-    return (grid.site_cost[u] + grid.site_cost[v]) * pref
+    i, j = grid.offset
+    return (grid.site_cost[u[0] - i, u[1] - j] + grid.site_cost[v[0] - i, v[1] - j]) * pref
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +310,9 @@ def _crop(grid: WeightedGrid, mask: np.ndarray):
     """(crop slices, cropped mask, edges over the crop) of an active mask."""
     rs, cs = _crop_box(mask)
     m = mask[rs, cs]
-    return (rs, cs), m, _edge_arrays(grid.site_cost[rs, cs], m, grid.spec.spacing)
+    i, j = grid.offset     # the crop lies in the grid's box: mask is in grid.mask
+    cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
+    return (rs, cs), m, _edge_arrays(cost, m, grid.spec.spacing)
 
 
 def _mask_graph(grid: WeightedGrid, mask: np.ndarray):

@@ -1,11 +1,13 @@
 """Shared fixtures and small builders for the test suite."""
 
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import lfpp
 from lfpp import LatticeSpec, Params, build_weighted_grid, sample_torus_gff
@@ -51,6 +53,32 @@ def random_grid(rng: np.random.Generator, n: int, spacing: float,
     spec = LatticeSpec(n=n, spacing=spacing)
     vals = scale * rng.normal(size=(n, n))
     return spec, build_weighted_grid(make_moll(spec, vals), xi)
+
+
+def widest_localized_eps(n: int, spacing: float) -> float:
+    """Largest eps whose localized stencil, 2m+1 sites with
+    m = ceil(eps*log(1/eps) / spacing), still fits n: bisection on the
+    increasing eps*log(1/eps) over (0, 1/e)."""
+    reach = ((n - 1) // 2) * spacing
+    lo, hi = 0.0, math.exp(-1.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * math.log(1.0 / mid) <= reach else (lo, mid)
+    return lo
+
+
+@st.composite
+def localized_fields(draw, spacing: float = 1.0 / 64.0):
+    """(field, eps): a torus field with n in 16..64 at `spacing` and an eps
+    that `mollify_localized` admits, from 2*spacing up to the widest stencil
+    that fits the torus (t = 1 makes 2m+1 reach n or n - 1)."""
+    n = draw(st.sampled_from([16, 32, 64]))
+    field = sample_torus_gff(LatticeSpec(n=n, spacing=spacing),
+                             draw(st.integers(0, 2 ** 16)))
+    lo = 2.0 * spacing
+    hi = min(widest_localized_eps(n, spacing) * (1.0 - 1e-12), math.exp(-1.0) - 1e-9)
+    t = draw(st.floats(0.0, 1.0))
+    return field, lo + t * (hi - lo)
 
 
 @pytest.fixture(scope="session")

@@ -207,6 +207,29 @@ class TestDist:
         assert code == 0
         assert load_json(out)["value"] == 1.0
 
+    @pytest.mark.parametrize("flags, box", [
+        (["--crossing", "rect:1.5,1.5,2.5,2.5"], (slice(24, 41), slice(24, 41))),
+        (["--around", "annulus:2,2,0.4,0.8"], (slice(20, 45), slice(20, 45))),
+        (["--from", "1.5,2.0", "--to", "2.5,2.0", "--within", "disk:2,2,0.75"],
+         (slice(20, 45), slice(20, 45))),
+        (["--from", "1.0,2.0", "--to", "2.0,2.0"], None),
+    ], ids=["crossing", "around", "within", "point"])
+    def test_localized_regions_smooth_only_their_box(self, zero_path, tmp_path,
+                                                     monkeypatch, flags, box):
+        import lfpp.cli as cli
+        boxes = []
+        real = cli.mollify_localized
+
+        def spy(field, eps, box=None):
+            boxes.append(box)
+            return real(field, eps, box=box)
+
+        monkeypatch.setattr(cli, "mollify_localized", spy)
+        assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
+                     "--xi", "0.2", "--localized", "--out",
+                     str(tmp_path / "x.json")] + flags) == 0
+        assert boxes == [box]
+
     def test_point_mode_needs_endpoints(self, zero_path, tmp_path):
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
                      "--xi", "0.2", "--out", str(tmp_path / "x.json")]) == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_moll, random_grid, zero_grid
+from conftest import localized_fields, make_moll, random_grid, zero_grid
 from lfpp import (
     Annulus,
     DegenerateAnnulus,
@@ -18,6 +18,7 @@ from lfpp import (
     EmptyRegion,
     InvalidArgument,
     LatticeSpec,
+    LfppError,
     Mask,
     OutOfRegion,
     Rect,
@@ -30,6 +31,8 @@ from lfpp import (
     edge_weight,
     lr_crossing,
     mollify,
+    mollify_localized,
+    region_box,
     sample_torus_gff,
 )
 from lfpp.metric import region_mask
@@ -370,6 +373,112 @@ class TestGraphCache:
         del grid
         gc.collect()
         assert graph() is None
+
+
+@st.composite
+def box_queries(draw):
+    """(field, eps, region query) for a box grid against the full grid.
+
+    Regions are drawn in lattice steps and may touch or cross the lattice
+    edge; a query is (kind, region, endpoints or None)."""
+    field, eps = draw(localized_fields())
+    spec = field.spec
+    n, d = spec.n, spec.spacing
+    coord = st.integers(-2, n + 1).map(lambda k: k * d)
+    center = draw(st.tuples(coord, coord))
+
+    def square():
+        size = draw(st.integers(1, n)) * d
+        return Rect(lo=center, hi=(center[0] + size, center[1] + size))
+
+    kind = draw(st.sampled_from(["crossing", "within", "around"]))
+    ends = None
+    if kind == "crossing":
+        region = square()
+    elif kind == "around":
+        r_in = draw(st.integers(1, n // 4)) * d
+        region = Annulus(center=center, r_inner=r_in,
+                         r_outer=r_in + draw(st.integers(2, n // 2)) * d)
+    else:
+        region = (Disk(center=center, radius=draw(st.integers(1, n // 2)) * d)
+                  if draw(st.booleans()) else square())
+        any_site = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        inside = [tuple(int(v) for v in s) for s in np.argwhere(region_mask(spec, region))]
+        # mostly sites of the region; sometimes any site, often outside it
+        site = st.one_of(st.sampled_from(inside), any_site) if inside else any_site
+        ends = (draw(site), draw(site))
+    return field, eps, (kind, region, ends)
+
+
+def solve_outcome(grid, query):
+    """(value, unreachable, path, settled) of a region query, or the error."""
+    kind, region, ends = query
+    try:
+        if kind == "crossing":
+            res = lr_crossing(grid, region, want_path=True)
+        elif kind == "around":
+            res = dist_around_annulus(grid, region, want_path=True)
+        else:
+            z, w = (grid.spec.point_of(*e) for e in ends)
+            res = dist_internal(grid, z, w, region, want_path=True)
+    except LfppError as exc:
+        return type(exc), str(exc)
+    return res.value, res.unreachable, res.path, res.settled
+
+
+class TestBoxGrid:
+    """A grid over the box of a region's sites, smoothed only there, answers
+    that region's queries exactly as the full-lattice grid does."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(box_queries())
+    def test_region_queries_match_full_grid(self, case):
+        field, eps, query = case
+        box = region_box(field.spec, query[1])
+        if box is None:     # no site to box: queries run on the full lattice
+            return
+        full = build_weighted_grid(mollify_localized(field, eps), 1.0)
+        part = build_weighted_grid(mollify_localized(field, eps, box=box), 1.0)
+        assert part.box == box and part.site_cost.shape == full.site_cost[box].shape
+        assert solve_outcome(part, query) == solve_outcome(full, query)
+
+    def test_region_box(self):
+        spec = LatticeSpec(n=16, spacing=0.25)
+        assert region_box(spec, Rect(lo=(0.5, 0.75), hi=(1.0, 5.0))) == (
+            slice(3, 16), slice(2, 5))
+        assert region_box(spec, Rect(lo=(0.51, 0.51), hi=(0.55, 0.55))) is None
+
+    def test_paths_and_edge_weights_in_lattice_indices(self, field64):
+        box = (slice(20, 44), slice(8, 40))
+        grid = build_weighted_grid(mollify_localized(field64, 0.25, box=box), 0.5)
+        full = build_weighted_grid(mollify_localized(field64, 0.25), 0.5)
+        assert grid.offset == (20, 8) and grid.mask.shape == (64, 64)
+        assert grid.mask.sum() == 24 * 32 and grid.mask[box].all()
+        res = lr_crossing(grid, Rect(lo=(0.75, 1.5), hi=(2.0, 2.5)), want_path=True)
+        for u, v in zip(res.path.sites, res.path.sites[1:]):
+            assert edge_weight(grid, u, v) == edge_weight(full, u, v)
+        with pytest.raises(InvalidArgument):
+            edge_weight(grid, (19, 8), (20, 8))
+        # a point solve on a box grid stays in the box: sites (21, 10), (42, 38)
+        res = dist_point(grid, (0.6, 1.3), (2.4, 2.6), want_path=True)
+        assert res.settled == 24 * 32
+        assert all(20 <= i < 44 and 8 <= j < 40 for i, j in res.path.sites)
+
+    def test_grid_arrays_must_agree_on_the_box(self):
+        spec = LatticeSpec(n=16, spacing=0.25)
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[2:6, 3:7] = True
+        WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)), mask=mask,
+                     offset=(2, 3))
+        with pytest.raises(InvalidArgument):   # an active site without a cost
+            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)), mask=mask,
+                         offset=(2, 2))
+        with pytest.raises(InvalidArgument):   # costs past the lattice edge
+            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)),
+                         mask=np.zeros((16, 16), dtype=bool), offset=(13, 0))
+        with pytest.raises(InvalidArgument):
+            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)),
+                         mask=np.ones((8, 8), dtype=bool))
 
 
 class TestDistInternal:

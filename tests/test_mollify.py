@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import localized_fields, widest_localized_eps
 from lfpp import (
     InvalidArgument,
     LatticeSpec,
     MollificationTooFine,
+    MollifiedField,
     add_function,
     bump,
     mollify,
@@ -17,6 +21,7 @@ from lfpp import (
     normalizer_Z,
     sample_torus_gff,
 )
+from lfpp.gff import FieldKind
 
 # Retained-mass values frozen from the 2-D Cartesian Simpson oracle in
 # tests/oracles.py (z_quadrature); the implementation integrates radially.
@@ -168,3 +173,70 @@ class TestLocalizedMollify:
         b = mollify_localized(field64, 0.25)
         assert np.array_equal(a.values, b.values)
         assert a.z_epsilon == b.z_epsilon
+
+
+@st.composite
+def boxes(draw, n: int):
+    """A non-empty (rows, columns) box of the n x n lattice."""
+    def axis():
+        lo = draw(st.integers(0, n - 1))
+        return slice(lo, draw(st.integers(lo + 1, n)))
+    return (axis(), axis())
+
+
+def corner_boxes(n: int):
+    """Boxes touching row or column 0 and n - 1, whole axes included."""
+    return [(slice(0, 1), slice(0, 1)), (slice(n - 1, n), slice(n - 1, n)),
+            (slice(0, n), slice(n - 3, n)), (slice(2, 5), slice(0, n))]
+
+
+class TestBoxSmoothing:
+    """Smoothing a box of the lattice is the full lattice's values there,
+    bit for bit, wherever the box sits and however wide the stencil."""
+
+    @staticmethod
+    def check_boxes(field, eps, picks):
+        full = mollify_localized(field, eps)
+        for box in picks:
+            part = mollify_localized(field, eps, box=box)
+            assert part.offset == (box[0].start, box[1].start)
+            assert part.box == box
+            assert np.array_equal(part.values, full.values[box])   # bitwise
+            assert part.z_epsilon == full.z_epsilon and part.localized
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(localized_fields(), st.data())
+    def test_box_equals_full_lattice_slice(self, case, data):
+        field, eps = case
+        n = field.spec.n
+        self.check_boxes(field, eps, corner_boxes(n) + [data.draw(boxes(n))])
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_widest_stencil(self, n):
+        # 2m + 1 = n - 1: every box but a single site reaches around the torus
+        spec = LatticeSpec(n=n, spacing=1.0 / 64.0)
+        eps = widest_localized_eps(n, spec.spacing) * (1.0 - 1e-12)
+        assert 2 * math.ceil(eps * math.log(1.0 / eps) / spec.spacing) + 1 == n - 1
+        self.check_boxes(sample_torus_gff(spec, 9), eps,
+                         corner_boxes(n) + [(slice(3, 4), slice(7, 9))])
+
+    def test_full_box_is_the_default(self, field64):
+        n = field64.spec.n
+        whole = mollify_localized(field64, 0.25, box=(slice(0, n), slice(0, n)))
+        assert whole.offset == (0, 0)
+        assert np.array_equal(whole.values, mollify_localized(field64, 0.25).values)
+
+    @pytest.mark.parametrize("box", [
+        (slice(0, 0), slice(0, 4)), (slice(-1, 4), slice(0, 4)),
+        (slice(0, 65), slice(0, 4)), (slice(0, 4, 2), slice(0, 4)),
+        (slice(0, 4),), "rows",
+    ], ids=["empty", "negative", "past-edge", "strided", "one-axis", "not-slices"])
+    def test_bad_boxes_rejected(self, field64, box):
+        with pytest.raises(InvalidArgument):
+            mollify_localized(field64, 0.25, box=box)
+
+    def test_box_values_must_fit_the_lattice(self, field64):
+        with pytest.raises(InvalidArgument):
+            MollifiedField(spec=field64.spec, kind=FieldKind.TORUS_WHOLE_PLANE,
+                           epsilon=0.25, values=np.zeros((4, 4)), localized=True,
+                           z_epsilon=0.5, source_seed=0, offset=(62, 0))
