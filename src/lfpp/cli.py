@@ -164,8 +164,7 @@ def _handle_field_sample(ns) -> dict:
     payload = _cached(ns, cache.cache_key("field_sample", core), "field",
                       lambda: fieldio.field_bytes(sampler(spec, ns.seed)))
     return {"command": "field-sample", "outputs": [(ns.out, payload)],
-            "resolved": resolved, "master_seed": ns.seed, "warnings": [],
-            "supercritical": False}
+            "resolved": resolved, "master_seed": ns.seed, "supercritical": False}
 
 
 def _path_csv_rows(grid, path):
@@ -261,9 +260,8 @@ def _handle_dist(ns) -> dict:
         if ns.emit_gnuplot:
             outputs.append((ns.emit_path + ".gnu", _gnuplot_script(ns.emit_path, 2, 3)))
     return {"command": "dist", "outputs": outputs, "stdout": stdout,
-            "resolved": resolved, "master_seed": None, "warnings": [],
-            "supercritical": params.supercritical,
-            "stats": {"settled": res.settled}}
+            "resolved": resolved, "master_seed": None,
+            "supercritical": params.supercritical, "stats": {"settled": res.settled}}
 
 
 def _mc_from_flags(ns) -> Tuple[MCConfig, dict]:
@@ -285,7 +283,7 @@ def _handle_a_eps(ns) -> dict:
     payload = _cached(ns, key, "a_eps", lambda: _json_bytes(
         estimate_a_eps(ns.eps, params, mc).to_dict()))
     return {"command": "a-eps", "outputs": [(ns.out, payload)],
-            "resolved": resolved, "master_seed": ns.seed, "warnings": [],
+            "resolved": resolved, "master_seed": ns.seed,
             "supercritical": params.supercritical}
 
 
@@ -317,7 +315,7 @@ def _handle_fit(ns) -> dict:
     resolved = {"in": ns.in_dir, "xi": ns.xi,
                 "epsilons": sorted(e.epsilon for e in estimates), "out": ns.out}
     return {"command": "fit", "outputs": [(ns.out, _json_bytes(doc))],
-            "resolved": resolved, "master_seed": None, "warnings": [],
+            "resolved": resolved, "master_seed": None,
             "supercritical": params.supercritical}
 
 
@@ -333,7 +331,7 @@ def _handle_ratio(ns) -> dict:
            "q_hat_used": series.q_hat_used}
     resolved.update(eps=list(ns.eps), r=ns.r, q_hat=q_hat, out=ns.out)
     return {"command": "ratio", "outputs": [(ns.out, _json_bytes(doc))],
-            "resolved": resolved, "master_seed": ns.seed, "warnings": [],
+            "resolved": resolved, "master_seed": ns.seed,
             "supercritical": params.supercritical}
 
 
@@ -375,7 +373,7 @@ def _handle_exp(ns) -> dict:
     resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
                 "out": ns.out, "csv": ns.csv, "emit_gnuplot": ns.emit_gnuplot}
     return {"command": "exp", "outputs": outputs, "resolved": resolved,
-            "master_seed": seed, "warnings": [], "supercritical": supercritical}
+            "master_seed": seed, "supercritical": supercritical}
 
 
 def _handle_cache_info(ns) -> dict:
@@ -388,8 +386,7 @@ def _handle_cache_info(ns) -> dict:
         stamp = datetime.fromtimestamp(mtime, timezone.utc).isoformat()
         lines.append(f"  {key[:16]}  {kind:8s} {name}  {stamp}")
     return {"command": "cache-info", "outputs": [], "stdout": "\n".join(lines),
-            "resolved": {"cache_dir": root}, "master_seed": None,
-            "warnings": [], "supercritical": False}
+            "resolved": {"cache_dir": root}, "master_seed": None, "supercritical": False}
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +491,7 @@ def _write_manifest(out_path: str, result: dict, started_at: str,
         "runtime_secs": runtime,
         "threads": threads,
         "artifact": os.path.basename(out_path),
-        "warnings": list(result["warnings"]),
+        "warnings": [],
         "supercritical_xi": bool(result.get("supercritical", False)),
     }
     if "stats" in result:   # solver statistics stay out of primary outputs

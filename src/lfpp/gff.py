@@ -427,6 +427,13 @@ def _check_moll_scale(spec: LatticeSpec, epsilon: float) -> None:
             f"epsilon = {epsilon} is below 2*spacing = {2.0 * spec.spacing}")
 
 
+def _torus_kernel(spec: LatticeSpec, epsilon: float) -> np.ndarray:
+    """Unnormalized heat kernel exp(-r^2/eps^2) at the torus offsets of site (0, 0)."""
+    n = spec.n
+    d = np.minimum(np.arange(n), n - np.arange(n)) * spec.spacing
+    return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2)
+
+
 def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
     """Heat-kernel smoothing at time eps^2/2 by exact circular convolution.
 
@@ -434,10 +441,7 @@ def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
     (so constants pass through up to rounding), and applied spectrally.
     """
     _check_moll_scale(field.spec, epsilon)
-    n = field.spec.n
-    d = np.minimum(np.arange(n), n - np.arange(n)) * field.spec.spacing
-    r2 = d[:, None] ** 2 + d[None, :] ** 2
-    kernel = np.exp(-r2 / epsilon ** 2)  # prefactor cancels in normalization
+    kernel = _torus_kernel(field.spec, epsilon)  # prefactor cancels in normalization
     kernel /= kernel.sum()
     values = np.fft.ifft2(np.fft.fft2(field.values) * np.fft.fft2(kernel)).real
     return MollifiedField(spec=field.spec, kind=field.kind, epsilon=float(epsilon),
@@ -497,8 +501,7 @@ def mollify_localized(field: FieldSample, epsilon: float,
     stencil = _bump_profile(radius / rho) * np.exp(-(radius / epsilon) ** 2)
     stencil_sum = stencil.sum()
     # Full-torus kernel sum for the retained-mass diagnostic.
-    d = np.minimum(np.arange(n), n - np.arange(n)) * delta
-    full_sum = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2).sum()
+    full_sum = _torus_kernel(spec, epsilon).sum()
     rows, ri = _margin_axis(r0, r1, m, n)
     cols, ci = _margin_axis(c0, c1, m, n)
     block = ndimage.correlate(field.values[rows][:, cols], stencil, mode="wrap")

@@ -5,10 +5,14 @@ A smoothed field is turned into per-site costs exp(xi * value); edges of the
 endpoint costs (trapezoid rule along the segment).  Distances are infima of
 edge-weight sums over lattice paths, computed with Dijkstra's algorithm.
 
+A grid covers a box of the lattice, the whole lattice by default, and all
+of the box's sites; a region restricts paths only in the query it is given
+(`dist_internal`, `dist_sets`, `lr_crossing`, `dist_around_annulus`).
+
 Point distances are solved from the lexicographically smaller endpoint, so
 dist(z, w) and dist(w, z) are the same float bit for bit.  A point solve
-runs Dijkstra over the whole active mask on the grid's graph, built once per
-grid, so every query on a grid costs the same whatever the pair.  Geodesics
+runs Dijkstra over the whole box on the grid's graph, built once per grid,
+so every query on a grid costs the same whatever the pair.  Geodesics
 are deterministic too: ties break by walking back from the target, in the
 graph the solve ran on, through the smallest-index predecessor u with
 dist[u] + weight == dist[v]; within a crop that is the lexicographically
@@ -146,34 +150,28 @@ class WeightedGrid:
     """8-neighbor grid with per-site costs exp(xi * smoothed field value).
 
     `site_cost` covers a box of the lattice whose first site is `offset`
-    (the whole lattice by default); `mask` is lattice-shaped and every active
-    site lies in the box, so sites and paths keep their lattice indices.
-    Solves reuse a graph built once from `site_cost` and `mask`, so both are
-    held read-only; an array its caller could still write is copied first.
+    (the whole lattice by default), and the grid's sites are exactly that
+    box; a region restricts only the query it is given.  Sites and paths
+    keep their lattice indices.  Solves reuse a graph built once from
+    `site_cost`, so it is held read-only; an array its caller could still
+    write is copied first.
     """
 
     spec: LatticeSpec
-    xi: float
-    site_cost: np.ndarray   # (h, w) float64 over the box, > 0 inside mask
-    mask: np.ndarray        # (n, n) bool, active sites
+    site_cost: np.ndarray   # (h, w) float64 > 0 over the box
     offset: Tuple[int, int] = (0, 0)   # lattice site (i, j) of site_cost[0, 0]
 
     def __post_init__(self) -> None:
         n = self.spec.n
-        if self.mask.shape != (n, n):
-            raise InvalidArgument("mask shape does not match the lattice")
         (i, j), shape = self.offset, self.site_cost.shape
         if not (len(shape) == 2 and 0 <= i and 0 <= j
                 and i + shape[0] <= n and j + shape[1] <= n):
             raise InvalidArgument("site_cost shape does not fit the lattice at its offset")
-        if self.mask.sum() != self.mask[self.box].sum():
-            raise InvalidArgument("mask has active sites outside the site_cost box")
-        for name in ("site_cost", "mask"):
-            arr = getattr(self, name)
-            if arr.flags.writeable or arr.base is not None:
-                arr = arr.copy()
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        cost = self.site_cost
+        if cost.flags.writeable or cost.base is not None:
+            cost = cost.copy()
+            cost.flags.writeable = False
+            object.__setattr__(self, "site_cost", cost)
 
     @property
     def box(self) -> Tuple[slice, slice]:
@@ -182,8 +180,16 @@ class WeightedGrid:
         return (slice(i, i + h), slice(j, j + w))
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only (n, n) bool array of the grid's sites: True on the box."""
+        mask = np.zeros((self.spec.n, self.spec.n), dtype=bool)
+        mask[self.box] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def _full_graph(self):
-        """(crop slices, CSR graph) of the whole active mask, built on first use."""
+        """(crop slices, CSR graph) of the whole box, built on first use."""
         return _mask_graph(self, self.mask)
 
 
@@ -193,13 +199,6 @@ class Path:
 
     sites: Tuple[Tuple[int, int], ...]   # grid indices (i, j)
     length: float
-
-    @property
-    def closed(self) -> bool:
-        return len(self.sites) > 1 and self.sites[0] == self.sites[-1]
-
-    def points(self, spec: LatticeSpec) -> List[Tuple[float, float]]:
-        return [spec.point_of(i, j) for (i, j) in self.sites]
 
 
 @dataclass(frozen=True)
@@ -223,31 +222,20 @@ def region_box(spec: LatticeSpec, region: Region) -> Optional[Tuple[slice, slice
     return _crop_box(mask) if mask.any() else None
 
 
-def build_weighted_grid(moll: MollifiedField, xi: float,
-                        region: Optional[Region] = None) -> WeightedGrid:
-    """Exponentiate the smoothed field and restrict to a region mask.
+def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
+    """Exponentiate the smoothed field into site costs.
 
-    The grid covers the sites `moll` covers (its box); `region=None` keeps
-    all of them active, otherwise the region's sites among them are.
+    The grid covers the sites `moll` covers (its box).  Queries restrict
+    paths to a region through their own region arguments.
     """
     if not (isinstance(xi, (int, float)) and math.isfinite(xi) and xi > 0):
         raise InvalidArgument(f"xi must be a positive finite real, got {xi}")
-    spec = moll.spec
-    mask = np.zeros((spec.n, spec.n), dtype=bool)
-    mask[moll.box] = True
-    if region is not None:
-        mask &= region_mask(spec, region)
-    if not mask.any():
-        raise EmptyRegion("region contains no lattice sites")
     site_cost = np.exp(float(xi) * moll.values)
-    good = np.isfinite(site_cost) & (site_cost > 0.0)
-    if not good[mask[moll.box]].all():
+    if not (np.isfinite(site_cost) & (site_cost > 0.0)).all():
         raise InvalidArgument(
-            "site cost exp(xi * value) overflowed or vanished inside the region")
+            "site cost exp(xi * value) overflowed or vanished on the grid")
     site_cost.flags.writeable = False
-    mask.flags.writeable = False
-    return WeightedGrid(spec=spec, xi=float(xi), site_cost=site_cost, mask=mask,
-                        offset=moll.offset)
+    return WeightedGrid(spec=moll.spec, site_cost=site_cost, offset=moll.offset)
 
 
 def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> float:

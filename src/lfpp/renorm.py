@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Callable, Dict, Sequence, Tuple, get_type_hints
 
 import numpy as np
@@ -157,15 +158,12 @@ def crossing_square(lattice: LatticeSpec) -> Rect:
     return Rect(lo=(cx - 0.5, cy - 0.5), hi=(cx + 0.5, cy + 0.5))
 
 
-def _crossing_trial(args: tuple) -> float:
+def _crossing_trial(seed: int, lattice: LatticeSpec, epsilon: float, xi: float,
+                    localized: bool) -> float:
     """One trial: sample, smooth, cross the central unit square."""
-    n, spacing, origin, seed, epsilon, xi, localized = args
-    spec = LatticeSpec(n=n, spacing=spacing, origin=origin)
-    field = sample_torus_gff(spec, seed)
+    field = sample_torus_gff(lattice, seed)
     moll = mollify_localized(field, epsilon) if localized else mollify(field, epsilon)
-    square = crossing_square(spec)
-    grid = build_weighted_grid(moll, xi, region=square)
-    return lr_crossing(grid, square).value
+    return lr_crossing(build_weighted_grid(moll, xi), crossing_square(lattice)).value
 
 
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
@@ -214,11 +212,10 @@ def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstima
     if key in _est_cache:
         return _est_cache[key]
 
-    lat = mc.lattice
-    args = [(lat.n, lat.spacing, lat.origin, trial_seed(mc.master_seed, i),
-             float(epsilon), params.xi, mc.localized)
-            for i in range(mc.trials)]
-    values = np.array(_pool_map(_crossing_trial, args, mc.workers), dtype=np.float64)
+    trial = partial(_crossing_trial, lattice=mc.lattice, epsilon=float(epsilon),
+                    xi=params.xi, localized=mc.localized)
+    seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
+    values = np.array(_pool_map(trial, seeds, mc.workers), dtype=np.float64)
 
     median = float(np.median(values))
     rng = np.random.default_rng(

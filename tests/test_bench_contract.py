@@ -1,0 +1,59 @@
+"""What the benchmark's outside-in tracer (`bench/tracer.py`) needs of lfpp.
+
+The tracer patches functions by name and reads `grid.mask` to count the
+sites a solve could reach, so renaming a traced function or reshaping the
+mask would break traced benchmark runs without failing any library test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lfpp import Rect, build_weighted_grid, metric, mollify_localized, region_box
+from lfpp.metric import region_mask
+
+TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def box_grid(field64):
+    square = Rect(lo=(1.5, 1.5), hi=(2.5, 2.5))
+    box = region_box(field64.spec, square)
+    return square, build_weighted_grid(mollify_localized(field64, 0.25, box=box), 0.2)
+
+
+def test_traced_functions_resolve(tracer):
+    for layer, name in tracer.TRACED:
+        assert callable(getattr(importlib.import_module("lfpp." + layer), name))
+
+
+def test_box_grid_mask_is_its_box(box_grid):
+    _, grid = box_grid
+    n = grid.spec.n
+    assert grid.mask.shape == (n, n) and grid.mask.dtype == bool
+    want = np.zeros((n, n), dtype=bool)
+    want[grid.box] = True
+    assert np.array_equal(grid.mask, want)
+    with pytest.raises(ValueError):
+        grid.mask[0, 0] = True
+
+
+def test_traced_region_solve_counts_its_sites(tracer, box_grid):
+    square, grid = box_grid
+    spans = tracer.Tracer()
+    with spans.active():
+        res = metric.lr_crossing(grid, square)
+    assert spans.counters["metric.settled"] == res.settled
+    assert spans.counters["metric.active"] == int(region_mask(grid.spec, square).sum())
+    assert spans.summary(0.0)["layers"]["metric.lr_crossing"]["calls"] == 1

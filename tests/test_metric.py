@@ -90,9 +90,11 @@ class TestGridConstruction:
             build_weighted_grid(moll, 0.0)
         with pytest.raises(InvalidArgument):
             build_weighted_grid(moll, -0.1)
+        # a region restricts the query it is given: an empty one fails there
+        grid = build_weighted_grid(moll, 0.2)
         with pytest.raises(EmptyRegion):
-            build_weighted_grid(moll, 0.2,
-                                region=Mask(np.zeros((64, 64), dtype=bool)))
+            dist_sets(grid, Mask(np.zeros((64, 64), dtype=bool)),
+                      Disk(center=(2.0, 2.0), radius=0.5))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_overflow_rejected(self):
@@ -229,16 +231,17 @@ class TestDistPoint:
         m[0:3, 0:3] = True
         m[8:12, 8:12] = True   # separated by empty rows: no 8-adjacency
         vals = np.zeros((16, 16))
-        grid = build_weighted_grid(make_moll(spec, vals), 0.2, region=Mask(m))
-        res = dist_point(grid, spec.point_of(0, 0), spec.point_of(9, 9),
-                         want_path=True)
+        grid = build_weighted_grid(make_moll(spec, vals), 0.2)
+        res = dist_internal(grid, spec.point_of(0, 0), spec.point_of(9, 9), Mask(m),
+                            want_path=True)
         assert res.unreachable and res.value == math.inf and res.path is None
 
 
 @st.composite
 def walled_grids(draw):
-    """(grid, site a, site b): high-variance costs on n = 8..32 with up to
-    three full-row or full-column walls, each with one gap or none."""
+    """(grid, site a, site b, walls): high-variance costs on n = 8..32, and
+    a site mask off on up to three full rows or columns, each with one gap
+    or none, that is on at a and b."""
     n = draw(st.sampled_from([8, 16, 32]))
     spec = LatticeSpec(n=n, spacing=1.0 / n)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -256,8 +259,7 @@ def walled_grids(draw):
     if a == b:
         b = ((a[0] + 1) % n, a[1])
     mask[a] = mask[b] = True
-    grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
-    return grid, a, b
+    return build_weighted_grid(make_moll(spec, vals), 1.0), a, b, mask
 
 
 def check_point_solve(grid, a, b, sub=None):
@@ -288,25 +290,27 @@ class TestPointSolveMatchesOracle:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(walled_grids())
     def test_dist_point_matches_full_solve(self, case):
-        check_point_solve(*case)
+        grid, a, b, walls = case
+        check_point_solve(grid, a, b)
+        check_point_solve(grid, a, b, sub=Mask(walls))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(walled_grids(), st.data())
     def test_dist_internal_matches_full_solve(self, case, data):
-        grid, _, _ = case
+        grid, _, _, walls = case
         spec = grid.spec
         n = spec.n
         center = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
         disk = Disk(center=spec.point_of(*center),
                     radius=data.draw(st.integers(1, n)) * spec.spacing)
-        sites = [tuple(int(v) for v in s)
-                 for s in np.argwhere(region_mask(spec, disk) & grid.mask)]
+        sub = region_mask(spec, disk) & walls
+        sites = [tuple(int(v) for v in s) for s in np.argwhere(sub)]
         if len(sites) < 2:
             return
         pick = st.integers(0, len(sites) - 1)
         i, j = data.draw(pick), data.draw(pick)
         if i != j:
-            check_point_solve(grid, sites[i], sites[j], sub=disk)
+            check_point_solve(grid, sites[i], sites[j], sub=Mask(sub))
 
     def test_detour_through_distant_wall_gap(self):
         n = 32
@@ -315,9 +319,9 @@ class TestPointSolveMatchesOracle:
         mask[:, 8] = False
         mask[30, 8] = True      # the only gap, far below the pair
         vals = np.random.default_rng(5).normal(size=(n, n))
-        grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
+        grid = build_weighted_grid(make_moll(spec, vals), 1.0)
         for a, b in (((2, 4), (2, 12)), ((2, 12), (2, 4))):
-            assert (30, 8) in check_point_solve(grid, a, b).path.sites
+            assert (30, 8) in check_point_solve(grid, a, b, Mask(mask)).path.sites
 
     def test_unreachable_pair(self):
         n = 16
@@ -325,9 +329,9 @@ class TestPointSolveMatchesOracle:
         mask = np.ones((n, n), dtype=bool)
         mask[:, 6] = False
         vals = np.random.default_rng(6).normal(size=(n, n))
-        grid = build_weighted_grid(make_moll(spec, vals), 1.0, region=Mask(mask))
-        check_point_solve(grid, (3, 2), (12, 10))
-        res = dist_point(grid, spec.point_of(12, 10), spec.point_of(3, 2))
+        grid = build_weighted_grid(make_moll(spec, vals), 1.0)
+        check_point_solve(grid, (3, 2), (12, 10), Mask(mask))
+        res = dist_internal(grid, spec.point_of(12, 10), spec.point_of(3, 2), Mask(mask))
         assert res.unreachable and res.value == math.inf
 
     def test_same_shape_grids_queried_alternately(self):
@@ -355,15 +359,13 @@ class TestGraphCache:
     def test_caller_arrays_are_copied(self):
         spec = LatticeSpec(n=16, spacing=0.25)
         cost = np.ones((16, 16))
-        mask = np.ones((16, 16), dtype=bool)
-        grid = WeightedGrid(spec=spec, xi=0.3, site_cost=cost, mask=mask)
+        grid = WeightedGrid(spec=spec, site_cost=cost)
         z, w = (0.5, 0.5), (3.0, 2.0)
         before = dist_point(grid, z, w, want_path=True)
         cost *= 10.0
-        mask[:, 5] = False
         after = dist_point(grid, z, w, want_path=True)
         assert after.value == before.value and after.path == before.path
-        assert (grid.site_cost == 1.0).all() and grid.mask.all()
+        assert (grid.site_cost == 1.0).all()
 
     def test_cached_graph_dies_with_grid(self):
         spec, grid = random_grid(np.random.default_rng(9), 16, 0.25)
@@ -466,19 +468,11 @@ class TestBoxGrid:
 
     def test_grid_arrays_must_agree_on_the_box(self):
         spec = LatticeSpec(n=16, spacing=0.25)
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[2:6, 3:7] = True
-        WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)), mask=mask,
-                     offset=(2, 3))
-        with pytest.raises(InvalidArgument):   # an active site without a cost
-            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)), mask=mask,
-                         offset=(2, 2))
+        WeightedGrid(spec=spec, site_cost=np.ones((4, 4)), offset=(2, 3))
         with pytest.raises(InvalidArgument):   # costs past the lattice edge
-            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)),
-                         mask=np.zeros((16, 16), dtype=bool), offset=(13, 0))
-        with pytest.raises(InvalidArgument):
-            WeightedGrid(spec=spec, xi=0.3, site_cost=np.ones((4, 4)),
-                         mask=np.ones((8, 8), dtype=bool))
+            WeightedGrid(spec=spec, site_cost=np.ones((4, 4)), offset=(13, 0))
+        with pytest.raises(InvalidArgument):   # costs not over a box
+            WeightedGrid(spec=spec, site_cost=np.ones(16))
 
 
 class TestDistInternal:
@@ -514,10 +508,11 @@ class TestDistInternal:
         spec = LatticeSpec(n=16, spacing=0.25)
         m = np.zeros((16, 16), dtype=bool)
         m[4, 2:9] = True    # one-site-wide corridor, 6 axis edges
-        grid = build_weighted_grid(make_moll(spec, np.zeros((16, 16))), 0.5,
-                                   region=Mask(m))
-        res = dist_point(grid, spec.point_of(4, 2), spec.point_of(4, 8))
-        assert res.value == 6 * 0.25
+        vals = np.where(m, 0.0, -10.0)     # paths off the corridor are cheaper
+        grid = build_weighted_grid(make_moll(spec, vals), 0.5)
+        z, w = spec.point_of(4, 2), spec.point_of(4, 8)
+        assert dist_internal(grid, z, w, Mask(m)).value == 6 * 0.25
+        assert dist_point(grid, z, w).value < 6 * 0.25
 
 
 class TestDistSets:
@@ -683,8 +678,9 @@ class TestAroundAnnulus:
                                               r_inner=0.2, r_outer=0.3))
 
     def test_annulus_outside_active_region_rejected(self, field64, params02):
-        grid = build_weighted_grid(mollify(field64, 0.25), params02.xi,
-                                   region=Disk(center=(2.0, 2.0), radius=0.4))
+        box = region_box(field64.spec, Disk(center=(2.0, 2.0), radius=0.4))
+        grid = build_weighted_grid(mollify_localized(field64, 0.25, box=box),
+                                   params02.xi)
         with pytest.raises(OutOfRegion):
             dist_around_annulus(grid, Annulus(center=(2.0, 2.0),
                                               r_inner=0.3, r_outer=0.8))
