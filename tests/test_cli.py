@@ -810,6 +810,7 @@ class TestGoldenBytes:
     GOLDEN = {
         "f.lfpf": "92c6666371057bb4b02c18ad88025dbab8f2e9aecf14442dac05dd46385b2133",
         "a.json": "86c9a760191f91e2d6b6b9a63f9e39a1acc56479b41104d30e16a8ca7c9e906c",
+        "la.json": "2afcee2b3cef7f508c7fa8a105b0aefc396b85a8f6e3f941389e5e6dbbbf6dec",
         "d.json": "81546350ce48fa432a05ec652c195564dc336058f77babd37d84081766d292cf",
         "p.csv": "8c9bb20fa36b44877922d532b8015272447f62c969cce5f69e78bd8b543e9109",
         "c.json": "932eab7de64e1f3c7561f1b1a6a8dfc1bfe03d88ecb0a274bd6748c482d6d465",
@@ -852,6 +853,9 @@ class TestGoldenBytes:
         assert main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
                      "--trials", "20", "--seed", "5",
                      "--out", str(d / "a.json")] + cache) == 0
+        assert main(["a-eps", "--xi", "0.2", "--eps", "0.25", "--n", "32",
+                     "--trials", "20", "--seed", "5", "--localized",
+                     "--out", str(d / "la.json")] + cache) == 0
         for out, flags in self.DIST.items():
             flags = [str(d / v) if v.endswith(".csv") else v for v in flags]
             assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
