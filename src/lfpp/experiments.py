@@ -836,8 +836,7 @@ _PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
     "mc": _value(_cfg_mc),
     "pairs": lambda cfg, key, done: _cfg_pairs(_cfg_get(cfg, key), (
         done["field"].spec if "field" in done else done["mc"].lattice)),
-    "params": lambda cfg, key, done: Params(xi=float(_cfg_get(cfg, "xi")),
-                                            gamma=cfg.get("gamma")),
+    "params": lambda cfg, key, done: Params(xi=float(_cfg_get(cfg, "xi"))),
     "window": _value(_cfg_window),
     "n_ladder": _value(lambda values: [int(v) for v in values]),
     **dict.fromkeys(("eps_ladder", "r_set"),
@@ -851,9 +850,9 @@ def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
     """Run a registered experiment from a plain configuration mapping.
 
     The config keys are the runner's parameter names, except that `params`
-    is read from `xi` and an optional `gamma`.  A malformed value is an
-    InvalidArgument naming its key.  `workers` is the process-pool size of
-    a parsed `mc` (MCConfig.workers); it never changes the report.
+    is read from `xi`.  A malformed value is an InvalidArgument naming its
+    key.  `workers` is the process-pool size of a parsed `mc`
+    (MCConfig.workers); it never changes the report.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))

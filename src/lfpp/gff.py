@@ -17,6 +17,10 @@ lattice: it reads the box plus the stencil margin (wrapping around the
 torus) and returns a `MollifiedField` whose values cover only the box, with
 `offset` naming the lattice site of values[0, 0].  Box values are bitwise
 equal to the full-lattice values on the box.
+
+The localized golden bytes depend on one summation rule over that padded
+block: taps above DBL_EPSILON in raster order, each a separate multiply and
+add, then one division by the stencil sum (verified on x86-64 only).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import ndimage
 from scipy.integrate import simpson
 
 from .errors import (
@@ -43,6 +46,10 @@ from .errors import (
 # regime this package is calibrated for.
 XI_CRIT_REF = 0.41
 
+# Localized fold: output rows per tile; taps at or below the floor are skipped.
+_TILE_ROWS = 64
+_TAP_FLOOR = np.finfo(np.float64).eps
+
 
 # ---------------------------------------------------------------------------
 # parameter and lattice types
@@ -53,16 +60,12 @@ class Params:
     """Model couplings shared across the metric and renormalization layers."""
 
     xi: float                      # metric coupling, > 0
-    gamma: float | None = None     # area coupling in (0, 2), optional
 
     def __post_init__(self) -> None:
         if not (isinstance(self.xi, (int, float)) and math.isfinite(self.xi)):
             raise InvalidSpec("xi must be a finite number")
         if self.xi <= 0:
             raise InvalidSpec(f"xi must be > 0, got {self.xi}")
-        if self.gamma is not None:
-            if not (math.isfinite(self.gamma) and 0.0 < self.gamma < 2.0):
-                raise InvalidSpec(f"gamma must lie in (0, 2), got {self.gamma}")
 
     @property
     def supercritical(self) -> bool:
@@ -449,18 +452,6 @@ def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
                           z_epsilon=1.0, source_seed=field.seed)
 
 
-def _margin_axis(lo: int, hi: int, m: int, n: int):
-    """(indices, start) of sites lo..hi-1 plus m more on each side of one
-    torus axis, and where site lo sits among them.
-
-    When that reaches around the torus, the whole axis is taken as it is and
-    wrap-mode correlation supplies the margin.
-    """
-    if hi - lo + 2 * m >= n:
-        return slice(None), lo
-    return np.arange(lo - m, hi + m) % n, m
-
-
 def mollify_localized(field: FieldSample, epsilon: float,
                       box: Optional[Box] = None) -> MollifiedField:
     """Heat-kernel smoothing through the compact truncation window.
@@ -475,12 +466,13 @@ def mollify_localized(field: FieldSample, epsilon: float,
     sum.
 
     `box`, a (rows, columns) pair of slices inside the lattice, smooths only
-    those sites: each axis reads the box plus the margin m = ceil(rho /
-    spacing) on both sides, wrapping around the torus, or the whole axis
-    when that would reach around it.  Since every site's sum runs over the
-    same stencil entries in the same order whatever block holds it, the
-    result is bitwise equal to the full-lattice values on the box.  The
-    default covers the whole lattice.
+    those sites (default: the whole lattice), reading the padded block: the
+    box plus m = ceil(rho / spacing) sites on each side, wrapped around the
+    torus.  The golden bytes depend on the summation rule: from zero, add
+    block value times tap, one multiply and one add, for each tap above
+    DBL_EPSILON in raster order, then divide by the stencil sum.  Every site
+    sees the same taps in the same order in any block, so a box holds its
+    full-lattice values bit for bit.  Verified on x86-64 only.
     """
     _check_moll_scale(field.spec, epsilon)
     if not (0.0 < epsilon < _EPS_MAX):
@@ -502,12 +494,17 @@ def mollify_localized(field: FieldSample, epsilon: float,
     stencil_sum = stencil.sum()
     # Full-torus kernel sum for the retained-mass diagnostic.
     full_sum = _torus_kernel(spec, epsilon).sum()
-    rows, ri = _margin_axis(r0, r1, m, n)
-    cols, ci = _margin_axis(c0, c1, m, n)
-    block = ndimage.correlate(field.values[rows][:, cols], stencil, mode="wrap")
-    values = block[ri:ri + r1 - r0, ci:ci + c1 - c0] / stencil_sum
+    block = field.values[np.ix_(np.arange(r0 - m, r1 + m) % n,
+                                np.arange(c0 - m, c1 + m) % n)]
+    values = np.zeros((r1 - r0, c1 - c0))
+    taps = np.argwhere(np.abs(stencil) > _TAP_FLOOR)   # raster order
+    for t in range(0, r1 - r0, _TILE_ROWS):
+        tile = values[t:t + _TILE_ROWS]
+        for a, b in taps:
+            tile += block[t + a:t + a + len(tile), b:b + c1 - c0] * stencil[a, b]
+    values /= stencil_sum
     return MollifiedField(spec=spec, kind=field.kind, epsilon=float(epsilon),
-                          values=np.ascontiguousarray(values), localized=True,
+                          values=values, localized=True,
                           z_epsilon=float(stencil_sum / full_sum),
                           source_seed=field.seed, offset=(r0, c0))
 

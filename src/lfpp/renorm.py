@@ -30,7 +30,7 @@ from .errors import (
     MollificationTooFine,
 )
 from .gff import LatticeSpec, Params, mollify, mollify_localized, sample_torus_gff
-from .metric import Rect, build_weighted_grid, lr_crossing
+from .metric import Rect, build_weighted_grid, lr_crossing, region_box
 
 _MIN_TRIALS = 20          # floor for any CI-bearing estimate
 _BOOT_RESAMPLES = 1000
@@ -162,8 +162,10 @@ def _crossing_trial(seed: int, lattice: LatticeSpec, epsilon: float, xi: float,
                     localized: bool) -> float:
     """One trial: sample, smooth, cross the central unit square."""
     field = sample_torus_gff(lattice, seed)
-    moll = mollify_localized(field, epsilon) if localized else mollify(field, epsilon)
-    return lr_crossing(build_weighted_grid(moll, xi), crossing_square(lattice)).value
+    square = crossing_square(lattice)
+    moll = (mollify_localized(field, epsilon, region_box(lattice, square))
+            if localized else mollify(field, epsilon))
+    return lr_crossing(build_weighted_grid(moll, xi), square).value
 
 
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
@@ -183,8 +185,8 @@ _est_cache: Dict[str, MedianEstimate] = {}
 
 
 def estimate_cache_key(epsilon: float, params: Params, mc: MCConfig) -> str:
-    """Exact-bit key of one estimate for the memo and the disk cache; gamma
-    is omitted because crossing distances depend on the field only through xi."""
+    """Exact-bit key of one estimate for the memo and the disk cache; the
+    pool size is omitted because it never changes an estimate."""
     lat = mc.lattice
     return cache_key("a_eps", {
         "eps": float(epsilon), "xi": float(params.xi), "n": lat.n,

@@ -83,7 +83,7 @@ def localized_fields(draw, spacing: float = 1.0 / 64.0):
 
 @pytest.fixture(scope="session")
 def params02() -> Params:
-    return Params(xi=0.2, gamma=1.0)
+    return Params(xi=0.2)
 
 
 @pytest.fixture(scope="session")

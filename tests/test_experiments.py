@@ -38,7 +38,7 @@ from lfpp.experiments import (
     weyl_shift_test,
 )
 
-PARAMS = Params(xi=0.2, gamma=1.0)
+PARAMS = Params(xi=0.2)
 WINDOW = Rect(lo=(1.6, 1.6), hi=(2.3, 2.3))
 UNIT = Rect(lo=(1.5, 1.5), hi=(2.5, 2.5))
 PAIRS =ap = [((1.6, 1.7), (2.3, 2.2)), ((1.5, 1.6), (2.4, 2.3))]
@@ -315,7 +315,7 @@ class TestDocsMatchRegistry:
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_config_sentence_names_every_key(self, name):
-        # `params` is read from the top-level `xi` (and optional `gamma`)
+        # `params` is read from the top-level `xi`
         sentence = re.search(r"Config: (.*?)\.(?:\s|$)", _doc_sections()[name],
                              re.S).group(1)
         named = set(re.findall(r"`([a-z_]+)`", sentence))

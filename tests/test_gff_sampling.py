@@ -95,10 +95,6 @@ class TestParams:
             Params(xi=-0.2)
         with pytest.raises(InvalidSpec):
             Params(xi=math.nan)
-        with pytest.raises(InvalidSpec):
-            Params(xi=0.2, gamma=2.0)
-        with pytest.raises(InvalidSpec):
-            Params(xi=0.2, gamma=0.0)
 
     def test_supercritical_threshold(self):
         assert Params(xi=0.41).supercritical

@@ -240,3 +240,38 @@ class TestBoxSmoothing:
             MollifiedField(spec=field64.spec, kind=FieldKind.TORUS_WHOLE_PLANE,
                            epsilon=0.25, values=np.zeros((4, 4)), localized=True,
                            z_epsilon=0.5, source_seed=0, offset=(62, 0))
+
+
+class TestFoldMatchesCorrelate:
+    """The tap-ordered fold over the padded block gives the values of
+    scipy's wrap-mode correlation over the whole lattice, bit for bit."""
+
+    @staticmethod
+    def check(field, eps, picks):
+        for box in picks:
+            assert np.array_equal(mollify_localized(field, eps, box=box).values,
+                                  oracles.localized_reference(field, eps, box))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(localized_fields(), st.data())
+    def test_fold_equals_reference(self, case, data):
+        field, eps = case
+        n = field.spec.n
+        self.check(field, eps, [(slice(0, n), slice(0, n)), data.draw(boxes(n))])
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_widest_stencil(self, n):
+        # 2m + 1 = n - 1: the padded block repeats almost the whole torus
+        spec = LatticeSpec(n=n, spacing=1.0 / 64.0)
+        eps = widest_localized_eps(n, spec.spacing) * (1.0 - 1e-12)
+        assert 2 * math.ceil(eps * math.log(1.0 / eps) / spec.spacing) + 1 == n - 1
+        self.check(sample_torus_gff(spec, 12), eps,
+                   [(slice(0, n), slice(0, n)), (slice(5, 9), slice(n - 2, n))])
+
+    def test_taps_at_the_floor(self):
+        # Here the cutoff's tail leaves nonzero taps at or below DBL_EPSILON;
+        # folding them in too moves bits (not so at n = 128, nor here at eps
+        # 1/16).
+        spec = LatticeSpec(n=256, spacing=4.0 / 256)
+        self.check(sample_torus_gff(spec, 21), 0.125,
+                   [(slice(0, 256), slice(0, 256)), (slice(90, 170), slice(0, 40))])

@@ -22,11 +22,35 @@ from lfpp import (
     log_correction_check,
     scaling_ratio,
 )
+from lfpp import cache
 from lfpp.renorm import crossing_square, estimate_cache_key, trial_seed
 
-PARAMS = Params(xi=0.2, gamma=1.0)
+PARAMS = Params(xi=0.2)
 SMALL_MC = MCConfig(lattice=LatticeSpec(n=32, spacing=0.125),
                     trials=24, master_seed=90210)
+
+
+def _up(x: float) -> float:
+    """The next float above x."""
+    return float(np.nextafter(x, math.inf))
+
+
+def _lattice(mc: MCConfig, **changes) -> MCConfig:
+    return replace(mc, lattice=replace(mc.lattice, **changes))
+
+
+# One move per input of estimate_cache_key: (eps, params, mc) -> moved triple.
+KEY_MOVES = {
+    "eps": lambda e, p, mc: (_up(e), p, mc),
+    "xi": lambda e, p, mc: (e, Params(xi=_up(p.xi)), mc),
+    "spacing": lambda e, p, mc: (e, p, _lattice(mc, spacing=_up(mc.lattice.spacing))),
+    "origin_x": lambda e, p, mc: (e, p, _lattice(mc, origin=(_up(0.0), 0.0))),
+    "origin_y": lambda e, p, mc: (e, p, _lattice(mc, origin=(0.0, _up(0.0)))),
+    "n": lambda e, p, mc: (e, p, _lattice(mc, n=64)),
+    "trials": lambda e, p, mc: (e, p, replace(mc, trials=mc.trials + 1)),
+    "seed": lambda e, p, mc: (e, p, replace(mc, master_seed=mc.master_seed + 1)),
+    "localized": lambda e, p, mc: (e, p, replace(mc, localized=True)),
+}
 
 
 def synthetic_ladder(eps_list, med_fn, rel_ci=0.05):
@@ -103,13 +127,20 @@ class TestEstimate:
             MCConfig(lattice=SMALL_MC.lattice, trials=24, master_seed=1,
                      workers=workers)
 
-    def test_cache_key_sensitive_to_one_ulp(self):
-        k1 = estimate_cache_key(0.5, PARAMS, SMALL_MC)
-        k2 = estimate_cache_key(float(np.nextafter(0.5, 1.0)), PARAMS, SMALL_MC)
-        assert k1 != k2
-        # gamma does not enter: crossing costs depend only on xi
-        k3 = estimate_cache_key(0.5, Params(xi=0.2, gamma=1.7), SMALL_MC)
-        assert k3 == k1
+    @pytest.mark.parametrize("move", KEY_MOVES.values(), ids=KEY_MOVES.keys())
+    def test_cache_key_sensitive_to_one_ulp(self, move):
+        # every input of an estimate is in its key, floats to the last bit
+        assert estimate_cache_key(*move(0.5, PARAMS, SMALL_MC)) != \
+               estimate_cache_key(0.5, PARAMS, SMALL_MC)
+
+    def test_cache_key_tracks_numerics_version(self, monkeypatch):
+        key = estimate_cache_key(0.5, PARAMS, SMALL_MC)
+        monkeypatch.setattr(cache, "NUMERICS_VERSION", cache.NUMERICS_VERSION + 1)
+        assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
+
+    def test_cache_key_ignores_workers(self):
+        assert estimate_cache_key(0.5, PARAMS, replace(SMALL_MC, workers=2)) == \
+               estimate_cache_key(0.5, PARAMS, SMALL_MC)
 
 
 class TestFitExponent:
