@@ -35,21 +35,22 @@ def _up(x: float) -> float:
     return float(np.nextafter(x, math.inf))
 
 
-def _lattice(mc: MCConfig, **changes) -> MCConfig:
-    return replace(mc, lattice=replace(mc.lattice, **changes))
+def _lattice(**changes) -> MCConfig:
+    return replace(SMALL_MC, lattice=replace(SMALL_MC.lattice, **changes))
 
 
-# One move per input of estimate_cache_key: (eps, params, mc) -> moved triple.
+# (eps, params, mc) of an estimate one input away from (0.5, PARAMS, SMALL_MC)
+(OX, OY), SPACING = SMALL_MC.lattice.origin, SMALL_MC.lattice.spacing
 KEY_MOVES = {
-    "eps": lambda e, p, mc: (_up(e), p, mc),
-    "xi": lambda e, p, mc: (e, Params(xi=_up(p.xi)), mc),
-    "spacing": lambda e, p, mc: (e, p, _lattice(mc, spacing=_up(mc.lattice.spacing))),
-    "origin_x": lambda e, p, mc: (e, p, _lattice(mc, origin=(_up(0.0), 0.0))),
-    "origin_y": lambda e, p, mc: (e, p, _lattice(mc, origin=(0.0, _up(0.0)))),
-    "n": lambda e, p, mc: (e, p, _lattice(mc, n=64)),
-    "trials": lambda e, p, mc: (e, p, replace(mc, trials=mc.trials + 1)),
-    "seed": lambda e, p, mc: (e, p, replace(mc, master_seed=mc.master_seed + 1)),
-    "localized": lambda e, p, mc: (e, p, replace(mc, localized=True)),
+    "eps": (_up(0.5), PARAMS, SMALL_MC),
+    "xi": (0.5, Params(xi=_up(PARAMS.xi)), SMALL_MC),
+    "spacing": (0.5, PARAMS, _lattice(spacing=_up(SPACING))),
+    "origin_x": (0.5, PARAMS, _lattice(origin=(_up(OX), OY))),
+    "origin_y": (0.5, PARAMS, _lattice(origin=(OX, _up(OY)))),
+    "n": (0.5, PARAMS, _lattice(n=64)),
+    "trials": (0.5, PARAMS, replace(SMALL_MC, trials=SMALL_MC.trials + 1)),
+    "seed": (0.5, PARAMS, replace(SMALL_MC, master_seed=SMALL_MC.master_seed + 1)),
+    "localized": (0.5, PARAMS, replace(SMALL_MC, localized=True)),
 }
 
 
@@ -127,20 +128,16 @@ class TestEstimate:
             MCConfig(lattice=SMALL_MC.lattice, trials=24, master_seed=1,
                      workers=workers)
 
-    @pytest.mark.parametrize("move", KEY_MOVES.values(), ids=KEY_MOVES.keys())
-    def test_cache_key_sensitive_to_one_ulp(self, move):
-        # every input of an estimate is in its key, floats to the last bit
-        assert estimate_cache_key(*move(0.5, PARAMS, SMALL_MC)) != \
-               estimate_cache_key(0.5, PARAMS, SMALL_MC)
+    @pytest.mark.parametrize("moved", KEY_MOVES.values(), ids=KEY_MOVES.keys())
+    def test_cache_key_sensitive_to_one_ulp(self, moved):
+        # every input of an estimate is in its key, floats to the last bit;
+        # test_parallel_matches_serial_bitwise checks that workers is not
+        assert estimate_cache_key(*moved) != estimate_cache_key(0.5, PARAMS, SMALL_MC)
 
     def test_cache_key_tracks_numerics_version(self, monkeypatch):
         key = estimate_cache_key(0.5, PARAMS, SMALL_MC)
         monkeypatch.setattr(cache, "NUMERICS_VERSION", cache.NUMERICS_VERSION + 1)
         assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
-
-    def test_cache_key_ignores_workers(self):
-        assert estimate_cache_key(0.5, PARAMS, replace(SMALL_MC, workers=2)) == \
-               estimate_cache_key(0.5, PARAMS, SMALL_MC)
 
 
 class TestFitExponent:
