@@ -152,6 +152,8 @@ def _pairs_json(pairs) -> list:
 
 
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
+    if not pairs:
+        raise InvalidArgument("pairs must hold at least one pair")
     for z, w in pairs:
         if spec.index_of(tuple(z)) == spec.index_of(tuple(w)):
             raise InvalidArgument(f"pair {z}..{w} snaps to a single lattice site")
@@ -407,9 +409,9 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     """
     _validate_halving(eps_ladder, min_rungs=4)
     lat = mc.lattice
+    _check_pair_points(lat, pairs)
     field_seed = trial_seed(mc.master_seed, _FIELD_KEY)
     fld = sample_torus_gff(lat, field_seed)
-    _check_pair_points(lat, pairs)
 
     values = np.empty((len(pairs), len(eps_ladder)))
     for j, eps in enumerate(eps_ladder):
@@ -485,6 +487,8 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
     """
     if not (0.875 < alpha < 1.0):
         raise InvalidArgument(f"alpha must lie in (7/8, 1), got {alpha}")
+    if not r_set:
+        raise InvalidArgument("r_set must hold at least one radius")
     lat = mc.lattice
     delta = lat.spacing
     proxy_eps = max(2.0 * delta, epsilon / 4.0)

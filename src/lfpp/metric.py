@@ -9,14 +9,17 @@ A grid covers a box of the lattice, the whole lattice by default, and all
 of the box's sites; a region restricts paths only in the query it is given
 (`dist_internal`, `dist_sets`, `lr_crossing`, `dist_around_annulus`).
 
-Point distances are solved from the lexicographically smaller endpoint, so
-dist(z, w) and dist(w, z) are the same float bit for bit.  A point solve
-runs Dijkstra over the whole box on the grid's graph, built once per grid,
-so every query on a grid costs the same whatever the pair.  Geodesics
-are deterministic too: ties break by walking back from the target, in the
-graph the solve ran on, through the smallest-index predecessor u with
-dist[u] + weight == dist[v]; within a crop that is the lexicographically
-smallest (i, j).
+Point, set and crossing distances share one solve between two endpoint
+sets (a point is a one-site set).  It starts from the set whose
+lexicographically first site (i, j) is smaller, so dist(a, b) and
+dist(b, a) are the same float bit for bit and their paths are each other's
+reverse; a crossing's left column comes first, so it starts there.  A solve
+without a region runs Dijkstra over the whole box on the grid's graph,
+built once per grid, so every point query on a grid costs the same
+whatever the pair.  Geodesics are deterministic too: ties break by walking
+back from the target, in the graph the solve ran on, through the
+smallest-index predecessor u with dist[u] + weight == dist[v]; within a
+crop that is the lexicographically smallest (i, j).
 
 `dist_around_annulus` finds the shortest cycle separating the two boundary
 circles of an annulus by lifting the annulus graph to a two-sheet cover in
@@ -311,31 +314,9 @@ def _mask_graph(grid: WeightedGrid, mask: np.ndarray):
     return crop, _graph(*edges, m.size)
 
 
-def _solve(grid: WeightedGrid, sources: np.ndarray,
-           sub_mask: Optional[np.ndarray] = None):
-    """Multi-source Dijkstra over the (cropped) active mask.
-
-    Returns (dist over the crop's flat indices, crop slices, CSR graph) so
-    callers can read off targets and walk geodesics back on that graph.  The
-    uncut graph is the grid's own, built once and reused.
-    """
-    if sub_mask is None:
-        crop, graph = grid._full_graph
-    else:
-        crop, graph = _mask_graph(grid, grid.mask & sub_mask)
-    dist = _csgraph_dijkstra(graph, directed=True, indices=_flat(sources, crop),
-                             min_only=True)
-    return dist, crop, graph
-
-
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
     rs, cs = crop
     return (sites[:, 0] - rs.start) * (cs.stop - cs.start) + (sites[:, 1] - cs.start)
-
-
-def _sites_of_mask(mask: np.ndarray) -> np.ndarray:
-    # Row-major argwhere = lexicographic (i, j) order.
-    return np.argwhere(mask)
 
 
 def _check_in(grid: WeightedGrid, site: Tuple[int, int],
@@ -375,12 +356,25 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
             for i, j in (divmod(c % n_base, w) for c in reversed(chain))]
 
 
-def _result(dist: np.ndarray, crop, graph: csr_matrix, targets: np.ndarray,
-            sources: np.ndarray, want_path: bool,
-            reverse_path: bool = False) -> DistResult:
-    t_flat = _flat(targets, crop)
-    t_dist = dist[t_flat]
+def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
+             sub_mask: Optional[np.ndarray], want_path: bool) -> DistResult:
+    """Distance between two (k, 2) site arrays in lexicographic order, along
+    paths in `sub_mask` (the whole box when None).
+
+    The solve starts from the array whose first site is smaller; the target
+    is the first minimum among the other's sites, and the path walked back
+    from it is reversed when the start was b.
+    """
+    swapped = tuple(b_sites[0]) < tuple(a_sites[0])
+    sources, targets = (b_sites, a_sites) if swapped else (a_sites, b_sites)
+    if sub_mask is None:
+        crop, graph = grid._full_graph
+    else:
+        crop, graph = _mask_graph(grid, grid.mask & sub_mask)
+    s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
+    dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True)
     settled = int(np.isfinite(dist).sum())
+    t_dist = dist[t_flat]
     best = int(np.argmin(t_dist))  # first minimum = lexicographically smallest
     value = float(t_dist[best])
     if not math.isfinite(value):
@@ -388,8 +382,8 @@ def _result(dist: np.ndarray, crop, graph: csr_matrix, targets: np.ndarray,
     path = None
     if want_path:
         sites = _walk_back(graph, dist, int(t_flat[best]),
-                           frozenset(int(s) for s in _flat(sources, crop)), crop)
-        if reverse_path:
+                           frozenset(s_flat.tolist()), crop)
+        if swapped:
             sites.reverse()
         path = Path(sites=tuple(sites), length=value)
     return DistResult(value=value, unreachable=False, path=path, settled=settled)
@@ -406,11 +400,8 @@ def _trivial_zero(site: Tuple[int, int], want_path: bool) -> DistResult:
 
 def dist_point(grid: WeightedGrid, z: Tuple[float, float], w: Tuple[float, float],
                want_path: bool = False) -> DistResult:
-    """Distance between the sites nearest to the plane points z and w.
-
-    Solved from the lexicographically smaller site, so the value is bitwise
-    symmetric in (z, w).
-    """
+    """Distance between the sites nearest to the plane points z and w;
+    bitwise symmetric in (z, w)."""
     return _point_dist(grid, z, w, None, want_path)
 
 
@@ -429,21 +420,15 @@ def _point_dist(grid: WeightedGrid, z, w, sub_mask, want_path: bool) -> DistResu
     _check_in(grid, sw, sub_mask, "target")
     if sz == sw:
         return _trivial_zero(sz, want_path)
-    swapped = sw < sz
-    lo, hi = (sw, sz) if swapped else (sz, sw)
-    sources = np.array([lo], dtype=np.int64)
-    targets = np.array([hi], dtype=np.int64)
-    dist, crop, graph = _solve(grid, sources, sub_mask=sub_mask)
-    return _result(dist, crop, graph, targets, sources, want_path,
-                   reverse_path=swapped)
+    return _between(grid, np.array([sz]), np.array([sw]), sub_mask, want_path)
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
               want_path: bool = False) -> DistResult:
     """Distance between two site sets (0 when they intersect).
 
-    Equals the minimum of dist_point over endpoint pairs; solved from the
-    set holding the smaller lexicographic site so the value is symmetric.
+    Equals the minimum of dist_point over endpoint pairs, and is bitwise
+    symmetric in the two sets.
     """
     mask_a = region_mask(grid.spec, region_a) & grid.mask
     mask_b = region_mask(grid.spec, region_b) & grid.mask
@@ -451,15 +436,9 @@ def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
         raise EmptyRegion("a distance endpoint set is empty")
     common = mask_a & mask_b
     if common.any():
-        site = tuple(int(v) for v in _sites_of_mask(common)[0])
+        site = tuple(int(v) for v in np.argwhere(common)[0])
         return _trivial_zero(site, want_path)
-    sites_a = _sites_of_mask(mask_a)
-    sites_b = _sites_of_mask(mask_b)
-    swapped = tuple(sites_b[0]) < tuple(sites_a[0])
-    sources, targets = (sites_b, sites_a) if swapped else (sites_a, sites_b)
-    dist, crop, graph = _solve(grid, sources)
-    return _result(dist, crop, graph, targets, sources, want_path,
-                   reverse_path=swapped)
+    return _between(grid, np.argwhere(mask_a), np.argwhere(mask_b), None, want_path)
 
 
 def lr_crossing(grid: WeightedGrid, square: Rect,
@@ -472,18 +451,12 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
     sub = region_mask(grid.spec, square) & grid.mask
     if not sub.any():
         raise EmptyRegion("crossing square contains no active sites")
-    cols = np.flatnonzero(sub.any(axis=0))
-    jl, jr = int(cols[0]), int(cols[-1])
+    sites = np.argwhere(sub)
+    jl, jr = sites[:, 1].min(), sites[:, 1].max()
     if jl == jr:
         raise InvalidArgument("crossing square spans a single lattice column")
-    left = np.zeros_like(sub)
-    left[:, jl] = sub[:, jl]
-    right = np.zeros_like(sub)
-    right[:, jr] = sub[:, jr]
-    sources = _sites_of_mask(left)
-    targets = _sites_of_mask(right)
-    dist, crop, graph = _solve(grid, sources, sub_mask=sub)
-    return _result(dist, crop, graph, targets, sources, want_path)
+    return _between(grid, sites[sites[:, 1] == jl], sites[sites[:, 1] == jr],
+                    sub, want_path)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,8 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     enter numerator and denominator (common random numbers); at r = 1 the
     cache returns the identical estimate and rho is exactly 1.
     """
+    if not eps_ladder:
+        raise InvalidArgument("ladder needs at least one rung")
     if not _is_pow2(r):
         raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
     if not math.isfinite(q_hat):

@@ -1,10 +1,12 @@
-"""What the benchmark's outside-in tracer (`bench/tracer.py`) needs of lfpp.
+"""What the benchmark (`bench/worker.py`, `bench/tracer.py`) needs of lfpp.
 
-The tracer patches functions by name and reads `grid.mask` to count the
-sites a solve could reach, so renaming a traced function or reshaping the
-mask would break traced benchmark runs without failing any library test.
+The worker calls lfpp's modules by attribute, and the tracer patches
+functions by name and reads `grid.mask` to count the sites a solve could
+reach, so renaming a function or reshaping the mask would break benchmark
+runs without failing any library test.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +17,8 @@ import pytest
 from lfpp import Rect, build_weighted_grid, metric, mollify_localized, region_box
 from lfpp.metric import region_mask
 
-TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PY = BENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,17 @@ def box_grid(field64):
 def test_traced_functions_resolve(tracer):
     for layer, name in tracer.TRACED:
         assert callable(getattr(importlib.import_module("lfpp." + layer), name))
+
+
+def test_worker_attributes_exist():
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("metric", "gff", "fieldio")}
+    assert {layer for layer, _ in used} == {"metric", "gff", "fieldio"}
+    missing = [f"{layer}.{name}" for layer, name in sorted(used)
+               if not hasattr(importlib.import_module("lfpp." + layer), name)]
+    assert not missing
 
 
 def test_box_grid_mask_is_its_box(box_grid):

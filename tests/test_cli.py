@@ -533,6 +533,42 @@ class TestExp:
         assert not (tmp_path / "rep.json").exists()
 
 
+class TestEmptyInputs:
+    """An empty pair list, radius set or ladder is a validation error, never
+    a report over zero rows."""
+
+    W = [1.6, 1.6, 2.3, 2.3]
+    FIELD = {"field": {"n": 64, "seed": 404}, "epsilon": 0.25, "c": 1.0, "xi": 0.2}
+    LADDER = {"eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
+              "mc": {"n": 256, "trials": 20, "seed": 11}}
+    RATIO = ["ratio", "--xi", "0.2", "--r", "0.5", "--n", "32", "--spacing", "0.125",
+             "--trials", "20", "--seed", "7", "--q-hat", "1"]
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["exp", "weyl_shift_test"], dict(FIELD, pairs=[])),
+        (["exp", "weyl_shift_test"],
+         dict(FIELD, pairs={"window": W, "seed": 7, "count": 0})),
+        (["exp", "convergence_diagnostic"], dict(LADDER, pairs=[])),
+        (["exp", "convergence_diagnostic"],
+         dict(LADDER, pairs={"window": W, "seed": 7, "count": 0})),
+        (["exp", "annulus_event_stats"],
+         {"epsilon": 0.25, "r_set": [], "alpha": 0.9, "xi": 0.2,
+          "mc": {"n": 64, "trials": 20, "seed": 13}}),
+        (RATIO + ["--eps", ","], None),
+    ], ids=["weyl-pairs", "weyl-count-0", "convergence-pairs", "convergence-count-0",
+            "annulus-r-set", "ratio-eps"])
+    def test_exits_one_and_writes_nothing(self, argv, cfg, tmp_path):
+        out = tmp_path / "out.json"
+        argv = argv + ["--out", str(out)]
+        if cfg is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv += ["--config", str(cfg_path), "--csv", str(tmp_path / "out.csv")]
+        clear_estimate_cache()
+        assert main(argv) == 1
+        assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+
 class TestExperimentGoldenBytes:
     # sha256 of (report JSON, CSV rows) for one small admissible config per
     # experiment, run through `lfpp exp`.  A change to any of them changes

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfpp import (FieldKind, FieldSample, InvalidArgument, LatticeSpec, read_field,
                   write_field)
@@ -42,6 +44,25 @@ class TestFieldContainer:
         assert (back.mean_removed, back.derived) == (mean_removed, derived)
         assert np.array_equal(back.values, values)
         assert verify_field(path)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(list(FieldKind)), seed=st.integers(0, 2 ** 64 - 1),
+           origin=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+           spacing=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           mean_removed=st.booleans(), derived=st.booleans())
+    def test_header_round_trips_every_field(self, kind, seed, origin, spacing,
+                                            mean_removed, derived, tmp_path_factory):
+        spec = LatticeSpec(n=8, spacing=spacing, origin=origin)
+        values = np.arange(64, dtype=np.float64).reshape(8, 8)
+        field = FieldSample(spec=spec, kind=kind, seed=seed, values=values,
+                            mean_removed=mean_removed, derived=derived)
+        path = tmp_path_factory.mktemp("lfpf") / "f.lfpf"
+        write_field(field, path)
+        back = read_field(path)
+        assert back.spec == spec and back.kind is kind and back.seed == seed
+        assert (back.mean_removed, back.derived) == (mean_removed, derived)
+        assert np.array_equal(back.values, values)
+        assert read_header(path) == (int(kind), 8, spacing, seed)
 
     def test_version_1_file_still_reads(self, field64, tmp_path):
         v1 = struct.pack("<4sHBIdQ", MAGIC, 1, int(field64.kind), 64, 0.0625, 404)

@@ -346,6 +346,91 @@ class TestPointSolveMatchesOracle:
                     check_point_solve(grid, a, b)
 
 
+@st.composite
+def set_queries(draw):
+    """(grid, site mask a, site mask b, rect): a walled grid's costs over the
+    whole lattice or a box of it, disjoint masks with a site of each on the
+    grid (they may reach past its box), and a rect drawn in lattice steps
+    that may cross the box edge."""
+    full = draw(walled_grids())[0]
+    n, d = full.spec.n, full.spec.spacing
+    grid = full
+    if draw(st.booleans()):
+        i0, j0 = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        i1, j1 = draw(st.integers(i0 + 2, n)), draw(st.integers(j0 + 2, n))
+        grid = WeightedGrid(spec=full.spec, site_cost=full.site_cost[i0:i1, j0:j1],
+                            offset=(i0, j0))
+    rows, cols = grid.box
+    on_grid = st.tuples(st.integers(rows.start, rows.stop - 1),
+                        st.integers(cols.start, cols.stop - 1))
+    sa = draw(on_grid)
+    sb = draw(on_grid.filter(lambda s: s != sa))
+    fill = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    label = rng.choice(3, size=(n, n), p=[1.0 - 2.0 * fill, fill, fill])
+    label[sa], label[sb] = 1, 2
+    x0 = draw(st.integers(cols.start - 1, cols.stop - 1))
+    y0 = draw(st.integers(rows.start - 1, rows.stop - 1))
+    dx, dy = draw(st.integers(1, n)), draw(st.integers(1, n))
+    rect = Rect(lo=(x0 * d, y0 * d), hi=((x0 + dx) * d, (y0 + dy) * d))
+    a, b = label == 1, label == 2
+    return (grid, b, a, rect) if draw(st.booleans()) else (grid, a, b, rect)
+
+
+def set_oracle(grid, m, sources, targets):
+    """(value, site path, settled) of a multi-source relaxation over the
+    grid's sites in mask m from `sources`, walked back from the first target
+    at minimum distance; path None when no target is reached."""
+    (i0, j0), (h, w) = grid.offset, grid.site_cost.shape
+    edges = oracles.grid_edges(grid.site_cost, m[grid.box], grid.spec.spacing)
+    src = {(i - i0) * w + (j - j0) for i, j in sources}
+    dist = oracles.relax_single_source(h * w, edges, sorted(src))
+    best = min(((i - i0) * w + (j - j0) for i, j in targets), key=lambda c: dist[c])
+    settled = int(np.isfinite(dist).sum())
+    if not math.isfinite(dist[best]):
+        return math.inf, None, settled
+    chain = oracles.walk_back(edges, dist, best, src)
+    return dist[best], [(i0 + c // w, j0 + c % w) for c in chain], settled
+
+
+def sites_of(mask):
+    return [tuple(int(v) for v in s) for s in np.argwhere(mask)]
+
+
+class TestSetSolveMatchesOracle:
+    """Set and crossing solves equal a multi-source relaxation oracle run
+    from the start set the module's rule picks."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(set_queries())
+    def test_dist_sets_and_crossing_match_relaxation(self, case):
+        grid, a, b, rect = case
+        sa, sb = sites_of(a & grid.mask), sites_of(b & grid.mask)
+        if sa[0] < sb[0]:
+            value, path, settled = set_oracle(grid, grid.mask, sa, sb)
+        else:
+            value, path, settled = set_oracle(grid, grid.mask, sb, sa)
+            path = path[::-1]
+        fwd = dist_sets(grid, Mask(a), Mask(b), want_path=True)
+        assert (fwd.value, list(fwd.path.sites), fwd.settled) == (value, path, settled)
+        assert fwd.path.length == value
+        bwd = dist_sets(grid, Mask(b), Mask(a), want_path=True)
+        assert bwd.value == fwd.value and bwd.path.sites == fwd.path.sites[::-1]
+        assert bwd.settled == settled
+
+        square = region_mask(grid.spec, rect) & grid.mask
+        cols = np.flatnonzero(square.any(axis=0))
+        if cols.size < 2:
+            with pytest.raises((EmptyRegion, InvalidArgument)):
+                lr_crossing(grid, rect)
+            return
+        left, right = (sites_of(square & (np.arange(grid.spec.n) == j))
+                       for j in (cols[0], cols[-1]))
+        value, path, settled = set_oracle(grid, square, left, right)
+        res = lr_crossing(grid, rect, want_path=True)
+        assert (res.value, list(res.path.sites), res.settled) == (value, path, settled)
+
+
 class TestGraphCache:
     """A grid's cached graph always describes the grid's own arrays."""
 
