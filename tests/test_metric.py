@@ -380,17 +380,15 @@ def set_queries(draw):
 def set_oracle(grid, m, sources, targets):
     """(value, site path, settled) of a multi-source relaxation over the
     grid's sites in mask m from `sources`, walked back from the first target
-    at minimum distance; path None when no target is reached."""
+    at minimum distance (m is connected, so some target is reached)."""
     (i0, j0), (h, w) = grid.offset, grid.site_cost.shape
     edges = oracles.grid_edges(grid.site_cost, m[grid.box], grid.spec.spacing)
     src = {(i - i0) * w + (j - j0) for i, j in sources}
     dist = oracles.relax_single_source(h * w, edges, sorted(src))
     best = min(((i - i0) * w + (j - j0) for i, j in targets), key=lambda c: dist[c])
-    settled = int(np.isfinite(dist).sum())
-    if not math.isfinite(dist[best]):
-        return math.inf, None, settled
     chain = oracles.walk_back(edges, dist, best, src)
-    return dist[best], [(i0 + c // w, j0 + c % w) for c in chain], settled
+    return (dist[best], [(i0 + c // w, j0 + c % w) for c in chain],
+            int(np.isfinite(dist).sum()))
 
 
 def sites_of(mask):
