@@ -908,3 +908,23 @@ class TestGoldenBytes:
             cache = [] if label == "plain" else ["--cache-dir",
                                                  str(tmp_path / "cache")]
             assert self._run(tmp_path / label, cache) == self.GOLDEN, label
+
+    # `fit` on TestFit's synthetic estimates; `ratio` fitting q_hat from its
+    # ladder, then at a given q_hat
+    FIT_RATIO = {
+        "fit.json": "69befd5443c274d7141b4b07a80c876bb79df4f925d7bd70453632caa3b5dbf6",
+        "ratio.json": "8afa9663fe9b47b1018955cc44f47ffa69f1e65ee82888d29ef9cf0b859b2a86",
+        "ratio_q.json": "c87e7d6dc62b4ca065fe7a6cbf6122af8b042ab4f164e5eef8431bd8ecba289f",
+    }
+
+    def test_fit_and_ratio_match_golden_hashes(self, tmp_path):
+        clear_estimate_cache()
+        TestFit().write_estimates(tmp_path / "est")
+        assert main(["fit", "--in", str(tmp_path / "est"), "--xi", "0.2",
+                     "--out", str(tmp_path / "fit.json")]) == 0
+        ratio = ["ratio", "--xi", "0.2", "--eps", "2,1,0.5,0.25", "--r", "2",
+                 "--n", "64", "--trials", "20", "--seed", "5"]
+        assert main(ratio + ["--out", str(tmp_path / "ratio.json")]) == 0
+        assert main(ratio + ["--q-hat", "2.5", "--out", str(tmp_path / "ratio_q.json")]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.FIT_RATIO} == self.FIT_RATIO
