@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
@@ -308,10 +309,7 @@ def _load_estimates(dir_path: str) -> List[MedianEstimate]:
 def _handle_fit(ns) -> dict:
     params = Params(xi=ns.xi)
     estimates = _load_estimates(ns.in_dir)
-    fit = fit_exponent(estimates, params)
-    doc = {"slope": fit.slope, "intercept": fit.intercept,
-           "stderr_slope": fit.stderr_slope, "q_hat": fit.q_hat,
-           "points": [[a, b] for a, b in fit.points]}
+    doc = asdict(fit_exponent(estimates, params))
     resolved = {"in": ns.in_dir, "xi": ns.xi,
                 "epsilons": sorted(e.epsilon for e in estimates), "out": ns.out}
     return {"command": "fit", "outputs": [(ns.out, _json_bytes(doc))],
@@ -326,9 +324,7 @@ def _handle_ratio(ns) -> dict:
     if q_hat is None:
         estimates = [estimate_a_eps(eps, params, mc) for eps in ns.eps]
         q_hat = fit_exponent(estimates, params).q_hat
-    series = scaling_ratio(ns.eps, ns.r, params, mc, q_hat)
-    doc = {"r": series.r, "rows": [[e, rho] for e, rho in series.rows],
-           "q_hat_used": series.q_hat_used}
+    doc = asdict(scaling_ratio(ns.eps, ns.r, params, mc, q_hat))
     resolved.update(eps=list(ns.eps), r=ns.r, q_hat=q_hat, out=ns.out)
     return {"command": "ratio", "outputs": [(ns.out, _json_bytes(doc))],
             "resolved": resolved, "master_seed": ns.seed,
@@ -363,17 +359,13 @@ def _handle_exp(ns) -> dict:
         outputs.append((ns.csv, _csv_bytes(EXPERIMENTS[ns.name].columns, report.rows)))
         if ns.emit_gnuplot:
             outputs.append((ns.csv + ".gnu", _gnuplot_script(ns.csv, 1, 2)))
-    seed = None
-    if isinstance(cfg.get("mc"), dict):
-        seed = cfg["mc"].get("seed")
-    elif isinstance(cfg.get("field"), dict):
-        seed = cfg["field"].get("seed")
-    xi = cfg.get("xi")
-    supercritical = isinstance(xi, (int, float)) and xi >= XI_CRIT_REF
+    params = report.params
+    seed = params["mc"]["master_seed"] if "mc" in params else params["field"]["seed"]
+    xi = params.get("xi")
     resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
                 "out": ns.out, "csv": ns.csv, "emit_gnuplot": ns.emit_gnuplot}
     return {"command": "exp", "outputs": outputs, "resolved": resolved,
-            "master_seed": seed, "supercritical": supercritical}
+            "master_seed": seed, "supercritical": xi is not None and xi >= XI_CRIT_REF}
 
 
 def _handle_cache_info(ns) -> dict:

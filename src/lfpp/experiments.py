@@ -31,7 +31,9 @@ from .gff import (
     FieldSample,
     LatticeSpec,
     Params,
+    _is_pow2,
     add_function,
+    check_scale,
     mollify,
     mollify_localized,
     rescale_field,
@@ -49,9 +51,7 @@ from .metric import (
     region_box,
     region_mask,
 )
-from .renorm import MCConfig, crossing_square, estimate_a_eps, trial_seed
-from .renorm import _is_pow2 as _pow2
-from .renorm import _pool_map
+from .renorm import MCConfig, crossing_square, estimate_a_eps, run_trials, trial_seed
 
 TREND_ALPHA = 0.10        # one-sided Spearman significance for trend verdicts
 TWO_SAMPLE_ALPHA = 0.01   # Mann-Whitney level for in-law comparisons
@@ -125,6 +125,15 @@ def _require_inside(window: Rect, outer: Rect, what: str) -> None:
     if not ok:
         raise InvalidArgument(f"{what} {window.lo}..{window.hi} must lie inside "
                               f"{outer.lo}..{outer.hi}")
+
+
+def _window_box(spec: LatticeSpec, window: Rect) -> Tuple[Tuple[slice, slice], np.ndarray]:
+    """(box, mask): the smallest box of lattice sites holding the window's
+    sites and the window's sites within it; EmptyRegion when it holds none."""
+    box = region_box(spec, window)
+    if box is None:
+        raise EmptyRegion("window contains no lattice sites")
+    return box, region_mask(spec, window)[box]
 
 
 def _lattice_dict(spec: LatticeSpec) -> Dict[str, object]:
@@ -295,15 +304,13 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     two-sample Mann-Whitney p-value.  Dilations are centered at the lattice
     origin corner.
     """
-    if not _pow2(a):
+    if not _is_pow2(a):
         raise InvalidArgument(f"scale factor a must be a power of two, got {a}")
     if not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
     lat = mc.lattice
-    floor = 2.0 * lat.spacing
-    if epsilon < floor or epsilon / a < floor:
-        raise MollificationTooFine(
-            f"epsilon {epsilon} with a={a} is below 2*spacing = {floor}")
+    check_scale(lat, epsilon)
+    check_scale(lat, epsilon / a)
 
     ox, oy = lat.origin
     cx, cy = ox + 0.5 * lat.side, oy + 0.5 * lat.side
@@ -321,8 +328,7 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
 
     trial = partial(_covariance_trial, lat=lat, epsilon=epsilon, a=a, q_hat=q_hat,
                     xi=params.xi, scaled=(az_pt, aw_pt), unit=(z_pt, w_pt))
-    seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
-    dists = np.array(_pool_map(trial, seeds, mc.workers))
+    dists = np.array(run_trials(trial, mc))
     lhs = dists[:, 0] / a_big.median
     rhs = prefactor * (dists[:, 1] / a_small.median)
     rows = [(i, float(lhs[i]), float(rhs[i])) for i in range(mc.trials)]
@@ -358,9 +364,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     """
     _validate_decreasing(eps_ladder, min_rungs=2)
     _require_inside(window, _central_quarter(field.spec), "window")
-    wmask = region_mask(field.spec, window)
-    if not wmask.any():
-        raise EmptyRegion("window contains no lattice sites")
+    box, wbox = _window_box(field.spec, window)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=field.seed, spawn_key=(_PAIR_KEY,)))
     pairs = _distinct_pairs(rng, field.spec, window, _N_GAP_PAIRS)
@@ -371,7 +375,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     for eps in eps_ladder:
         plain = mollify(field, eps)
         loc = mollify_localized(field, eps)
-        gap = float(np.abs(loc.values - plain.values)[wmask].max())
+        gap = float(np.abs(loc.values[box][wbox] - plain.values[box][wbox]).max())
         grid_p = build_weighted_grid(plain, params.xi)
         grid_l = build_weighted_grid(loc, params.xi)
         dev = 0.0
@@ -453,10 +457,11 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
 # annulus crossing statistics
 # ---------------------------------------------------------------------------
 
-def _annulus_trial(i: int, lat: LatticeSpec, master_seed: int, epsilon: float,
-                   proxy_eps: float, xi: float, annuli) -> List[tuple]:
-    """Report rows of trial i, one per (annulus, r, inner ring, outer ring)."""
-    h = sample_torus_gff(lat, trial_seed(master_seed, i))
+def _annulus_trial(seed: int, lat: LatticeSpec, epsilon: float, proxy_eps: float,
+                   xi: float, annuli) -> List[tuple]:
+    """One trial's rows less the trial index, one per (annulus, r, inner
+    ring, outer ring)."""
+    h = sample_torus_gff(lat, seed)
     grid_e = build_weighted_grid(mollify_localized(h, epsilon), xi)
     grid_p = build_weighted_grid(mollify_localized(h, proxy_eps), xi)
     rows = []
@@ -468,7 +473,7 @@ def _annulus_trial(i: int, lat: LatticeSpec, master_seed: int, epsilon: float,
         u = grid_e.spec.point_of(*across_e.path.sites[0])
         v = grid_e.spec.point_of(*across_e.path.sites[-1])
         d_uv_proxy = dist_point(grid_p, u, v).value
-        rows.append((i, float(r), around_e, across_e.value, around_e / across_e.value,
+        rows.append((float(r), around_e, across_e.value, around_e / across_e.value,
                      around_p, across_p, around_p / across_p,
                      across_e.value / d_uv_proxy))
     return rows
@@ -499,7 +504,7 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
                     np.broadcast_to(ys[:, None], (lat.n, lat.n)) - cy)
 
     annuli = []
-    grid_kind = "dyadic" if all(_pow2(r) for r in r_set) else "custom"
+    grid_kind = "dyadic" if all(_is_pow2(r) for r in r_set) else "custom"
     for r in r_set:
         if not (0 < alpha * r < r and r <= 0.5 * lat.side):
             raise InvalidArgument(f"radius {r} does not fit the lattice domain")
@@ -509,9 +514,9 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
             raise EmptyRegion(f"boundary ring at radius {r} captures no sites")
         annuli.append((Annulus((cx, cy), alpha * r, r), r, inner, outer))
 
-    trial = partial(_annulus_trial, lat=lat, master_seed=mc.master_seed,
-                    epsilon=epsilon, proxy_eps=proxy_eps, xi=params.xi, annuli=annuli)
-    rows = [row for trial_rows in _pool_map(trial, range(mc.trials), mc.workers)
+    trial = partial(_annulus_trial, lat=lat, epsilon=epsilon, proxy_eps=proxy_eps,
+                    xi=params.xi, annuli=annuli)
+    rows = [(i, *row) for i, trial_rows in enumerate(run_trials(trial, mc))
             for row in trial_rows]
 
     # the ratio3 and ratio1 columns
@@ -547,7 +552,7 @@ def gmc_mass(field: FieldSample, gamma: float, eps_ladder: Sequence[float],
         raise InvalidArgument(f"gamma must lie in (0, 2), got {gamma}")
     _validate_decreasing(eps_ladder, min_rungs=3)
     for eps in eps_ladder:
-        if not _pow2(eps) or eps >= 1.0:
+        if not _is_pow2(eps) or eps >= 1.0:
             raise InvalidArgument(f"ladder points must be powers of two below 1, got {eps}")
     spec = field.spec
     xs, ys = spec.axis_coords()
@@ -602,13 +607,8 @@ def field_continuity_check(field: FieldSample, a: float,
     if any((not isinstance(m, int)) or m < 2 for m in n_ladder):
         raise InvalidArgument("ladder entries must be integers >= 2")
     spec = field.spec
-    if (max(n_ladder) + 1) ** (-a) < 2.0 * spec.spacing:
-        raise MollificationTooFine("finest scale on the ladder is below 2*spacing")
-    wmask = region_mask(spec, window)
-    if not wmask.any():
-        raise EmptyRegion("window contains no lattice sites")
-    box = region_box(spec, window)
-    wbox = wmask[box]
+    check_scale(spec, (max(n_ladder) + 1) ** (-a))
+    box, wbox = _window_box(spec, window)
 
     rows = []
     c_plain = []
@@ -616,8 +616,8 @@ def field_continuity_check(field: FieldSample, a: float,
     for m in n_ladder:
         e_hi = float(m) ** (-a)
         e_lo = float(m + 1) ** (-a)
-        gp = float(np.abs(mollify(field, e_hi).values
-                          - mollify(field, e_lo).values)[wmask].max())
+        gp = float(np.abs(mollify(field, e_hi).values[box][wbox]
+                          - mollify(field, e_lo).values[box][wbox]).max())
         gl = float(np.abs(mollify_localized(field, e_hi, box).values
                           - mollify_localized(field, e_lo, box).values)[wbox].max())
         unit = a * math.log(m + 1) * (((m + 1) / m) ** a - 1.0)
@@ -653,18 +653,14 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
         raise InvalidArgument(f"eta must be positive, got {eta}")
     _validate_decreasing(eps_ladder, min_rungs=3)
     _require_inside(window, _central_quarter(field.spec), "window")
-    wmask = region_mask(field.spec, window)
-    if not wmask.any():
-        raise EmptyRegion("window contains no lattice sites")
-    box = region_box(field.spec, window)
-    wbox = wmask[box]
+    box, wbox = _window_box(field.spec, window)
 
     coef = (1.0 + eta) * (2.0 + eta)
     rows = []
     cps = []
     cls = []
     for eps in eps_ladder:
-        sp = float(np.abs(mollify(field, eps).values)[wmask].max())
+        sp = float(np.abs(mollify(field, eps).values[box][wbox]).max())
         sl = float(np.abs(mollify_localized(field, eps, box).values)[wbox].max())
         budget = coef * math.log(1.0 / eps)
         rows.append((float(eps), sp, sl, sp - budget, sl - budget))

@@ -422,7 +422,9 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
 # smoothing
 # ---------------------------------------------------------------------------
 
-def _check_moll_scale(spec: LatticeSpec, epsilon: float) -> None:
+def check_scale(spec: LatticeSpec, epsilon: float) -> None:
+    """The smoothing-scale floor: InvalidArgument for a non-finite epsilon,
+    MollificationTooFine below 2*spacing."""
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise InvalidArgument(f"epsilon must be finite, got {epsilon!r}")
     if epsilon < 2.0 * spec.spacing:
@@ -443,7 +445,7 @@ def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
     The kernel is sampled at torus offsets, normalized to unit lattice sum
     (so constants pass through up to rounding), and applied spectrally.
     """
-    _check_moll_scale(field.spec, epsilon)
+    check_scale(field.spec, epsilon)
     kernel = _torus_kernel(field.spec, epsilon)  # prefactor cancels in normalization
     kernel /= kernel.sum()
     values = np.fft.ifft2(np.fft.fft2(field.values) * np.fft.fft2(kernel)).real
@@ -474,7 +476,7 @@ def mollify_localized(field: FieldSample, epsilon: float,
     sees the same taps in the same order in any block, so a box holds its
     full-lattice values bit for bit.  Verified on x86-64 only.
     """
-    _check_moll_scale(field.spec, epsilon)
+    check_scale(field.spec, epsilon)
     if not (0.0 < epsilon < _EPS_MAX):
         raise InvalidArgument(
             f"localized smoothing needs epsilon in (0, 1/e), got {epsilon}")
@@ -536,13 +538,16 @@ def add_function(field: FieldSample, f: Callable) -> FieldSample:
                        mean_removed=False, derived=True)
 
 
+def _is_pow2(x: float) -> bool:
+    """True when x is exactly 2^k for an integer k."""
+    return math.isfinite(x) and x > 0 and math.frexp(x)[0] == 0.5
+
+
 def _dyadic_exponent(a: float) -> int:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise InvalidArgument(f"scale factor must be finite and > 0, got {a!r}")
-    k = math.log2(a)
-    if abs(k - round(k)) > 1e-12:
-        raise InvalidArgument(f"scale factor must be a power of two, got {a}")
-    return int(round(k))
+    """k with a == 2^k exactly; InvalidArgument for any other a."""
+    if not (isinstance(a, (int, float)) and _is_pow2(a)):
+        raise InvalidArgument(f"scale factor must be a power of two, got {a!r}")
+    return math.frexp(a)[1] - 1
 
 
 def rescale_field(field: FieldSample, a: float, b: Tuple[float, float],

@@ -3,9 +3,13 @@
 The normalizer at scale epsilon is the median over independent field samples
 of the left-right crossing distance of a unit square placed at the center of
 the torus (so the square sits in the central quarter, away from wrap-around
-correlations).  Trials are seeded from a master seed through spawn keys, so
-estimates are bit for bit the same at any pool size (`MCConfig.workers`);
-medians and bootstrap confidence intervals are reduced in trial-index order.
+correlations).
+
+`run_trials` is the one Monte Carlo trial loop, here and in the experiments:
+trial i is seeded by its index through a spawn key of the master seed, and
+results keep trial order, so estimates and reports are bit for bit the same
+at any pool size (`MCConfig.workers`); medians and bootstrap confidence
+intervals are reduced in trial-index order.
 
 A small in-process memo keyed by `estimate_cache_key` lets ratio and
 diagnostic code reuse estimates; cached and fresh values are identical.  The
@@ -23,13 +27,16 @@ from typing import Callable, Dict, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from .cache import cache_key
-from .errors import (
-    DegenerateFit,
-    InsufficientTrials,
-    InvalidArgument,
-    MollificationTooFine,
+from .errors import DegenerateFit, InsufficientTrials, InvalidArgument
+from .gff import (
+    LatticeSpec,
+    Params,
+    _is_pow2,
+    check_scale,
+    mollify,
+    mollify_localized,
+    sample_torus_gff,
 )
-from .gff import LatticeSpec, Params, mollify, mollify_localized, sample_torus_gff
 from .metric import Rect, build_weighted_grid, lr_crossing, region_box
 
 _MIN_TRIALS = 20          # floor for any CI-bearing estimate
@@ -168,13 +175,15 @@ def _crossing_trial(seed: int, lattice: LatticeSpec, epsilon: float, xi: float,
     return lr_crossing(build_weighted_grid(moll, xi), square).value
 
 
-def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
-    """[fn(a) for a in args], in a pool of `workers` processes when both
-    `workers` and len(args) exceed 1; results keep the order of `args`."""
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, args))
-    return list(map(fn, args))
+def run_trials(trial: Callable[[int], object], mc: MCConfig) -> list:
+    """[trial(trial_seed(mc.master_seed, i)) for i in range(mc.trials)], in a
+    pool of mc.workers processes when mc.workers and mc.trials both exceed 1;
+    results keep trial order."""
+    seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
+    if mc.workers > 1 and mc.trials > 1:
+        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+            return list(pool.map(trial, seeds))
+    return list(map(trial, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +210,20 @@ def clear_estimate_cache() -> None:
 def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstimate:
     """Median unit-square crossing distance over mc.trials field samples.
 
-    Memoized pure function of (epsilon, params, mc); a pool of mc.workers
-    processes runs the trials when mc.workers and mc.trials both exceed 1.
+    Memoized pure function of (epsilon, params, mc), its trials run by
+    `run_trials`.
     """
     if mc.trials < _MIN_TRIALS:
         raise InsufficientTrials(
             f"{mc.trials} trials requested; CI-bearing estimates need >= {_MIN_TRIALS}")
-    if not (epsilon >= 2.0 * mc.lattice.spacing):
-        raise MollificationTooFine(
-            f"epsilon {epsilon} below 2*spacing = {2.0 * mc.lattice.spacing}")
+    check_scale(mc.lattice, epsilon)
     key = estimate_cache_key(epsilon, params, mc)
     if key in _est_cache:
         return _est_cache[key]
 
     trial = partial(_crossing_trial, lattice=mc.lattice, epsilon=float(epsilon),
                     xi=params.xi, localized=mc.localized)
-    seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
-    values = np.array(_pool_map(trial, seeds, mc.workers), dtype=np.float64)
+    values = np.array(run_trials(trial, mc), dtype=np.float64)
 
     median = float(np.median(values))
     rng = np.random.default_rng(
@@ -275,13 +281,6 @@ def fit_exponent(estimates: Sequence[MedianEstimate], params: Params) -> Exponen
                        q_hat=q_hat, points=points)
 
 
-def _is_pow2(r: float) -> bool:
-    if not (math.isfinite(r) and r > 0):
-        return False
-    mant, _ = math.frexp(r)
-    return mant == 0.5
-
-
 def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
                   mc: MCConfig, q_hat: float) -> RatioSeries:
     """rho(eps, r) = r^(1 - xi*q_hat) * median(eps/r) / median(eps).
@@ -296,11 +295,9 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
         raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
     if not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    floor = 2.0 * mc.lattice.spacing
     for eps in eps_ladder:
-        if eps < floor or eps / r < floor:
-            raise MollificationTooFine(
-                f"ladder point {eps} (or {eps}/{r}) is below 2*spacing = {floor}")
+        check_scale(mc.lattice, eps)
+        check_scale(mc.lattice, eps / r)
     expo = 1.0 - params.xi * q_hat
     rows = []
     for eps in eps_ladder:

@@ -1,14 +1,16 @@
 """What the benchmark (`bench/worker.py`, `bench/tracer.py`) needs of lfpp.
 
 The worker calls lfpp's modules by attribute, and the tracer patches
-functions by name and reads `grid.mask` to count the sites a solve could
-reach, so renaming a function or reshaping the mask would break benchmark
-runs without failing any library test.
+functions by name, reads their arguments by parameter name and reads
+`grid.mask` to count the sites a solve could reach, so renaming a function
+or a parameter or reshaping the mask would break benchmark runs without
+failing any library test.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,16 @@ from lfpp.metric import region_mask
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER_PY = BENCH / "tracer.py"
+
+# The argument names the tracer's counters read from a traced call, by the
+# (layer, function) they trace.
+TRACER_BINDS = {
+    ("metric", "dist_point"): {"grid"},
+    ("metric", "lr_crossing"): {"grid", "square"},
+    ("metric", "dist_internal"): {"grid", "sub"},
+    ("metric", "dist_around_annulus"): {"grid", "ann"},
+    ("fieldio", "read_field"): {"path"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +51,24 @@ def box_grid(field64):
 def test_traced_functions_resolve(tracer):
     for layer, name in tracer.TRACED:
         assert callable(getattr(importlib.import_module("lfpp." + layer), name))
+
+
+def test_tracer_binds_parameters_of_the_traced_functions():
+    # names read as bound["name"], plus the region names _solve_active maps
+    # each region solve to before it reads bound[region]
+    tree = ast.parse(TRACER_PY.read_text(encoding="utf-8"))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "bound" and isinstance(node.slice, ast.Constant)}
+    solve_active = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and node.name == "_solve_active")
+    regions = {(key.value, value.value) for node in ast.walk(solve_active)
+               if isinstance(node, ast.Dict) for key, value in zip(node.keys, node.values)}
+    assert read | {name for _, name in regions} == set().union(*TRACER_BINDS.values())
+    assert all(name in TRACER_BINDS[("metric", fn)] for fn, name in regions)
+    for (layer, fn), names in TRACER_BINDS.items():
+        params = inspect.signature(getattr(importlib.import_module("lfpp." + layer), fn))
+        assert names <= set(params.parameters), f"{layer}.{fn}"
 
 
 def test_worker_attributes_exist():

@@ -364,6 +364,13 @@ class TestAEps:
         args[args.index("--trials") + 1] = "5"
         assert main(args + ["--out", str(tmp_path / "a.json")]) == 1
 
+    @pytest.mark.parametrize("eps", ["0.2", "nan", "inf"])
+    def test_eps_off_the_scale_floor_exits_one(self, eps, tmp_path):
+        args = list(self.ARGS)
+        args[args.index("--eps") + 1] = eps
+        assert main(args + ["--out", str(tmp_path / "a.json")]) == 1
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestFit:
     def write_estimates(self, root, slope=0.45):
@@ -467,6 +474,27 @@ class TestExp:
     def test_unknown_experiment_name(self, tmp_path):
         assert main(["exp", "bogus", "--config", "x",
                      "--out", str(tmp_path / "y.json")]) == 1
+
+    @pytest.mark.parametrize("name, cfg, seed, flagged", [
+        # gmc_mass never reads xi, so a stray one is no part of its run
+        ("gmc_mass", {"field": {"n": 64, "seed": 404, "kind": "dirichlet"},
+                      "gamma": 1.0, "eps_ladder": [0.5, 0.25, 0.125],
+                      "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.5}, 404, False),
+        ("weyl_shift_test", dict(CFG, xi=0.45), 404, True),
+        ("scale_covariance_test", {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+                                   "mc": {"n": 32, "trials": 20, "seed": 7}}, 7, False),
+    ], ids=["gmc-stray-xi", "weyl-xi-0.45", "covariance-mc-seed"])
+    def test_manifest_facts_come_from_the_report(self, name, cfg, seed, flagged,
+                                                 tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        clear_estimate_cache()
+        assert main(["exp", name, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        manifest = load_json(tmp_path / "r.json.manifest.json")
+        assert manifest["master_seed"] == seed
+        assert manifest["supercritical_xi"] is flagged
+        assert bool(manifest["warnings"]) is flagged
 
     def test_threads_reach_the_runner_pools(self, tmp_path, pool_sizes):
         cfg_path = tmp_path / "cfg.json"

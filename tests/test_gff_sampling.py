@@ -21,7 +21,7 @@ from lfpp import (
     sample_dirichlet_gff,
     sample_torus_gff,
 )
-from lfpp.gff import FieldKind
+from lfpp.gff import FieldKind, _dyadic_exponent
 
 # Mode-sum variogram values for the n=128 torus, frozen from tests/oracles.py
 # (torus_variogram is an independent double sum over the spectrum).
@@ -281,6 +281,15 @@ class TestRescaleField:
             rescale_field(field64, 2.0, (b[0] + 0.01, b[1]), 1.0)  # off lattice
         with pytest.raises(InvalidArgument):
             rescale_field(field64, 2.0, b, math.nan)
+
+    def test_scale_factor_is_an_exact_power_of_two(self, field64):
+        b = field64.spec.origin
+        near_two = 2.0 * (1.0 + 2.0 ** -45)    # log2 within 1e-12 of 1, yet not 2
+        with pytest.raises(InvalidArgument):
+            rescale_field(field64, near_two, b, 1.0)
+        for k in range(-3, 4):                   # |k| <= log2(64) - 3
+            assert rescale_field(field64, 2.0 ** k, b, 0.0).spec.n == 64 >> max(k, 0)
+        assert [_dyadic_exponent(2.0 ** k) for k in range(-60, 61)] == list(range(-60, 61))
 
     def test_q_hat_shift_enters_additively(self, field64):
         b = field64.spec.origin

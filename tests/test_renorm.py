@@ -2,9 +2,12 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfpp import (
     DegenerateFit,
@@ -22,7 +25,7 @@ from lfpp import (
     log_correction_check,
     scaling_ratio,
 )
-from lfpp import cache
+from lfpp import annulus_event_stats, cache, scale_covariance_test
 from lfpp.renorm import crossing_square, estimate_cache_key, trial_seed
 
 PARAMS = Params(xi=0.2)
@@ -91,6 +94,11 @@ class TestEstimate:
         with pytest.raises(MollificationTooFine):
             estimate_a_eps(0.2, PARAMS, SMALL_MC)   # 2 * spacing = 0.25
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_is_invalid(self, eps):
+        with pytest.raises(InvalidArgument):
+            estimate_a_eps(eps, PARAMS, SMALL_MC)
+
     def test_deterministic_without_cache(self):
         clear_estimate_cache()
         a = estimate_a_eps(0.5, PARAMS, SMALL_MC)
@@ -138,6 +146,64 @@ class TestEstimate:
         key = estimate_cache_key(0.5, PARAMS, SMALL_MC)
         monkeypatch.setattr(cache, "NUMERICS_VERSION", cache.NUMERICS_VERSION + 1)
         assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
+
+
+@st.composite
+def small_mc(draw, n, min_trials):
+    """A seeded MCConfig on the n x n lattice of side 4, one worker."""
+    return MCConfig(lattice=LatticeSpec(n=n, spacing=4.0 / n),
+                    trials=draw(st.integers(min_trials, min_trials + 4)),
+                    master_seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+def _dyadic_eps(draw, mc, finest_k, coarsest_k=0):
+    """2^-k for k in [coarsest_k, finest_k], k no finer than the 2*spacing floor."""
+    floor_k = int(math.log2(1.0 / (2.0 * mc.lattice.spacing)))
+    return 2.0 ** -draw(st.integers(coarsest_k, min(finest_k, floor_k)))
+
+
+@st.composite
+def estimate_runs(draw):
+    mc = replace(draw(small_mc(draw(st.sampled_from((32, 64))), 20)),
+                 localized=draw(st.booleans()))
+    eps = _dyadic_eps(draw, mc, 3, coarsest_k=2 if mc.localized else 0)
+    return partial(estimate_a_eps, eps, Params(xi=draw(st.floats(0.05, 0.4)))), mc
+
+
+@st.composite
+def covariance_runs(draw):
+    mc = draw(small_mc(draw(st.sampled_from((32, 64))), 20))
+    a = draw(st.sampled_from((1.0, 2.0)))
+    eps = a * _dyadic_eps(draw, mc, 3, coarsest_k=1)
+    return partial(scale_covariance_test, a, eps, Params(xi=draw(st.floats(0.05, 0.4))),
+                   q_hat=draw(st.floats(0.0, 5.0))), mc
+
+
+@st.composite
+def annulus_runs(draw):
+    # a 64-site lattice is the smallest whose radius-2 annuli are not degenerate
+    mc = draw(small_mc(64, 3))
+    eps = draw(st.sampled_from((0.25, 0.125)))
+    return partial(annulus_event_stats, eps, [2.0], draw(st.floats(0.88, 0.9)),
+                   Params(xi=draw(st.floats(0.05, 0.4)))), mc
+
+
+class TestRunTrialsPoolSize:
+    """Every caller of `run_trials` gives the same bits at 1 and 2 workers:
+    trials are seeded by index and their results keep trial order."""
+
+    @pytest.mark.parametrize("runs", [estimate_runs, covariance_runs, annulus_runs],
+                             ids=["estimate_a_eps", "scale_covariance_test",
+                                  "annulus_event_stats"])
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_at_one_and_two_workers(self, runs, data):
+        run, mc = data.draw(runs())
+        clear_estimate_cache()
+        one = run(mc)
+        clear_estimate_cache()     # else the memo answers the pooled side
+        two = run(replace(mc, workers=2))
+        assert repr(two) == repr(one)   # repr round-trips every float bit
 
 
 class TestFitExponent:
@@ -192,6 +258,17 @@ class TestScalingRatio:
     def test_scaled_ladder_hits_floor(self):
         with pytest.raises(MollificationTooFine):
             scaling_ratio([0.5], 4.0, PARAMS, SMALL_MC, q_hat=2.5)
+
+    @pytest.mark.parametrize("ladder, error", [
+        ([1.0, 0.5, 0.25], MollificationTooFine),     # 0.25 / 2 is below the floor
+        ([1.0, math.nan], InvalidArgument),
+    ], ids=["floor", "nan"])
+    def test_every_rung_checked_before_any_estimate(self, ladder, error, monkeypatch):
+        import lfpp.renorm as renorm
+        monkeypatch.setattr(renorm, "estimate_a_eps",
+                            lambda *args: pytest.fail("an estimate ran"))
+        with pytest.raises(error):
+            scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC, q_hat=2.5)
 
 
 class TestLogCorrection:
