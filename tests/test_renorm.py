@@ -181,7 +181,7 @@ def covariance_runs(draw):
 
 @st.composite
 def annulus_runs(draw):
-    # a 64-site lattice is the smallest whose radius-2 annuli are not degenerate
+    # smaller n, smaller r or alpha above 0.9 leave annuli too thin for a cycle
     mc = draw(small_mc(64, 3))
     eps = draw(st.sampled_from((0.25, 0.125)))
     return partial(annulus_event_stats, eps, [2.0], draw(st.floats(0.88, 0.9)),
