@@ -956,3 +956,29 @@ class TestGoldenBytes:
         assert main(ratio + ["--q-hat", "2.5", "--out", str(tmp_path / "ratio_q.json")]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in self.FIT_RATIO} == self.FIT_RATIO
+
+    # `ratio` at n = 128, where the complex spectra reach numpy's 256 KiB
+    # temporary-elision threshold, so an operand-order slip in the spectral
+    # product can show here and cannot at n = 64.  exp(xi * h) absorbs most
+    # one-ulp moves of h; seed 28 is one whose medians move when
+    # `mollify` multiplies the kernel spectrum by the field spectrum.
+    RATIO_128 = {
+        "ratio128.json": "3643dd862073d498ba970cfe6833c69f35bc2a6197dc2059263f206adcb2d155",
+        "ratio128_q.json": "70ff56d70a68291f496aaa62be7e91ede0895fbd9796126072cdb3805eda568d",
+        "ratio128_loc.json": "03469e6d27515f1ee1f962062cbf38981cefc00f419e5048d70f32bed15115d2",
+    }
+    RATIO_128_ARGV = {
+        "ratio128.json": ["--eps", "0.5,0.25,0.125,0.0625", "--r", "0.5"],
+        "ratio128_q.json": ["--eps", "0.5,0.25,0.125,0.0625", "--r", "0.5",
+                            "--q-hat", "2.5"],
+        "ratio128_loc.json": ["--eps", "0.25,0.125", "--r", "2", "--q-hat", "2.5",
+                              "--localized"],
+    }
+
+    def test_ratio_at_n128_matches_golden_hashes(self, tmp_path):
+        clear_estimate_cache()
+        for name, flags in self.RATIO_128_ARGV.items():
+            assert main(["ratio", "--xi", "0.2", "--n", "128", "--trials", "20",
+                         "--seed", "28", "--out", str(tmp_path / name)] + flags) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.RATIO_128} == self.RATIO_128
