@@ -66,6 +66,7 @@ from .renorm import (
     crossing_square,
     estimate_a_eps,
     estimate_cache_key,
+    estimate_ladder,
     fit_exponent,
     ladders_overlap,
     log_correction_check,
@@ -110,7 +111,7 @@ __all__ = [
     # renorm
     "ExponentFit", "LogCorrectionReport", "MCConfig", "MedianEstimate",
     "RatioSeries", "clear_estimate_cache", "crossing_square", "estimate_a_eps",
-    "estimate_cache_key", "fit_exponent", "ladders_overlap",
+    "estimate_cache_key", "estimate_ladder", "fit_exponent", "ladders_overlap",
     "log_correction_check", "scaling_ratio", "trial_seed",
     # experiments
     "EXPERIMENTS", "ExperimentReport", "Verdict",

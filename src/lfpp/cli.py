@@ -54,7 +54,9 @@ from .renorm import (
     MedianEstimate,
     estimate_a_eps,
     estimate_cache_key,
+    estimate_ladder,
     fit_exponent,
+    ratio_rungs,
     scaling_ratio,
 )
 from .experiments import EXPERIMENTS, _resolve_spacing, run_experiment
@@ -322,8 +324,9 @@ def _handle_ratio(ns) -> dict:
     mc, resolved = _mc_from_flags(ns)
     q_hat = ns.q_hat
     if q_hat is None:
-        estimates = [estimate_a_eps(eps, params, mc) for eps in ns.eps]
-        q_hat = fit_exponent(estimates, params).q_hat
+        # the ratio's rungs too, so the whole ladder runs its trials once
+        estimates = estimate_ladder(ratio_rungs(ns.eps, ns.r, mc), params, mc)
+        q_hat = fit_exponent(estimates[:len(ns.eps)], params).q_hat
     doc = asdict(scaling_ratio(ns.eps, ns.r, params, mc, q_hat))
     resolved.update(eps=list(ns.eps), r=ns.r, q_hat=q_hat, out=ns.out)
     return {"command": "ratio", "outputs": [(ns.out, _json_bytes(doc))],

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import EmptyRegion, InvalidArgument, MollificationTooFine
 from .gff import (
@@ -51,7 +50,7 @@ from .metric import (
     region_box,
     region_mask,
 )
-from .renorm import MCConfig, crossing_square, estimate_a_eps, run_trials, trial_seed
+from .renorm import MCConfig, crossing_square, estimate_ladder, run_trials, trial_seed
 
 TREND_ALPHA = 0.10        # one-sided Spearman significance for trend verdicts
 TWO_SAMPLE_ALPHA = 0.01   # Mann-Whitney level for in-law comparisons
@@ -93,7 +92,8 @@ def spearman_trend(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, flo
 
     Returns (rho, p); the trend counts as non-increasing when p <= 10%.
     """
-    rho, p = sstats.spearmanr(np.asarray(xs), np.asarray(ys), alternative="less")
+    from scipy import stats   # imported here to keep start-up light
+    rho, p = stats.spearmanr(np.asarray(xs), np.asarray(ys), alternative="less")
     return float(rho), float(p)
 
 
@@ -322,8 +322,7 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
         z_pt = (ox + (az_pt[0] - ox) / a, oy + (az_pt[1] - oy) / a)
         w_pt = (ox + (aw_pt[0] - ox) / a, oy + (aw_pt[1] - oy) / a)
 
-    a_big = estimate_a_eps(epsilon, params, mc)
-    a_small = estimate_a_eps(epsilon / a, params, mc)
+    a_big, a_small = estimate_ladder([epsilon, epsilon / a], params, mc)
     prefactor = a ** (1.0 - params.xi * q_hat) * (a_small.median / a_big.median)
 
     trial = partial(_covariance_trial, lat=lat, epsilon=epsilon, a=a, q_hat=q_hat,
@@ -333,7 +332,8 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     rhs = prefactor * (dists[:, 1] / a_small.median)
     rows = [(i, float(lhs[i]), float(rhs[i])) for i in range(mc.trials)]
 
-    mw = sstats.mannwhitneyu(lhs, rhs, alternative="two-sided")
+    from scipy import stats   # imported here to keep start-up light
+    mw = stats.mannwhitneyu(lhs, rhs, alternative="two-sided")
     q_l = np.percentile(lhs, [25, 50, 75])
     q_r = np.percentile(rhs, [25, 50, 75])
     return ExperimentReport(
@@ -414,13 +414,13 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     _validate_halving(eps_ladder, min_rungs=4)
     lat = mc.lattice
     _check_pair_points(lat, pairs)
+    norms = [est.median for est in estimate_ladder(eps_ladder, params, mc)]
     field_seed = trial_seed(mc.master_seed, _FIELD_KEY)
     fld = sample_torus_gff(lat, field_seed)
 
     values = np.empty((len(pairs), len(eps_ladder)))
-    for j, eps in enumerate(eps_ladder):
+    for j, (eps, norm) in enumerate(zip(eps_ladder, norms)):
         grid = build_weighted_grid(mollify_localized(fld, eps), params.xi)
-        norm = estimate_a_eps(eps, params, mc).median
         for k, (z, w) in enumerate(pairs):
             values[k, j] = dist_point(grid, z, w).value / norm
 
@@ -706,16 +706,19 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
     if len(ladder) < 2:
         raise InvalidArgument("lattice too coarse for a ladder of at least 2 rungs")
 
-    rows = []
-    vals = []
-    for k, eps_k in enumerate(ladder):
-        sep = 4.0 * eps_k ** (1.0 - zeta)
+    seps = [4.0 * eps_k ** (1.0 - zeta) for eps_k in ladder]
+    pair_sets = []
+    for k, sep in enumerate(seps):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=field.seed, spawn_key=(_SEG_KEY, k)))
-        pairs = _draw_pairs(partial(_near_pair, rng, window, sep), _N_SEG_PAIRS,
-                            window, f"pairs closer than {sep}")
+        pair_sets.append(_draw_pairs(partial(_near_pair, rng, window, sep),
+                                     _N_SEG_PAIRS, window, f"pairs closer than {sep}"))
+    a_hats = [est.median for est in estimate_ladder(ladder, params, mc)]
+
+    rows = []
+    vals = []
+    for eps_k, sep, pairs, a_hat in zip(ladder, seps, pair_sets, a_hats):
         grid = build_weighted_grid(mollify_localized(field, eps_k), params.xi)
-        a_hat = estimate_a_eps(eps_k, params, mc).median
         worst = 0.0
         for z, w in pairs:
             worst = max(worst, dist_point(grid, z, w).value / a_hat)
@@ -864,7 +867,7 @@ def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
         if key in wanted:
             try:
                 args[key] = parse(cfg, key, args)
-            except (TypeError, ValueError, KeyError, IndexError) as exc:
+            except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
                 raise InvalidArgument(
                     f"experiment config key '{key}' is malformed: {exc}") from None
     if "mc" in args:

@@ -20,7 +20,9 @@ equal to the full-lattice values on the box.
 
 The localized golden bytes depend on one summation rule over that padded
 block: taps above DBL_EPSILON in raster order, each a separate multiply and
-add, then one division by the stencil sum (verified on x86-64 only).
+add, then one division by the stencil sum (verified on x86-64 only).  The
+plain ones depend on the operand order of one spectral product: field
+spectrum first, kernel spectrum second (see `mollify`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.integrate import simpson
 
 from .errors import (
     InvalidArgument,
@@ -406,6 +407,7 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
         raise InvalidArgument(f"epsilon must lie in (0, 1/e), got {epsilon}")
     if not (math.isfinite(spacing) and spacing > 0):
         raise InvalidArgument(f"spacing must be finite and > 0, got {spacing}")
+    from scipy.integrate import simpson   # imported here to keep start-up light
     rho = epsilon * math.log(1.0 / epsilon)
     step = min(spacing / 4.0, rho / 8192.0)
     count = int(math.ceil((rho / 2.0) / step)) + 1
@@ -439,16 +441,35 @@ def _torus_kernel(spec: LatticeSpec, epsilon: float) -> np.ndarray:
     return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2)
 
 
-def mollify(field: FieldSample, epsilon: float) -> MollifiedField:
+def mollify(field: FieldSample, epsilon: float,
+            spectrum: Optional[np.ndarray] = None) -> MollifiedField:
     """Heat-kernel smoothing at time eps^2/2 by exact circular convolution.
 
     The kernel is sampled at torus offsets, normalized to unit lattice sum
     (so constants pass through up to rounding), and applied spectrally.
+    `spectrum`, when given, must be np.fft.fft2(field.values): a caller that
+    smooths one field at several scales takes that transform once.
+
+    The golden bytes depend on the operand order of the spectral product:
+    field spectrum times kernel spectrum, the field spectrum first.  numpy's
+    complex multiply is not bitwise commutative, and in
+    `spectrum * np.fft.fft2(kernel)` numpy reuses the temporary right
+    operand and computes the reverse order once the arrays reach its
+    256 KiB elision threshold (n >= 128), so the product is written into
+    the kernel spectrum's buffer explicitly.
     """
     check_scale(field.spec, epsilon)
+    n = field.spec.n
+    if spectrum is not None and spectrum.shape != (n, n):
+        raise InvalidSpec(f"spectrum must have shape ({n}, {n}), got {spectrum.shape}")
     kernel = _torus_kernel(field.spec, epsilon)  # prefactor cancels in normalization
     kernel /= kernel.sum()
-    values = np.fft.ifft2(np.fft.fft2(field.values) * np.fft.fft2(kernel)).real
+    if spectrum is None:
+        spectrum = np.fft.fft2(field.values)
+    product = np.fft.fft2(kernel)
+    np.multiply(spectrum, product, out=product)
+    del spectrum   # one made here is freed before the inverse transform
+    values = np.fft.ifft2(product).real
     return MollifiedField(spec=field.spec, kind=field.kind, epsilon=float(epsilon),
                           values=np.ascontiguousarray(values), localized=False,
                           z_epsilon=1.0, source_seed=field.seed)

@@ -11,9 +11,17 @@ results keep trial order, so estimates and reports are bit for bit the same
 at any pool size (`MCConfig.workers`); medians and bootstrap confidence
 intervals are reduced in trial-index order.
 
-A small in-process memo keyed by `estimate_cache_key` lets ratio and
-diagnostic code reuse estimates; cached and fresh values are identical.  The
-CLI's disk cache uses the same key, so an estimate has one identity.
+`estimate_ladder` estimates a whole epsilon ladder from one pass over the
+trials: trial i samples its field once, takes its spectrum once, and serves
+every rung not yet estimated, and one process pool runs the ladder.  Each
+rung is still reduced and keyed on its own, so an estimate's bits do not
+depend on the ladder it was computed in; `estimate_a_eps` is the one-rung
+case.
+
+A small in-process memo keyed by `estimate_cache_key`, one entry per rung,
+lets ratio and diagnostic code reuse estimates; cached and fresh values are
+identical.  The CLI's disk cache uses the same key, so an estimate has one
+identity.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Callable, Dict, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -165,14 +173,19 @@ def crossing_square(lattice: LatticeSpec) -> Rect:
     return Rect(lo=(cx - 0.5, cy - 0.5), hi=(cx + 0.5, cy + 0.5))
 
 
-def _crossing_trial(seed: int, lattice: LatticeSpec, epsilon: float, xi: float,
-                    localized: bool) -> float:
-    """One trial: sample, smooth, cross the central unit square."""
+def _crossing_trial(seed: int, lattice: LatticeSpec, epsilons: Tuple[float, ...],
+                    xi: float, localized: bool) -> Tuple[float, ...]:
+    """One trial: sample once, then smooth and cross the central unit square
+    at every rung."""
     field = sample_torus_gff(lattice, seed)
     square = crossing_square(lattice)
-    moll = (mollify_localized(field, epsilon, region_box(lattice, square))
-            if localized else mollify(field, epsilon))
-    return lr_crossing(build_weighted_grid(moll, xi), square).value
+    if localized:
+        box = region_box(lattice, square)
+        smooth = partial(mollify_localized, field, box=box)
+    else:
+        smooth = partial(mollify, field, spectrum=np.fft.fft2(field.values))
+    return tuple(lr_crossing(build_weighted_grid(smooth(eps), xi), square).value
+                 for eps in epsilons)
 
 
 def run_trials(trial: Callable[[int], object], mc: MCConfig) -> list:
@@ -207,35 +220,75 @@ def clear_estimate_cache() -> None:
     _est_cache.clear()
 
 
-def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstimate:
-    """Median unit-square crossing distance over mc.trials field samples.
-
-    Memoized pure function of (epsilon, params, mc), its trials run by
-    `run_trials`.
-    """
-    if mc.trials < _MIN_TRIALS:
-        raise InsufficientTrials(
-            f"{mc.trials} trials requested; CI-bearing estimates need >= {_MIN_TRIALS}")
-    check_scale(mc.lattice, epsilon)
-    key = estimate_cache_key(epsilon, params, mc)
-    if key in _est_cache:
-        return _est_cache[key]
-
-    trial = partial(_crossing_trial, lattice=mc.lattice, epsilon=float(epsilon),
-                    xi=params.xi, localized=mc.localized)
-    values = np.array(run_trials(trial, mc), dtype=np.float64)
-
+def _median_estimate(epsilon: float, values: np.ndarray, mc: MCConfig) -> MedianEstimate:
+    """The sample median of one rung's trial values, with its bootstrap CI."""
     median = float(np.median(values))
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(_BOOT_KEY,)))
     idx = rng.integers(0, mc.trials, size=(_BOOT_RESAMPLES, mc.trials))
     boots = np.median(values[idx], axis=1)
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    est = MedianEstimate(epsilon=float(epsilon), median=median, trials=mc.trials,
-                         ci_lo=min(float(lo), median), ci_hi=max(float(hi), median),
-                         master_seed=mc.master_seed)
-    _est_cache[key] = est
-    return est
+    return MedianEstimate(epsilon=epsilon, median=median, trials=mc.trials,
+                          ci_lo=min(float(lo), median), ci_hi=max(float(hi), median),
+                          master_seed=mc.master_seed)
+
+
+def _fill_estimates(epsilons: Sequence[float], params: Params, mc: MCConfig) -> List[str]:
+    """Check every rung, estimate those not in the memo in one run of the
+    trials, and return the rungs' memo keys."""
+    if mc.trials < _MIN_TRIALS:
+        raise InsufficientTrials(
+            f"{mc.trials} trials requested; CI-bearing estimates need >= {_MIN_TRIALS}")
+    for eps in epsilons:
+        check_scale(mc.lattice, eps)
+    keys = [estimate_cache_key(eps, params, mc) for eps in epsilons]
+    missing = {key: float(eps) for key, eps in zip(keys, epsilons)
+               if key not in _est_cache}
+    if missing:
+        trial = partial(_crossing_trial, lattice=mc.lattice,
+                        epsilons=tuple(missing.values()), xi=params.xi,
+                        localized=mc.localized)
+        values = np.array(run_trials(trial, mc), dtype=np.float64)
+        for k, (key, eps) in enumerate(missing.items()):
+            _est_cache[key] = _median_estimate(eps, np.ascontiguousarray(values[:, k]), mc)
+    return keys
+
+
+def estimate_a_eps(epsilon: float, params: Params, mc: MCConfig) -> MedianEstimate:
+    """Median unit-square crossing distance over mc.trials field samples.
+
+    Memoized pure function of (epsilon, params, mc): the one-rung case of
+    `estimate_ladder`.
+    """
+    key, = _fill_estimates([epsilon], params, mc)
+    return _est_cache[key]
+
+
+def estimate_ladder(epsilons: Sequence[float], params: Params,
+                    mc: MCConfig) -> List[MedianEstimate]:
+    """`estimate_a_eps` at every rung, from one run of the trials.
+
+    Every rung is checked before any trial runs.  The rungs not yet in the
+    memo share each trial's field sample and one process pool; each is
+    reduced and memoized on its own, bit for bit as `estimate_a_eps` alone
+    would give it.  The estimates are handed back through `estimate_a_eps`,
+    in the order of `epsilons`.
+    """
+    _fill_estimates(epsilons, params, mc)
+    return [estimate_a_eps(eps, params, mc) for eps in epsilons]
+
+
+def ratio_rungs(eps_ladder: Sequence[float], r: float, mc: MCConfig) -> List[float]:
+    """The rungs eps and then eps/r of a `scaling_ratio` ladder, each checked
+    against the smoothing-scale floor."""
+    if not eps_ladder:
+        raise InvalidArgument("ladder needs at least one rung")
+    if not _is_pow2(r):
+        raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
+    for eps in eps_ladder:
+        check_scale(mc.lattice, eps)
+        check_scale(mc.lattice, eps / r)
+    return [*eps_ladder, *(eps / r for eps in eps_ladder)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +340,15 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
 
     Both estimates per row share mc.master_seed, so the same field samples
     enter numerator and denominator (common random numbers); at r = 1 the
-    cache returns the identical estimate and rho is exactly 1.
+    cache returns the identical estimate and rho is exactly 1.  The rungs
+    eps and eps/r are estimated in one `estimate_ladder` call.
     """
-    if not eps_ladder:
-        raise InvalidArgument("ladder needs at least one rung")
-    if not _is_pow2(r):
-        raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
     if not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    for eps in eps_ladder:
-        check_scale(mc.lattice, eps)
-        check_scale(mc.lattice, eps / r)
+    estimates = estimate_ladder(ratio_rungs(eps_ladder, r, mc), params, mc)
     expo = 1.0 - params.xi * q_hat
-    rows = []
-    for eps in eps_ladder:
-        a1 = estimate_a_eps(eps, params, mc)
-        a2 = estimate_a_eps(eps / r, params, mc)
-        rows.append((float(eps), r ** expo * (a2.median / a1.median)))
+    rows = [(float(eps), r ** expo * (a2.median / a1.median))
+            for eps, a1, a2 in zip(eps_ladder, estimates, estimates[len(eps_ladder):])]
     return RatioSeries(r=float(r), rows=tuple(rows), q_hat_used=float(q_hat))
 
 

@@ -6,7 +6,9 @@ relaxation fixpoint (so the floating-point sums associate exactly like a
 label-setting solver's left-to-right accumulation), separating cycles come
 from exhaustive DFS enumeration with cost pruning, and geodesics from a walk
 back over an adjacency list under the smallest-index tie rule.  Localized
-smoothing is checked against scipy's own wrap-mode correlation.
+smoothing is checked against scipy's own wrap-mode correlation, plain
+smoothing against one spectral expression, and ladder estimates against
+rung-by-rung estimates that sample every trial's field afresh.
 """
 
 from __future__ import annotations
@@ -361,3 +363,46 @@ def localized_reference(field, eps: float, box) -> np.ndarray:
     stencil = bump_profile_ref(radius / rho) * np.exp(-(radius / eps) ** 2)
     full = ndimage.correlate(field.values, stencil, mode="wrap")
     return full[box] / stencil.sum()
+
+
+def plain_mollify_reference(values: np.ndarray, spacing: float, eps: float) -> np.ndarray:
+    """Plain smoothing of torus values as one expression: the heat kernel
+    exp(-r^2/eps^2) at torus offsets, normalized to unit sum, applied by
+    np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real."""
+    n = values.shape[0]
+    d = np.minimum(np.arange(n), n - np.arange(n)) * spacing
+    kernel = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / eps ** 2)
+    kernel /= kernel.sum()
+    return np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real
+
+
+def per_rung_estimate(eps: float, xi: float, mc) -> Tuple[float, float, float]:
+    """(median, ci_lo, ci_hi) of one rung's crossing distances, in one
+    process: every trial samples its own field at this rung alone, smooths
+    it with `plain_mollify_reference` (or the localized smoother on the
+    crossing square's box), and crosses the square; then the median and
+    the 1000-resample bootstrap on spawn key 0xB007 of the master seed."""
+    from lfpp import (MollifiedField, build_weighted_grid, crossing_square,
+                      lr_crossing, mollify_localized, region_box, sample_torus_gff,
+                      trial_seed)
+    lat = mc.lattice
+    square = crossing_square(lat)
+    values = []
+    for i in range(mc.trials):
+        field = sample_torus_gff(lat, trial_seed(mc.master_seed, i))
+        if mc.localized:
+            moll = mollify_localized(field, eps, region_box(lat, square))
+        else:
+            moll = MollifiedField(
+                spec=lat, kind=field.kind, epsilon=eps, localized=False,
+                values=np.ascontiguousarray(
+                    plain_mollify_reference(field.values, lat.spacing, eps)),
+                z_epsilon=1.0, source_seed=field.seed)
+        values.append(lr_crossing(build_weighted_grid(moll, xi), square).value)
+    values = np.array(values, dtype=np.float64)
+    median = float(np.median(values))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(0xB007,)))
+    idx = rng.integers(0, mc.trials, size=(1000, mc.trials))
+    lo, hi = np.percentile(np.median(values[idx], axis=1), [2.5, 97.5])
+    return median, min(float(lo), median), max(float(hi), median)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ class TestBasics:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["dist", "--nonsense"]) == 1
+
+    def test_import_leaves_scipy_stats_and_integrate_unloaded(self):
+        # each is imported by the one function that uses it
+        code = ("import sys, lfpp.cli; print([m for m in ('scipy.stats', "
+                "'scipy.integrate') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=lfpp_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_bad_threads_rejected(self, tmp_path):
         code = main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
@@ -501,7 +511,8 @@ class TestExp:
         cfg_path.write_text(json.dumps(
             {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
              "mc": {"n": 32, "trials": 20, "seed": 7}}), encoding="utf-8")
-        for threads, want in (("1", []), ("2", [2, 2, 2])):
+        # one pool for the estimates at eps and eps/a, one for the trials
+        for threads, want in (("1", []), ("2", [2, 2])):
             clear_estimate_cache()
             pool_sizes.clear()
             assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
@@ -558,6 +569,18 @@ class TestExp:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 1
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_oversize_integer_exits_one_naming_key(self, tmp_path, capsys):
+        # float() of a 401-digit integer raises OverflowError
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(
+            {"a": 10 ** 400, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+             "mc": {"n": 32, "trials": 20, "seed": 7}}), encoding="utf-8")
+        code = main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "config key 'a' is malformed" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
 

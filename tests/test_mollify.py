@@ -14,6 +14,7 @@ from lfpp import (
     LatticeSpec,
     MollificationTooFine,
     MollifiedField,
+    InvalidSpec,
     add_function,
     bump,
     mollify,
@@ -118,6 +119,28 @@ class TestPlainMollify:
     def test_floor(self, field64):
         with pytest.raises(MollificationTooFine):
             mollify(field64, 1.9 * field64.spec.spacing)
+
+    def test_spectrum_of_another_shape_rejected(self, field64):
+        with pytest.raises(InvalidSpec):
+            mollify(field64, 0.25, spectrum=np.zeros((32, 32), dtype=complex))
+
+
+class TestPlainMatchesReference:
+    """`mollify`, with its own field spectrum or a caller's, gives the
+    one-expression spectral smoothing of tests/oracles.py bit for bit; n of
+    128 and above reaches numpy's temporary-elision threshold, where the
+    operand order of the product matters."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.sampled_from((64, 128, 256)), st.integers(0, 2 ** 64 - 1), st.data())
+    def test_values_equal_reference(self, n, seed, data):
+        spec = LatticeSpec(n=n, spacing=4.0 / n)
+        field = sample_torus_gff(spec, seed)
+        eps = data.draw(st.floats(8.0 / n, 2.0))
+        want = oracles.plain_mollify_reference(field.values, spec.spacing, eps).tobytes()
+        assert mollify(field, eps).values.tobytes() == want
+        spectrum = np.fft.fft2(field.values)
+        assert mollify(field, eps, spectrum=spectrum).values.tobytes() == want
 
 
 class TestLocalizedMollify:

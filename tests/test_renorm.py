@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lfpp import (
     DegenerateFit,
     InsufficientTrials,
@@ -20,6 +21,7 @@ from lfpp import (
     Params,
     clear_estimate_cache,
     estimate_a_eps,
+    estimate_ladder,
     fit_exponent,
     ladders_overlap,
     log_correction_check,
@@ -204,6 +206,52 @@ class TestRunTrialsPoolSize:
         clear_estimate_cache()     # else the memo answers the pooled side
         two = run(replace(mc, workers=2))
         assert repr(two) == repr(one)   # repr round-trips every float bit
+
+
+@st.composite
+def ladder_runs(draw):
+    """2-4 dyadic rungs (repeats allowed) at n 128 or 256, plain or localized,
+    at 1 or 2 workers, and whether the last rung is memoized beforehand."""
+    n = draw(st.sampled_from((128, 256)))
+    mc = MCConfig(lattice=LatticeSpec(n=n, spacing=4.0 / n), trials=20,
+                  master_seed=draw(st.integers(0, 2 ** 64 - 1)),
+                  localized=draw(st.booleans()), workers=draw(st.sampled_from((1, 2))))
+    # localized smoothing needs eps < 1/e; every rung keeps eps >= 2*spacing
+    ks = st.integers(2 if mc.localized else 0, int(math.log2(n / 8)))
+    ladder = [2.0 ** -k for k in draw(st.lists(ks, min_size=2, max_size=4))]
+    return ladder, Params(xi=draw(st.floats(0.05, 0.4))), mc, draw(st.booleans())
+
+
+class TestLadderMatchesPerRung:
+    """`estimate_ladder`, which samples each trial's field once for all its
+    rungs and takes its spectrum once, gives every rung the bits of a
+    rung-by-rung estimate that samples afresh (tests/oracles.py)."""
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(ladder_runs())
+    def test_every_rung_equals_the_per_rung_oracle(self, run):
+        ladder, params, mc, prefill = run
+        clear_estimate_cache()
+        if prefill:
+            estimate_a_eps(ladder[-1], params, mc)
+        want = {eps: oracles.per_rung_estimate(eps, params.xi, mc) for eps in ladder}
+        for eps, est in zip(ladder, estimate_ladder(ladder, params, mc), strict=True):
+            assert est.epsilon == eps
+            assert ([v.hex() for v in (est.median, est.ci_lo, est.ci_hi)]
+                    == [v.hex() for v in want[eps]])
+
+    def test_rungs_are_memoized_one_by_one(self):
+        clear_estimate_cache()
+        ladder = estimate_ladder([0.5, 0.25, 0.5], PARAMS, SMALL_MC)
+        assert ladder[0] is ladder[2]
+        assert [estimate_a_eps(eps, PARAMS, SMALL_MC) for eps in (0.5, 0.25)] == ladder[:2]
+
+    def test_every_rung_checked_before_any_trial(self, monkeypatch):
+        import lfpp.renorm as renorm
+        monkeypatch.setattr(renorm, "run_trials",
+                            lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(MollificationTooFine):
+            estimate_ladder([0.5, 0.2], PARAMS, SMALL_MC)
 
 
 class TestFitExponent:
