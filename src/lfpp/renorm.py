@@ -248,9 +248,9 @@ def _fill_estimates(epsilons: Sequence[float], params: Params, mc: MCConfig) -> 
         trial = partial(_crossing_trial, lattice=mc.lattice,
                         epsilons=tuple(missing.values()), xi=params.xi,
                         localized=mc.localized)
-        values = np.array(run_trials(trial, mc), dtype=np.float64)
-        for k, (key, eps) in enumerate(missing.items()):
-            _est_cache[key] = _median_estimate(eps, np.ascontiguousarray(values[:, k]), mc)
+        columns = np.array(run_trials(trial, mc), dtype=np.float64).T
+        for (key, eps), values in zip(missing.items(), columns):
+            _est_cache[key] = _median_estimate(eps, values, mc)
     return keys
 
 
