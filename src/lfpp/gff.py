@@ -18,11 +18,16 @@ torus) and returns a `MollifiedField` whose values cover only the box, with
 `offset` naming the lattice site of values[0, 0].  Box values are bitwise
 equal to the full-lattice values on the box.
 
+Both the torus sampler and plain smoothing run on real-input transforms
+(`rfft2` / `irfft2`, half-plane spectra of shape (n, n//2 + 1)); spectral
+synthesis follows Dietrich & Newsam (SIAM J. Sci. Comput. 1997).
+
 The localized golden bytes depend on one summation rule over that padded
 block: taps above DBL_EPSILON in raster order, each a separate multiply and
 add, then one division by the stencil sum (verified on x86-64 only).  The
-plain ones depend on the operand order of one spectral product: field
-spectrum first, kernel spectrum second (see `mollify`).
+plain ones depend on one rule too: the field's `rfft2` spectrum, times the
+row multiplier, then times the column multiplier, then one `irfft2` (see
+`mollify`).
 """
 
 from __future__ import annotations
@@ -222,11 +227,12 @@ class MollifiedField:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _folded_wavenumbers(n: int) -> np.ndarray:
-    """|k| over the integer wavevector grid with frequencies folded to +-n/2."""
-    k = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return np.hypot(kx, ky)
+def _half_plane_wavenumbers(n: int) -> np.ndarray:
+    """|k| over the `rfft2` half plane of the integer wavevector grid: rows
+    fold to +-n/2, columns run 0..n/2."""
+    ky = np.fft.fftfreq(n, d=1.0 / n)   # 0, 1, ..., n/2-1, -n/2, ..., -1
+    kx = np.fft.rfftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2
+    return np.hypot(ky[:, None], kx[None, :])
 
 
 def _remove_mean(values: np.ndarray) -> np.ndarray:
@@ -240,11 +246,11 @@ def _remove_mean(values: np.ndarray) -> np.ndarray:
 def sample_torus_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     """Sample the mean-zero log-correlated field on the n x n torus.
 
-    Synthesis is spectral: white noise is transformed, each nonzero mode is
-    scaled by 1/(2*pi*|k|) with |k| the integer torus wavevector magnitude,
-    the zero mode is dropped, and the inverse transform is taken.  Conjugate
-    symmetry holds by construction (the noise is real), so the output is real
-    up to rounding.  Increments obey
+    Synthesis is spectral: white noise is transformed with `rfft2`, each
+    nonzero half-plane mode is scaled in place by n/(2*pi*|k|) with |k| the
+    integer torus wavevector magnitude, the zero mode is dropped, and
+    `irfft2` takes the real field back.  The noise is real, so the half
+    plane carries every mode.  Increments obey
     Var(h(x) - h(y)) ~ (2/(2*pi)) * log(|x - y| / spacing) + O(1).
     """
     if spec.n < 8:
@@ -253,12 +259,11 @@ def sample_torus_gff(spec: LatticeSpec, seed: int) -> FieldSample:
         raise InvalidArgument(f"seed must be an integer in [0, 2^64), got {seed!r}")
     n = spec.n
     rng = np.random.default_rng(seed)
-    noise_hat = np.fft.fft2(rng.standard_normal((n, n)))
-    kmag = _folded_wavenumbers(n)
+    modes = np.fft.rfft2(rng.standard_normal((n, n)))
+    kmag = _half_plane_wavenumbers(n)
     kmag[0, 0] = np.inf  # zero mode removed exactly
-    amp = n / (2.0 * np.pi * kmag)
-    values = np.fft.ifft2(noise_hat * amp).real
-    values = _remove_mean(np.ascontiguousarray(values))
+    modes *= n / (2.0 * np.pi * kmag)
+    values = _remove_mean(np.fft.irfft2(modes, s=(n, n)))
     return FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=seed,
                        values=values, mean_removed=True)
 
@@ -434,10 +439,15 @@ def check_scale(spec: LatticeSpec, epsilon: float) -> None:
             f"epsilon = {epsilon} is below 2*spacing = {2.0 * spec.spacing}")
 
 
+def _torus_distances(spec: LatticeSpec) -> np.ndarray:
+    """Torus distance from site 0 to each site along one axis."""
+    n = spec.n
+    return np.minimum(np.arange(n), n - np.arange(n)) * spec.spacing
+
+
 def _torus_kernel(spec: LatticeSpec, epsilon: float) -> np.ndarray:
     """Unnormalized heat kernel exp(-r^2/eps^2) at the torus offsets of site (0, 0)."""
-    n = spec.n
-    d = np.minimum(np.arange(n), n - np.arange(n)) * spec.spacing
+    d = _torus_distances(spec)
     return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2)
 
 
@@ -445,33 +455,38 @@ def mollify(field: FieldSample, epsilon: float,
             spectrum: Optional[np.ndarray] = None) -> MollifiedField:
     """Heat-kernel smoothing at time eps^2/2 by exact circular convolution.
 
-    The kernel is sampled at torus offsets, normalized to unit lattice sum
-    (so constants pass through up to rounding), and applied spectrally.
-    `spectrum`, when given, must be np.fft.fft2(field.values): a caller that
-    smooths one field at several scales takes that transform once.
+    The kernel exp(-r^2/eps^2), sampled at torus offsets and normalized to
+    unit lattice sum (so constants pass through up to rounding), is the
+    outer product of the 1-D kernel k1 = exp(-d^2/eps^2) with itself, and
+    its unit-sum normalization is the product of the 1-D ones.  Its spectrum
+    is therefore g g^T with g = rfft(k1 / k1.sum()).real (k1 is even, so
+    the transform is real): g at each row's folded frequency is the row
+    multiplier, g itself the column multiplier.  The multipliers cost O(n).
 
-    The golden bytes depend on the operand order of the spectral product:
-    field spectrum times kernel spectrum, the field spectrum first.  numpy's
-    complex multiply is not bitwise commutative, and in
-    `spectrum * np.fft.fft2(kernel)` numpy reuses the temporary right
-    operand and computes the reverse order once the arrays reach its
-    256 KiB elision threshold (n >= 128), so the product is written into
-    the kernel spectrum's buffer explicitly.
+    `spectrum`, when given, must be np.fft.rfft2(field.values): a caller
+    that smooths one field at several scales takes that transform once.
+
+    The golden bytes depend on the order: the field's `rfft2` spectrum,
+    times the row multiplier (into a new array, so the caller's spectrum is
+    kept), then times the column multiplier, then one `irfft2`.
     """
     check_scale(field.spec, epsilon)
     n = field.spec.n
-    if spectrum is not None and spectrum.shape != (n, n):
-        raise InvalidSpec(f"spectrum must have shape ({n}, {n}), got {spectrum.shape}")
-    kernel = _torus_kernel(field.spec, epsilon)  # prefactor cancels in normalization
-    kernel /= kernel.sum()
     if spectrum is None:
-        spectrum = np.fft.fft2(field.values)
-    product = np.fft.fft2(kernel)
-    np.multiply(spectrum, product, out=product)
-    del spectrum   # one made here is freed before the inverse transform
-    values = np.fft.ifft2(product).real
+        spectrum = np.fft.rfft2(field.values)
+    elif not (isinstance(spectrum, np.ndarray) and spectrum.dtype == np.complex128
+              and spectrum.shape == (n, n // 2 + 1)):
+        raise InvalidSpec(
+            f"spectrum must be the field's rfft2, complex128 of shape ({n}, {n // 2 + 1}), "
+            f"got {getattr(spectrum, 'dtype', type(spectrum).__name__)} of shape "
+            f"{getattr(spectrum, 'shape', None)}")
+    k1 = np.exp(-_torus_distances(field.spec) ** 2 / epsilon ** 2)
+    g = np.fft.rfft(k1 / k1.sum()).real
+    product = spectrum * np.concatenate((g, g[-2:0:-1]))[:, None]
+    product *= g[None, :]
+    values = np.fft.irfft2(product, s=(n, n))
     return MollifiedField(spec=field.spec, kind=field.kind, epsilon=float(epsilon),
-                          values=np.ascontiguousarray(values), localized=False,
+                          values=values, localized=False,
                           z_epsilon=1.0, source_seed=field.seed)
 
 

@@ -12,11 +12,11 @@ at any pool size (`MCConfig.workers`); medians and bootstrap confidence
 intervals are reduced in trial-index order.
 
 `estimate_ladder` estimates a whole epsilon ladder from one pass over the
-trials: trial i samples its field once, takes its spectrum once, and serves
-every rung not yet estimated, and one process pool runs the ladder.  Each
-rung is still reduced and keyed on its own, so an estimate's bits do not
-depend on the ladder it was computed in; `estimate_a_eps` is the one-rung
-case.
+trials: trial i samples its field once (and, for plain smoothing, takes its
+`rfft2` once) and serves every rung not yet estimated, and one process pool
+runs the ladder.  Each rung is still reduced and keyed on its own, so an
+estimate's bits do not depend on the ladder it was computed in;
+`estimate_a_eps` is the one-rung case.
 
 A small in-process memo keyed by `estimate_cache_key`, one entry per rung,
 lets ratio and diagnostic code reuse estimates; cached and fresh values are
@@ -183,7 +183,7 @@ def _crossing_trial(seed: int, lattice: LatticeSpec, epsilons: Tuple[float, ...]
         box = region_box(lattice, square)
         smooth = partial(mollify_localized, field, box=box)
     else:
-        smooth = partial(mollify, field, spectrum=np.fft.fft2(field.values))
+        smooth = partial(mollify, field, spectrum=np.fft.rfft2(field.values))
     return tuple(lr_crossing(build_weighted_grid(smooth(eps), xi), square).value
                  for eps in epsilons)
 

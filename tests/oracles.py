@@ -6,9 +6,11 @@ relaxation fixpoint (so the floating-point sums associate exactly like a
 label-setting solver's left-to-right accumulation), separating cycles come
 from exhaustive DFS enumeration with cost pruning, and geodesics from a walk
 back over an adjacency list under the smallest-index tie rule.  Localized
-smoothing is checked against scipy's own wrap-mode correlation, plain
-smoothing against one spectral expression, and ladder estimates against
-rung-by-rung estimates that sample every trial's field afresh.
+smoothing is checked against scipy's own wrap-mode correlation, the torus
+sampler and plain smoothing against one real-input spectral expression each
+(and, to rounding, against the complex full-plane transforms they replaced),
+and ladder estimates against rung-by-rung estimates that sample every
+trial's field afresh.
 """
 
 from __future__ import annotations
@@ -365,12 +367,61 @@ def localized_reference(field, eps: float, box) -> np.ndarray:
     return full[box] / stencil.sum()
 
 
+def _remove_mean_ref(values: np.ndarray) -> np.ndarray:
+    values = values - values.mean()
+    values -= values.mean()
+    return values
+
+
+def _torus_axis_distances(n: int, spacing: float) -> np.ndarray:
+    return np.minimum(np.arange(n), n - np.arange(n)) * spacing
+
+
+def torus_gff_reference(n: int, seed: int) -> np.ndarray:
+    """Torus field values as one real-input expression: the seed's white
+    noise through np.fft.rfft2, times n/(2*pi*|k|) on the half plane (zero
+    mode dropped), back through np.fft.irfft2, then the mean removed in two
+    passes."""
+    kmag = np.hypot(np.fft.fftfreq(n, d=1.0 / n)[:, None],
+                    np.fft.rfftfreq(n, d=1.0 / n)[None, :])
+    kmag[0, 0] = np.inf
+    noise = np.random.default_rng(seed).standard_normal((n, n))
+    return _remove_mean_ref(np.fft.irfft2(
+        np.fft.rfft2(noise) * (n / (2.0 * np.pi * kmag)), s=(n, n)))
+
+
+def torus_gff_full_plane(n: int, seed: int) -> np.ndarray:
+    """The torus sampler before real-input transforms: the noise through
+    np.fft.fft2, times n/(2*pi*|k|) over the full plane, np.fft.ifft2 and
+    the real part.  Equal to `torus_gff_reference` up to rounding."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.hypot(k[:, None], k[None, :])
+    kmag[0, 0] = np.inf
+    noise = np.random.default_rng(seed).standard_normal((n, n))
+    return _remove_mean_ref(np.ascontiguousarray(np.fft.ifft2(
+        np.fft.fft2(noise) * (n / (2.0 * np.pi * kmag))).real))
+
+
 def plain_mollify_reference(values: np.ndarray, spacing: float, eps: float) -> np.ndarray:
-    """Plain smoothing of torus values as one expression: the heat kernel
-    exp(-r^2/eps^2) at torus offsets, normalized to unit sum, applied by
-    np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real."""
+    """Plain smoothing of torus values as one real-input expression: with
+    the 1-D heat kernel k1 = exp(-d^2/eps^2) at torus distances and
+    g = np.fft.rfft(k1 / k1.sum()).real, the field's np.fft.rfft2 times g
+    at each row's folded frequency, then times g along the columns, then
+    np.fft.irfft2."""
     n = values.shape[0]
-    d = np.minimum(np.arange(n), n - np.arange(n)) * spacing
+    k1 = np.exp(-_torus_axis_distances(n, spacing) ** 2 / eps ** 2)
+    g = np.fft.rfft(k1 / k1.sum()).real
+    folded = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    return np.fft.irfft2(np.fft.rfft2(values) * g[folded][:, None] * g[None, :],
+                         s=(n, n))
+
+
+def plain_mollify_full_plane(values: np.ndarray, spacing: float, eps: float) -> np.ndarray:
+    """Plain smoothing before real-input transforms: the 2-D heat kernel
+    exp(-r^2/eps^2) at torus offsets, normalized to unit sum, applied by
+    np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real.  Equal to
+    `plain_mollify_reference` up to rounding."""
+    d = _torus_axis_distances(values.shape[0], spacing)
     kernel = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / eps ** 2)
     kernel /= kernel.sum()
     return np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real
@@ -395,8 +446,7 @@ def per_rung_estimate(eps: float, xi: float, mc) -> Tuple[float, float, float]:
         else:
             moll = MollifiedField(
                 spec=lat, kind=field.kind, epsilon=eps, localized=False,
-                values=np.ascontiguousarray(
-                    plain_mollify_reference(field.values, lat.spacing, eps)),
+                values=plain_mollify_reference(field.values, lat.spacing, eps),
                 z_epsilon=1.0, source_seed=field.seed)
         values.append(lr_crossing(build_weighted_grid(moll, xi), square).value)
     values = np.array(values, dtype=np.float64)

@@ -27,6 +27,7 @@ from lfpp import (
     dist_point,
     dist_sets,
     estimate_a_eps,
+    estimate_ladder,
     fit_exponent,
     lr_crossing,
     mollify_localized,
@@ -66,7 +67,7 @@ Z_QUADRATURE = {
 def ladder_fit():
     """Estimates and exponent fit shared by criteria 7, 8 and 12."""
     clear_estimate_cache()
-    ests = [estimate_a_eps(eps, PARAMS, MC512) for eps in LADDER]
+    ests = estimate_ladder(LADDER, PARAMS, MC512)
     return ests, fit_exponent(ests, PARAMS)
 
 

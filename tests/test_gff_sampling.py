@@ -153,6 +153,25 @@ class TestTorusSampler:
             assert 0.95 < slope * math.pi < 1.01
 
 
+class TestTorusSamplerMatchesReference:
+    """The real-input torus sampler gives the one-expression `rfft2`
+    synthesis of tests/oracles.py bit for bit, and the complex full-plane
+    synthesis it replaced to rounding."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.sampled_from((8, 64, 128, 256)), st.integers(0, 2 ** 64 - 1))
+    def test_values_equal_reference(self, n, seed):
+        got = sample_torus_gff(LatticeSpec(n=n, spacing=4.0 / n), seed).values
+        assert got.tobytes() == oracles.torus_gff_reference(n, seed).tobytes()
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.sampled_from((64, 128, 256)), st.integers(0, 2 ** 64 - 1))
+    def test_values_match_full_plane_synthesis(self, n, seed):
+        got = sample_torus_gff(LatticeSpec(n=n, spacing=4.0 / n), seed).values
+        want = oracles.torus_gff_full_plane(n, seed)
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestDirichletSampler:
     def test_boundary_zero_and_determinism(self):
         spec = LatticeSpec(n=32, spacing=0.03125)

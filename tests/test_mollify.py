@@ -121,15 +121,20 @@ class TestPlainMollify:
             mollify(field64, 1.9 * field64.spec.spacing)
 
     def test_spectrum_of_another_shape_rejected(self, field64):
-        with pytest.raises(InvalidSpec):
-            mollify(field64, 0.25, spectrum=np.zeros((32, 32), dtype=complex))
+        values = field64.values
+        for spectrum in (np.zeros((32, 17), dtype=complex),
+                         np.fft.fft2(values),               # full plane
+                         np.fft.rfft2(values).real,         # not complex
+                         np.fft.rfft2(values).astype(np.complex64),
+                         np.fft.rfft2(values).tolist()):
+            with pytest.raises(InvalidSpec):
+                mollify(field64, 0.25, spectrum=spectrum)
 
 
 class TestPlainMatchesReference:
     """`mollify`, with its own field spectrum or a caller's, gives the
-    one-expression spectral smoothing of tests/oracles.py bit for bit; n of
-    128 and above reaches numpy's temporary-elision threshold, where the
-    operand order of the product matters."""
+    one-expression real-input smoothing of tests/oracles.py bit for bit, and
+    the 2-D kernel `fft2` smoothing it replaced to rounding."""
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(st.sampled_from((64, 128, 256)), st.integers(0, 2 ** 64 - 1), st.data())
@@ -139,8 +144,19 @@ class TestPlainMatchesReference:
         eps = data.draw(st.floats(8.0 / n, 2.0))
         want = oracles.plain_mollify_reference(field.values, spec.spacing, eps).tobytes()
         assert mollify(field, eps).values.tobytes() == want
-        spectrum = np.fft.fft2(field.values)
+        spectrum = np.fft.rfft2(field.values)
+        kept = spectrum.copy()
         assert mollify(field, eps, spectrum=spectrum).values.tobytes() == want
+        assert spectrum.tobytes() == kept.tobytes()
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(st.sampled_from((64, 128, 256)), st.integers(0, 2 ** 64 - 1), st.data())
+    def test_values_match_full_plane_smoothing(self, n, seed, data):
+        spec = LatticeSpec(n=n, spacing=4.0 / n)
+        field = sample_torus_gff(spec, seed)
+        eps = data.draw(st.floats(8.0 / n, 2.0))
+        want = oracles.plain_mollify_full_plane(field.values, spec.spacing, eps)
+        assert np.abs(mollify(field, eps).values - want).max() <= 1e-12
 
 
 class TestLocalizedMollify:
