@@ -212,15 +212,12 @@ def _handle_dist(ns) -> dict:
 
     field = fieldio.read_field(ns.field)
     params = Params(xi=ns.xi)
-    if ns.localized:
-        # A region query reads only the sites of its region, and localized
-        # smoothing of their box is bitwise the full lattice's there.
-        region = around or crossing or within
-        box = None if region is None else region_box(field.spec, region)
-        moll = mollify_localized(field, ns.eps, box=box)
-    else:
-        moll = mollify(field, ns.eps)
-    grid = build_weighted_grid(moll, params.xi)
+    # A region query reads only the sites of its region, and either
+    # smoother's values on their box are bitwise the full lattice's there.
+    region = around or crossing or within
+    box = None if region is None else region_box(field.spec, region)
+    smooth = mollify_localized if ns.localized else mollify
+    grid = build_weighted_grid(smooth(field, ns.eps, box=box), params.xi)
     if around:
         res = dist_around_annulus(grid, around, want_path=want_path)
         mode = "around"

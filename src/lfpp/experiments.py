@@ -616,8 +616,8 @@ def field_continuity_check(field: FieldSample, a: float,
     for m in n_ladder:
         e_hi = float(m) ** (-a)
         e_lo = float(m + 1) ** (-a)
-        gp = float(np.abs(mollify(field, e_hi).values[box][wbox]
-                          - mollify(field, e_lo).values[box][wbox]).max())
+        gp = float(np.abs(mollify(field, e_hi, box=box).values
+                          - mollify(field, e_lo, box=box).values)[wbox].max())
         gl = float(np.abs(mollify_localized(field, e_hi, box).values
                           - mollify_localized(field, e_lo, box).values)[wbox].max())
         unit = a * math.log(m + 1) * (((m + 1) / m) ** a - 1.0)
@@ -660,7 +660,7 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     cps = []
     cls = []
     for eps in eps_ladder:
-        sp = float(np.abs(mollify(field, eps).values[box][wbox]).max())
+        sp = float(np.abs(mollify(field, eps, box=box).values)[wbox].max())
         sl = float(np.abs(mollify_localized(field, eps, box).values)[wbox].max())
         budget = coef * math.log(1.0 / eps)
         rows.append((float(eps), sp, sl, sp - budget, sl - budget))

@@ -15,8 +15,9 @@ the normalizer `normalizer_Z` and its lattice analogue `z_epsilon`.
 Because of that locality, `mollify_localized` can smooth just a box of the
 lattice: it reads the box plus the stencil margin (wrapping around the
 torus) and returns a `MollifiedField` whose values cover only the box, with
-`offset` naming the lattice site of values[0, 0].  Box values are bitwise
-equal to the full-lattice values on the box.
+`offset` naming the lattice site of values[0, 0].  `mollify` takes a box
+too: it inverts the transform of the box's rows only.  Either way, box
+values are bitwise equal to the full-lattice values on the box.
 
 Both the torus sampler and plain smoothing run on real-input transforms
 (`rfft2` / `irfft2`, half-plane spectra of shape (n, n//2 + 1)); spectral
@@ -26,8 +27,8 @@ The localized golden bytes depend on one summation rule over that padded
 block: taps above DBL_EPSILON in raster order, each a separate multiply and
 add, then one division by the stencil sum (verified on x86-64 only).  The
 plain ones depend on one rule too: the field's `rfft2` spectrum, times the
-row multiplier, then times the column multiplier, then one `irfft2` (see
-`mollify`).
+row multiplier, then times the column multiplier, then `irfft2`'s two
+steps, `ifft` along the rows axis and `irfft` of each row (see `mollify`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -55,6 +56,11 @@ XI_CRIT_REF = 0.41
 # Localized fold: output rows per tile; taps at or below the floor are skipped.
 _TILE_ROWS = 64
 _TAP_FLOOR = np.finfo(np.float64).eps
+
+# Torus sampling: half-plane wavenumbers kept per n up to _MEMO_N (1 MB at
+# n = 512; 4 MB at 1024 would stay resident for a one-field session).
+_MEMO_N = 512
+_WAVENUMBERS: Dict[int, np.ndarray] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +235,20 @@ class MollifiedField:
 
 def _half_plane_wavenumbers(n: int) -> np.ndarray:
     """|k| over the `rfft2` half plane of the integer wavevector grid: rows
-    fold to +-n/2, columns run 0..n/2."""
-    ky = np.fft.fftfreq(n, d=1.0 / n)   # 0, 1, ..., n/2-1, -n/2, ..., -1
-    kx = np.fft.rfftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2
-    return np.hypot(ky[:, None], kx[None, :])
+    fold to +-n/2, columns run 0..n/2.  The zero mode reads inf, so any
+    amplitude c/|k| drops it exactly.  Read-only: kept for the process up
+    to n = _MEMO_N, where Monte Carlo trials sample many fields of one
+    size, and built per call above it, where one field is the norm."""
+    kmag = _WAVENUMBERS.get(n)
+    if kmag is None:
+        ky = np.fft.fftfreq(n, d=1.0 / n)   # 0, 1, ..., n/2-1, -n/2, ..., -1
+        kx = np.fft.rfftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2
+        kmag = np.hypot(ky[:, None], kx[None, :])
+        kmag[0, 0] = np.inf
+        kmag.flags.writeable = False
+        if n <= _MEMO_N:
+            _WAVENUMBERS[n] = kmag
+    return kmag
 
 
 def _remove_mean(values: np.ndarray) -> np.ndarray:
@@ -260,9 +276,7 @@ def sample_torus_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     n = spec.n
     rng = np.random.default_rng(seed)
     modes = np.fft.rfft2(rng.standard_normal((n, n)))
-    kmag = _half_plane_wavenumbers(n)
-    kmag[0, 0] = np.inf  # zero mode removed exactly
-    modes *= n / (2.0 * np.pi * kmag)
+    modes *= n / (2.0 * np.pi * _half_plane_wavenumbers(n))   # zero mode to 0
     values = _remove_mean(np.fft.irfft2(modes, s=(n, n)))
     return FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=seed,
                        values=values, mean_removed=True)
@@ -445,14 +459,16 @@ def _torus_distances(spec: LatticeSpec) -> np.ndarray:
     return np.minimum(np.arange(n), n - np.arange(n)) * spec.spacing
 
 
-def _torus_kernel(spec: LatticeSpec, epsilon: float) -> np.ndarray:
-    """Unnormalized heat kernel exp(-r^2/eps^2) at the torus offsets of site (0, 0)."""
-    d = _torus_distances(spec)
-    return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / epsilon ** 2)
+def _axis_kernel(spec: LatticeSpec, epsilon: float) -> np.ndarray:
+    """Unnormalized 1-D heat kernel exp(-d^2/eps^2) at the torus distances
+    of one axis; the 2-D kernel at torus offsets is its outer product with
+    itself, so the 2-D kernel sums to its sum squared."""
+    return np.exp(-_torus_distances(spec) ** 2 / epsilon ** 2)
 
 
 def mollify(field: FieldSample, epsilon: float,
-            spectrum: Optional[np.ndarray] = None) -> MollifiedField:
+            spectrum: Optional[np.ndarray] = None,
+            box: Optional[Box] = None) -> MollifiedField:
     """Heat-kernel smoothing at time eps^2/2 by exact circular convolution.
 
     The kernel exp(-r^2/eps^2), sampled at torus offsets and normalized to
@@ -465,10 +481,17 @@ def mollify(field: FieldSample, epsilon: float,
 
     `spectrum`, when given, must be np.fft.rfft2(field.values): a caller
     that smooths one field at several scales takes that transform once.
+    `box`, a (rows, columns) pair of slices inside the lattice, returns
+    only those sites (default: the whole lattice), as `mollify_localized`
+    does.
 
     The golden bytes depend on the order: the field's `rfft2` spectrum,
     times the row multiplier (into a new array, so the caller's spectrum is
-    kept), then times the column multiplier, then one `irfft2`.
+    kept), then times the column multiplier, then the two steps of
+    `irfft2`: `ifft` along the rows axis, then `irfft` of each row.  A box
+    keeps its rows between the two steps and its columns after the second;
+    each output row is its own `irfft`, so a box holds its full-lattice
+    values bit for bit.
     """
     check_scale(field.spec, epsilon)
     n = field.spec.n
@@ -480,14 +503,18 @@ def mollify(field: FieldSample, epsilon: float,
             f"spectrum must be the field's rfft2, complex128 of shape ({n}, {n // 2 + 1}), "
             f"got {getattr(spectrum, 'dtype', type(spectrum).__name__)} of shape "
             f"{getattr(spectrum, 'shape', None)}")
-    k1 = np.exp(-_torus_distances(field.spec) ** 2 / epsilon ** 2)
+    if box is None:
+        box = (slice(0, n), slice(0, n))
+    (r0, r1), (c0, c1) = _box_bounds(field.spec, box)
+    k1 = _axis_kernel(field.spec, epsilon)
     g = np.fft.rfft(k1 / k1.sum()).real
     product = spectrum * np.concatenate((g, g[-2:0:-1]))[:, None]
     product *= g[None, :]
-    values = np.fft.irfft2(product, s=(n, n))
+    rows = np.fft.ifft(product, n, axis=0)[r0:r1]
+    values = np.ascontiguousarray(np.fft.irfft(rows, n, axis=1)[:, c0:c1])
     return MollifiedField(spec=field.spec, kind=field.kind, epsilon=float(epsilon),
                           values=values, localized=False,
-                          z_epsilon=1.0, source_seed=field.seed)
+                          z_epsilon=1.0, source_seed=field.seed, offset=(r0, c0))
 
 
 def mollify_localized(field: FieldSample, epsilon: float,
@@ -531,7 +558,7 @@ def mollify_localized(field: FieldSample, epsilon: float,
     stencil = _bump_profile(radius / rho) * np.exp(-(radius / epsilon) ** 2)
     stencil_sum = stencil.sum()
     # Full-torus kernel sum for the retained-mass diagnostic.
-    full_sum = _torus_kernel(spec, epsilon).sum()
+    full_sum = _axis_kernel(spec, epsilon).sum() ** 2
     block = field.values[np.ix_(np.arange(r0 - m, r1 + m) % n,
                                 np.arange(c0 - m, c1 + m) % n)]
     values = np.zeros((r1 - r0, c1 - c0))

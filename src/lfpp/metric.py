@@ -14,9 +14,19 @@ sets (a point is a one-site set).  It starts from the set whose
 lexicographically first site (i, j) is smaller, so dist(a, b) and
 dist(b, a) are the same float bit for bit and their paths are each other's
 reverse; a crossing's left column comes first, so it starts there.  A solve
-without a region runs Dijkstra over the whole box on the grid's graph,
-built once per grid, so every point query on a grid costs the same
-whatever the pair.  Geodesics are deterministic too: ties break by walking
+without a region, or with a region that fills the box, runs Dijkstra over
+the whole box on the grid's graph, built on first use and kept with the
+grid, so every point query on a grid costs the same whatever the pair.
+
+Every graph, of a grid's box or of a region's sites within their box,
+comes from one rule: a CSR skeleton of the crop (`indptr` and `indices`,
+rows in site order, columns sorted) holds the entries whose two ends are
+both active sites, and one fill weighs entry (u, v) as
+(cost[u] + cost[v]) * 0.5 * spacing * |offset|.  Float addition commutes,
+so both directions of an edge hold the same bits.  A crop whose sites are
+all active has one skeleton per shape, kept for the process while the crop
+is small (the crossing square of every Monte Carlo trial), so a query
+fills weights only.  Geodesics are deterministic too: ties break by walking
 back from the target, in the graph the solve ran on, through the
 smallest-index predecessor u with dist[u] + weight == dist[v]; within a
 crop that is the lexicographically smallest (i, j).
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -49,8 +59,11 @@ from .errors import (
 )
 from .gff import LatticeSpec, MollifiedField
 
-# Undirected edge directions (each edge built once, then mirrored).
-_EDGE_DIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, -1))
+# A site's 8 neighbour offsets in node order, so in CSR column order.
+_OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
+                                         (0, 1), (1, -1), (1, 0), (1, 1))
+_FILL_SITES = 1 << 14     # sites per block of a weight fill (cache-sized slots)
+_CACHED_SITES = 1 << 17   # full crops up to this size keep their skeleton
 
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
 
@@ -118,15 +131,19 @@ class Mask:
 Region = Union[Disk, Annulus, Rect, Mask]
 
 
-def region_mask(spec: LatticeSpec, region: Region) -> np.ndarray:
-    """Boolean (n, n) array of sites belonging to the region.
+def region_mask(spec: LatticeSpec, region: Region,
+                box: Optional[Tuple[slice, slice]] = None) -> np.ndarray:
+    """Boolean (n, n) array of sites belonging to the region, or its
+    (rows, columns) `box` of lattice sites, computed on the box alone.
 
     Disks are closed, annuli are open on both radii, rects are closed boxes
     with a relative 1e-9 tolerance so aligned edges are always included.
     """
+    rows, cols = box or (slice(0, spec.n), slice(0, spec.n))
     xs, ys = spec.axis_coords()
-    gx = np.broadcast_to(xs[None, :], (spec.n, spec.n))
-    gy = np.broadcast_to(ys[:, None], (spec.n, spec.n))
+    xs, ys = xs[cols], ys[rows]
+    gx = np.broadcast_to(xs[None, :], (ys.size, xs.size))
+    gy = np.broadcast_to(ys[:, None], (ys.size, xs.size))
     if isinstance(region, Disk):
         return np.hypot(gx - region.center[0], gy - region.center[1]) <= region.radius
     if isinstance(region, Annulus):
@@ -140,7 +157,7 @@ def region_mask(spec: LatticeSpec, region: Region) -> np.ndarray:
         if region.mask.shape != (spec.n, spec.n):
             raise InvalidArgument(
                 f"mask shape {region.mask.shape} does not match lattice ({spec.n}, {spec.n})")
-        return region.mask.copy()
+        return region.mask[rows, cols].copy()
     raise InvalidArgument(f"unknown region type: {type(region).__name__}")
 
 
@@ -193,7 +210,7 @@ class WeightedGrid:
     @cached_property
     def _full_graph(self):
         """(crop slices, CSR graph) of the whole box, built on first use."""
-        return _mask_graph(self, self.mask)
+        return _mask_graph(self, np.ones(self.site_cost.shape, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -266,52 +283,95 @@ def _crop_box(mask: np.ndarray) -> Tuple[slice, slice]:
             slice(int(cols[0]), int(cols[-1]) + 1))
 
 
-def _edge_arrays(cost: np.ndarray, mask: np.ndarray, spacing: float):
-    """Undirected in-mask 8-neighbor edges (a, b, weight), each once.
+def _neighbours(a: np.ndarray) -> List[np.ndarray]:
+    """For each offset (di, dj) of _OFFSETS, the view of `a` moved by it:
+    [i, j] reads a[i + di, j + dj], and zero (False) off the array."""
+    h, w = a.shape
+    pad = np.zeros((h + 2, w + 2), dtype=a.dtype)
+    pad[1:-1, 1:-1] = a
+    return [pad[1 + di:h + 1 + di, 1 + dj:w + 1 + dj] for di, dj in _OFFSETS]
 
-    Endpoints are flat indices i * w + j into the (h, w) crop.
+
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """CSR pattern of the 8-neighbour graph over the active sites of a crop.
+
+    Slot k of site (i, j) is its edge to (i, j) + _OFFSETS[k]; `keep`, of
+    shape (h, w, 8), marks the slots whose two ends are both active, and
+    those are the entries.  `indptr` and `indices` list them row by row in
+    site order (node i * w + j), and _OFFSETS runs in node order, so each
+    row's columns come out sorted.  All three arrays are read-only, so
+    graphs can share them.
     """
-    h, w = mask.shape
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    heads, tails, weights = [], [], []
-    for di, dj in _EDGE_DIRS:
-        r0, r1 = max(0, -di), h - max(0, di)
-        c0, c1 = max(0, -dj), w - max(0, dj)
-        a_sl = (slice(r0, r1), slice(c0, c1))
-        b_sl = (slice(r0 + di, r1 + di), slice(c0 + dj, c1 + dj))
-        keep = mask[a_sl] & mask[b_sl]
-        pref = 0.5 * spacing * math.hypot(di, dj)
-        heads.append(idx[a_sl][keep])
-        tails.append(idx[b_sl][keep])
-        weights.append((cost[a_sl][keep] + cost[b_sl][keep]) * pref)
-    return np.concatenate(heads), np.concatenate(tails), np.concatenate(weights)
+
+    keep: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, active: np.ndarray) -> "_Skeleton":
+        h, w = active.shape
+        keep = np.empty((h, w, 8), dtype=bool)
+        for k, nbr in enumerate(_neighbours(active)):
+            np.logical_and(active, nbr, out=keep[..., k])
+        itype = np.int32 if 8 * h * w <= np.iinfo(np.int32).max else np.int64
+        step = np.array([di * w + dj for di, dj in _OFFSETS], dtype=itype)
+        indices = (np.arange(h * w, dtype=itype)[:, None] + step)[keep.reshape(h * w, 8)]
+        indptr = np.zeros(h * w + 1, dtype=itype)
+        np.cumsum(keep.sum(axis=2, dtype=itype).ravel(), out=indptr[1:])
+        for arr in (keep, indptr, indices):
+            arr.flags.writeable = False
+        return cls(keep=keep, indptr=indptr, indices=indices)
+
+    def fill(self, cost: np.ndarray, spacing: float) -> csr_matrix:
+        """The graph with entry (u, v) weighted (cost[u] + cost[v]) * pref,
+        pref = 0.5 * spacing * |offset| of the entry's direction.
+
+        Float addition commutes, so an edge weighs the same bits from either
+        end.  Slots are filled in blocks of about _FILL_SITES sites, which
+        stay in cache, and gathered through `keep`.
+        """
+        h, w, _ = self.keep.shape
+        nbrs = _neighbours(cost)
+        prefs = [0.5 * spacing * math.hypot(di, dj) for di, dj in _OFFSETS]
+        data = np.empty(self.indices.size)
+        rows = max(1, _FILL_SITES // w)
+        slots = np.empty((min(rows, h), w, 8))
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            block = slots[:r1 - r0]
+            for k, nbr in enumerate(nbrs):
+                np.add(cost[r0:r1], nbr[r0:r1], out=block[..., k])
+                block[..., k] *= prefs[k]
+            data[self.indptr[r0 * w]:self.indptr[r1 * w]] = block[self.keep[r0:r1]]
+        return csr_matrix((data, self.indices, self.indptr), shape=(h * w, h * w))
 
 
-def _graph(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
-           n_nodes: int) -> csr_matrix:
-    """CSR graph holding each undirected edge in both directions.
-
-    Each pair is listed once, so adding the transpose sums no two entries.
-    """
-    one_way = csr_matrix((weight, (a, b)), shape=(n_nodes, n_nodes))
-    return one_way + one_way.T
+@lru_cache(maxsize=8)
+def _box_skeleton(h: int, w: int) -> _Skeleton:
+    return _Skeleton.of(np.ones((h, w), dtype=bool))
 
 
-def _crop(grid: WeightedGrid, mask: np.ndarray):
-    """(crop slices, cropped mask, edges over the crop) of an active mask."""
-    rs, cs = _crop_box(mask)
-    m = mask[rs, cs]
-    i, j = grid.offset     # the crop lies in the grid's box: mask is in grid.mask
-    cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
-    return (rs, cs), m, _edge_arrays(cost, m, grid.spec.spacing)
+def _skeleton(active: np.ndarray) -> _Skeleton:
+    """The skeleton of a crop's active sites.  A crop with every site active
+    has one skeleton per shape, kept for the process when the crop has at
+    most _CACHED_SITES sites (a crossing square on every trial) and built
+    for each graph otherwise."""
+    if active.size <= _CACHED_SITES and active.all():
+        return _box_skeleton(*active.shape)
+    return _Skeleton.of(active)
 
 
-def _mask_graph(grid: WeightedGrid, mask: np.ndarray):
-    """(crop slices, CSR graph) of the active sites in `mask`."""
-    if not mask.any():
+def _mask_graph(grid: WeightedGrid, sub: np.ndarray):
+    """(crop slices, CSR graph) of the sites of `sub`, a bool array over the
+    grid's box; the crop is the box of those sites, in lattice indices."""
+    if not sub.any():
         raise EmptyRegion("active region is empty")
-    crop, m, edges = _crop(grid, mask)
-    return crop, _graph(*edges, m.size)
+    rs, cs = _crop_box(sub)
+    i, j = grid.offset
+    crop = (slice(rs.start + i, rs.stop + i), slice(cs.start + j, cs.stop + j))
+    graph = _skeleton(sub[rs, cs]).fill(grid.site_cost[rs, cs], grid.spec.spacing)
+    return crop, graph
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -319,9 +379,17 @@ def _flat(sites: np.ndarray, crop) -> np.ndarray:
     return (sites[:, 0] - rs.start) * (cs.stop - cs.start) + (sites[:, 1] - cs.start)
 
 
+def _sites(grid: WeightedGrid, sub: np.ndarray) -> np.ndarray:
+    """Lattice sites (k, 2) of a bool array over the grid's box, in
+    lexicographic order."""
+    return np.argwhere(sub) + grid.offset
+
+
 def _check_in(grid: WeightedGrid, site: Tuple[int, int],
-              sub_mask: Optional[np.ndarray], what: str) -> None:
-    ok = bool(grid.mask[site]) and (sub_mask is None or bool(sub_mask[site]))
+              sub: Optional[np.ndarray], what: str) -> None:
+    (i, j), (h, w) = grid.offset, grid.site_cost.shape
+    r, c = site[0] - i, site[1] - j
+    ok = 0 <= r < h and 0 <= c < w and (sub is None or bool(sub[r, c]))
     if not ok:
         raise OutOfRegion(f"{what} site {tuple(site)} is outside the active region")
 
@@ -357,9 +425,10 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
 
 
 def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
-             sub_mask: Optional[np.ndarray], want_path: bool) -> DistResult:
+             sub: Optional[np.ndarray], want_path: bool) -> DistResult:
     """Distance between two (k, 2) site arrays in lexicographic order, along
-    paths in `sub_mask` (the whole box when None).
+    paths in `sub`, a bool array over the grid's box (the whole box when
+    None, on the grid's own graph).
 
     The solve starts from the array whose first site is smaller; the target
     is the first minimum among the other's sites, and the path walked back
@@ -367,10 +436,7 @@ def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
     """
     swapped = tuple(b_sites[0]) < tuple(a_sites[0])
     sources, targets = (b_sites, a_sites) if swapped else (a_sites, b_sites)
-    if sub_mask is None:
-        crop, graph = grid._full_graph
-    else:
-        crop, graph = _mask_graph(grid, grid.mask & sub_mask)
+    crop, graph = grid._full_graph if sub is None else _mask_graph(grid, sub)
     s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
     dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True)
     settled = int(np.isfinite(dist).sum())
@@ -409,18 +475,17 @@ def dist_internal(grid: WeightedGrid, z: Tuple[float, float],
                   w: Tuple[float, float], sub: Region,
                   want_path: bool = False) -> DistResult:
     """Distance along paths constrained to stay inside the region `sub`."""
-    sub_mask = region_mask(grid.spec, sub)
-    return _point_dist(grid, z, w, sub_mask, want_path)
+    return _point_dist(grid, z, w, region_mask(grid.spec, sub, grid.box), want_path)
 
 
-def _point_dist(grid: WeightedGrid, z, w, sub_mask, want_path: bool) -> DistResult:
+def _point_dist(grid: WeightedGrid, z, w, sub, want_path: bool) -> DistResult:
     sz = grid.spec.index_of(z)
     sw = grid.spec.index_of(w)
-    _check_in(grid, sz, sub_mask, "source")
-    _check_in(grid, sw, sub_mask, "target")
+    _check_in(grid, sz, sub, "source")
+    _check_in(grid, sw, sub, "target")
     if sz == sw:
         return _trivial_zero(sz, want_path)
-    return _between(grid, np.array([sz]), np.array([sw]), sub_mask, want_path)
+    return _between(grid, np.array([sz]), np.array([sw]), sub, want_path)
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
@@ -430,15 +495,15 @@ def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
     Equals the minimum of dist_point over endpoint pairs, and is bitwise
     symmetric in the two sets.
     """
-    mask_a = region_mask(grid.spec, region_a) & grid.mask
-    mask_b = region_mask(grid.spec, region_b) & grid.mask
+    mask_a = region_mask(grid.spec, region_a, grid.box)
+    mask_b = region_mask(grid.spec, region_b, grid.box)
     if not mask_a.any() or not mask_b.any():
         raise EmptyRegion("a distance endpoint set is empty")
     common = mask_a & mask_b
     if common.any():
-        site = tuple(int(v) for v in np.argwhere(common)[0])
+        site = tuple(int(v) for v in _sites(grid, common)[0])
         return _trivial_zero(site, want_path)
-    return _between(grid, np.argwhere(mask_a), np.argwhere(mask_b), None, want_path)
+    return _between(grid, _sites(grid, mask_a), _sites(grid, mask_b), None, want_path)
 
 
 def lr_crossing(grid: WeightedGrid, square: Rect,
@@ -446,50 +511,58 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
     """Shortest left-to-right crossing of a square, inside the square.
 
     Sources are the active sites of the leftmost occupied lattice column of
-    the square, targets the rightmost; paths stay inside the square.
+    the square, targets the rightmost; paths stay inside the square.  The
+    square's mask is worked out on the grid's box alone, and a square that
+    fills the box is crossed on the grid's own graph.
     """
-    sub = region_mask(grid.spec, square) & grid.mask
+    sub = region_mask(grid.spec, square, grid.box)
     if not sub.any():
         raise EmptyRegion("crossing square contains no active sites")
-    sites = np.argwhere(sub)
+    sites = _sites(grid, sub)
     jl, jr = sites[:, 1].min(), sites[:, 1].max()
     if jl == jr:
         raise InvalidArgument("crossing square spans a single lattice column")
     return _between(grid, sites[sites[:, 1] == jl], sites[sites[:, 1] == jr],
-                    sub, want_path)
+                    None if sub.all() else sub, want_path)
 
 
 # ---------------------------------------------------------------------------
 # separating cycles
 # ---------------------------------------------------------------------------
 
-def _annulus_cover(spec: LatticeSpec, crop, m: np.ndarray, edges,
+def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
                    center: Tuple[float, float]):
     """Two-sheet cover of the annulus graph, cut along the rightward ray.
 
-    Takes the crop's base edges (a, b, weight) and returns (csr cover graph
-    on 2*h*w nodes, sorted upper cut site array).  An edge is a cut edge
+    Takes the crop's CSR graph and returns (csr cover graph on 2*h*w nodes,
+    sorted upper cut site array).  Each entry is read as its edge a -> b
+    with a < b (the entry itself when row < col).  An edge is a cut edge
     when its endpoints straddle the horizontal line y = center_y (one at or
     above, one strictly below) and its segment meets that line strictly
-    right of the center; a cut edge moves its b end to the other sheet, so
-    traversing it switches sheets.  The flags are exactly the crossings of
-    a fixed arc from the inner hole to the outside, so a cycle's flag parity
-    equals its winding parity around the center.
+    right of the center; a cut edge leads to the other sheet, so
+    traversing it switches sheets.  Sheet s's rows are the crop's rows with
+    columns moved by s * h * w, or by the other sheet's for a cut entry.
+    The flags are exactly the crossings of a fixed arc from the inner hole
+    to the outside, so a cycle's flag parity equals its winding parity
+    around the center.
     """
     rs, cs = crop
-    w = m.shape[1]
-    n_base = m.size
-    a, b, wgt = edges
+    w = cs.stop - cs.start
+    n_base = graph.shape[0]
+    indptr, col = graph.indptr, graph.indices
+    row = np.repeat(np.arange(n_base, dtype=col.dtype), np.diff(indptr))
+    a, b = np.minimum(row, col), np.maximum(row, col)
     cx, cy = center
     ya, yb = (spec.origin[1] + (c // w + rs.start) * spec.spacing for c in (a, b))
     xa, xb = (spec.origin[0] + (c % w + cs.start) * spec.spacing for c in (a, b))
     straddle = ((ya >= cy) & (yb < cy)) | ((yb >= cy) & (ya < cy))
     t = np.divide(cy - ya, yb - ya, out=np.zeros_like(ya), where=straddle)
     cut = straddle & (xa + (xb - xa) * t > cx)
-    sheet = cut.astype(np.int64) * n_base
-    cover = _graph(np.concatenate((a, a + n_base)),
-                   np.concatenate((b + sheet, b + n_base - sheet)),
-                   np.concatenate((wgt, wgt)), 2 * n_base)
+    shift = cut.astype(col.dtype) * n_base
+    cover = csr_matrix((np.concatenate((graph.data, graph.data)),
+                        np.concatenate((col + shift, col + (n_base - shift))),
+                        np.concatenate((indptr, indptr[1:] + indptr[-1]))),
+                       shape=(2 * n_base, 2 * n_base))
     upper = np.concatenate((a[cut & (ya >= cy)], b[cut & (yb >= cy)]))
     return cover, np.unique(upper)
 
@@ -516,9 +589,9 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
         raise EmptyRegion("annulus contains no lattice sites")
     if (region & ~grid.mask).any():
         raise OutOfRegion("annulus leaves the grid's active region")
-    crop, m, edges = _crop(grid, region)
-    n_base = m.size
-    cover, cut_sites = _annulus_cover(spec, crop, m, edges, ann.center)
+    crop, graph = _mask_graph(grid, region[grid.box])
+    n_base = graph.shape[0]
+    cover, cut_sites = _annulus_cover(spec, crop, graph, ann.center)
     if cut_sites.size == 0:
         raise DegenerateAnnulus("cut ray does not cross the annulus graph")
 

@@ -175,15 +175,15 @@ def crossing_square(lattice: LatticeSpec) -> Rect:
 
 def _crossing_trial(seed: int, lattice: LatticeSpec, epsilons: Tuple[float, ...],
                     xi: float, localized: bool) -> Tuple[float, ...]:
-    """One trial: sample once, then smooth and cross the central unit square
-    at every rung."""
+    """One trial: sample once, then smooth the central unit square's box and
+    cross the square at every rung."""
     field = sample_torus_gff(lattice, seed)
     square = crossing_square(lattice)
+    box = region_box(lattice, square)
     if localized:
-        box = region_box(lattice, square)
         smooth = partial(mollify_localized, field, box=box)
     else:
-        smooth = partial(mollify, field, spectrum=np.fft.rfft2(field.values))
+        smooth = partial(mollify, field, spectrum=np.fft.rfft2(field.values), box=box)
     return tuple(lr_crossing(build_weighted_grid(smooth(eps), xi), square).value
                  for eps in epsilons)
 

@@ -9,8 +9,9 @@ back over an adjacency list under the smallest-index tie rule.  Localized
 smoothing is checked against scipy's own wrap-mode correlation, the torus
 sampler and plain smoothing against one real-input spectral expression each
 (and, to rounding, against the complex full-plane transforms they replaced),
-and ladder estimates against rung-by-rung estimates that sample every
-trial's field afresh.
+ladder estimates against rung-by-rung estimates that sample every
+trial's field afresh, and lattice graphs and the annulus cover against the
+COO edge-list builders that CSR skeletons replaced.
 """
 
 from __future__ import annotations
@@ -94,6 +95,111 @@ def full_point_solve(cost: np.ndarray, mask: np.ndarray, spacing: float,
     if not math.isfinite(dist[t]):
         return dist, None
     return dist, [divmod(c, n_cols) for c in walk_back(edges, dist, t, {s})]
+
+
+def edge_arrays_reference(cost: np.ndarray, mask: np.ndarray, spacing: float):
+    """Undirected in-mask 8-neighbor edges (a, b, weight), each once with
+    a < b, listed direction by direction; endpoints are flat indices
+    i * w + j into the (h, w) crop."""
+    h, w = mask.shape
+    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    heads, tails, weights = [], [], []
+    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        r0, r1 = max(0, -di), h - max(0, di)
+        c0, c1 = max(0, -dj), w - max(0, dj)
+        a_sl = (slice(r0, r1), slice(c0, c1))
+        b_sl = (slice(r0 + di, r1 + di), slice(c0 + dj, c1 + dj))
+        keep = mask[a_sl] & mask[b_sl]
+        pref = 0.5 * spacing * math.hypot(di, dj)
+        heads.append(idx[a_sl][keep])
+        tails.append(idx[b_sl][keep])
+        weights.append((cost[a_sl][keep] + cost[b_sl][keep]) * pref)
+    return np.concatenate(heads), np.concatenate(tails), np.concatenate(weights)
+
+
+def _coo_graph_reference(a, b, weight, n_nodes: int):
+    """CSR graph holding each undirected edge (a, b) in both directions:
+    a COO-to-CSR conversion plus its transpose."""
+    from scipy.sparse import csr_matrix
+
+    one_way = csr_matrix((weight, (a, b)), shape=(n_nodes, n_nodes))
+    return one_way + one_way.T
+
+
+def reference_crop(grid, mask: np.ndarray):
+    """(crop slices, cropped mask, crop costs) of an (n, n) mask inside the
+    grid's box."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    rs = slice(int(rows[0]), int(rows[-1]) + 1)
+    cs = slice(int(cols[0]), int(cols[-1]) + 1)
+    i, j = grid.offset
+    cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
+    return (rs, cs), mask[rs, cs], cost
+
+
+def mask_graph_reference(grid, mask: np.ndarray):
+    """(crop slices, CSR graph) of the sites of an (n, n) mask inside the
+    grid's box, built as the library did before CSR skeletons: edge arrays
+    per direction, COO to CSR, plus the transpose."""
+    crop, m, cost = reference_crop(grid, mask)
+    edges = edge_arrays_reference(cost, m, grid.spec.spacing)
+    return crop, _coo_graph_reference(*edges, m.size)
+
+
+def annulus_cover_reference(spec, crop, m: np.ndarray, edges, center):
+    """(canonical CSR cover, sorted upper cut sites) of the two-sheet cover
+    built from undirected edge arrays (a, b, weight) with a < b: a cut edge
+    moves its b end to the other sheet."""
+    rs, cs = crop
+    w = m.shape[1]
+    n_base = m.size
+    a, b, wgt = edges
+    cx, cy = center
+    ya, yb = (spec.origin[1] + (c // w + rs.start) * spec.spacing for c in (a, b))
+    xa, xb = (spec.origin[0] + (c % w + cs.start) * spec.spacing for c in (a, b))
+    straddle = ((ya >= cy) & (yb < cy)) | ((yb >= cy) & (ya < cy))
+    t = np.divide(cy - ya, yb - ya, out=np.zeros_like(ya), where=straddle)
+    cut = straddle & (xa + (xb - xa) * t > cx)
+    sheet = cut.astype(np.int64) * n_base
+    cover = _coo_graph_reference(np.concatenate((a, a + n_base)),
+                                 np.concatenate((b + sheet, b + n_base - sheet)),
+                                 np.concatenate((wgt, wgt)), 2 * n_base)
+    upper = np.concatenate((a[cut & (ya >= cy)], b[cut & (yb >= cy)]))
+    return cover, np.unique(upper)
+
+
+def around_reference(grid, ann):
+    """(value, cycle sites, settled) of the shortest separating cycle on the
+    reference cover: scipy Dijkstra from each upper cut site to its twin,
+    bounded by the best so far, and the cycle walked back from the first
+    minimizer's twin under the tie rule.  The annulus must hold sites and
+    lie in the grid's box."""
+    from scipy.sparse.csgraph import dijkstra
+    from lfpp.metric import region_mask
+
+    crop, m, cost = reference_crop(grid, region_mask(grid.spec, ann))
+    edges = edge_arrays_reference(cost, m, grid.spec.spacing)
+    cover, cut_sites = annulus_cover_reference(grid.spec, crop, m, edges, ann.center)
+    n_base = m.size
+    best, best_site, best_dist, settled = math.inf, -1, None, 0
+    for s in cut_sites.tolist():
+        dist = dijkstra(cover, directed=True, indices=s,
+                        limit=best if math.isfinite(best) else np.inf)
+        if dist[s + n_base] < best:
+            best, best_site, best_dist = float(dist[s + n_base]), s, dist
+            settled = int((np.isfinite(dist[:n_base]) | np.isfinite(dist[n_base:])).sum())
+    if not math.isfinite(best):
+        return math.inf, None, settled
+    coo = cover.tocoo()
+    upper = coo.row < coo.col
+    cover_edges = list(zip(coo.row[upper].tolist(), coo.col[upper].tolist(),
+                           coo.data[upper].tolist()))
+    chain = walk_back(cover_edges, best_dist, best_site + n_base, {best_site})
+    w = m.shape[1]
+    sites = [(i + crop[0].start, j + crop[1].start)
+             for i, j in (divmod(c % n_base, w) for c in chain)]
+    return best, sites, settled
 
 
 def crossing_parity_edge(pa: Tuple[float, float], pb: Tuple[float, float],

@@ -35,6 +35,7 @@ from lfpp import (
     region_box,
     sample_torus_gff,
 )
+from lfpp import metric
 from lfpp.metric import region_mask
 
 # Shortest separating cycle of the zero-field 32x32 annulus (0.18, 0.30)
@@ -427,6 +428,103 @@ class TestSetSolveMatchesOracle:
         value, path, settled = set_oracle(grid, square, left, right)
         res = lr_crossing(grid, rect, want_path=True)
         assert (res.value, list(res.path.sites), res.settled) == (value, path, settled)
+
+
+@st.composite
+def skeleton_grids(draw, max_n: int = 64):
+    """A grid over a random box of an n = 8..max_n lattice, with lognormal
+    costs of a drawn spread and a drawn spacing."""
+    n = draw(st.sampled_from([n for n in (8, 16, 32, 64) if n <= max_n]))
+    spacing = draw(st.sampled_from([1.0 / n, 4.0 / n, 0.1, 1.0 / 3.0]))
+    spec = LatticeSpec(n=n, spacing=spacing)
+    r0, c0 = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+    h, w = draw(st.integers(2, n - r0)), draw(st.integers(2, n - c0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cost = np.exp(draw(st.sampled_from([0.0, 1.0, 3.0])) * rng.normal(size=(h, w)))
+    return WeightedGrid(spec=spec, site_cost=cost, offset=(r0, c0)), rng
+
+
+def graph_arrays(graph):
+    return [(a.dtype, a.tobytes()) for a in (graph.indptr, graph.indices, graph.data)]
+
+
+class TestSkeletonMatchesReference:
+    """Graphs filled from CSR skeletons are the COO edge-list builder's of
+    tests/oracles.py bit for bit, and so is the annulus cover up to the
+    order of each row's columns."""
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(skeleton_grids(), st.sampled_from(["box", "disk", "annulus", "mask"]),
+           st.data())
+    def test_graph_equals_coo_reference(self, case, kind, data):
+        grid, rng = case
+        spec = grid.spec
+        n, d = spec.n, spec.spacing
+
+        def coord():   # on a site or half-way between two, maybe off the lattice
+            return (data.draw(st.integers(-2, n + 1)) * d
+                    + data.draw(st.sampled_from([0.0, 0.5 * d])))
+
+        center = (coord(), coord())
+        if kind == "box":
+            crop, graph = grid._full_graph
+            want = oracles.mask_graph_reference(grid, grid.mask)
+        else:
+            if kind == "disk":
+                region = Disk(center=center, radius=data.draw(st.integers(1, n)) * d)
+            elif kind == "annulus":
+                r_in = data.draw(st.integers(1, n // 2)) * d
+                region = Annulus(center=center, r_inner=r_in,
+                                 r_outer=r_in + data.draw(st.integers(1, n)) * d)
+            else:
+                region = Mask(rng.random((n, n)) < data.draw(
+                    st.sampled_from([0.3, 0.7, 0.95])))
+            sub = region_mask(spec, region, grid.box)
+            if not sub.any():
+                with pytest.raises(EmptyRegion):
+                    metric._mask_graph(grid, sub)
+                return
+            crop, graph = metric._mask_graph(grid, sub)
+            want = oracles.mask_graph_reference(grid, region_mask(spec, region) & grid.mask)
+        assert crop == want[0]
+        assert graph_arrays(graph) == graph_arrays(want[1])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(skeleton_grids(max_n=32), st.booleans(), st.data())
+    def test_annulus_cover_equals_coo_reference(self, case, on_box, data):
+        """On the full lattice's grid, or on the grid over the annulus's box."""
+        spec, rng = case[0].spec, case[1]
+        n, d = spec.n, spec.spacing
+        grid = WeightedGrid(spec=spec, site_cost=np.exp(rng.normal(size=(n, n))))
+
+        def coord():   # on a site or half-way between two
+            return (data.draw(st.integers(0, n - 1)) * d
+                    + data.draw(st.sampled_from([0.0, 0.5 * d])))
+
+        r_in = data.draw(st.integers(1, n // 4)) * d
+        ann = Annulus(center=(coord(), coord()), r_inner=r_in,
+                      r_outer=r_in + data.draw(st.integers(4, n // 2)) * d)
+        box = region_box(spec, ann)
+        if on_box:
+            grid = WeightedGrid(spec=spec, site_cost=grid.site_cost[box],
+                                offset=(box[0].start, box[1].start))
+        crop, graph = metric._mask_graph(grid, region_mask(spec, ann, grid.box))
+        cover, cut = metric._annulus_cover(spec, crop, graph, ann.center)
+        ref_crop, m, cost = oracles.reference_crop(grid, region_mask(spec, ann))
+        edges = oracles.edge_arrays_reference(cost, m, spec.spacing)
+        want, want_cut = oracles.annulus_cover_reference(spec, ref_crop, m, edges,
+                                                         ann.center)
+        assert crop == ref_crop
+        assert cut.tolist() == want_cut.tolist()
+        assert graph_arrays(cover.sorted_indices()) == graph_arrays(want)
+        if cut.size == 0:
+            with pytest.raises(DegenerateAnnulus):
+                dist_around_annulus(grid, ann)
+            return
+        res = dist_around_annulus(grid, ann, want_path=True)
+        value, sites, settled = oracles.around_reference(grid, ann)
+        assert (res.value, res.settled) == (value, settled)
+        assert (None if res.path is None else list(res.path.sites)) == sites
 
 
 class TestGraphCache:

@@ -159,6 +159,38 @@ class TestPlainMatchesReference:
         assert np.abs(mollify(field, eps).values - want).max() <= 1e-12
 
 
+class TestPlainBox:
+    """Plain smoothing of a box is the full lattice's values there, bit for
+    bit, with or without a caller's spectrum, from one row or column up to
+    the whole lattice."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), with_spectrum=st.booleans(), data=st.data())
+    def test_box_equals_full_lattice_slice(self, n, seed, with_spectrum, data):
+        spec = LatticeSpec(n=n, spacing=4.0 / n)
+        field = sample_torus_gff(spec, seed)
+        eps = data.draw(st.floats(8.0 / n, 2.0))
+        spectrum = np.fft.rfft2(field.values) if with_spectrum else None
+        full = mollify(field, eps, spectrum=spectrum)
+        row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        picks = [(slice(row, row + 1), slice(0, n)), (slice(0, n), slice(col, col + 1)),
+                 (slice(0, n), slice(0, n)), data.draw(boxes(n))]
+        for box in picks:
+            part = mollify(field, eps, spectrum=spectrum, box=box)
+            assert part.offset == (box[0].start, box[1].start) and part.box == box
+            assert part.values.tobytes() == full.values[box].tobytes()
+            assert not part.localized and part.z_epsilon == 1.0
+
+    @pytest.mark.parametrize("box", [
+        (slice(0, 0), slice(0, 4)), (slice(0, 65), slice(0, 4)),
+        (slice(0, 4, 2), slice(0, 4)), "rows",
+    ], ids=["empty", "past-edge", "strided", "not-slices"])
+    def test_bad_boxes_rejected(self, field64, box):
+        with pytest.raises(InvalidArgument):
+            mollify(field64, 0.25, box=box)
+
+
 class TestLocalizedMollify:
     def test_constant_passthrough(self, field64):
         base = mollify_localized(field64, 0.25)
