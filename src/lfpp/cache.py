@@ -24,7 +24,7 @@ from . import fieldio
 from .errors import InvalidArgument
 
 # Bumped whenever a change alters the bits of any cached artifact.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 
 def _estimate_ok(path: Path) -> bool:

@@ -133,7 +133,7 @@ def _window_box(spec: LatticeSpec, window: Rect) -> Tuple[Tuple[slice, slice], n
     box = region_box(spec, window)
     if box is None:
         raise EmptyRegion("window contains no lattice sites")
-    return box, region_mask(spec, window)[box]
+    return box, region_mask(spec, window, box)
 
 
 def _lattice_dict(spec: LatticeSpec) -> Dict[str, object]:

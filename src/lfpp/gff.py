@@ -24,9 +24,12 @@ Both the torus sampler and plain smoothing run on real-input transforms
 synthesis follows Dietrich & Newsam (SIAM J. Sci. Comput. 1997).
 
 The localized golden bytes depend on one summation rule over that padded
-block: taps above DBL_EPSILON in raster order, each a separate multiply and
-add, then one division by the stencil sum (verified on x86-64 only).  The
-plain ones depend on one rule too: the field's `rfft2` spectrum, times the
+block, which uses the stencil's mirror symmetry: from zero, for row offset
+p = 0..m, V = x[r-p] + x[r+p] (the row itself at p = 0); then for each
+column offset q = 0..m whose quadrant tap s[p, q] is above DBL_EPSILON,
+add s[p, q] * (V[c-q] + V[c+q]) (V[c] at q = 0); then one division by the
+sum of the mirrored stencil (verified on x86-64 only).  The plain ones
+depend on one rule too: the field's `rfft2` spectrum, times the
 row multiplier, then times the column multiplier, then `irfft2`'s two
 steps, `ifft` along the rows axis and `irfft` of each row (see `mollify`).
 """
@@ -53,7 +56,8 @@ from .errors import (
 # regime this package is calibrated for.
 XI_CRIT_REF = 0.41
 
-# Localized fold: output rows per tile; taps at or below the floor are skipped.
+# Localized fold: output rows per tile; quadrant taps at or below the floor
+# are skipped.
 _TILE_ROWS = 64
 _TAP_FLOOR = np.finfo(np.float64).eps
 
@@ -533,11 +537,18 @@ def mollify_localized(field: FieldSample, epsilon: float,
     `box`, a (rows, columns) pair of slices inside the lattice, smooths only
     those sites (default: the whole lattice), reading the padded block: the
     box plus m = ceil(rho / spacing) sites on each side, wrapped around the
-    torus.  The golden bytes depend on the summation rule: from zero, add
-    block value times tap, one multiply and one add, for each tap above
-    DBL_EPSILON in raster order, then divide by the stencil sum.  Every site
-    sees the same taps in the same order in any block, so a box holds its
-    full-lattice values bit for bit.  Verified on x86-64 only.
+    torus.  The golden bytes depend on the summation rule, which adds the
+    two (or four) block values a mirrored tap weighs before multiplying by
+    it.  Only the quadrant s[p, q], 0 <= p, q <= m, is computed, and only
+    its taps above DBL_EPSILON are kept.  For output site (r, c) of block
+    values x: acc = 0; for p = 0..m in order, V = x[r-p] + x[r+p] as rows
+    (x[r] at p = 0); for each kept q = 0..m in order,
+    acc = acc + s[p, q] * (V[c-q] + V[c+q]) (V[c] at q = 0); the value is
+    acc / stencil_sum, the sum of the mirrored (2m+1)^2 stencil.  Each
+    64-row tile forms V once per p in one buffer and each pair in another,
+    three element passes per four taps.  Every site runs the same
+    operations in any block, so a box holds its full-lattice values bit for
+    bit.  Verified on x86-64 only.
     """
     check_scale(field.spec, epsilon)
     if not (0.0 < epsilon < _EPS_MAX):
@@ -553,20 +564,40 @@ def mollify_localized(field: FieldSample, epsilon: float,
     if box is None:
         box = (slice(0, n), slice(0, n))
     (r0, r1), (c0, c1) = _box_bounds(spec, box)
-    off = np.arange(-m, m + 1, dtype=np.float64) * delta
+    # One quadrant of the mirror-symmetric stencil: tap (p, q) weighs the
+    # offsets (+-p, +-q).
+    off = np.arange(m + 1, dtype=np.float64) * delta
     radius = np.hypot(off[:, None], off[None, :])
-    stencil = _bump_profile(radius / rho) * np.exp(-(radius / epsilon) ** 2)
-    stencil_sum = stencil.sum()
+    quad = _bump_profile(radius / rho) * np.exp(-(radius / epsilon) ** 2)
+    fold = np.abs(np.arange(-m, m + 1))
+    stencil_sum = quad[np.ix_(fold, fold)].sum()
     # Full-torus kernel sum for the retained-mass diagnostic.
     full_sum = _axis_kernel(spec, epsilon).sum() ** 2
     block = field.values[np.ix_(np.arange(r0 - m, r1 + m) % n,
                                 np.arange(c0 - m, c1 + m) % n)]
-    values = np.zeros((r1 - r0, c1 - c0))
-    taps = np.argwhere(np.abs(stencil) > _TAP_FLOOR)   # raster order
-    for t in range(0, r1 - r0, _TILE_ROWS):
+    h, w = r1 - r0, c1 - c0
+    taps = [(p, [(q, quad[p, q]) for q in np.flatnonzero(quad[p] > _TAP_FLOOR)])
+            for p in range(m + 1)]
+    values = np.zeros((h, w))
+    mirrored = np.empty((min(h, _TILE_ROWS), w + 2 * m))
+    pair = np.empty((min(h, _TILE_ROWS), w))
+    for t in range(0, h, _TILE_ROWS):
         tile = values[t:t + _TILE_ROWS]
-        for a, b in taps:
-            tile += block[t + a:t + a + len(tile), b:b + c1 - c0] * stencil[a, b]
+        th = len(tile)
+        here, out = block[t + m:t + m + th], pair[:th]
+        for p, row in taps:
+            if not row:
+                continue
+            v = here if p == 0 else np.add(block[t + m - p:t + m - p + th],
+                                           block[t + m + p:t + m + p + th],
+                                           out=mirrored[:th])
+            for q, s in row:
+                if q == 0:
+                    np.multiply(v[:, m:m + w], s, out=out)
+                else:
+                    np.add(v[:, m - q:m - q + w], v[:, m + q:m + q + w], out=out)
+                    out *= s
+                tile += out
     values /= stencil_sum
     return MollifiedField(spec=spec, kind=field.kind, epsilon=float(epsilon),
                           values=values, localized=True,

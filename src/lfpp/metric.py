@@ -235,11 +235,43 @@ class DistResult:
     settled: int                 # sites with a finite computed distance
 
 
+def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect]
+                   ) -> Optional[Tuple[slice, slice]]:
+    """A box holding every site of a disk, annulus or rect, or None when no
+    site can lie in it.  A site inside the region has each coordinate within
+    the region's bounds, tested with the float differences `region_mask`
+    takes; the sites that pass are padded by one on each side and clipped."""
+    xs, ys = spec.axis_coords()
+    if isinstance(region, Rect):
+        tol = spec.spacing * _RECT_TOL
+        inside = [(c >= lo - tol) & (c <= hi + tol) for c, lo, hi in
+                  ((ys, region.lo[1], region.hi[1]), (xs, region.lo[0], region.hi[0]))]
+    else:
+        reach = region.radius if isinstance(region, Disk) else region.r_outer
+        inside = [np.abs(c - at) <= reach
+                  for c, at in ((ys, region.center[1]), (xs, region.center[0]))]
+    hits = [np.flatnonzero(a) for a in inside]
+    if any(h.size == 0 for h in hits):
+        return None
+    return tuple(slice(max(int(h[0]) - 1, 0), min(int(h[-1]) + 2, spec.n)) for h in hits)
+
+
 def region_box(spec: LatticeSpec, region: Region) -> Optional[Tuple[slice, slice]]:
     """Smallest box of lattice sites holding all of the region's sites, as
-    (rows, columns) slices; None when the region holds no site."""
-    mask = region_mask(spec, region)
-    return _crop_box(mask) if mask.any() else None
+    (rows, columns) slices; None when the region holds no site.  Only a
+    Mask is cropped from a whole-lattice mask; other regions are masked on
+    their candidate box alone."""
+    if isinstance(region, Mask):
+        box = (slice(0, spec.n), slice(0, spec.n))
+    else:
+        box = _candidate_box(spec, region)
+        if box is None:
+            return None
+    mask = region_mask(spec, region, box)
+    if not mask.any():
+        return None
+    (rs, cs), (i, j) = _crop_box(mask), (box[0].start, box[1].start)
+    return (slice(rs.start + i, rs.stop + i), slice(cs.start + j, cs.stop + j))
 
 
 def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
@@ -584,12 +616,12 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     if ann.width < 3.0 * delta:
         raise DegenerateAnnulus(
             f"annulus width {ann.width} is below 3*spacing = {3.0 * delta}")
-    region = region_mask(spec, ann)
-    if not region.any():
+    box = region_box(spec, ann)
+    if box is None:
         raise EmptyRegion("annulus contains no lattice sites")
-    if (region & ~grid.mask).any():
+    if not all(g.start <= b.start and b.stop <= g.stop for b, g in zip(box, grid.box)):
         raise OutOfRegion("annulus leaves the grid's active region")
-    crop, graph = _mask_graph(grid, region[grid.box])
+    crop, graph = _mask_graph(grid, region_mask(spec, ann, grid.box))
     n_base = graph.shape[0]
     cover, cut_sites = _annulus_cover(spec, crop, graph, ann.center)
     if cut_sites.size == 0:

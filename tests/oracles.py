@@ -138,6 +138,18 @@ def reference_crop(grid, mask: np.ndarray):
     return (rs, cs), mask[rs, cs], cost
 
 
+def region_box_reference(spec, region):
+    """Smallest (rows, columns) box of the region's sites, cropped from its
+    whole-lattice (n, n) mask; None when the region holds no site."""
+    from lfpp.metric import region_mask
+    mask = region_mask(spec, region)
+    if not mask.any():
+        return None
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1))
+
+
 def mask_graph_reference(grid, mask: np.ndarray):
     """(crop slices, CSR graph) of the sites of an (n, n) mask inside the
     grid's box, built as the library did before CSR skeletons: edge arrays
@@ -457,20 +469,45 @@ def z_quadrature(eps: float) -> float:
     return float(num / (math.pi * eps * eps))
 
 
-def localized_reference(field, eps: float, box) -> np.ndarray:
-    """Localized smoothing of the sites in `box` ((rows, columns) slices):
-    the truncated stencil applied by `scipy.ndimage.correlate(mode="wrap")`
-    over the whole lattice, divided by the stencil sum, then cut to the box.
-    """
-    from scipy import ndimage
-    spacing = field.spec.spacing
+def _localized_quadrant(spacing: float, eps: float):
+    """(m, quadrant of taps (p, q) for 0 <= p, q <= m, stencil sum) of the
+    truncated stencil; the full (2m+1)^2 stencil mirrors the quadrant."""
     rho = eps * math.log(1.0 / eps)
     m = int(math.ceil(rho / spacing))
-    off = np.arange(-m, m + 1, dtype=np.float64) * spacing
+    off = np.arange(m + 1, dtype=np.float64) * spacing
     radius = np.hypot(off[:, None], off[None, :])
-    stencil = bump_profile_ref(radius / rho) * np.exp(-(radius / eps) ** 2)
-    full = ndimage.correlate(field.values, stencil, mode="wrap")
-    return full[box] / stencil.sum()
+    quad = bump_profile_ref(radius / rho) * np.exp(-(radius / eps) ** 2)
+    fold = np.abs(np.arange(-m, m + 1))
+    return m, quad, quad[np.ix_(fold, fold)].sum()
+
+
+def localized_reference(field, eps: float, box) -> np.ndarray:
+    """Localized smoothing of the sites in `box` ((rows, columns) slices) by
+    the quadrant rule over the whole torus, with `np.roll` for the wrap:
+    from zero, for p = 0..m, V = x[r-p] + x[r+p] (x[r] at p = 0); for each
+    q = 0..m with a tap above DBL_EPSILON, add tap * (V[c-q] + V[c+q]) (V[c]
+    at q = 0); then divide by the stencil sum and cut to the box."""
+    x = field.values
+    m, quad, total = _localized_quadrant(field.spec.spacing, eps)
+    acc = np.zeros_like(x)
+    for p in range(m + 1):
+        v = x if p == 0 else np.roll(x, p, axis=0) + np.roll(x, -p, axis=0)
+        for q in range(m + 1):
+            if quad[p, q] > np.finfo(np.float64).eps:
+                pair = v if q == 0 else np.roll(v, q, axis=1) + np.roll(v, -q, axis=1)
+                acc = acc + quad[p, q] * pair
+    return (acc / total)[box]
+
+
+def localized_correlate(field, eps: float, box) -> np.ndarray:
+    """The same stencil applied by `scipy.ndimage.correlate(mode="wrap")`
+    over the whole lattice, divided by the stencil sum, then cut to the box:
+    the localized smoothing in another summation order."""
+    from scipy import ndimage
+    m, quad, total = _localized_quadrant(field.spec.spacing, eps)
+    fold = np.abs(np.arange(-m, m + 1))
+    full = ndimage.correlate(field.values, quad[np.ix_(fold, fold)], mode="wrap")
+    return full[box] / total
 
 
 def _remove_mean_ref(values: np.ndarray) -> np.ndarray:

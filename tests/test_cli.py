@@ -5,10 +5,13 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import LFPP, lfpp_env
 
@@ -630,8 +633,8 @@ class TestExperimentGoldenBytes:
         "weyl_shift_test": (
             {"field": F64, "epsilon": 0.25, "c": 1.0, "xi": 0.2,
              "pairs": {"window": W, "seed": 7, "count": 3}},
-            "9f66b742551bd00b584f7e52c6934b29987638ac8026446fd0bac42b1f4d00fc",
-            "8c6c3eb85816f79be5d37b2b47d957d4606f8a1cd01c89a178c56390b376e445"),
+            "6a426f8754d066c21f846b9bc889b2b26c480599286d6277d89d64e70740e27e",
+            "7794f220b486e5d44be482e94dfa017c8aa085e04bda2dbc8b406837b6057067"),
         "scale_covariance_test": (
             {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
              "mc": {"n": 64, "trials": 20, "seed": 7}},
@@ -640,19 +643,19 @@ class TestExperimentGoldenBytes:
         "localized_gap": (
             {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
              "eps_ladder": [0.25, 0.125], "window": W, "xi": 0.2},
-            "a15a26437d67ce8e3e7836bafeada8ade5f1163fae3bf293aca8a57bc86f731f",
-            "0a0d7f3242a2240749ffb546a8be44e657c19b38b9a1f472c733e95dee2d3736"),
+            "58af7a23502f7f19d84f1ec643bdbda8d87ec93e3bbf780fe3b175161375f1b6",
+            "0f5e068a7529c7ce963baf9e334ea6c1eeb24cd6ffc566c137fbe35ffb31eb0a"),
         "convergence_diagnostic": (
             {"pairs": [[[1.6, 1.7], [2.3, 2.2]], [[1.5, 1.5], [2.4, 2.4]]],
              "eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
              "mc": {"n": 256, "trials": 20, "seed": 11}},
-            "cbb6e4ef7ba54ed1a0b056b9efe0b944747fe147d33b59ea5cf2535609cf9fda",
-            "55fbe9acfbe0deb8639b58a7ce422b9851d722959c532c12d137fa81aba00945"),
+            "2873d970186db35862baf27874f2cde78bd0b73b32026b220302e842ac7ae930",
+            "371f0706f4ec676abba911b01f51e42b9fd4cd03ee2767b86cf3f1c2e934f121"),
         "annulus_event_stats": (
             {"epsilon": 0.25, "r_set": [2.0], "alpha": 0.9, "xi": 0.2,
              "mc": {"n": 64, "trials": 20, "seed": 13}},
-            "91173a1a072e1d6c1f234afe760c00994fb8918926327ff48fb66982d32cafa4",
-            "9610e0689ed6de7d2ffab8fd55617a883623e9ce29bfe559fedceeb75aea2f22"),
+            "7c83131dcb12f444020f7bbf55606e2eea9b4e3ff526b28ed96c474ae36f19ef",
+            "1604cebf39cb242d574ff495396394bf951866845d621eef20394fffe755ecf8"),
         "gmc_mass": (
             {"field": {"n": 64, "seed": 404, "kind": "dirichlet"}, "gamma": 1.0,
              "eps_ladder": [0.5, 0.25, 0.125], "window": [1.5, 1.5, 2.5, 2.5]},
@@ -661,14 +664,14 @@ class TestExperimentGoldenBytes:
         "field_continuity_check": (
             {"field": {"n": 64, "seed": 404, "origin": [0.5, 0.5]},
              "a": 0.5, "n_ladder": [8, 10, 15], "window": W},
-            "df288845227976b1fa9b9b42b7dd71621b8eb21d8e71a7193c4c0327148448ca",
-            "e7e33de44274c4abe1b4275d98f60342ce0001d8c0dd7ef405cc61b31eb1e8b3"),
+            "b3a535080a57a69742d5fdd17fd8e112c4f045fef00b59f54a63c75013151744",
+            "3ea434a6c384617b0dfc112b5cc83ba3d4b0f7c95d87ad11935b7d3c9051d422"),
         "field_sup_bound_check": (
             {"field": {"n": 64, "spacing": 0.03125, "seed": 404},
              "eps_ladder": [0.25, 0.125, 0.0625], "eta": 0.1,
              "window": [0.6, 0.6, 1.4, 1.4]},
-            "d4d0dfd01a6909649ad393ea585f2b1f0dda50081d62a023b532a330ecd2e305",
-            "300ad6765c239783987f90e4b1446dcd0b4b120d6d53e172c5d9b5a22f52ea3e"),
+            "6fbb56f21d904aa1e8606c27b4b27f5dd84ae299e19d62e93132c1c18143a673",
+            "0c8fae266c6f40d66eab82896d6294cdf35f4cde0d1af00f71881d3ffd682e94"),
         "small_segment_sup": (
             {"field": F64, "epsilon": 0.25, "zeta": 0.5,
              "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.2,
@@ -888,6 +891,68 @@ class TestManifestReplay:
         assert outputs(replay) == outputs(orig)
 
 
+    # Flag combinations of the replay property: each `dist` mode's flags,
+    # and two experiments, one of which runs its trials in the pool.
+    DIST_MODES = {
+        "point": ["--from", "1.2,1.5", "--to", "2.6,2.4"],
+        "internal": ["--from", "1.5,1.8", "--to", "2.5,2.2", "--within", "disk:2,2,0.75"],
+        "crossing": ["--crossing", "rect:1.5,1.5,2.5,2.5"],
+        "around": ["--around", "annulus:2,2,0.4,0.8"],
+    }
+    EXP_CONFIGS = {
+        "weyl_shift_test": TestExp.CFG,
+        "annulus_event_stats": {"epsilon": 0.25, "r_set": [2.0], "alpha": 0.9,
+                                "xi": 0.2, "mc": {"n": 64, "trials": 8, "seed": 13}},
+    }
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_random_dist_and_exp_flags_replay(self, tmp_path, monkeypatch, data):
+        """A `dist` or `exp` run with any admissible mix of its flags is
+        regenerated bit for bit from its manifest; an `exp` replays at one
+        worker whatever --threads it ran with."""
+        monkeypatch.delenv("LFPP_CACHE", raising=False)
+        field = tmp_path / "f.lfpf"
+        if not field.exists():
+            assert main(["field", "sample", "--n", "64", "--seed", "11",
+                         "--out", str(field)]) == 0
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        orig, replay, cfg_dir = (case / d for d in ("orig", "replay", "in"))
+        for d in (orig, replay, cfg_dir):
+            d.mkdir()
+        if data.draw(st.sampled_from(["dist", "exp"])) == "dist":
+            argv = ["dist", "--field", str(field), "--eps", "0.25", "--xi", "0.2",
+                    *self.DIST_MODES[data.draw(st.sampled_from(sorted(self.DIST_MODES)))]]
+            if data.draw(st.booleans()):
+                argv.append("--localized")
+            if data.draw(st.booleans()):
+                argv += ["--emit-path", str(orig / "p.csv")]
+                if data.draw(st.booleans()):
+                    argv.append("--emit-gnuplot")
+        else:
+            name = data.draw(st.sampled_from(sorted(self.EXP_CONFIGS)))
+            cfg = orig / "cfg.json"
+            cfg.write_text(json.dumps(self.EXP_CONFIGS[name]), encoding="utf-8")
+            argv = ["exp", name, "--config", str(cfg),
+                    "--threads", str(data.draw(st.integers(1, 2)))]
+            if data.draw(st.booleans()):
+                argv += ["--csv", str(orig / "e.csv")]
+                if data.draw(st.booleans()):
+                    argv.append("--emit-gnuplot")
+        clear_estimate_cache()
+        assert main(argv + ["--out", str(orig / "out.json")]) == 0
+        clear_estimate_cache()
+        manifest = load_json(orig / "out.json.manifest.json")
+        assert main(_replay_argv(manifest, cfg_dir, replay)) == 0
+
+        def outputs(d):
+            return {p.name: p.read_bytes() for p in d.iterdir()
+                    if not p.name.endswith(".manifest.json") and p.name != "cfg.json"}
+        assert outputs(replay) == outputs(orig)
+        assert "out.json" in outputs(orig)
+
+
 class TestGoldenBytes:
     # sha256 of small fixed-seed primary outputs, one `dist` per mode.  A
     # change to the float bits of any of them is a numerics change and must
@@ -905,8 +970,8 @@ class TestGoldenBytes:
         "wp.csv": "92edd4da9f0630ac2bfbb418e7d2c38eec97a03ad4631a9ce6f7a88739721830",
         "r.json": "928ad9327865a025863a2551ee42d77dfd3b3ef966b62292ce94aed2baf2d7c4",
         "rp.csv": "697da152b13abf612f780de044d22084da09c73d7667efe52d15a679e942167c",
-        "ld.json": "35aca73a97bfb3f1d195c73db568ed6a93e47946b5b7eef3dc33489f40299639",
-        "ldp.csv": "a00a8a41acf3d8f9ae145c4369ed77b06cf8e28d36bff9a928b2f462143852a7",
+        "ld.json": "bf015f5aabefe32c293ca4905d0d2c3d73871e74ee18d75b0f1224fbc28898dc",
+        "ldp.csv": "095c17a4bed0988d16beeab557ced5feb923bd36bcb891384c3bf83cae151d28",
         "lc.json": "b9efe6efec8cba30d66ef098c4296c4d88c6585ab35897b85f462dcbf4fe6ee1",
         "lcp.csv": "349cd4e1a40be5b656645bab29b755203b8a5c89f0347d2a961a9b996a7314c1",
         "lw.json": "b933e0a789da58b6a718561a7d04e674312e82f4954fdc37deed182cd9449c3d",

@@ -631,6 +631,37 @@ class TestBoxGrid:
             slice(3, 16), slice(2, 5))
         assert region_box(spec, Rect(lo=(0.51, 0.51), hi=(0.55, 0.55))) is None
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from([8, 16, 64, 256]), st.sampled_from(["disk", "annulus", "rect"]),
+           st.data())
+    def test_region_box_equals_full_mask_reference(self, n, kind, data):
+        """Disks, annuli and rects anywhere near the lattice, clipped by its
+        edge or holding no site, on or between sites."""
+        spacing = data.draw(st.sampled_from([1.0 / n, 4.0 / n, 0.3]))
+        origin = data.draw(st.sampled_from([(0.0, 0.0), (0.5, -0.25), (-3.7, 1e3)]))
+        spec = LatticeSpec(n=n, spacing=spacing, origin=origin)
+        side = spec.side
+
+        def coord(axis):
+            on_site = data.draw(st.booleans())
+            t = (data.draw(st.integers(-3, n + 2)) * spacing if on_site
+                 else data.draw(st.floats(-0.2 * side, 1.2 * side)))
+            return origin[axis] + t
+
+        def length(lo=0.0):
+            return lo + data.draw(st.sampled_from([0.01, 0.5, 1.0, 2.5, 0.5 * n])) * spacing
+
+        if kind == "disk":
+            region = Disk(center=(coord(0), coord(1)), radius=length())
+        elif kind == "annulus":
+            r_in = length()
+            region = Annulus(center=(coord(0), coord(1)), r_inner=r_in,
+                             r_outer=length(r_in))
+        else:
+            x0, y0 = coord(0), coord(1)
+            region = Rect(lo=(x0, y0), hi=(x0 + length(), y0 + length()))
+        assert region_box(spec, region) == oracles.region_box_reference(spec, region)
+
     def test_paths_and_edge_weights_in_lattice_indices(self, field64):
         box = (slice(20, 44), slice(8, 40))
         grid = build_weighted_grid(mollify_localized(field64, 0.25, box=box), 0.5)

@@ -314,14 +314,18 @@ class TestBoxSmoothing:
 
 
 class TestFoldMatchesCorrelate:
-    """The tap-ordered fold over the padded block gives the values of
-    scipy's wrap-mode correlation over the whole lattice, bit for bit."""
+    """The tiled quadrant fold over the padded block gives the quadrant rule
+    of tests/oracles.py over the whole torus bit for bit, and scipy's
+    wrap-mode correlation, which sums the taps in another order, to
+    rounding."""
 
     @staticmethod
     def check(field, eps, picks):
         for box in picks:
-            assert np.array_equal(mollify_localized(field, eps, box=box).values,
-                                  oracles.localized_reference(field, eps, box))
+            got = mollify_localized(field, eps, box=box).values
+            assert np.array_equal(got, oracles.localized_reference(field, eps, box))
+            near = oracles.localized_correlate(field, eps, box)
+            assert np.abs(got - near).max() <= 1e-13 * np.abs(near).max()
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(localized_fields(), st.data())
