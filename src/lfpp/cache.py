@@ -2,10 +2,10 @@
 
 An entry is the file `<root>/<key><suffix>`, with the suffix fixed by the
 artifact kind, so the directory is its own index.  Keys are sha256 digests
-of (operation, NUMERICS_VERSION, fully resolved params) where floats are
-rendered by their hex bit pattern: a 1-ulp change in any parameter is a
-different key, and bumping NUMERICS_VERSION retires every entry computed by
-older numerics.  Hits are verified against the artifact itself (binary
+of (operation, NUMERICS_VERSION, numpy and scipy versions, fully resolved
+params) with floats as their hex bit pattern: a 1-ulp change in any
+parameter is a different key, and a new NUMERICS_VERSION, numpy or scipy
+retires every entry.  Hits are verified against the artifact itself (binary
 header for field files, `MedianEstimate.from_dict` for estimates); anything
 that fails verification is deleted and reported as a miss.  Every store goes
 through `fieldio.atomic_write`, so concurrent runs on one root never see a
@@ -18,7 +18,10 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+import scipy
 
 from . import fieldio
 from .errors import InvalidArgument
@@ -53,9 +56,14 @@ def _canon(value):
     raise InvalidArgument(f"cannot build a cache key from a {type(value).__name__}")
 
 
+def library_versions() -> Dict[str, str]:
+    """numpy's and scipy's versions: their FFTs and `exp` set an artifact's bits."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def cache_key(operation: str, params: dict) -> str:
     payload = json.dumps({"op": operation, "numerics": NUMERICS_VERSION,
-                          "params": _canon(params)},
+                          "libraries": library_versions(), "params": _canon(params)},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

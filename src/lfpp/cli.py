@@ -479,6 +479,7 @@ def _write_manifest(out_path: str, result: dict, started_at: str,
         "resolved_params": result["resolved"],
         "master_seed": result["master_seed"],
         "version": __version__,
+        "libraries": cache.library_versions(),
         "started_at": started_at,
         "runtime_secs": runtime,
         "threads": threads,

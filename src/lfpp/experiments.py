@@ -43,12 +43,11 @@ from .metric import (
     Annulus,
     Mask,
     Rect,
+    _region_crop,
     build_weighted_grid,
     dist_around_annulus,
     dist_point,
     dist_sets,
-    region_box,
-    region_mask,
 )
 from .renorm import MCConfig, crossing_square, estimate_ladder, run_trials, trial_seed
 
@@ -130,10 +129,10 @@ def _require_inside(window: Rect, outer: Rect, what: str) -> None:
 def _window_box(spec: LatticeSpec, window: Rect) -> Tuple[Tuple[slice, slice], np.ndarray]:
     """(box, mask): the smallest box of lattice sites holding the window's
     sites and the window's sites within it; EmptyRegion when it holds none."""
-    box = region_box(spec, window)
-    if box is None:
+    box, mask = _region_crop(spec, window, (slice(0, spec.n), slice(0, spec.n)))
+    if not mask.size:
         raise EmptyRegion("window contains no lattice sites")
-    return box, region_mask(spec, window, box)
+    return box, mask
 
 
 def _lattice_dict(spec: LatticeSpec) -> Dict[str, object]:

@@ -220,9 +220,7 @@ class MollifiedField:
 
     def __post_init__(self) -> None:
         _check_values(self.spec, self.values, self.offset)
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 2.0 * self.spec.spacing):
-            raise MollificationTooFine(
-                f"epsilon must be >= 2*spacing = {2.0 * self.spec.spacing}, got {self.epsilon}")
+        check_scale(self.spec, self.epsilon)
         if not (0.0 < self.z_epsilon <= 1.0):
             raise InvalidSpec(f"z_epsilon must lie in (0, 1], got {self.z_epsilon}")
 

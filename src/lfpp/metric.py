@@ -8,20 +8,23 @@ edge-weight sums over lattice paths, computed with Dijkstra's algorithm.
 A grid covers a box of the lattice, the whole lattice by default, and all
 of the box's sites; a region restricts paths only in the query it is given
 (`dist_internal`, `dist_sets`, `lr_crossing`, `dist_around_annulus`).
+Every region becomes sites once, in `_region_crop`: the smallest box (its
+crop) holding its sites, and those sites as a bool array over the crop; a
+disk, annulus or rect is masked only on a box from its per-axis bounds.
 
 Point, set and crossing distances share one solve between two endpoint
 sets (a point is a one-site set).  It starts from the set whose
 lexicographically first site (i, j) is smaller, so dist(a, b) and
 dist(b, a) are the same float bit for bit and their paths are each other's
 reverse; a crossing's left column comes first, so it starts there.  A solve
-without a region, or with a region that fills the box, runs Dijkstra over
-the whole box on the grid's graph, built on first use and kept with the
-grid, so every point query on a grid costs the same whatever the pair.
+without a region runs Dijkstra over the whole box on the grid's graph,
+built on first use and kept with the grid, so every point query on a grid
+costs the same whatever the pair; a solve in a region runs on its crop.
 
-Every graph, of a grid's box or of a region's sites within their box,
-comes from one rule: a CSR skeleton of the crop (`indptr` and `indices`,
-rows in site order, columns sorted) holds the entries whose two ends are
-both active sites, and one fill weighs entry (u, v) as
+Every graph, of a grid's box or of a region's crop, comes from one rule:
+`_mask_graph` fills a CSR skeleton of the crop (`indptr` and `indices`,
+rows in site order, columns sorted) holding the entries whose two ends are
+both active, weighing entry (u, v) as
 (cost[u] + cost[v]) * 0.5 * spacing * |offset|.  Float addition commutes,
 so both directions of an edge hold the same bits.  A crop whose sites are
 all active has one skeleton per shape, kept for the process while the crop
@@ -57,7 +60,7 @@ from .errors import (
     InvalidArgument,
     OutOfRegion,
 )
-from .gff import LatticeSpec, MollifiedField
+from .gff import Box, LatticeSpec, MollifiedField
 
 # A site's 8 neighbour offsets in node order, so in CSR column order.
 _OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -210,7 +213,7 @@ class WeightedGrid:
     @cached_property
     def _full_graph(self):
         """(crop slices, CSR graph) of the whole box, built on first use."""
-        return _mask_graph(self, np.ones(self.site_cost.shape, dtype=bool))
+        return _mask_graph(self, self.box, np.ones(self.site_cost.shape, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -235,12 +238,12 @@ class DistResult:
     settled: int                 # sites with a finite computed distance
 
 
-def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect]
-                   ) -> Optional[Tuple[slice, slice]]:
-    """A box holding every site of a disk, annulus or rect, or None when no
-    site can lie in it.  A site inside the region has each coordinate within
+def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect],
+                   within: Box) -> Box:
+    """A box in `within` holding every site there of a disk, annulus or rect,
+    empty when none can be.  A site of the region has each coordinate within
     the region's bounds, tested with the float differences `region_mask`
-    takes; the sites that pass are padded by one on each side and clipped."""
+    takes; the sites that pass are padded by one and clipped to `within`."""
     xs, ys = spec.axis_coords()
     if isinstance(region, Rect):
         tol = spec.spacing * _RECT_TOL
@@ -252,26 +255,31 @@ def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect]
                   for c, at in ((ys, region.center[1]), (xs, region.center[0]))]
     hits = [np.flatnonzero(a) for a in inside]
     if any(h.size == 0 for h in hits):
-        return None
-    return tuple(slice(max(int(h[0]) - 1, 0), min(int(h[-1]) + 2, spec.n)) for h in hits)
+        return (slice(0, 0), slice(0, 0))
+    return tuple(slice(max(int(h[0]) - 1, w.start), min(int(h[-1]) + 2, w.stop))
+                 for h, w in zip(hits, within))
 
 
-def region_box(spec: LatticeSpec, region: Region) -> Optional[Tuple[slice, slice]]:
+def _region_crop(spec: LatticeSpec, region: Region, within: Box) -> Tuple[Box, np.ndarray]:
+    """(crop, active): the smallest box of lattice sites holding every site
+    of the region inside the box `within`, and those sites as a bool array
+    over the crop; both are empty when there are none.  A Mask is masked on
+    `within`, any other region only on its candidate box within it."""
+    box = within if isinstance(region, Mask) else _candidate_box(spec, region, within)
+    active = region_mask(spec, region, box)
+    hits = [np.flatnonzero(active.any(axis=axis)) for axis in (1, 0)]
+    if hits[0].size == 0:
+        return (slice(0, 0), slice(0, 0)), active[:0, :0]
+    inner = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+    crop = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
+    return crop, active[inner]
+
+
+def region_box(spec: LatticeSpec, region: Region) -> Optional[Box]:
     """Smallest box of lattice sites holding all of the region's sites, as
-    (rows, columns) slices; None when the region holds no site.  Only a
-    Mask is cropped from a whole-lattice mask; other regions are masked on
-    their candidate box alone."""
-    if isinstance(region, Mask):
-        box = (slice(0, spec.n), slice(0, spec.n))
-    else:
-        box = _candidate_box(spec, region)
-        if box is None:
-            return None
-    mask = region_mask(spec, region, box)
-    if not mask.any():
-        return None
-    (rs, cs), (i, j) = _crop_box(mask), (box[0].start, box[1].start)
-    return (slice(rs.start + i, rs.stop + i), slice(cs.start + j, cs.stop + j))
+    (rows, columns) slices; None when the region holds no site."""
+    crop, active = _region_crop(spec, region, (slice(0, spec.n), slice(0, spec.n)))
+    return crop if active.size else None
 
 
 def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
@@ -307,13 +315,6 @@ def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> f
 # ---------------------------------------------------------------------------
 # solver core
 # ---------------------------------------------------------------------------
-
-def _crop_box(mask: np.ndarray) -> Tuple[slice, slice]:
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    return (slice(int(rows[0]), int(rows[-1]) + 1),
-            slice(int(cols[0]), int(cols[-1]) + 1))
-
 
 def _neighbours(a: np.ndarray) -> List[np.ndarray]:
     """For each offset (di, dj) of _OFFSETS, the view of `a` moved by it:
@@ -394,16 +395,11 @@ def _skeleton(active: np.ndarray) -> _Skeleton:
     return _Skeleton.of(active)
 
 
-def _mask_graph(grid: WeightedGrid, sub: np.ndarray):
-    """(crop slices, CSR graph) of the sites of `sub`, a bool array over the
-    grid's box; the crop is the box of those sites, in lattice indices."""
-    if not sub.any():
-        raise EmptyRegion("active region is empty")
-    rs, cs = _crop_box(sub)
-    i, j = grid.offset
-    crop = (slice(rs.start + i, rs.stop + i), slice(cs.start + j, cs.stop + j))
-    graph = _skeleton(sub[rs, cs]).fill(grid.site_cost[rs, cs], grid.spec.spacing)
-    return crop, graph
+def _mask_graph(grid: WeightedGrid, crop: Box, active: np.ndarray):
+    """(crop, CSR graph) of the active sites of a crop inside the grid's box."""
+    (rs, cs), (i, j) = crop, grid.offset
+    cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
+    return crop, _skeleton(active).fill(cost, grid.spec.spacing)
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -411,18 +407,17 @@ def _flat(sites: np.ndarray, crop) -> np.ndarray:
     return (sites[:, 0] - rs.start) * (cs.stop - cs.start) + (sites[:, 1] - cs.start)
 
 
-def _sites(grid: WeightedGrid, sub: np.ndarray) -> np.ndarray:
-    """Lattice sites (k, 2) of a bool array over the grid's box, in
-    lexicographic order."""
-    return np.argwhere(sub) + grid.offset
+def _sites(crop: Box, active: np.ndarray) -> np.ndarray:
+    """Lattice sites (k, 2) of a bool array over a crop, in lexicographic
+    order."""
+    return np.argwhere(active) + (crop[0].start, crop[1].start)
 
 
-def _check_in(grid: WeightedGrid, site: Tuple[int, int],
-              sub: Optional[np.ndarray], what: str) -> None:
-    (i, j), (h, w) = grid.offset, grid.site_cost.shape
-    r, c = site[0] - i, site[1] - j
-    ok = 0 <= r < h and 0 <= c < w and (sub is None or bool(sub[r, c]))
-    if not ok:
+def _check_in(grid: WeightedGrid, site: Tuple[int, int], region, what: str) -> None:
+    """OutOfRegion unless the site is active in `region` (the box when None)."""
+    (rs, cs), active = region or (grid.box, None)
+    inside = rs.start <= site[0] < rs.stop and cs.start <= site[1] < cs.stop
+    if not inside or (active is not None and not active[site[0] - rs.start, site[1] - cs.start]):
         raise OutOfRegion(f"{what} site {tuple(site)} is outside the active region")
 
 
@@ -457,10 +452,10 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
 
 
 def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
-             sub: Optional[np.ndarray], want_path: bool) -> DistResult:
+             region, want_path: bool) -> DistResult:
     """Distance between two (k, 2) site arrays in lexicographic order, along
-    paths in `sub`, a bool array over the grid's box (the whole box when
-    None, on the grid's own graph).
+    paths through the active sites of `region`, a (crop, active) pair (the
+    whole box when None, on the grid's own graph).
 
     The solve starts from the array whose first site is smaller; the target
     is the first minimum among the other's sites, and the path walked back
@@ -468,7 +463,7 @@ def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
     """
     swapped = tuple(b_sites[0]) < tuple(a_sites[0])
     sources, targets = (b_sites, a_sites) if swapped else (a_sites, b_sites)
-    crop, graph = grid._full_graph if sub is None else _mask_graph(grid, sub)
+    crop, graph = grid._full_graph if region is None else _mask_graph(grid, *region)
     s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
     dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True)
     settled = int(np.isfinite(dist).sum())
@@ -507,17 +502,17 @@ def dist_internal(grid: WeightedGrid, z: Tuple[float, float],
                   w: Tuple[float, float], sub: Region,
                   want_path: bool = False) -> DistResult:
     """Distance along paths constrained to stay inside the region `sub`."""
-    return _point_dist(grid, z, w, region_mask(grid.spec, sub, grid.box), want_path)
+    return _point_dist(grid, z, w, _region_crop(grid.spec, sub, grid.box), want_path)
 
 
-def _point_dist(grid: WeightedGrid, z, w, sub, want_path: bool) -> DistResult:
+def _point_dist(grid: WeightedGrid, z, w, region, want_path: bool) -> DistResult:
     sz = grid.spec.index_of(z)
     sw = grid.spec.index_of(w)
-    _check_in(grid, sz, sub, "source")
-    _check_in(grid, sw, sub, "target")
+    _check_in(grid, sz, region, "source")
+    _check_in(grid, sw, region, "target")
     if sz == sw:
         return _trivial_zero(sz, want_path)
-    return _between(grid, np.array([sz]), np.array([sw]), sub, want_path)
+    return _between(grid, np.array([sz]), np.array([sw]), region, want_path)
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
@@ -527,15 +522,15 @@ def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
     Equals the minimum of dist_point over endpoint pairs, and is bitwise
     symmetric in the two sets.
     """
-    mask_a = region_mask(grid.spec, region_a, grid.box)
-    mask_b = region_mask(grid.spec, region_b, grid.box)
-    if not mask_a.any() or not mask_b.any():
+    sites_a, sites_b = (_sites(*_region_crop(grid.spec, r, grid.box))
+                        for r in (region_a, region_b))
+    if not (sites_a.size and sites_b.size):
         raise EmptyRegion("a distance endpoint set is empty")
-    common = mask_a & mask_b
-    if common.any():
-        site = tuple(int(v) for v in _sites(grid, common)[0])
-        return _trivial_zero(site, want_path)
-    return _between(grid, _sites(grid, mask_a), _sites(grid, mask_b), None, want_path)
+    n = grid.spec.n
+    common = np.intersect1d(sites_a @ (n, 1), sites_b @ (n, 1))
+    if common.size:   # flat i * n + j, sorted: the first is the smallest (i, j)
+        return _trivial_zero(divmod(int(common[0]), n), want_path)
+    return _between(grid, sites_a, sites_b, None, want_path)
 
 
 def lr_crossing(grid: WeightedGrid, square: Rect,
@@ -543,19 +538,17 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
     """Shortest left-to-right crossing of a square, inside the square.
 
     Sources are the active sites of the leftmost occupied lattice column of
-    the square, targets the rightmost; paths stay inside the square.  The
-    square's mask is worked out on the grid's box alone, and a square that
-    fills the box is crossed on the grid's own graph.
+    the square, targets the rightmost; paths stay inside the square.
     """
-    sub = region_mask(grid.spec, square, grid.box)
-    if not sub.any():
+    region = _region_crop(grid.spec, square, grid.box)
+    sites = _sites(*region)
+    if not sites.size:
         raise EmptyRegion("crossing square contains no active sites")
-    sites = _sites(grid, sub)
     jl, jr = sites[:, 1].min(), sites[:, 1].max()
     if jl == jr:
         raise InvalidArgument("crossing square spans a single lattice column")
     return _between(grid, sites[sites[:, 1] == jl], sites[sites[:, 1] == jr],
-                    None if sub.all() else sub, want_path)
+                    region, want_path)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +609,12 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     if ann.width < 3.0 * delta:
         raise DegenerateAnnulus(
             f"annulus width {ann.width} is below 3*spacing = {3.0 * delta}")
-    box = region_box(spec, ann)
-    if box is None:
+    crop, active = _region_crop(spec, ann, (slice(0, spec.n), slice(0, spec.n)))
+    if not active.size:
         raise EmptyRegion("annulus contains no lattice sites")
-    if not all(g.start <= b.start and b.stop <= g.stop for b, g in zip(box, grid.box)):
+    if not all(g.start <= b.start and b.stop <= g.stop for b, g in zip(crop, grid.box)):
         raise OutOfRegion("annulus leaves the grid's active region")
-    crop, graph = _mask_graph(grid, region_mask(spec, ann, grid.box))
+    crop, graph = _mask_graph(grid, crop, active)
     n_base = graph.shape[0]
     cover, cut_sites = _annulus_cover(spec, crop, graph, ann.center)
     if cut_sites.size == 0:
@@ -630,8 +623,7 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     best, best_site, best_dist, settled = math.inf, -1, None, 0
     for s in cut_sites:
         s = int(s)
-        limit = best if math.isfinite(best) else np.inf
-        dist = _csgraph_dijkstra(cover, directed=True, indices=s, limit=limit)
+        dist = _csgraph_dijkstra(cover, directed=True, indices=s, limit=best)
         d = float(dist[s + n_base])
         if d < best:
             best, best_site, best_dist = d, s, dist

@@ -190,11 +190,11 @@ def _crossing_trial(seed: int, lattice: LatticeSpec, epsilons: Tuple[float, ...]
 
 def run_trials(trial: Callable[[int], object], mc: MCConfig) -> list:
     """[trial(trial_seed(mc.master_seed, i)) for i in range(mc.trials)], in a
-    pool of mc.workers processes when mc.workers and mc.trials both exceed 1;
-    results keep trial order."""
+    pool of min(mc.workers, mc.trials) processes when both exceed 1 (a pool
+    starts all its workers up front); results keep trial order."""
     seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
     if mc.workers > 1 and mc.trials > 1:
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(mc.workers, mc.trials)) as pool:
             return list(pool.map(trial, seeds))
     return list(map(trial, seeds))
 

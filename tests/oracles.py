@@ -138,11 +138,16 @@ def reference_crop(grid, mask: np.ndarray):
     return (rs, cs), mask[rs, cs], cost
 
 
-def region_box_reference(spec, region):
-    """Smallest (rows, columns) box of the region's sites, cropped from its
-    whole-lattice (n, n) mask; None when the region holds no site."""
+def region_box_reference(spec, region, within=None):
+    """Smallest (rows, columns) box of the region's sites inside the box
+    `within` (the whole lattice when None), cropped from its whole-lattice
+    (n, n) mask; None when there is no such site."""
     from lfpp.metric import region_mask
     mask = region_mask(spec, region)
+    if within is not None:
+        inside = np.zeros_like(mask)
+        inside[within] = True
+        mask &= inside
     if not mask.any():
         return None
     rows = np.flatnonzero(mask.any(axis=1))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,8 @@ class TestFieldSample:
         assert manifest["master_seed"] == 99
         assert set(manifest) >= {"command", "resolved_params", "master_seed",
                                  "version", "started_at", "runtime_secs"}
+        assert manifest["libraries"] == {"numpy": np.__version__,
+                                         "scipy": scipy.__version__}
 
     def test_auto_spacing_resolves_to_4_over_n(self, tmp_path):
         out = tmp_path / "f.lfpf"

@@ -416,6 +416,12 @@ class TestSetSolveMatchesOracle:
         bwd = dist_sets(grid, Mask(b), Mask(a), want_path=True)
         assert bwd.value == fwd.value and bwd.path.sites == fwd.path.sites[::-1]
         assert bwd.settled == settled
+        # sets that meet are 0 apart, at their smallest common site (i, j)
+        meet_a, meet_b = a | b, b | np.roll(a, 1, axis=1)
+        first = sites_of(meet_a & meet_b & grid.mask)[0]
+        for x, y in ((meet_a, meet_b), (meet_b, meet_a)):
+            res = dist_sets(grid, Mask(x), Mask(y), want_path=True)
+            assert (res.value, res.path.sites, res.settled) == (0.0, (first,), 1)
 
         square = region_mask(grid.spec, rect) & grid.mask
         cols = np.flatnonzero(square.any(axis=0))
@@ -479,13 +485,13 @@ class TestSkeletonMatchesReference:
             else:
                 region = Mask(rng.random((n, n)) < data.draw(
                     st.sampled_from([0.3, 0.7, 0.95])))
-            sub = region_mask(spec, region, grid.box)
-            if not sub.any():
-                with pytest.raises(EmptyRegion):
-                    metric._mask_graph(grid, sub)
+            crop, active = metric._region_crop(spec, region, grid.box)
+            sites = region_mask(spec, region) & grid.mask
+            if not sites.any():
+                assert active.size == 0
                 return
-            crop, graph = metric._mask_graph(grid, sub)
-            want = oracles.mask_graph_reference(grid, region_mask(spec, region) & grid.mask)
+            crop, graph = metric._mask_graph(grid, crop, active)
+            want = oracles.mask_graph_reference(grid, sites)
         assert crop == want[0]
         assert graph_arrays(graph) == graph_arrays(want[1])
 
@@ -508,7 +514,7 @@ class TestSkeletonMatchesReference:
         if on_box:
             grid = WeightedGrid(spec=spec, site_cost=grid.site_cost[box],
                                 offset=(box[0].start, box[1].start))
-        crop, graph = metric._mask_graph(grid, region_mask(spec, ann, grid.box))
+        crop, graph = metric._mask_graph(grid, *metric._region_crop(spec, ann, grid.box))
         cover, cut = metric._annulus_cover(spec, crop, graph, ann.center)
         ref_crop, m, cost = oracles.reference_crop(grid, region_mask(spec, ann))
         edges = oracles.edge_arrays_reference(cost, m, spec.spacing)
@@ -632,11 +638,12 @@ class TestBoxGrid:
         assert region_box(spec, Rect(lo=(0.51, 0.51), hi=(0.55, 0.55))) is None
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.sampled_from([8, 16, 64, 256]), st.sampled_from(["disk", "annulus", "rect"]),
-           st.data())
+    @given(st.sampled_from([8, 16, 64, 256]),
+           st.sampled_from(["disk", "annulus", "rect", "mask"]), st.data())
     def test_region_box_equals_full_mask_reference(self, n, kind, data):
         """Disks, annuli and rects anywhere near the lattice, clipped by its
-        edge or holding no site, on or between sites."""
+        edge or holding no site, on or between sites, and random masks; and
+        the crop of their sites, with those sites, inside a random box."""
         spacing = data.draw(st.sampled_from([1.0 / n, 4.0 / n, 0.3]))
         origin = data.draw(st.sampled_from([(0.0, 0.0), (0.5, -0.25), (-3.7, 1e3)]))
         spec = LatticeSpec(n=n, spacing=spacing, origin=origin)
@@ -657,10 +664,23 @@ class TestBoxGrid:
             r_in = length()
             region = Annulus(center=(coord(0), coord(1)), r_inner=r_in,
                              r_outer=length(r_in))
-        else:
+        elif kind == "rect":
             x0, y0 = coord(0), coord(1)
             region = Rect(lo=(x0, y0), hi=(x0 + length(), y0 + length()))
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            region = Mask(rng.random((n, n)) < data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.9])))
         assert region_box(spec, region) == oracles.region_box_reference(spec, region)
+
+        r0, c0 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        within = (slice(r0, data.draw(st.integers(r0 + 1, n))),
+                  slice(c0, data.draw(st.integers(c0 + 1, n))))
+        crop, active = metric._region_crop(spec, region, within)
+        want = oracles.region_box_reference(spec, region, within)
+        if want is None:
+            assert crop == (slice(0, 0), slice(0, 0)) and active.shape == (0, 0)
+        else:
+            assert crop == want and np.array_equal(active, region_mask(spec, region)[want])
 
     def test_paths_and_edge_weights_in_lattice_indices(self, field64):
         box = (slice(20, 44), slice(8, 40))

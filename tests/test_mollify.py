@@ -306,6 +306,16 @@ class TestBoxSmoothing:
         with pytest.raises(InvalidArgument):
             mollify_localized(field64, 0.25, box=box)
 
+    @pytest.mark.parametrize("eps, error", [(math.nan, InvalidArgument),
+                                            (math.inf, InvalidArgument),
+                                            (0.1, MollificationTooFine)])
+    def test_scale_floor_holds_on_construction(self, field64, eps, error):
+        # the one floor, gff.check_scale: 2 * spacing = 0.125 here
+        with pytest.raises(error):
+            MollifiedField(spec=field64.spec, kind=FieldKind.TORUS_WHOLE_PLANE,
+                           epsilon=eps, values=np.zeros((64, 64)), localized=False,
+                           z_epsilon=1.0, source_seed=0)
+
     def test_box_values_must_fit_the_lattice(self, field64):
         with pytest.raises(InvalidArgument):
             MollifiedField(spec=field64.spec, kind=FieldKind.TORUS_WHOLE_PLANE,

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +28,8 @@ from lfpp import (
     log_correction_check,
     scaling_ratio,
 )
-from lfpp import annulus_event_stats, cache, scale_covariance_test
-from lfpp.renorm import crossing_square, estimate_cache_key, trial_seed
+from lfpp import annulus_event_stats, cache, renorm, scale_covariance_test
+from lfpp.renorm import crossing_square, estimate_cache_key, run_trials, trial_seed
 
 PARAMS = Params(xi=0.2)
 SMALL_MC = MCConfig(lattice=LatticeSpec(n=32, spacing=0.125),
@@ -149,6 +150,13 @@ class TestEstimate:
         monkeypatch.setattr(cache, "NUMERICS_VERSION", cache.NUMERICS_VERSION + 1)
         assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
 
+    @pytest.mark.parametrize("library", [np, scipy], ids=["numpy", "scipy"])
+    def test_cache_key_tracks_library_versions(self, library, monkeypatch):
+        # an upgrade may move FFT or exp bits, so it must not hit old entries
+        key = estimate_cache_key(0.5, PARAMS, SMALL_MC)
+        monkeypatch.setattr(library, "__version__", library.__version__ + ".post1")
+        assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
+
 
 @st.composite
 def small_mc(draw, n, min_trials):
@@ -206,6 +214,29 @@ class TestRunTrialsPoolSize:
         clear_estimate_cache()     # else the memo answers the pooled side
         two = run(replace(mc, workers=2))
         assert repr(two) == repr(one)   # repr round-trips every float bit
+
+    def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
+        """A pool starts all its workers up front, so 64 workers for 20
+        trials would start 44 idle processes."""
+        sizes = []
+
+        class SerialPool:   # records its size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(renorm, "ProcessPoolExecutor", SerialPool)
+        mc = MCConfig(lattice=SMALL_MC.lattice, trials=20, master_seed=3, workers=64)
+        assert run_trials(str, mc) == [str(trial_seed(3, i)) for i in range(20)]
+        assert sizes == [20]
 
 
 @st.composite
