@@ -21,22 +21,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import __version__, cache, fieldio
 from .errors import InvalidArgument, LfppError
-from .gff import (
-    XI_CRIT_REF,
-    LatticeSpec,
-    Params,
-    mollify,
-    mollify_localized,
-    sample_dirichlet_gff,
-    sample_torus_gff,
-)
+from .gff import SAMPLERS, XI_CRIT_REF, Params, mollify, mollify_localized
 from .metric import (
     Annulus,
     Disk,
@@ -54,12 +46,10 @@ from .renorm import (
     MedianEstimate,
     estimate_a_eps,
     estimate_cache_key,
-    estimate_ladder,
     fit_exponent,
-    ratio_rungs,
     scaling_ratio,
 )
-from .experiments import EXPERIMENTS, _resolve_spacing, run_experiment
+from .experiments import EXPERIMENTS, _cfg_lattice, _cfg_mc, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,17 +145,14 @@ def _csv_bytes(header, rows) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _handle_field_sample(ns) -> dict:
-    spacing = _resolve_spacing(ns.spacing, ns.n)
-    origin = ns.origin
-    spec = LatticeSpec(n=ns.n, spacing=spacing, origin=origin)
-    resolved = {"kind": ns.kind, "n": ns.n, "spacing": spacing,
-                "origin": list(origin), "seed": ns.seed, "out": ns.out}
+    spec = _cfg_lattice(vars(ns))
+    resolved = {"kind": ns.kind, "n": ns.n, "spacing": spec.spacing,
+                "origin": list(spec.origin), "seed": ns.seed, "out": ns.out}
     # the container version is part of the key: an older layout is never served
     core = {k: resolved[k] for k in ("kind", "n", "spacing", "origin", "seed")}
     core["lfpf_version"] = fieldio.VERSION
-    sampler = sample_torus_gff if ns.kind == "torus" else sample_dirichlet_gff
     payload = _cached(ns, cache.cache_key("field_sample", core), "field",
-                      lambda: fieldio.field_bytes(sampler(spec, ns.seed)))
+                      lambda: fieldio.field_bytes(SAMPLERS[ns.kind](spec, ns.seed)))
     return {"command": "field-sample", "outputs": [(ns.out, payload)],
             "resolved": resolved, "master_seed": ns.seed, "supercritical": False}
 
@@ -266,12 +253,9 @@ def _handle_dist(ns) -> dict:
 
 def _mc_from_flags(ns) -> Tuple[MCConfig, dict]:
     """The MCConfig of the shared Monte Carlo flags and their resolved values."""
-    spacing = _resolve_spacing(ns.spacing, ns.n)
-    lattice = LatticeSpec(n=ns.n, spacing=spacing, origin=ns.origin)
-    mc = MCConfig(lattice=lattice, trials=ns.trials, master_seed=ns.seed,
-                  localized=ns.localized, workers=ns.threads)
-    return mc, {"xi": ns.xi, "n": ns.n, "spacing": lattice.spacing,
-                "origin": list(lattice.origin), "trials": ns.trials,
+    mc = replace(_cfg_mc(vars(ns)), workers=ns.threads)
+    return mc, {"xi": ns.xi, "n": ns.n, "spacing": mc.lattice.spacing,
+                "origin": list(mc.lattice.origin), "trials": ns.trials,
                 "seed": ns.seed, "localized": ns.localized}
 
 
@@ -319,14 +303,9 @@ def _handle_fit(ns) -> dict:
 def _handle_ratio(ns) -> dict:
     params = Params(xi=ns.xi)
     mc, resolved = _mc_from_flags(ns)
-    q_hat = ns.q_hat
-    if q_hat is None:
-        # the ratio's rungs too, so the whole ladder runs its trials once
-        estimates = estimate_ladder(ratio_rungs(ns.eps, ns.r, mc), params, mc)
-        q_hat = fit_exponent(estimates[:len(ns.eps)], params).q_hat
-    doc = asdict(scaling_ratio(ns.eps, ns.r, params, mc, q_hat))
-    resolved.update(eps=list(ns.eps), r=ns.r, q_hat=q_hat, out=ns.out)
-    return {"command": "ratio", "outputs": [(ns.out, _json_bytes(doc))],
+    series = scaling_ratio(ns.eps, ns.r, params, mc, ns.q_hat)
+    resolved.update(eps=list(ns.eps), r=ns.r, q_hat=series.q_hat_used, out=ns.out)
+    return {"command": "ratio", "outputs": [(ns.out, _json_bytes(asdict(series)))],
             "resolved": resolved, "master_seed": ns.seed,
             "supercritical": params.supercritical}
 
@@ -361,11 +340,11 @@ def _handle_exp(ns) -> dict:
             outputs.append((ns.csv + ".gnu", _gnuplot_script(ns.csv, 1, 2)))
     params = report.params
     seed = params["mc"]["master_seed"] if "mc" in params else params["field"]["seed"]
-    xi = params.get("xi")
     resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
                 "out": ns.out, "csv": ns.csv, "emit_gnuplot": ns.emit_gnuplot}
     return {"command": "exp", "outputs": outputs, "resolved": resolved,
-            "master_seed": seed, "supercritical": xi is not None and xi >= XI_CRIT_REF}
+            "master_seed": seed,
+            "supercritical": "xi" in params and Params(xi=params["xi"]).supercritical}
 
 
 def _handle_cache_info(ns) -> dict:
@@ -410,7 +389,7 @@ def _build_parser() -> _Parser:
     field_sub = p_field.add_subparsers(dest="field_command")
     p_sample = field_sub.add_parser("sample", parents=[lattice, cached],
                                     help="sample a field to an LFPF file")
-    p_sample.add_argument("--kind", choices=("torus", "dirichlet"), default="torus")
+    p_sample.add_argument("--kind", choices=tuple(SAMPLERS), default="torus")
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(handler=_handle_field_sample)
 

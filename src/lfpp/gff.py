@@ -311,6 +311,11 @@ def sample_dirichlet_gff(spec: LatticeSpec, seed: int) -> FieldSample:
                        values=values, mean_removed=False)
 
 
+# Field kind name (as the CLI and experiment configs spell it) -> sampler.
+SAMPLERS: Dict[str, Callable[[LatticeSpec, int], FieldSample]] = {
+    "torus": sample_torus_gff, "dirichlet": sample_dirichlet_gff}
+
+
 # ---------------------------------------------------------------------------
 # pointwise evaluation helpers
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect],
     """A box in `within` holding every site there of a disk, annulus or rect,
     empty when none can be.  A site of the region has each coordinate within
     the region's bounds, tested with the float differences `region_mask`
-    takes; the sites that pass are padded by one and clipped to `within`."""
+    takes (np.hypot(dx, dy) is never below |dx| or |dy|, which are floats
+    themselves); the sites that pass are clipped to `within`."""
     xs, ys = spec.axis_coords()
     if isinstance(region, Rect):
         tol = spec.spacing * _RECT_TOL
@@ -256,7 +257,7 @@ def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect],
     hits = [np.flatnonzero(a) for a in inside]
     if any(h.size == 0 for h in hits):
         return (slice(0, 0), slice(0, 0))
-    return tuple(slice(max(int(h[0]) - 1, w.start), min(int(h[-1]) + 2, w.stop))
+    return tuple(slice(max(int(h[0]), w.start), min(int(h[-1]) + 1, w.stop))
                  for h, w in zip(hits, within))
 
 

@@ -30,7 +30,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def estimate_ladder(epsilons: Sequence[float], params: Params,
     return [estimate_a_eps(eps, params, mc) for eps in epsilons]
 
 
-def ratio_rungs(eps_ladder: Sequence[float], r: float, mc: MCConfig) -> List[float]:
+def _ratio_rungs(eps_ladder: Sequence[float], r: float, mc: MCConfig) -> List[float]:
     """The rungs eps and then eps/r of a `scaling_ratio` ladder, each checked
     against the smoothing-scale floor."""
     if not eps_ladder:
@@ -335,17 +335,21 @@ def fit_exponent(estimates: Sequence[MedianEstimate], params: Params) -> Exponen
 
 
 def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
-                  mc: MCConfig, q_hat: float) -> RatioSeries:
+                  mc: MCConfig, q_hat: Optional[float] = None) -> RatioSeries:
     """rho(eps, r) = r^(1 - xi*q_hat) * median(eps/r) / median(eps).
 
     Both estimates per row share mc.master_seed, so the same field samples
     enter numerator and denominator (common random numbers); at r = 1 the
     cache returns the identical estimate and rho is exactly 1.  The rungs
-    eps and eps/r are estimated in one `estimate_ladder` call.
+    eps and eps/r are estimated in one `estimate_ladder` call.  Without a
+    q_hat, it is `fit_exponent` of the eps rungs' estimates (DegenerateFit
+    when they cannot carry a fit).
     """
-    if not math.isfinite(q_hat):
+    if q_hat is not None and not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    estimates = estimate_ladder(ratio_rungs(eps_ladder, r, mc), params, mc)
+    estimates = estimate_ladder(_ratio_rungs(eps_ladder, r, mc), params, mc)
+    if q_hat is None:
+        q_hat = fit_exponent(estimates[:len(eps_ladder)], params).q_hat
     expo = 1.0 - params.xi * q_hat
     rows = [(float(eps), r ** expo * (a2.median / a1.median))
             for eps, a1, a2 in zip(eps_ladder, estimates, estimates[len(eps_ladder):])]

@@ -682,6 +682,32 @@ class TestBoxGrid:
         else:
             assert crop == want and np.array_equal(active, region_mask(spec, region)[want])
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from([8, 16, 64]), st.data())
+    def test_hypot_never_below_either_leg(self, n, data):
+        """`_candidate_box` keeps every site `region_mask` keeps only while
+        np.hypot(dx, dy) >= |dx| and >= |dy|: on the coordinate differences
+        region_mask forms about centers on or between sites, and on any
+        finite floats."""
+        spacing = data.draw(st.sampled_from([1.0 / n, 4.0 / n, 0.3]))
+        origin = data.draw(st.sampled_from([(0.0, 0.0), (0.5, -0.25), (-3.7, 1e3)]))
+        spec = LatticeSpec(n=n, spacing=spacing, origin=origin)
+        xs, ys = spec.axis_coords()
+
+        def coord(axis):
+            t = (data.draw(st.integers(-3, n + 2)) * spacing if data.draw(st.booleans())
+                 else data.draw(st.floats(-0.2 * spec.side, 1.2 * spec.side)))
+            return origin[axis] + t
+
+        gx = np.broadcast_to(xs[None, :], (n, n))
+        gy = np.broadcast_to(ys[:, None], (n, n))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        legs = [(gx - coord(0), gy - coord(1)), (data.draw(finite), data.draw(finite))]
+        with np.errstate(over="ignore"):
+            for dx, dy in legs:
+                d = np.hypot(dx, dy)
+                assert np.all(d >= np.abs(dx)) and np.all(d >= np.abs(dy))
+
     def test_paths_and_edge_weights_in_lattice_indices(self, field64):
         box = (slice(20, 44), slice(8, 40))
         grid = build_weighted_grid(mollify_localized(field64, 0.25, box=box), 0.5)

@@ -330,6 +330,20 @@ class TestScalingRatio:
         again = scaling_ratio([0.5], 0.5, PARAMS, SMALL_MC, q_hat=2.5)
         assert again.rows == series.rows
 
+    def test_fits_q_hat_of_its_eps_rungs_when_none_is_given(self):
+        ladder = [4.0, 2.0, 1.0, 0.5]   # four rungs spanning a factor 8
+        clear_estimate_cache()
+        fitted = scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC)
+        q_hat = fit_exponent(estimate_ladder(ladder, PARAMS, SMALL_MC), PARAMS).q_hat
+        clear_estimate_cache()
+        given_q = scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC, q_hat=q_hat)
+        assert fitted.q_hat_used == given_q.q_hat_used == q_hat
+        assert fitted.rows == given_q.rows
+
+    def test_two_rungs_cannot_fit_q_hat(self):
+        with pytest.raises(DegenerateFit):
+            scaling_ratio([1.0, 0.5], 2.0, PARAMS, SMALL_MC)
+
     def test_non_pow2_scale_rejected(self):
         with pytest.raises(InvalidArgument):
             scaling_ratio([0.5], 0.3, PARAMS, SMALL_MC, q_hat=2.5)
