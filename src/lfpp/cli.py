@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Every command resolves its flags to a full parameter set, runs the library
-operation, writes the primary output files, and drops a sidecar manifest
-(`<output>.manifest.json`) echoing the resolved parameters so any artifact
-can be regenerated from its manifest alone.  Primary outputs are
+Every command runs the library operation, writes the primary output files,
+and drops a sidecar manifest (`<output>.manifest.json`) so any artifact can
+be regenerated from its manifest alone.  The dispatcher builds every
+manifest from the parsed flags: its resolved parameters are every flag
+except `--threads` (recorded as `threads`) and `--cache-dir`, under
+argparse's own names, plus the facts the command learned: the resolved
+`spacing` (field sample, a-eps, ratio), `field_seed` and `mode` (dist),
+`epsilons` (fit), the `q_hat` used (ratio) and `config_body` (exp).  Its
+`master_seed` is `--seed` and its supercritical flag comes from `--xi`,
+except that `exp` takes both from its report.  Primary outputs are
 deterministic functions of the flags; `--threads` (on the commands that run
 Monte Carlo pools: a-eps, ratio, exp) is a throughput setting that never
 changes bytes, and wall-clock fields live only in the manifest.
@@ -141,20 +147,19 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a result dict consumed by the dispatcher
+# command handlers: each returns its outputs, a list of (path, bytes), and
+# optionally "stdout", "stats" and the "facts" the manifest records
 # ---------------------------------------------------------------------------
 
 def _handle_field_sample(ns) -> dict:
     spec = _cfg_lattice(vars(ns))
-    resolved = {"kind": ns.kind, "n": ns.n, "spacing": spec.spacing,
-                "origin": list(spec.origin), "seed": ns.seed, "out": ns.out}
     # the container version is part of the key: an older layout is never served
-    core = {k: resolved[k] for k in ("kind", "n", "spacing", "origin", "seed")}
-    core["lfpf_version"] = fieldio.VERSION
+    core = {"kind": ns.kind, "n": ns.n, "spacing": spec.spacing,
+            "origin": list(spec.origin), "seed": ns.seed,
+            "lfpf_version": fieldio.VERSION}
     payload = _cached(ns, cache.cache_key("field_sample", core), "field",
                       lambda: fieldio.field_bytes(SAMPLERS[ns.kind](spec, ns.seed)))
-    return {"command": "field-sample", "outputs": [(ns.out, payload)],
-            "resolved": resolved, "master_seed": ns.seed, "supercritical": False}
+    return {"outputs": [(ns.out, payload)], "facts": {"spacing": spec.spacing}}
 
 
 def _path_csv_rows(grid, path):
@@ -187,10 +192,11 @@ def _handle_dist(ns) -> dict:
     within = _region_from_flag(ns.within)
     around = _region_from_flag(ns.around, Annulus, "--around")
     crossing = _region_from_flag(ns.crossing, Rect, "--crossing")
+    src, dst = getattr(ns, "from"), ns.to
     if around or crossing:
-        if ns.src or ns.dst:
+        if src or dst:
             raise InvalidArgument("--from/--to do not combine with --around or --crossing")
-    elif ns.src is None or ns.dst is None:
+    elif src is None or dst is None:
         raise InvalidArgument("--from and --to are required unless "
                               "--around or --crossing is given")
     want_path = ns.emit_path is not None
@@ -212,10 +218,10 @@ def _handle_dist(ns) -> dict:
         res = lr_crossing(grid, crossing, want_path=want_path)
         mode = "crossing"
     elif within:
-        res = dist_internal(grid, ns.src, ns.dst, within, want_path=want_path)
+        res = dist_internal(grid, src, dst, within, want_path=want_path)
         mode = "internal"
     else:
-        res = dist_point(grid, ns.src, ns.dst, want_path=want_path)
+        res = dist_point(grid, src, dst, want_path=want_path)
         mode = "point"
 
     doc = {
@@ -226,13 +232,6 @@ def _handle_dist(ns) -> dict:
             "length": _json_num(res.path.length),
         },
     }
-    resolved = {"field": ns.field, "field_seed": field.seed, "eps": ns.eps,
-                "xi": ns.xi, "localized": ns.localized, "mode": mode,
-                "from": list(ns.src) if ns.src else None,
-                "to": list(ns.dst) if ns.dst else None,
-                "within": ns.within, "around": ns.around,
-                "crossing": ns.crossing, "out": ns.out,
-                "emit_path": ns.emit_path, "emit_gnuplot": ns.emit_gnuplot}
     outputs = []
     stdout = None
     if ns.out:
@@ -246,29 +245,22 @@ def _handle_dist(ns) -> dict:
         outputs.append((ns.emit_path, _csv_bytes(("idx", "x", "y", "cum_length"), rows)))
         if ns.emit_gnuplot:
             outputs.append((ns.emit_path + ".gnu", _gnuplot_script(ns.emit_path, 2, 3)))
-    return {"command": "dist", "outputs": outputs, "stdout": stdout,
-            "resolved": resolved, "master_seed": None,
-            "supercritical": params.supercritical, "stats": {"settled": res.settled}}
+    return {"outputs": outputs, "stdout": stdout, "stats": {"settled": res.settled},
+            "facts": {"field_seed": field.seed, "mode": mode}}
 
 
-def _mc_from_flags(ns) -> Tuple[MCConfig, dict]:
-    """The MCConfig of the shared Monte Carlo flags and their resolved values."""
-    mc = replace(_cfg_mc(vars(ns)), workers=ns.threads)
-    return mc, {"xi": ns.xi, "n": ns.n, "spacing": mc.lattice.spacing,
-                "origin": list(mc.lattice.origin), "trials": ns.trials,
-                "seed": ns.seed, "localized": ns.localized}
+def _mc_from_flags(ns) -> MCConfig:
+    """The MCConfig of the shared Monte Carlo flags."""
+    return replace(_cfg_mc(vars(ns)), workers=ns.threads)
 
 
 def _handle_a_eps(ns) -> dict:
     params = Params(xi=ns.xi)
-    mc, resolved = _mc_from_flags(ns)
-    resolved.update(eps=ns.eps, out=ns.out)
+    mc = _mc_from_flags(ns)
     key = estimate_cache_key(ns.eps, params, mc)
     payload = _cached(ns, key, "a_eps", lambda: _json_bytes(
         estimate_a_eps(ns.eps, params, mc).to_dict()))
-    return {"command": "a-eps", "outputs": [(ns.out, payload)],
-            "resolved": resolved, "master_seed": ns.seed,
-            "supercritical": params.supercritical}
+    return {"outputs": [(ns.out, payload)], "facts": {"spacing": mc.lattice.spacing}}
 
 
 def _load_estimates(dir_path: str) -> List[MedianEstimate]:
@@ -290,24 +282,17 @@ def _load_estimates(dir_path: str) -> List[MedianEstimate]:
 
 
 def _handle_fit(ns) -> dict:
-    params = Params(xi=ns.xi)
-    estimates = _load_estimates(ns.in_dir)
-    doc = asdict(fit_exponent(estimates, params))
-    resolved = {"in": ns.in_dir, "xi": ns.xi,
-                "epsilons": sorted(e.epsilon for e in estimates), "out": ns.out}
-    return {"command": "fit", "outputs": [(ns.out, _json_bytes(doc))],
-            "resolved": resolved, "master_seed": None,
-            "supercritical": params.supercritical}
+    estimates = _load_estimates(getattr(ns, "in"))
+    doc = asdict(fit_exponent(estimates, Params(xi=ns.xi)))
+    return {"outputs": [(ns.out, _json_bytes(doc))],
+            "facts": {"epsilons": sorted(e.epsilon for e in estimates)}}
 
 
 def _handle_ratio(ns) -> dict:
-    params = Params(xi=ns.xi)
-    mc, resolved = _mc_from_flags(ns)
-    series = scaling_ratio(ns.eps, ns.r, params, mc, ns.q_hat)
-    resolved.update(eps=list(ns.eps), r=ns.r, q_hat=series.q_hat_used, out=ns.out)
-    return {"command": "ratio", "outputs": [(ns.out, _json_bytes(asdict(series)))],
-            "resolved": resolved, "master_seed": ns.seed,
-            "supercritical": params.supercritical}
+    mc = _mc_from_flags(ns)
+    series = scaling_ratio(ns.eps, ns.r, Params(xi=ns.xi), mc, ns.q_hat)
+    return {"outputs": [(ns.out, _json_bytes(asdict(series)))],
+            "facts": {"spacing": mc.lattice.spacing, "q_hat": series.q_hat_used}}
 
 
 def _report_doc(report) -> dict:
@@ -340,10 +325,7 @@ def _handle_exp(ns) -> dict:
             outputs.append((ns.csv + ".gnu", _gnuplot_script(ns.csv, 1, 2)))
     params = report.params
     seed = params["mc"]["master_seed"] if "mc" in params else params["field"]["seed"]
-    resolved = {"name": ns.name, "config": ns.config, "config_body": cfg,
-                "out": ns.out, "csv": ns.csv, "emit_gnuplot": ns.emit_gnuplot}
-    return {"command": "exp", "outputs": outputs, "resolved": resolved,
-            "master_seed": seed,
+    return {"outputs": outputs, "facts": {"config_body": cfg}, "master_seed": seed,
             "supercritical": "xi" in params and Params(xi=params["xi"]).supercritical}
 
 
@@ -356,8 +338,7 @@ def _handle_cache_info(ns) -> dict:
     for key, kind, name, mtime in entries:
         stamp = datetime.fromtimestamp(mtime, timezone.utc).isoformat()
         lines.append(f"  {key[:16]}  {kind:8s} {name}  {stamp}")
-    return {"command": "cache-info", "outputs": [], "stdout": "\n".join(lines),
-            "resolved": {"cache_dir": root}, "master_seed": None, "supercritical": False}
+    return {"outputs": [], "stdout": "\n".join(lines)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +372,15 @@ def _build_parser() -> _Parser:
                                     help="sample a field to an LFPF file")
     p_sample.add_argument("--kind", choices=tuple(SAMPLERS), default="torus")
     p_sample.add_argument("--out", required=True)
-    p_sample.set_defaults(handler=_handle_field_sample)
+    p_sample.set_defaults(handler=_handle_field_sample, command="field-sample")
 
     p_dist = sub.add_parser("dist", help="distances on a stored field")
     p_dist.add_argument("--field", required=True)
     p_dist.add_argument("--eps", type=float, required=True)
     p_dist.add_argument("--xi", type=float, required=True)
     p_dist.add_argument("--localized", action="store_true")
-    p_dist.add_argument("--from", dest="src", type=_parse_point, default=None)
-    p_dist.add_argument("--to", dest="dst", type=_parse_point, default=None)
+    p_dist.add_argument("--from", type=_parse_point, default=None)
+    p_dist.add_argument("--to", type=_parse_point, default=None)
     region = p_dist.add_mutually_exclusive_group()
     region.add_argument("--within", default=None,
                         help="restrict paths to a region (internal metric), "
@@ -421,7 +402,7 @@ def _build_parser() -> _Parser:
     p_aeps.set_defaults(handler=_handle_a_eps)
 
     p_fit = sub.add_parser("fit", help="fit the scaling exponent from estimate files")
-    p_fit.add_argument("--in", dest="in_dir", required=True)
+    p_fit.add_argument("--in", required=True)
     p_fit.add_argument("--xi", type=float, required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(handler=_handle_fit)
@@ -431,7 +412,7 @@ def _build_parser() -> _Parser:
     p_ratio.add_argument("--eps", type=_parse_floats, required=True,
                          help="comma-separated epsilon ladder")
     p_ratio.add_argument("--r", type=float, required=True)
-    p_ratio.add_argument("--q-hat", dest="q_hat", type=float, default=None,
+    p_ratio.add_argument("--q-hat", type=float, default=None,
                          help="exponent to use; fitted from the ladder when absent")
     p_ratio.add_argument("--out", required=True)
     p_ratio.set_defaults(handler=_handle_ratio)
@@ -451,20 +432,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_manifest(out_path: str, result: dict, started_at: str,
-                    runtime: float, threads: Optional[int]) -> None:
+# Parsed names that are no parameter of an output: dispatch plumbing, the
+# pool size (recorded as "threads") and the cache root (a deployment path).
+_NOT_PARAMS = frozenset({"handler", "command", "field_command", "threads", "cache_dir"})
+
+
+def _write_manifest(out_path: str, ns, result: dict, started_at: str,
+                    runtime: float) -> None:
+    """The manifest of one output, by the rule the module docstring states."""
+    flags = {k: v for k, v in vars(ns).items() if k not in _NOT_PARAMS}
+    xi = flags.get("xi")
+    supercritical = result.get("supercritical",
+                               xi is not None and Params(xi=xi).supercritical)
     manifest = {
-        "command": result["command"],
-        "resolved_params": result["resolved"],
-        "master_seed": result["master_seed"],
+        "command": ns.command,
+        "resolved_params": {**flags, **result.get("facts", {})},
+        "master_seed": result.get("master_seed", flags.get("seed")),
         "version": __version__,
         "libraries": cache.library_versions(),
         "started_at": started_at,
         "runtime_secs": runtime,
-        "threads": threads,
+        "threads": getattr(ns, "threads", None),
         "artifact": os.path.basename(out_path),
         "warnings": [],
-        "supercritical_xi": bool(result.get("supercritical", False)),
+        "supercritical_xi": bool(supercritical),
     }
     if "stats" in result:   # solver statistics stay out of primary outputs
         manifest["stats"] = result["stats"]
@@ -496,8 +487,7 @@ def parse_and_dispatch(argv: List[str]) -> int:
         for out_path, payload in result["outputs"]:
             fieldio.atomic_write(out_path, payload)
         for out_path, _ in result["outputs"]:
-            _write_manifest(out_path, result, started_at, runtime,
-                            getattr(ns, "threads", None))
+            _write_manifest(out_path, ns, result, started_at, runtime)
         if result.get("stdout"):
             print(result["stdout"])
         return 0

@@ -212,7 +212,7 @@ class WeightedGrid:
 
     @cached_property
     def _full_graph(self):
-        """(crop slices, CSR graph) of the whole box, built on first use."""
+        """CSR graph of the whole box, built on first use."""
         return _mask_graph(self, self.box, np.ones(self.site_cost.shape, dtype=bool))
 
 
@@ -397,10 +397,10 @@ def _skeleton(active: np.ndarray) -> _Skeleton:
 
 
 def _mask_graph(grid: WeightedGrid, crop: Box, active: np.ndarray):
-    """(crop, CSR graph) of the active sites of a crop inside the grid's box."""
+    """CSR graph of the active sites of a crop inside the grid's box."""
     (rs, cs), (i, j) = crop, grid.offset
     cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
-    return crop, _skeleton(active).fill(cost, grid.spec.spacing)
+    return _skeleton(active).fill(cost, grid.spec.spacing)
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -464,7 +464,8 @@ def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
     """
     swapped = tuple(b_sites[0]) < tuple(a_sites[0])
     sources, targets = (b_sites, a_sites) if swapped else (a_sites, b_sites)
-    crop, graph = grid._full_graph if region is None else _mask_graph(grid, *region)
+    crop, graph = ((grid.box, grid._full_graph) if region is None
+                   else (region[0], _mask_graph(grid, *region)))
     s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
     dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True)
     settled = int(np.isfinite(dist).sum())
@@ -615,7 +616,7 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
         raise EmptyRegion("annulus contains no lattice sites")
     if not all(g.start <= b.start and b.stop <= g.stop for b, g in zip(crop, grid.box)):
         raise OutOfRegion("annulus leaves the grid's active region")
-    crop, graph = _mask_graph(grid, crop, active)
+    graph = _mask_graph(grid, crop, active)
     n_base = graph.shape[0]
     cover, cut_sites = _annulus_cover(spec, crop, graph, ann.center)
     if cut_sites.size == 0:

@@ -343,11 +343,14 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     cache returns the identical estimate and rho is exactly 1.  The rungs
     eps and eps/r are estimated in one `estimate_ladder` call.  Without a
     q_hat, it is `fit_exponent` of the eps rungs' estimates (DegenerateFit
-    when they cannot carry a fit).
+    when they cannot carry a fit, raised before any trial runs).
     """
     if q_hat is not None and not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    estimates = estimate_ladder(_ratio_rungs(eps_ladder, r, mc), params, mc)
+    rungs = _ratio_rungs(eps_ladder, r, mc)
+    if q_hat is None:   # the fit's ladder check needs no trial
+        _check_ladder(np.asarray(eps_ladder, dtype=np.float64))
+    estimates = estimate_ladder(rungs, params, mc)
     if q_hat is None:
         q_hat = fit_exponent(estimates[:len(eps_ladder)], params).q_hat
     expo = 1.0 - params.xi * q_hat

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, manifests, caching, byte determinism."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -33,6 +34,7 @@ from lfpp import (
     sample_torus_gff,
     write_field,
 )
+from lfpp import cli
 from lfpp.cli import main
 from lfpp.experiments import EXPERIMENTS
 
@@ -437,6 +439,18 @@ class TestRatio:
         assert [row[1] for row in doc["rows"]] == [1.0, 1.0]
         assert doc["q_hat_used"] == 2.5
 
+    def test_unfittable_ladder_exits_one_before_any_trial(self, tmp_path, monkeypatch):
+        import lfpp.renorm as renorm
+        calls = []
+        monkeypatch.setattr(renorm, "run_trials",
+                            lambda trial, mc: calls.append(mc.trials) or [])
+        clear_estimate_cache()
+        out = tmp_path / "r.json"
+        assert main(["ratio", "--xi", "0.2", "--eps", "0.5,0.25", "--r", "0.5",
+                     "--n", "32", "--spacing", "0.125", "--trials", "20",
+                     "--seed", "7", "--out", str(out)]) == 1
+        assert calls == [] and not out.exists()
+
     def test_non_pow2_r_exits_one(self, tmp_path):
         assert main(["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.3",
                      "--n", "32", "--spacing", "0.125", "--trials", "20",
@@ -832,7 +846,7 @@ def _replay_argv(manifest, in_dir, out_dir):
         config = in_dir / "cfg.json"
         config.write_text(json.dumps(resolved.pop("config_body")), encoding="utf-8")
         resolved["config"] = str(config)
-    for key in ("field_seed", "mode"):   # recorded facts, not flags
+    for key in ("field_seed", "mode", "epsilons"):   # recorded facts, not flags
         resolved.pop(key, None)
     for key, value in resolved.items():
         flag = "--" + key.replace("_", "-")
@@ -849,15 +863,34 @@ def _replay_argv(manifest, in_dir, out_dir):
     return argv
 
 
+def _option_dests(argv):
+    """The dests of the options of the (sub)parser argv's leading command
+    words select, minus --threads and --cache-dir."""
+    parser = cli._build_parser()
+    for word in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].choices[word]
+    return {a.dest for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)} - {"threads", "cache_dir"}
+
+
 class TestManifestReplay:
+    # The facts each command records under names that no flag of it has.
+    FACTS = {"dist": {"field_seed", "mode"}, "fit": {"epsilons"}, "exp": {"config_body"}}
+
     def test_manifest_regenerates_primary_outputs(self, tmp_path, monkeypatch):
         monkeypatch.delenv("LFPP_CACHE", raising=False)
-        orig, replay, cfg_dir = (tmp_path / d for d in ("orig", "replay", "in"))
-        for d in (orig, replay, cfg_dir):
+        orig, replay, cfg_dir, est = (tmp_path / d for d in ("orig", "replay", "in", "est"))
+        for d in (orig, replay, cfg_dir, est):
             d.mkdir()
         f = str(orig / "f.lfpf")
         cfg = cfg_dir / "w.json"
         cfg.write_text(json.dumps(TestExp.CFG), encoding="utf-8")
+        for k, eps in enumerate(("2", "1", "0.5", "0.25")):   # a ladder fit can carry
+            assert main(["a-eps", "--xi", "0.2", "--eps", eps, "--n", "32", "--trials",
+                         "20", "--seed", "5", "--out", str(est / f"a{k}.json")]) == 0
         runs = {
             "f.lfpf": ["field", "sample", "--n", "64", "--seed", "11"],
             "d.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
@@ -878,12 +911,15 @@ class TestManifestReplay:
                        "--seed", "5"],
             "e.json": ["exp", "weyl_shift_test", "--config", str(cfg),
                        "--csv", str(orig / "e.csv"), "--emit-gnuplot"],
+            "fit.json": ["fit", "--in", str(est), "--xi", "0.2"],
         }
         for out, argv in runs.items():
             assert main(argv + ["--out", str(orig / out)]) == 0, out
-        for out in runs:
+        for out, argv in runs.items():
             clear_estimate_cache()
             manifest = load_json(orig / f"{out}.manifest.json")
+            assert set(manifest["resolved_params"]) == (
+                _option_dests(argv) | self.FACTS.get(argv[0], set())), out
             assert main(_replay_argv(manifest, cfg_dir, replay)) == 0, out
 
         def outputs(d):

@@ -473,7 +473,7 @@ class TestSkeletonMatchesReference:
 
         center = (coord(), coord())
         if kind == "box":
-            crop, graph = grid._full_graph
+            crop, graph = grid.box, grid._full_graph
             want = oracles.mask_graph_reference(grid, grid.mask)
         else:
             if kind == "disk":
@@ -490,7 +490,7 @@ class TestSkeletonMatchesReference:
             if not sites.any():
                 assert active.size == 0
                 return
-            crop, graph = metric._mask_graph(grid, crop, active)
+            graph = metric._mask_graph(grid, crop, active)
             want = oracles.mask_graph_reference(grid, sites)
         assert crop == want[0]
         assert graph_arrays(graph) == graph_arrays(want[1])
@@ -514,7 +514,8 @@ class TestSkeletonMatchesReference:
         if on_box:
             grid = WeightedGrid(spec=spec, site_cost=grid.site_cost[box],
                                 offset=(box[0].start, box[1].start))
-        crop, graph = metric._mask_graph(grid, *metric._region_crop(spec, ann, grid.box))
+        crop, active = metric._region_crop(spec, ann, grid.box)
+        graph = metric._mask_graph(grid, crop, active)
         cover, cut = metric._annulus_cover(spec, crop, graph, ann.center)
         ref_crop, m, cost = oracles.reference_crop(grid, region_mask(spec, ann))
         edges = oracles.edge_arrays_reference(cost, m, spec.spacing)
@@ -557,7 +558,7 @@ class TestGraphCache:
     def test_cached_graph_dies_with_grid(self):
         spec, grid = random_grid(np.random.default_rng(9), 16, 0.25)
         dist_point(grid, (0.5, 0.5), (3.0, 2.0))
-        graph = weakref.ref(grid._full_graph[1])
+        graph = weakref.ref(grid._full_graph)
         assert graph() is not None
         del grid
         gc.collect()

@@ -344,6 +344,18 @@ class TestScalingRatio:
         with pytest.raises(DegenerateFit):
             scaling_ratio([1.0, 0.5], 2.0, PARAMS, SMALL_MC)
 
+    @pytest.mark.parametrize("ladder", [[1.0, 0.5], [1.0, 0.9, 0.8, 0.7]])
+    def test_unfittable_ladder_fails_before_any_trial(self, ladder, monkeypatch):
+        """Too few rungs or too narrow a span raise DegenerateFit from the
+        epsilons alone, before a single Monte Carlo trial runs."""
+        calls = []
+        monkeypatch.setattr(renorm, "run_trials",
+                            lambda trial, mc: calls.append(mc.trials) or [])
+        clear_estimate_cache()
+        with pytest.raises(DegenerateFit):
+            scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC)
+        assert calls == []
+
     def test_non_pow2_scale_rejected(self):
         with pytest.raises(InvalidArgument):
             scaling_ratio([0.5], 0.3, PARAMS, SMALL_MC, q_hat=2.5)
