@@ -138,11 +138,13 @@ class LatticeSpec:
         x, y = point
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InvalidArgument("point coordinates must be finite")
-        j = math.ceil((x - ox) / self.spacing - 0.5)
-        i = math.ceil((y - oy) / self.spacing - 0.5)
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        u = (x - ox) / self.spacing - 0.5
+        v = (y - oy) / self.spacing - 0.5
+        # 0 <= ceil(c) < n, tested on c, which is inf for a finite point
+        # far enough off the lattice
+        if not (-1.0 < u <= self.n - 1 and -1.0 < v <= self.n - 1):
             raise OutOfDomain(f"point {point} snaps outside the lattice")
-        return (i, j)
+        return (math.ceil(v), math.ceil(u))
 
 
 class FieldKind(IntEnum):

@@ -39,8 +39,12 @@ circles of an annulus by lifting the annulus graph to a two-sheet cover in
 which crossing the rightward horizontal ray from the center switches
 sheets; the answer is the minimum over cut-adjacent sites of the distance
 between the site's two copies, which equals the minimum over separating
-cycles of their one-direction running weight sum.  Its cycle is walked back
-by the same rule, in (sheet, i, j) order on the cover.
+cycles of their one-direction running weight sum.  One solve from the
+sites where uncut edges straddle the ray's line bounds every such distance
+from below, with no planarity needed, so only the sites whose bound does
+not rule them out are solved, cheapest bound first; the smallest-index
+minimizer wins, as if every site were solved in order.  Its cycle is
+walked back by the same rule, in (sheet, i, j) order on the cover.
 """
 
 from __future__ import annotations
@@ -71,6 +75,11 @@ _CACHED_SITES = 1 << 17   # full crops up to this size keep their skeleton
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
 
 
+def _check_finite(what: str, point: Tuple[float, float]) -> None:
+    if not all(math.isfinite(c) for c in point):
+        raise InvalidArgument(f"{what} must be finite, got {point}")
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
@@ -83,6 +92,7 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
+        _check_finite("disk center", self.center)
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidArgument(f"disk radius must be > 0, got {self.radius}")
 
@@ -96,6 +106,7 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self) -> None:
+        _check_finite("annulus center", self.center)
         ok = (math.isfinite(self.r_inner) and math.isfinite(self.r_outer)
               and 0 < self.r_inner < self.r_outer)
         if not ok:
@@ -116,6 +127,7 @@ class Rect:
     hi: Tuple[float, float]
 
     def __post_init__(self) -> None:
+        _check_finite("rect corner", (*self.lo, *self.hi))
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise InvalidArgument(f"rect must have lo < hi, got {self.lo}, {self.hi}")
 
@@ -235,7 +247,9 @@ class DistResult:
     value: float
     unreachable: bool
     path: Optional[Path]
-    settled: int                 # sites with a finite computed distance
+    # Sites with a finite computed distance; for a separating cycle, the
+    # base sites labelled at most its length on either sheet of the cover.
+    settled: int
 
 
 def _candidate_box(spec: LatticeSpec, region: Union[Disk, Annulus, Rect],
@@ -562,16 +576,19 @@ def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
     """Two-sheet cover of the annulus graph, cut along the rightward ray.
 
     Takes the crop's CSR graph and returns (csr cover graph on 2*h*w nodes,
-    sorted upper cut site array).  Each entry is read as its edge a -> b
-    with a < b (the entry itself when row < col).  An edge is a cut edge
-    when its endpoints straddle the horizontal line y = center_y (one at or
-    above, one strictly below) and its segment meets that line strictly
-    right of the center; a cut edge leads to the other sheet, so
+    sorted upper cut site array, sorted upper uncut site array).  Each entry
+    is read as its edge a -> b with a < b (the entry itself when row < col).
+    An edge straddles when its endpoints lie on either side of the
+    horizontal line y = center_y (one at or above, one strictly below); a
+    straddling edge is a cut edge when its segment meets that line strictly
+    right of the center.  A cut edge leads to the other sheet, so
     traversing it switches sheets.  Sheet s's rows are the crop's rows with
     columns moved by s * h * w, or by the other sheet's for a cut entry.
     The flags are exactly the crossings of a fixed arc from the inner hole
     to the outside, so a cycle's flag parity equals its winding parity
-    around the center.
+    around the center.  The upper cut sites are the upper ends of the cut
+    edges; the upper uncut sites, the upper ends of the straddling edges
+    that are not cut, are the sources of `_cut_bounds`.
     """
     rs, cs = crop
     w = cs.stop - cs.start
@@ -590,8 +607,43 @@ def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
                         np.concatenate((col + shift, col + (n_base - shift))),
                         np.concatenate((indptr, indptr[1:] + indptr[-1]))),
                        shape=(2 * n_base, 2 * n_base))
-    upper = np.concatenate((a[cut & (ya >= cy)], b[cut & (yb >= cy)]))
-    return cover, np.unique(upper)
+
+    def upper_ends(edges):
+        return np.unique(np.concatenate((a[edges & (ya >= cy)], b[edges & (yb >= cy)])))
+
+    return cover, upper_ends(cut), upper_ends(straddle & ~cut)
+
+
+def _cut_bounds(cover: csr_matrix, cut_sites: np.ndarray,
+                uncut_sites: np.ndarray) -> np.ndarray:
+    """Lower bounds on D(s), the cover distance from each upper cut site s
+    to its twin on the other sheet, from one solve.
+
+    With d_T the distances from the sheet-0 copies of the upper uncut sites
+    T, the bound of s is (d_T[s] + d_T[s + n_base]) * (1 - 4 * N * eps),
+    N the cover's node count and eps the float64 epsilon; it is inf when s
+    cannot reach its twin.  It is at most D(s):
+
+    - A walk from s to its twin projects to a closed walk with an odd
+      number of cut crossings.  A closed walk changes side of the line
+      y = center_y an even number of times, so it traverses a straddling
+      edge that is not cut, and so visits a site t of T, on some sheet.
+    - Swapping the two sheets maps the cover onto itself with the same
+      weights, and the graph is symmetric, so the two legs s -> t and
+      t -> twin are no shorter than the distances from t's sheet-0 copy
+      to s's copies, one on each sheet: D(s) >= d_T[s] + d_T[s + n_base]
+      in exact sums.
+    - Each label is a left-fold float sum of fewer than N positive
+      weights, within a relative N * eps / 2 (to first order) of its exact
+      sum; the sum of the two labels and the product add two roundings of
+      eps / 2 each.  So d_T[s] + d_T[s + n_base] exceeds the float D(s) by
+      a relative N * eps + eps at most, and the factor 1 - 4 * N * eps
+      takes back more than that.
+    """
+    n_base = cover.shape[0] // 2
+    d_t = _csgraph_dijkstra(cover, directed=True, indices=uncut_sites, min_only=True)
+    slack = 1.0 - 4.0 * cover.shape[0] * np.finfo(float).eps
+    return (d_t[cut_sites] + d_t[cut_sites + n_base]) * slack
 
 
 def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
@@ -600,11 +652,21 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
 
     The annulus graph is lifted to a two-sheet cover where crossing the
     rightward horizontal ray from the center switches sheets; the shortest
-    separating cycle is the minimum over upper cut sites of the distance
-    from the site to its twin on the other sheet.  The returned cycle stays
+    separating cycle is the minimum over upper cut sites s of D(s), the
+    distance from s to its twin on the other sheet.  One solve gives each
+    s a lower bound on D(s) (`_cut_bounds`).  The sites are solved in
+    ascending bound order (a stable sort, so equal bounds keep site order),
+    each with Dijkstra's limit at the best D so far; the search stops at
+    the first bound above the best, or at an inf bound, whose site cannot
+    reach its twin.  A site whose bound is above the best cannot have a
+    D at or below it, so the minimum is exact, and the minimizer is the
+    smallest-index site with D(s) equal to it: the same value and site as
+    solving every cut site in index order.  The returned cycle stays
     inside the annulus and has odd crossing number with the ray (winding
     once for the minimizer); it is walked back on the cover from the twin
-    of the minimizing site, with the module's tie rule.
+    of the minimizing site, with the module's tie rule.  `settled` counts
+    the base sites with a label at most the cycle's length, on either
+    sheet, in the minimizer's solve.
     """
     spec = grid.spec
     delta = spec.spacing
@@ -618,21 +680,23 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
         raise OutOfRegion("annulus leaves the grid's active region")
     graph = _mask_graph(grid, crop, active)
     n_base = graph.shape[0]
-    cover, cut_sites = _annulus_cover(spec, crop, graph, ann.center)
+    cover, cut_sites, uncut_sites = _annulus_cover(spec, crop, graph, ann.center)
     if cut_sites.size == 0:
         raise DegenerateAnnulus("cut ray does not cross the annulus graph")
 
-    best, best_site, best_dist, settled = math.inf, -1, None, 0
-    for s in cut_sites:
-        s = int(s)
+    bounds = _cut_bounds(cover, cut_sites, uncut_sites)
+    best, best_site, best_dist = math.inf, -1, None
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > best or bounds[k] == math.inf:
+            break
+        s = int(cut_sites[k])
         dist = _csgraph_dijkstra(cover, directed=True, indices=s, limit=best)
         d = float(dist[s + n_base])
-        if d < best:
+        if d < best or (d == best and s < best_site):
             best, best_site, best_dist = d, s, dist
-            settled = int((np.isfinite(dist[:n_base])
-                           | np.isfinite(dist[n_base:])).sum())
     if not math.isfinite(best):
-        return DistResult(value=math.inf, unreachable=True, path=None, settled=settled)
+        return DistResult(value=math.inf, unreachable=True, path=None, settled=0)
+    settled = int(((best_dist[:n_base] <= best) | (best_dist[n_base:] <= best)).sum())
 
     path = None
     if want_path:

@@ -165,9 +165,11 @@ def mask_graph_reference(grid, mask: np.ndarray):
 
 
 def annulus_cover_reference(spec, crop, m: np.ndarray, edges, center):
-    """(canonical CSR cover, sorted upper cut sites) of the two-sheet cover
-    built from undirected edge arrays (a, b, weight) with a < b: a cut edge
-    moves its b end to the other sheet."""
+    """(canonical CSR cover, sorted upper cut sites, sorted upper uncut
+    sites) of the two-sheet cover built from undirected edge arrays
+    (a, b, weight) with a < b: a cut edge moves its b end to the other
+    sheet; the uncut sites are the upper ends of straddling edges that are
+    not cut."""
     rs, cs = crop
     w = m.shape[1]
     n_base = m.size
@@ -182,32 +184,52 @@ def annulus_cover_reference(spec, crop, m: np.ndarray, edges, center):
     cover = _coo_graph_reference(np.concatenate((a, a + n_base)),
                                  np.concatenate((b + sheet, b + n_base - sheet)),
                                  np.concatenate((wgt, wgt)), 2 * n_base)
-    upper = np.concatenate((a[cut & (ya >= cy)], b[cut & (yb >= cy)]))
-    return cover, np.unique(upper)
+    uncut = straddle & ~cut
+    upper = [np.unique(np.concatenate((a[f & (ya >= cy)], b[f & (yb >= cy)])))
+             for f in (cut, uncut)]
+    return cover, upper[0], upper[1]
 
 
-def around_reference(grid, ann):
-    """(value, cycle sites, settled) of the shortest separating cycle on the
-    reference cover: scipy Dijkstra from each upper cut site to its twin,
-    bounded by the best so far, and the cycle walked back from the first
-    minimizer's twin under the tie rule.  The annulus must hold sites and
-    lie in the grid's box."""
-    from scipy.sparse.csgraph import dijkstra
+def reference_cover(grid, ann):
+    """(crop, cropped mask, reference cover, upper cut sites) of an annulus
+    that holds sites and lies in the grid's box."""
     from lfpp.metric import region_mask
 
     crop, m, cost = reference_crop(grid, region_mask(grid.spec, ann))
     edges = edge_arrays_reference(cost, m, grid.spec.spacing)
-    cover, cut_sites = annulus_cover_reference(grid.spec, crop, m, edges, ann.center)
-    n_base = m.size
-    best, best_site, best_dist, settled = math.inf, -1, None, 0
+    cover, cut_sites, _ = annulus_cover_reference(grid.spec, crop, m, edges, ann.center)
+    return crop, m, cover, cut_sites
+
+
+def twin_distances_reference(cover, cut_sites) -> List[Tuple[float, np.ndarray]]:
+    """[(D(s), labels)] for each upper cut site s: an unlimited scipy
+    Dijkstra from s on the cover, and its label at s's twin."""
+    from scipy.sparse.csgraph import dijkstra
+
+    n_base = cover.shape[0] // 2
+    out = []
     for s in cut_sites.tolist():
-        dist = dijkstra(cover, directed=True, indices=s,
-                        limit=best if math.isfinite(best) else np.inf)
-        if dist[s + n_base] < best:
-            best, best_site, best_dist = float(dist[s + n_base]), s, dist
-            settled = int((np.isfinite(dist[:n_base]) | np.isfinite(dist[n_base:])).sum())
+        dist = dijkstra(cover, directed=True, indices=s)
+        out.append((float(dist[s + n_base]), dist))
+    return out
+
+
+def around_reference(grid, ann):
+    """(value, cycle sites, settled) of the shortest separating cycle on the
+    reference cover: an unlimited scipy Dijkstra from every upper cut site
+    to its twin in site order, the first minimizer kept, and the cycle
+    walked back from its twin under the tie rule; settled counts the base
+    sites labelled at most the value on either sheet in the minimizer's
+    solve.  The annulus must hold sites and lie in the grid's box."""
+    crop, m, cover, cut_sites = reference_cover(grid, ann)
+    n_base = m.size
+    best, best_site, best_dist = math.inf, -1, None
+    for s, (d, dist) in zip(cut_sites.tolist(), twin_distances_reference(cover, cut_sites)):
+        if d < best:
+            best, best_site, best_dist = d, s, dist
     if not math.isfinite(best):
-        return math.inf, None, settled
+        return math.inf, None, 0
+    settled = int(((best_dist[:n_base] <= best) | (best_dist[n_base:] <= best)).sum())
     coo = cover.tocoo()
     upper = coo.row < coo.col
     cover_edges = list(zip(coo.row[upper].tolist(), coo.col[upper].tolist(),

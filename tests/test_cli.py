@@ -302,6 +302,28 @@ class TestDistErrorPaths:
     SMOOTHERS = pytest.mark.parametrize("smoother", [[], ["--localized"]],
                                         ids=["plain", "localized"])
 
+    def test_endpoint_overflowing_the_lattice(self, field_path, tmp_path, capsys):
+        code = main(["dist", "--field", str(field_path), "--eps", "0.125",
+                     "--xi", "0.2", "--from", "1e308,1", "--to", "0.5,0.5",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "snaps outside the lattice" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--crossing", "rect:0,0,inf,1"], "rect corner"),
+        (["--crossing", "rect:nan,0,1,1"], "rect corner"),
+        (["--around", "annulus:nan,1,0.2,0.4"], "annulus center"),
+        (["--around", "annulus:2,-inf,0.4,0.8"], "annulus center"),
+        (["--within", "disk:inf,2,0.75", "--from", "1.0,2.0", "--to", "2.0,2.0"],
+         "disk center"),
+    ], ids=["rect-inf", "rect-nan", "annulus-nan", "annulus-inf", "disk-inf"])
+    def test_region_with_non_finite_coordinate(self, field_path, tmp_path, capsys,
+                                               flags, what):
+        assert self._dist(field_path, tmp_path, *flags) == 1
+        assert f"{what} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @SMOOTHERS
     @pytest.mark.parametrize("ends, which", [
         (["--from", "1.0,2.0", "--to", "2.0,2.0"], "source"),

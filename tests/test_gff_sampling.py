@@ -80,6 +80,26 @@ class TestLatticeSpec:
         with pytest.raises(InvalidArgument):
             spec.index_of((math.inf, 0.0))
 
+    @settings(max_examples=200, derandomize=True)
+    @given(st.tuples(*[st.floats(-1.79e308, 1.79e308, allow_nan=False)] * 2),
+           st.sampled_from([0.5, 1.0 / 512, 1e-300]),
+           st.sampled_from([(0.0, 0.0), (-1e308, 1e308)]))
+    def test_index_of_any_finite_point(self, point, spacing, origin):
+        """A finite point snaps to a site or raises OutOfDomain, even where
+        its offset in spacings overflows."""
+        spec = LatticeSpec(n=8, spacing=spacing, origin=origin)
+        try:
+            i, j = spec.index_of(point)
+        except OutOfDomain:
+            return
+        assert 0 <= i < 8 and 0 <= j < 8
+
+    def test_index_of_overflow_is_out_of_domain(self):
+        spec = LatticeSpec(n=64, spacing=1.0 / 64)
+        for point in ((1e308, 1.0), (1.0, -1.79e308), (1.79e308, 1.79e308)):
+            with pytest.raises(OutOfDomain):
+                spec.index_of(point)
+
     @settings(max_examples=25, derandomize=True)
     @given(st.integers(0, 31), st.integers(0, 31))
     def test_point_index_roundtrip(self, i, j):

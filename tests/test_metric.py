@@ -57,6 +57,16 @@ class TestRegions:
         with pytest.raises(InvalidArgument):
             Mask(mask=np.zeros((4, 4), dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_rejected(self, bad):
+        for make in (lambda: Disk(center=(bad, 0.0), radius=0.5),
+                     lambda: Annulus(center=(0.0, bad), r_inner=0.2, r_outer=0.4),
+                     lambda: Rect(lo=(0.0, 0.0), hi=(bad, 1.0)),
+                     lambda: Rect(lo=(bad, 0.0), hi=(1.0, 1.0)),
+                     lambda: Rect(lo=(0.0, 0.0), hi=(1.0, bad))):
+            with pytest.raises(InvalidArgument, match="must be finite"):
+                make()
+
     def test_disk_closed_annulus_open(self):
         spec = LatticeSpec(n=16, spacing=0.25)
         # site (0, 2) sits exactly on the disk boundary
@@ -454,6 +464,30 @@ def graph_arrays(graph):
     return [(a.dtype, a.tobytes()) for a in (graph.indptr, graph.indices, graph.data)]
 
 
+def annulus_case(case, on_box, data, spread: float = 1.0, small_holes: bool = False):
+    """(grid, annulus) for the annulus properties: lognormal costs of the
+    given spread on the whole lattice, or on the annulus's box; a center on
+    a site or half-way between two; an inner radius of whole spacings, or
+    with `small_holes` also of a fraction of one."""
+    spec, rng = case[0].spec, case[1]
+    n, d = spec.n, spec.spacing
+    grid = WeightedGrid(spec=spec, site_cost=np.exp(spread * rng.normal(size=(n, n))))
+
+    def coord():
+        return (data.draw(st.integers(0, n - 1)) * d
+                + data.draw(st.sampled_from([0.0, 0.5 * d])))
+
+    steps = st.integers(1, n // 4)
+    r_in = data.draw(st.sampled_from([0.25, 0.5, 0.75]) | steps if small_holes else steps) * d
+    ann = Annulus(center=(coord(), coord()), r_inner=r_in,
+                  r_outer=r_in + data.draw(st.integers(4, n // 2)) * d)
+    if on_box:
+        box = region_box(spec, ann)
+        grid = WeightedGrid(spec=spec, site_cost=grid.site_cost[box],
+                            offset=(box[0].start, box[1].start))
+    return grid, ann
+
+
 class TestSkeletonMatchesReference:
     """Graphs filled from CSR skeletons are the COO edge-list builder's of
     tests/oracles.py bit for bit, and so is the annulus cover up to the
@@ -499,30 +533,18 @@ class TestSkeletonMatchesReference:
     @given(skeleton_grids(max_n=32), st.booleans(), st.data())
     def test_annulus_cover_equals_coo_reference(self, case, on_box, data):
         """On the full lattice's grid, or on the grid over the annulus's box."""
-        spec, rng = case[0].spec, case[1]
-        n, d = spec.n, spec.spacing
-        grid = WeightedGrid(spec=spec, site_cost=np.exp(rng.normal(size=(n, n))))
-
-        def coord():   # on a site or half-way between two
-            return (data.draw(st.integers(0, n - 1)) * d
-                    + data.draw(st.sampled_from([0.0, 0.5 * d])))
-
-        r_in = data.draw(st.integers(1, n // 4)) * d
-        ann = Annulus(center=(coord(), coord()), r_inner=r_in,
-                      r_outer=r_in + data.draw(st.integers(4, n // 2)) * d)
-        box = region_box(spec, ann)
-        if on_box:
-            grid = WeightedGrid(spec=spec, site_cost=grid.site_cost[box],
-                                offset=(box[0].start, box[1].start))
+        grid, ann = annulus_case(case, on_box, data)
+        spec = grid.spec
         crop, active = metric._region_crop(spec, ann, grid.box)
         graph = metric._mask_graph(grid, crop, active)
-        cover, cut = metric._annulus_cover(spec, crop, graph, ann.center)
+        cover, cut, uncut = metric._annulus_cover(spec, crop, graph, ann.center)
         ref_crop, m, cost = oracles.reference_crop(grid, region_mask(spec, ann))
         edges = oracles.edge_arrays_reference(cost, m, spec.spacing)
-        want, want_cut = oracles.annulus_cover_reference(spec, ref_crop, m, edges,
-                                                         ann.center)
+        want, want_cut, want_uncut = oracles.annulus_cover_reference(
+            spec, ref_crop, m, edges, ann.center)
         assert crop == ref_crop
         assert cut.tolist() == want_cut.tolist()
+        assert uncut.tolist() == want_uncut.tolist()
         assert graph_arrays(cover.sorted_indices()) == graph_arrays(want)
         if cut.size == 0:
             with pytest.raises(DegenerateAnnulus):
@@ -532,6 +554,78 @@ class TestSkeletonMatchesReference:
         value, sites, settled = oracles.around_reference(grid, ann)
         assert (res.value, res.settled) == (value, settled)
         assert (None if res.path is None else list(res.path.sites)) == sites
+
+
+def _tie_ring(cost: np.ndarray, rows, cols, lower: float, upper: float) -> None:
+    """Cost the boundary of a lattice rectangle: sites below row 32 at
+    `lower`, the others at `upper`, corners at a quarter of that, cheap
+    enough that no diagonal cuts a corner."""
+    (r0, r1), (c0, c1) = rows, cols
+    for i in range(r0, r1 + 1):
+        for j in range(c0, c1 + 1):
+            if i in rows or j in cols:
+                c = upper if i >= 32 else lower
+                cost[i, j] = c / 4 if (i in rows and j in cols) else c
+
+
+class TestCutBounds:
+    """The one-solve bounds never exceed the distances they prune, and the
+    pruned search keeps the smallest-index minimizer."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(skeleton_grids(max_n=32), st.booleans(), st.data())
+    def test_bound_at_most_twin_distance(self, case, on_box, data):
+        """Annuli of the cover property's kind, with holes down to a
+        fraction of a spacing and costs from constant to widely spread."""
+        spread = data.draw(st.sampled_from([0.0, 1.0, 3.0]))
+        grid, ann = annulus_case(case, on_box, data, spread, small_holes=True)
+        spec = grid.spec
+        crop, active = metric._region_crop(spec, ann, grid.box)
+        cover, cut, uncut = metric._annulus_cover(
+            spec, crop, metric._mask_graph(grid, crop, active), ann.center)
+        if cut.size == 0:
+            return
+        bounds = metric._cut_bounds(cover, cut, uncut)
+        _, _, ref_cover, ref_cut = oracles.reference_cover(grid, ann)
+        assert cut.tolist() == ref_cut.tolist()
+        twin = [t[0] for t in oracles.twin_distances_reference(ref_cover, ref_cut)]
+        assert all(b <= t for b, t in zip(bounds.tolist(), twin))
+        res = dist_around_annulus(grid, ann, want_path=True)
+        value, sites, settled = oracles.around_reference(grid, ann)
+        assert (res.value, res.settled) == (value, settled)
+        assert (None if res.path is None else list(res.path.sites)) == sites
+
+    def test_equal_cycles_keep_smallest_index(self):
+        """Two rings around the center, of equal dyadic length: an inner
+        one through cut site (32, 36) and an outer one through (32, 43).
+        A cheap spur from the inner ring's upper arc to the outer ring
+        gives (32, 43) the smaller bound, so it is solved first, yet the
+        cycle through (32, 36) is kept."""
+        n, d = 64, 1.0 / 64
+        spec = LatticeSpec(n=n, spacing=d)
+        cost = np.full((n, n), 256.0)
+        _tie_ring(cost, (27, 36), (27, 36), 1.0, 1.0)
+        _tie_ring(cost, (20, 43), (20, 43), 0.25, 0.5)
+        cost[27, 31] = 1.375                      # evens the two lengths
+        cost[35, 37:43] = (1.0,) + (1.0 / 16,) * 4 + (0.5,)   # the spur
+        grid = WeightedGrid(spec=spec, site_cost=cost)
+        ann = Annulus(center=(31.5 * d, 31.5 * d), r_inner=0.25 * d, r_outer=20 * d)
+
+        crop, m, ref_cover, ref_cut = oracles.reference_cover(grid, ann)
+        twin = [t[0] for t in oracles.twin_distances_reference(ref_cover, ref_cut)]
+        at = {divmod(int(s), m.shape[1]): k for k, s in enumerate(ref_cut)}
+        inner, outer = (at[(32 - crop[0].start, j - crop[1].start)] for j in (36, 43))
+        assert twin[inner] == twin[outer] == 33.375 * d == min(twin)
+        active = region_mask(spec, ann)[crop]
+        bounds = metric._cut_bounds(*metric._annulus_cover(
+            spec, crop, metric._mask_graph(grid, crop, active), ann.center))
+        assert bounds[outer] < bounds[inner]
+
+        res = dist_around_annulus(grid, ann, want_path=True)
+        value, sites, settled = oracles.around_reference(grid, ann)
+        assert res.value == value == 33.375 * d
+        assert list(res.path.sites) == sites and sites[0] == (32, 36)
+        assert res.settled == settled
 
 
 class TestGraphCache:
