@@ -161,6 +161,11 @@ def _pairs_json(pairs) -> list:
             for z, w in pairs]
 
 
+def _pair_dists(grid, pairs) -> np.ndarray:
+    """dist_point(grid, z, w).value for each pair, in pair order."""
+    return np.array([dist_point(grid, z, w).value for z, w in pairs], dtype=np.float64)
+
+
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
     if not pairs:
         raise InvalidArgument("pairs must hold at least one pair")
@@ -260,16 +265,14 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
     grid1 = build_weighted_grid(moved, params.xi)
     target = math.exp(params.xi * c)
 
-    rows = []
-    worst = 0.0
-    for k, (z, w) in enumerate(pairs):
-        d0 = dist_point(grid0, z, w).value
-        d1 = dist_point(grid1, z, w).value
-        ratio = d1 / d0
-        rel = ratio / target - 1.0
-        worst = max(worst, abs(rel))
-        rows.append((k, float(z[0]), float(z[1]), float(w[0]), float(w[1]),
-                     d0, d1, ratio, rel))
+    d0 = _pair_dists(grid0, pairs)
+    d1 = _pair_dists(grid1, pairs)
+    ratio = d1 / d0
+    rel = ratio / target - 1.0
+    worst = float(np.abs(rel).max())
+    rows = [(k, float(z[0]), float(z[1]), float(w[0]), float(w[1]),
+             float(d0[k]), float(d1[k]), float(ratio[k]), float(rel[k]))
+            for k, (z, w) in enumerate(pairs)]
     verdict = Verdict.PASS if worst <= WEYL_TOL else Verdict.FAIL
     return ExperimentReport(
         name="weyl_shift_test",
@@ -377,13 +380,9 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
         plain = mollify(field, eps)
         loc = mollify_localized(field, eps)
         gap = float(np.abs(loc.values[box][wbox] - plain.values[box][wbox]).max())
-        grid_p = build_weighted_grid(plain, params.xi)
-        grid_l = build_weighted_grid(loc, params.xi)
-        dev = 0.0
-        for z, w in pairs:
-            dp = dist_point(grid_p, z, w).value
-            dl = dist_point(grid_l, z, w).value
-            dev = max(dev, abs(dl / dp - 1.0))
+        dp = _pair_dists(build_weighted_grid(plain, params.xi), pairs)
+        dl = _pair_dists(build_weighted_grid(loc, params.xi), pairs)
+        dev = float(np.abs(dl / dp - 1.0).max())
         rows.append((float(eps), gap, dev))
         gaps.append(gap)
         devs.append(dev)
@@ -421,27 +420,17 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     field_seed = trial_seed(mc.master_seed, _FIELD_KEY)
     fld = sample_torus_gff(lat, field_seed)
 
-    values = np.empty((len(pairs), len(eps_ladder)))
-    for j, (eps, norm) in enumerate(zip(eps_ladder, norms)):
-        grid = build_weighted_grid(mollify_localized(fld, eps), params.xi)
-        for k, (z, w) in enumerate(pairs):
-            values[k, j] = dist_point(grid, z, w).value / norm
-
-    rows = []
-    trans_idx = []
-    diffs = []
-    max_diffs = []
-    for j in range(len(eps_ladder) - 1):
-        worst = 0.0
-        for k in range(len(pairs)):
-            d = float(abs(values[k, j + 1] - values[k, j]))
-            worst = max(worst, d)
-            rows.append((float(eps_ladder[j]), float(eps_ladder[j + 1]), k,
-                         float(values[k, j]), float(values[k, j + 1]), float(d)))
-            trans_idx.append(j)
-            diffs.append(d)
-        max_diffs.append(worst)
-    rho, p = spearman_trend(trans_idx, diffs)
+    # values[k, j]: pair k at rung j; diffs[k, j]: pair k from rung j to j + 1
+    values = np.column_stack([
+        _pair_dists(build_weighted_grid(mollify_localized(fld, eps), params.xi), pairs)
+        / norm for eps, norm in zip(eps_ladder, norms)])
+    diffs = np.abs(values[:, 1:] - values[:, :-1])
+    max_diffs = diffs.max(axis=0).tolist()
+    n_pairs, n_trans = diffs.shape
+    rows = [(float(eps_ladder[j]), float(eps_ladder[j + 1]), k, float(values[k, j]),
+             float(values[k, j + 1]), float(diffs[k, j]))
+            for j in range(n_trans) for k in range(n_pairs)]
+    rho, p = spearman_trend(np.repeat(np.arange(n_trans), n_pairs), diffs.T.ravel())
     ok = max_diffs[-1] <= max_diffs[0]
     return ExperimentReport(
         name="convergence_diagnostic",
@@ -723,9 +712,8 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
     vals = []
     for eps_k, sep, pairs, a_hat in zip(ladder, seps, pair_sets, a_hats):
         grid = build_weighted_grid(mollify_localized(field, eps_k), params.xi)
-        worst = 0.0
-        for z, w in pairs:
-            worst = max(worst, dist_point(grid, z, w).value / a_hat)
+        # division by a_hat > 0 is monotone, so this is the max of d / a_hat
+        worst = float(_pair_dists(grid, pairs).max() / a_hat)
         rows.append((eps_k, sep, worst))
         vals.append(worst)
     ok = all(b < a for a, b in zip(vals, vals[1:]))
@@ -793,11 +781,18 @@ def _cfg_get(cfg: dict, key: str):
     return cfg[key]
 
 
+def _cfg_numbers(raw, count: int, what: str) -> Tuple[float, ...]:
+    """The `count` numbers of a config list; InvalidArgument naming `what`
+    when it holds another count."""
+    if len(raw) != count:
+        raise InvalidArgument(f"{what} must hold exactly {count} numbers, got {len(raw)}")
+    return tuple(float(v) for v in raw)
+
+
 def _cfg_lattice(cfg: dict) -> LatticeSpec:
     n = int(_cfg_get(cfg, "n"))
-    origin = tuple(cfg.get("origin", (0.0, 0.0)))
     return LatticeSpec(n=n, spacing=_resolve_spacing(cfg.get("spacing", "auto"), n),
-                       origin=(float(origin[0]), float(origin[1])))
+                       origin=_cfg_numbers(cfg.get("origin", (0.0, 0.0)), 2, "origin"))
 
 
 def _cfg_field(cfg: dict) -> FieldSample:
@@ -816,7 +811,8 @@ def _cfg_mc(cfg: dict) -> MCConfig:
 
 
 def _cfg_window(w) -> Rect:
-    return Rect(lo=(float(w[0]), float(w[1])), hi=(float(w[2]), float(w[3])))
+    x0, y0, x1, y1 = _cfg_numbers(w, 4, "window")
+    return Rect(lo=(x0, y0), hi=(x1, y1))
 
 
 def _cfg_pairs(raw, spec: LatticeSpec):
@@ -826,7 +822,8 @@ def _cfg_pairs(raw, spec: LatticeSpec):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=int(_cfg_get(raw, "seed")), spawn_key=(_PAIR_KEY,)))
         return _distinct_pairs(rng, spec, window, int(_cfg_get(raw, "count")))
-    return [((float(z[0]), float(z[1])), (float(w[0]), float(w[1]))) for z, w in raw]
+    point = partial(_cfg_numbers, count=2, what="a point of pairs")
+    return [(point(z), point(w)) for z, w in raw]
 
 
 def _value(parse: Callable) -> Callable:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Tuple
 
 import numpy as np
 
@@ -83,11 +82,6 @@ def _header(path):
     if flags & ~(_MEAN_REMOVED | _DERIVED):
         raise InvalidArgument(f"{path}: unknown flag bits {flags:#04x}")
     return layout.size, int(kind), int(n), float(spacing), int(seed), origin, flags
-
-
-def read_header(path) -> Tuple[int, int, float, int]:
-    """Parse and validate the header; returns (kind, n, spacing, seed)."""
-    return _header(path)[1:5]
 
 
 def read_field(path) -> FieldSample:

@@ -48,6 +48,10 @@ from .gff import (
 from .metric import Rect, build_weighted_grid, lr_crossing, region_box
 
 _MIN_TRIALS = 20          # floor for any CI-bearing estimate
+# Trial i runs on spawn key (i,) of the master seed.  The cap keeps i below
+# every other one-word spawn key (_BOOT_KEY here, the pair and fixed-field
+# keys of the experiments), so no trial shares a SeedSequence with them.
+_MAX_TRIALS = 2 ** 15
 _BOOT_RESAMPLES = 1000
 _BOOT_KEY = 0xB007        # spawn key reserved for the bootstrap stream
 _FIT_MIN_POINTS = 4
@@ -70,8 +74,9 @@ class MCConfig:
     workers: int = 1          # process-pool size; never part of an estimate
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise InvalidArgument(f"trials must be a positive integer, got {self.trials}")
+        if not (isinstance(self.trials, int) and 1 <= self.trials <= _MAX_TRIALS):
+            raise InvalidArgument(
+                f"trials must be an integer in 1..{_MAX_TRIALS}, got {self.trials}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise InvalidArgument(f"workers must be a positive integer, got {self.workers}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):

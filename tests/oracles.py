@@ -10,8 +10,10 @@ smoothing is checked against scipy's own wrap-mode correlation, the torus
 sampler and plain smoothing against one real-input spectral expression each
 (and, to rounding, against the complex full-plane transforms they replaced),
 ladder estimates against rung-by-rung estimates that sample every
-trial's field afresh, and lattice graphs and the annulus cover against the
-COO edge-list builders that CSR skeletons replaced.
+trial's field afresh, lattice graphs and the annulus cover against the
+COO edge-list builders that CSR skeletons replaced, and the fixed-field
+experiments' rows and stats against one scalar solve per pair, reduced in
+Python floats as the pairs go by.
 """
 
 from __future__ import annotations
@@ -626,3 +628,112 @@ def per_rung_estimate(eps: float, xi: float, mc) -> Tuple[float, float, float]:
     idx = rng.integers(0, mc.trials, size=(1000, mc.trials))
     lo, hi = np.percentile(np.median(values[idx], axis=1), [2.5, 97.5])
     return median, min(float(lo), median), max(float(hi), median)
+
+
+# ---------------------------------------------------------------------------
+# fixed-field experiments: one scalar solve per pair, reduced as it goes
+# ---------------------------------------------------------------------------
+
+def weyl_shift_reference(field, epsilon: float, c: float, pairs, xi: float):
+    """(rows, stats) of `weyl_shift_test`: both distances of each pair in
+    Python floats, the worst relative error folded in pair order."""
+    from lfpp import add_function, build_weighted_grid, dist_point, mollify_localized
+    grid0 = build_weighted_grid(mollify_localized(field, epsilon), xi)
+    shifted = add_function(field, lambda x, y: c)
+    grid1 = build_weighted_grid(mollify_localized(shifted, epsilon), xi)
+    target = math.exp(xi * c)
+    rows = []
+    worst = 0.0
+    for k, (z, w) in enumerate(pairs):
+        d0 = dist_point(grid0, z, w).value
+        d1 = dist_point(grid1, z, w).value
+        ratio = d1 / d0
+        rel = ratio / target - 1.0
+        worst = max(worst, abs(rel))
+        rows.append((k, float(z[0]), float(z[1]), float(w[0]), float(w[1]),
+                     d0, d1, ratio, rel))
+    return tuple(rows), {"max_rel_err": worst, "target_ratio": target}
+
+
+def localized_gap_reference(field, eps_ladder, window, xi: float):
+    """(rows, stats) of `localized_gap`: per rung, the window's field gap and
+    the worst |d_localized / d_plain - 1| folded pair by pair."""
+    from lfpp import build_weighted_grid, dist_point, mollify, mollify_localized
+    from lfpp import experiments
+    box, wbox = experiments._window_box(field.spec, window)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=field.seed, spawn_key=(experiments._PAIR_KEY,)))
+    pairs = experiments._distinct_pairs(rng, field.spec, window,
+                                        experiments._N_GAP_PAIRS)
+    rows = []
+    for eps in eps_ladder:
+        plain = mollify(field, eps)
+        loc = mollify_localized(field, eps)
+        gap = float(np.abs(loc.values[box][wbox] - plain.values[box][wbox]).max())
+        grid_p = build_weighted_grid(plain, xi)
+        grid_l = build_weighted_grid(loc, xi)
+        dev = 0.0
+        for z, w in pairs:
+            dp = dist_point(grid_p, z, w).value
+            dl = dist_point(grid_l, z, w).value
+            dev = max(dev, abs(dl / dp - 1.0))
+        rows.append((float(eps), gap, dev))
+    return tuple(rows), {"first_gap": rows[0][1], "last_gap": rows[-1][1],
+                         "first_dev": rows[0][2], "last_dev": rows[-1][2]}
+
+
+def convergence_reference(pairs, eps_ladder, xi: float, mc):
+    """(rows, stats) of `convergence_diagnostic`: normalized distances filled
+    one (pair, rung) cell at a time, then each transition's differences and
+    maximum in pair order."""
+    from lfpp import (Params, build_weighted_grid, dist_point, estimate_ladder,
+                      mollify_localized, sample_torus_gff, trial_seed)
+    from lfpp import experiments
+    norms = [est.median for est in estimate_ladder(eps_ladder, Params(xi=xi), mc)]
+    fld = sample_torus_gff(mc.lattice, trial_seed(mc.master_seed, experiments._FIELD_KEY))
+    values = np.empty((len(pairs), len(eps_ladder)))
+    for j, (eps, norm) in enumerate(zip(eps_ladder, norms)):
+        grid = build_weighted_grid(mollify_localized(fld, eps), xi)
+        for k, (z, w) in enumerate(pairs):
+            values[k, j] = dist_point(grid, z, w).value / norm
+    rows = []
+    trans_idx = []
+    diffs = []
+    max_diffs = []
+    for j in range(len(eps_ladder) - 1):
+        worst = 0.0
+        for k in range(len(pairs)):
+            d = float(abs(values[k, j + 1] - values[k, j]))
+            worst = max(worst, d)
+            rows.append((float(eps_ladder[j]), float(eps_ladder[j + 1]), k,
+                         float(values[k, j]), float(values[k, j + 1]), float(d)))
+            trans_idx.append(j)
+            diffs.append(d)
+        max_diffs.append(worst)
+    rho, p = experiments.spearman_trend(trans_idx, diffs)
+    return tuple(rows), {"first_max_diff": max_diffs[0], "last_max_diff": max_diffs[-1],
+                         "spearman_rho": rho, "spearman_p": p}
+
+
+def small_segment_reference(field, ladder, zeta: float, window, xi: float, mc):
+    """(rows, stats) of `small_segment_sup` on its rung ladder: per rung, the
+    worst d / a_hat over that rung's near pairs, folded pair by pair."""
+    from functools import partial
+
+    from lfpp import (Params, build_weighted_grid, dist_point, estimate_ladder,
+                      mollify_localized)
+    from lfpp import experiments
+    a_hats = [est.median for est in estimate_ladder(ladder, Params(xi=xi), mc)]
+    rows = []
+    for k, (eps, a_hat) in enumerate(zip(ladder, a_hats)):
+        sep = 4.0 * eps ** (1.0 - zeta)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=field.seed, spawn_key=(experiments._SEG_KEY, k)))
+        pairs = experiments._draw_pairs(partial(experiments._near_pair, rng, window, sep),
+                                        experiments._N_SEG_PAIRS, window, "near pairs")
+        grid = build_weighted_grid(mollify_localized(field, eps), xi)
+        worst = 0.0
+        for z, w in pairs:
+            worst = max(worst, dist_point(grid, z, w).value / a_hat)
+        rows.append((eps, sep, worst))
+    return tuple(rows), {"first_sup": rows[0][2], "last_sup": rows[-1][2]}

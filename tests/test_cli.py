@@ -399,6 +399,17 @@ class TestAEps:
         assert main(self.ARGS + ["--threads", "4", "--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
 
+    def test_trials_above_the_cap_exit_one_before_any_trial(self, tmp_path, monkeypatch):
+        import lfpp.renorm as renorm
+        calls = []
+        monkeypatch.setattr(renorm, "run_trials",
+                            lambda trial, mc: calls.append(mc.trials) or [])
+        args = list(self.ARGS)
+        args[args.index("--trials") + 1] = str(renorm._MAX_TRIALS + 1)
+        clear_estimate_cache()
+        assert main(args + ["--out", str(tmp_path / "a.json")]) == 1
+        assert calls == [] and not (tmp_path / "a.json").exists()
+
     def test_insufficient_trials_exit_one(self, tmp_path):
         args = list(self.ARGS)
         args[args.index("--trials") + 1] = "5"
@@ -596,6 +607,9 @@ class TestExp:
         ("weyl_shift_test", ("epsilon",), "x", "epsilon"),
         ("weyl_shift_test", ("pairs",), [[1.6, 1.7]], "pairs"),
         ("localized_gap", ("eps_ladder",), 0.25, "eps_ladder"),
+        ("localized_gap", ("window",), [1.6, 1.6, 2.3, 2.3, 9.0], "window"),
+        ("weyl_shift_test", ("field", "origin"), [0.0, 0.0, 0.0], "origin"),
+        ("weyl_shift_test", ("pairs",), [[[1.6, 1.7, 5], [2.3, 2.2]]], "pairs"),
     ])
     def test_malformed_value_exits_one_naming_key(self, name, path, value, key,
                                                   tmp_path, capsys):

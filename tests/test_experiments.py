@@ -9,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import LFPP, lfpp_env
 
 from lfpp import (
@@ -21,6 +24,7 @@ from lfpp import (
     Params,
     Rect,
     clear_estimate_cache,
+    sample_torus_gff,
 )
 from lfpp.experiments import (
     EXPERIMENTS,
@@ -251,6 +255,72 @@ class TestSmallSegmentSup:
         assert proc.returncode == 1, proc.stderr
         assert "pairs closer than" in proc.stderr
         assert not (tmp_path / "rep.json").exists()
+
+
+def _small_field(n: int, seed: int, side: float = 4.0):
+    return sample_torus_gff(LatticeSpec(n=n, spacing=side / n), seed)
+
+
+def _same_bits(report, rows, stats) -> bool:
+    # repr keeps every float bit and tells a Python float from a numpy scalar
+    return repr(report.rows) == repr(rows) and repr(report.stats) == repr(stats)
+
+
+class TestPairSweepMatchesScalarLoops:
+    """The four fixed-field runners sweep their pairs into one array and
+    reduce it with array expressions; rows and stats equal the scalar
+    per-pair loops of `oracles` bit for bit."""
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([32, 64]), seed=st.integers(0, 2 ** 16),
+           eps=st.sampled_from([0.3, 0.25, 0.125]), c=st.floats(-2.0, 2.0),
+           ends=st.lists(st.tuples(*[st.floats(1.5, 2.5)] * 4), min_size=1, max_size=4))
+    def test_weyl_shift(self, n, seed, eps, c, ends):
+        field = _small_field(n, seed)
+        pairs = [((zx, zy), (wx, wy)) for zx, zy, wx, wy in ends]
+        assume(eps >= 2.0 * field.spec.spacing)
+        assume(all(field.spec.index_of(z) != field.spec.index_of(w) for z, w in pairs))
+        rep = weyl_shift_test(field, eps, c, pairs, PARAMS)
+        assert _same_bits(rep, *oracles.weyl_shift_reference(field, eps, c, pairs, 0.2))
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([32, 64]), seed=st.integers(0, 2 ** 16),
+           ladder=st.sampled_from([[0.3, 0.25], [0.25, 0.125], [0.3, 0.2, 0.125]]),
+           lo=st.tuples(st.floats(1.0, 2.4), st.floats(1.0, 2.4)),
+           size=st.floats(0.3, 0.8))
+    def test_localized_gap(self, n, seed, ladder, lo, size):
+        field = _small_field(n, seed)
+        assume(ladder[-1] >= 2.0 * field.spec.spacing)
+        window = Rect(lo=lo, hi=(min(lo[0] + size, 3.0), min(lo[1] + size, 3.0)))
+        rep = localized_gap(field, ladder, window, PARAMS)
+        assert _same_bits(rep, *oracles.localized_gap_reference(field, ladder, window, 0.2))
+
+    # four halving rungs below 1/e and above the 2 * spacing floor need
+    # n = 128 on the smallest domain the crossing square admits (side 2)
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), localized=st.booleans(),
+           ends=st.lists(st.tuples(*[st.floats(0.1, 1.9)] * 4), min_size=1, max_size=4))
+    def test_convergence_diagnostic(self, seed, localized, ends):
+        mc = MCConfig(lattice=LatticeSpec(n=128, spacing=1.0 / 64.0), trials=20,
+                      master_seed=seed, localized=localized)
+        pairs = [((zx, zy), (wx, wy)) for zx, zy, wx, wy in ends]
+        assume(all(mc.lattice.index_of(z) != mc.lattice.index_of(w) for z, w in pairs))
+        ladder = [0.25, 0.125, 0.0625, 0.03125]
+        rep = convergence_diagnostic(pairs, ladder, PARAMS, mc)
+        assert _same_bits(rep, *oracles.convergence_reference(pairs, ladder, 0.2, mc))
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([32, 64]), seed=st.integers(0, 2 ** 16),
+           mc_seed=st.integers(0, 2 ** 16), eps=st.sampled_from([0.3, 0.25]),
+           zeta=st.floats(0.2, 0.8), lo=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+           size=st.floats(0.4, 0.8))
+    def test_small_segment_sup(self, n, seed, mc_seed, eps, zeta, lo, size):
+        field = _small_field(n, seed, side=2.0)
+        window = Rect(lo=lo, hi=(lo[0] + size, lo[1] + size))
+        mc = MCConfig(lattice=field.spec, trials=20, master_seed=mc_seed)
+        rep = small_segment_sup(field, eps, zeta, window, PARAMS, mc)
+        assert _same_bits(rep, *oracles.small_segment_reference(
+            field, rep.params["ladder"], zeta, window, 0.2, mc))
 
 
 class TestDispatch:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lfpp import (FieldKind, FieldSample, InvalidArgument, LatticeSpec, read_field,
                   write_field)
 from lfpp.cache import cache_entries, cache_key, cache_lookup, cache_store
-from lfpp.fieldio import MAGIC, field_bytes, read_header, verify_field
+from lfpp.fieldio import MAGIC, field_bytes, verify_field
 
 
 class TestFieldContainer:
@@ -62,15 +62,17 @@ class TestFieldContainer:
         assert back.spec == spec and back.kind is kind and back.seed == seed
         assert (back.mean_removed, back.derived) == (mean_removed, derived)
         assert np.array_equal(back.values, values)
-        assert read_header(path) == (int(kind), 8, spacing, seed)
+        assert (int(back.kind), back.spec.n, back.spec.spacing, back.seed) == (
+            int(kind), 8, spacing, seed)
 
     def test_version_1_file_still_reads(self, field64, tmp_path):
         v1 = struct.pack("<4sHBIdQ", MAGIC, 1, int(field64.kind), 64, 0.0625, 404)
         path = tmp_path / "v1.lfpf"
         path.write_bytes(v1 + field64.values.astype("<f8").tobytes())
         assert verify_field(path)
-        assert read_header(path) == (int(field64.kind), 64, 0.0625, 404)
         back = read_field(path)
+        assert (int(back.kind), back.spec.n, back.spec.spacing, back.seed) == (
+            int(field64.kind), 64, 0.0625, 404)
         assert np.array_equal(back.values, field64.values)
         assert back.spec == LatticeSpec(n=64, spacing=0.0625)
         assert (back.mean_removed, back.derived) == (False, False)
@@ -90,8 +92,9 @@ class TestFieldContainer:
     def test_header_fields(self, field64, tmp_path):
         path = tmp_path / "f.lfpf"
         write_field(field64, path)
-        kind, n, spacing, seed = read_header(path)
-        assert (kind, n, spacing, seed) == (int(field64.kind), 64, 0.0625, 404)
+        back = read_field(path)
+        assert (int(back.kind), back.spec.n, back.spec.spacing, back.seed) == (
+            int(field64.kind), 64, 0.0625, 404)
 
     def test_bad_magic_rejected(self, field64, tmp_path):
         raw = bytearray(field_bytes(field64))

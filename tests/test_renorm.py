@@ -77,6 +77,17 @@ class TestSeeding:
         assert seeds == [trial_seed(12345, i) for i in range(200)]
         assert trial_seed(12345, 0) != trial_seed(12346, 0)
 
+    def test_trial_cap_sits_below_every_reserved_spawn_key(self):
+        # one-word spawn keys of a master or field seed; the small-segment
+        # streams use two words, (_SEG_KEY, rung), and never meet a trial's (i,)
+        from lfpp import experiments
+        reserved = (renorm._BOOT_KEY, experiments._PAIR_KEY, experiments._FIELD_KEY)
+        assert renorm._MAX_TRIALS < min(reserved)
+        MCConfig(lattice=SMALL_MC.lattice, trials=renorm._MAX_TRIALS, master_seed=1)
+        with pytest.raises(InvalidArgument):
+            MCConfig(lattice=SMALL_MC.lattice, trials=renorm._MAX_TRIALS + 1,
+                     master_seed=1)
+
     def test_crossing_square_centered(self):
         sq = crossing_square(LatticeSpec(n=64, spacing=0.0625))
         assert sq.lo == (1.5, 1.5) and sq.hi == (2.5, 2.5)
