@@ -89,14 +89,14 @@ def _parse_region(text: str):
     try:
         vals = [float(tok) for tok in rest.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad region numbers in {text!r}")
+        raise InvalidArgument(f"bad region numbers in {text!r}") from None
     if kind == "disk" and len(vals) == 3:
         return Disk(center=(vals[0], vals[1]), radius=vals[2])
     if kind == "annulus" and len(vals) == 4:
         return Annulus(center=(vals[0], vals[1]), r_inner=vals[2], r_outer=vals[3])
     if kind == "rect" and len(vals) == 4:
         return Rect(lo=(vals[0], vals[1]), hi=(vals[2], vals[3]))
-    raise argparse.ArgumentTypeError(
+    raise InvalidArgument(
         f"region must be disk:cx,cy,r or annulus:cx,cy,r1,r2 or rect:x0,y0,x1,y1, got {text!r}")
 
 
@@ -179,10 +179,7 @@ def _region_from_flag(text: Optional[str], kind=object, flag: str = ""):
     """The region a flag spells, or None when it is absent."""
     if text is None:
         return None
-    try:
-        region = _parse_region(text)
-    except argparse.ArgumentTypeError as exc:
-        raise InvalidArgument(str(exc))
+    region = _parse_region(text)
     if not isinstance(region, kind):
         raise InvalidArgument(f"{flag} takes only {kind.__name__.lower()} regions")
     return region
@@ -474,9 +471,6 @@ def parse_and_dispatch(argv: List[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     if getattr(ns, "handler", None) is None:
         parser.print_usage(sys.stderr)
-        return 1
-    if getattr(ns, "threads", 1) < 1:
-        print("lfpp: error: --threads must be a positive integer", file=sys.stderr)
         return 1
 
     started_at = datetime.now(timezone.utc).isoformat()

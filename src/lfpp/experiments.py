@@ -52,7 +52,8 @@ from .metric import (
     dist_point,
     dist_sets,
 )
-from .renorm import MCConfig, crossing_square, estimate_ladder, run_trials, trial_seed
+from .renorm import (MCConfig, _check_workers, crossing_square, estimate_ladder,
+                     run_trials, trial_seed)
 
 WEYL_TOL = 1e-10
 
@@ -121,9 +122,7 @@ def _central_quarter(spec: LatticeSpec) -> Rect:
 
 
 def _require_inside(window: Rect, outer: Rect, what: str) -> None:
-    ok = (window.lo[0] >= outer.lo[0] and window.lo[1] >= outer.lo[1]
-          and window.hi[0] <= outer.hi[0] and window.hi[1] <= outer.hi[1])
-    if not ok:
+    if not (_in_rect(window.lo, outer) and _in_rect(window.hi, outer)):
         raise InvalidArgument(f"{what} {window.lo}..{window.hi} must lie inside "
                               f"{outer.lo}..{outer.hi}")
 
@@ -313,9 +312,6 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     if not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
     lat = mc.lattice
-    check_scale(lat, epsilon)
-    check_scale(lat, epsilon / a)
-
     ox, oy = lat.origin
     cx, cy = ox + 0.5 * lat.side, oy + 0.5 * lat.side
     az_pt = (cx - 0.3, cy - 0.2)
@@ -854,11 +850,13 @@ def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
     The config keys are the runner's parameter names, except that `params`
     is read from `xi`.  A malformed value is an InvalidArgument naming its
     key.  `workers` is the process-pool size of a parsed `mc`
-    (MCConfig.workers); it never changes the report.
+    (MCConfig.workers); it never changes the report, and every experiment
+    checks it before parsing the config, which samples any `field`.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise InvalidArgument(f"unknown experiment '{name}' (known: {known})")
+    _check_workers(workers)
     run = EXPERIMENTS[name].run
     wanted = inspect.signature(run).parameters
     args = {}

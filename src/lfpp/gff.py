@@ -384,7 +384,12 @@ def heat_kernel(r, t: float):
     return float(out) if np.isscalar(r) else out
 
 
-_EPS_MAX = math.exp(-1.0)
+def _window_radius(epsilon: float) -> float:
+    """rho = epsilon * log(1/epsilon), the truncation window's radius, for
+    0 < epsilon < 1/e, where rho > 0 and grows as epsilon shrinks."""
+    if not (0.0 < epsilon < math.exp(-1.0)):
+        raise InvalidArgument(f"epsilon must lie in (0, 1/e), got {epsilon}")
+    return epsilon * math.log(1.0 / epsilon)
 
 
 def _bump_profile(t: np.ndarray) -> np.ndarray:
@@ -415,9 +420,7 @@ def bump(x, epsilon: float):
     t = |x|/rho and f(s) = exp(-1/s) in between.  Requires 0 < epsilon < 1/e
     so that rho > 0 and grows as epsilon shrinks.
     """
-    if not (0.0 < epsilon < _EPS_MAX):
-        raise InvalidArgument(f"epsilon must lie in (0, 1/e), got {epsilon}")
-    rho = epsilon * math.log(1.0 / epsilon)
+    rho = _window_radius(epsilon)
     t = np.abs(np.asarray(x, dtype=np.float64)) / rho
     out = _bump_profile(t)
     return float(out) if np.isscalar(x) else out
@@ -431,12 +434,10 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
     stays accurate when the complement is many orders below 1.  The radial
     quadrature step never exceeds spacing/4.
     """
-    if not (0.0 < epsilon < _EPS_MAX):
-        raise InvalidArgument(f"epsilon must lie in (0, 1/e), got {epsilon}")
+    rho = _window_radius(epsilon)
     if not (math.isfinite(spacing) and spacing > 0):
         raise InvalidArgument(f"spacing must be finite and > 0, got {spacing}")
     from scipy.integrate import simpson   # imported here to keep start-up light
-    rho = epsilon * math.log(1.0 / epsilon)
     step = min(spacing / 4.0, rho / 8192.0)
     count = int(math.ceil((rho / 2.0) / step)) + 1
     if count % 2 == 0:
@@ -556,12 +557,9 @@ def mollify_localized(field: FieldSample, epsilon: float,
     bit.  Verified on x86-64 only.
     """
     check_scale(field.spec, epsilon)
-    if not (0.0 < epsilon < _EPS_MAX):
-        raise InvalidArgument(
-            f"localized smoothing needs epsilon in (0, 1/e), got {epsilon}")
+    rho = _window_radius(epsilon)
     spec = field.spec
     n, delta = spec.n, spec.spacing
-    rho = epsilon * math.log(1.0 / epsilon)
     m = int(math.ceil(rho / delta))
     if 2 * m + 1 > n:
         raise InvalidArgument(

@@ -64,7 +64,7 @@ from .errors import (
     InvalidArgument,
     OutOfRegion,
 )
-from .gff import Box, LatticeSpec, MollifiedField
+from .gff import Box, LatticeSpec, MollifiedField, _box_bounds
 
 # A site's 8 neighbour offsets in node order, so in CSR column order.
 _OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -197,11 +197,9 @@ class WeightedGrid:
     offset: Tuple[int, int] = (0, 0)   # lattice site (i, j) of site_cost[0, 0]
 
     def __post_init__(self) -> None:
-        n = self.spec.n
-        (i, j), shape = self.offset, self.site_cost.shape
-        if not (len(shape) == 2 and 0 <= i and 0 <= j
-                and i + shape[0] <= n and j + shape[1] <= n):
-            raise InvalidArgument("site_cost shape does not fit the lattice at its offset")
+        if self.site_cost.ndim != 2:
+            raise InvalidArgument("site_cost must be a 2-D array")
+        _box_bounds(self.spec, self.box)
         cost = self.site_cost
         if cost.flags.writeable or cost.base is not None:
             cost = cost.copy()

@@ -52,7 +52,9 @@ _MIN_TRIALS = 20          # floor for any CI-bearing estimate
 # every other one-word spawn key (_BOOT_KEY here, the pair and fixed-field
 # keys of the experiments), so no trial shares a SeedSequence with them.
 _MAX_TRIALS = 2 ** 15
+_MAX_WORKERS = 256        # a pool starts all its processes up front
 _BOOT_RESAMPLES = 1000
+_BOOT_BLOCK = 2 ** 20     # bootstrap index entries drawn and gathered at a time
 _BOOT_KEY = 0xB007        # spawn key reserved for the bootstrap stream
 _FIT_MIN_POINTS = 4
 _FIT_MIN_SPAN = 8.0       # required max/min ratio of the epsilon ladder
@@ -62,6 +64,12 @@ _CERT_SLACK = 1.05        # coarse-half certificate must extend within this
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
+
+def _check_workers(workers: int) -> None:
+    """The pool-size rule (`--threads`): an integer in 1.._MAX_WORKERS."""
+    if not (isinstance(workers, int) and 1 <= workers <= _MAX_WORKERS):
+        raise InvalidArgument(f"workers (--threads) must be in 1..{_MAX_WORKERS}, got {workers}")
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -77,8 +85,7 @@ class MCConfig:
         if not (isinstance(self.trials, int) and 1 <= self.trials <= _MAX_TRIALS):
             raise InvalidArgument(
                 f"trials must be an integer in 1..{_MAX_TRIALS}, got {self.trials}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise InvalidArgument(f"workers must be a positive integer, got {self.workers}")
+        _check_workers(self.workers)
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):
             raise InvalidArgument("master_seed must be a uint64")
 
@@ -230,8 +237,14 @@ def _median_estimate(epsilon: float, values: np.ndarray, mc: MCConfig) -> Median
     median = float(np.median(values))
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(_BOOT_KEY,)))
-    idx = rng.integers(0, mc.trials, size=(_BOOT_RESAMPLES, mc.trials))
-    boots = np.median(values[idx], axis=1)
+    # Resamples are drawn and reduced in row blocks of at most _BOOT_BLOCK
+    # index entries, which bounds memory at any trial count; the generator
+    # yields the same stream in blocks as in one call, so the bits do not
+    # depend on the block size.
+    rows = max(1, _BOOT_BLOCK // mc.trials)
+    boots = np.concatenate([
+        np.median(values[rng.integers(0, mc.trials, size=(size, mc.trials))], axis=1)
+        for size in np.diff([*range(0, _BOOT_RESAMPLES, rows), _BOOT_RESAMPLES])])
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return MedianEstimate(epsilon=epsilon, median=median, trials=mc.trials,
                           ci_lo=min(float(lo), median), ci_hi=max(float(hi), median),
@@ -283,16 +296,12 @@ def estimate_ladder(epsilons: Sequence[float], params: Params,
     return [estimate_a_eps(eps, params, mc) for eps in epsilons]
 
 
-def _ratio_rungs(eps_ladder: Sequence[float], r: float, mc: MCConfig) -> List[float]:
-    """The rungs eps and then eps/r of a `scaling_ratio` ladder, each checked
-    against the smoothing-scale floor."""
+def _ratio_rungs(eps_ladder: Sequence[float], r: float) -> List[float]:
+    """The rungs eps and then eps/r of a `scaling_ratio` ladder."""
     if not eps_ladder:
         raise InvalidArgument("ladder needs at least one rung")
     if not _is_pow2(r):
         raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
-    for eps in eps_ladder:
-        check_scale(mc.lattice, eps)
-        check_scale(mc.lattice, eps / r)
     return [*eps_ladder, *(eps / r for eps in eps_ladder)]
 
 
@@ -352,7 +361,7 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     """
     if q_hat is not None and not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    rungs = _ratio_rungs(eps_ladder, r, mc)
+    rungs = _ratio_rungs(eps_ladder, r)
     if q_hat is None:   # the fit's ladder check needs no trial
         _check_ladder(np.asarray(eps_ladder, dtype=np.float64))
     estimates = estimate_ladder(rungs, params, mc)

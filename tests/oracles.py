@@ -10,7 +10,8 @@ smoothing is checked against scipy's own wrap-mode correlation, the torus
 sampler and plain smoothing against one real-input spectral expression each
 (and, to rounding, against the complex full-plane transforms they replaced),
 ladder estimates against rung-by-rung estimates that sample every
-trial's field afresh, lattice graphs and the annulus cover against the
+trial's field afresh, the blocked bootstrap against one draw of its whole
+index, lattice graphs and the annulus cover against the
 COO edge-list builders that CSR skeletons replaced, and the fixed-field
 experiments' rows and stats against one scalar solve per pair, reduced in
 Python floats as the pairs go by.
@@ -621,11 +622,18 @@ def per_rung_estimate(eps: float, xi: float, mc) -> Tuple[float, float, float]:
                 values=plain_mollify_reference(field.values, lat.spacing, eps),
                 z_epsilon=1.0, source_seed=field.seed)
         values.append(lr_crossing(build_weighted_grid(moll, xi), square).value)
-    values = np.array(values, dtype=np.float64)
+    return bootstrap_reference(np.array(values, dtype=np.float64), mc.master_seed)
+
+
+def bootstrap_reference(values: np.ndarray, master_seed: int) -> Tuple[float, float, float]:
+    """(median, ci_lo, ci_hi) of one rung's trial values: the median and the
+    1000-resample bootstrap on spawn key 0xB007 of the master seed, its
+    whole (1000, trials) index drawn and gathered in one call."""
+    trials = len(values)
     median = float(np.median(values))
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(0xB007,)))
-    idx = rng.integers(0, mc.trials, size=(1000, mc.trials))
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(0xB007,)))
+    idx = rng.integers(0, trials, size=(1000, trials))
     lo, hi = np.percentile(np.median(values[idx], axis=1), [2.5, 97.5])
     return median, min(float(lo), median), max(float(hi), median)
 

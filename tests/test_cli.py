@@ -36,7 +36,8 @@ from lfpp import (
 )
 from lfpp import cli
 from lfpp.cli import main
-from lfpp.experiments import EXPERIMENTS
+from lfpp.errors import InvalidArgument
+from lfpp.experiments import EXPERIMENTS, run_experiment
 
 
 def zero_field(n=64, spacing=0.0625):
@@ -90,6 +91,33 @@ class TestBasics:
         assert code == 1
         assert not (tmp_path / "a.json").exists()
 
+
+    @pytest.mark.parametrize("argv", [
+        ["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32", "--trials", "20",
+         "--seed", "7", "--out", "a.json"],
+        ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "1", "--q-hat", "2.5",
+         "--n", "32", "--trials", "20", "--seed", "7", "--out", "r.json"],
+        ["exp", "annulus_event_stats", "--config", "cfg.json", "--out", "rep.json"],
+    ], ids=["a-eps", "ratio", "exp"])
+    def test_threads_above_the_cap_exit_one_before_any_pool(self, argv, capsys, tmp_path,
+                                                             monkeypatch):
+        """Each command would ask for a pool of min(threads, 20 trials)."""
+        import lfpp.renorm as renorm
+        asked = []
+
+        def no_pool(max_workers=None, **kwargs):   # records the call, starts nothing
+            asked.append(max_workers)
+            raise RuntimeError("a process pool was asked for")
+
+        monkeypatch.setattr(renorm, "ProcessPoolExecutor", no_pool)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            TestExperimentGoldenBytes.CASES["annulus_event_stats"][0]), encoding="utf-8")
+        clear_estimate_cache()
+        assert main(argv + ["--threads", str(renorm._MAX_WORKERS + 1)]) == 1
+        assert asked == []
+        assert f"1..{renorm._MAX_WORKERS}" in capsys.readouterr().err
+        assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
     @pytest.mark.parametrize("argv", [
         ["field", "sample", "--n", "32", "--seed", "1", "--out", "f.lfpf"],
@@ -749,6 +777,24 @@ class TestExperimentGoldenBytes:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_and_csv_match_golden_hashes(self, name, tmp_path):
         assert self._digests(name, tmp_path) == list(self.CASES[name][1:])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pool_size_checked_before_the_config_is_parsed(self, name, monkeypatch):
+        """Every experiment, with or without an `mc` block, rejects a bad
+        pool size before its config is parsed, which samples any `field`."""
+        import lfpp.experiments as experiments
+        import lfpp.renorm as renorm
+
+        def no_sampler(*args, **kwargs):
+            pytest.fail("a sampler or trial ran")
+
+        monkeypatch.setattr(experiments, "SAMPLERS",
+                            dict.fromkeys(experiments.SAMPLERS, no_sampler))
+        for module in (experiments, renorm):
+            monkeypatch.setattr(module, "sample_torus_gff", no_sampler)
+            monkeypatch.setattr(module, "run_trials", no_sampler)
+        with pytest.raises(InvalidArgument):
+            run_experiment(name, self.CASES[name][0], workers=0)
 
     def test_trial_pool_keeps_annulus_bytes(self, tmp_path, pool_sizes):
         assert (self._digests("annulus_event_stats", tmp_path, "--threads", "2")

@@ -826,6 +826,10 @@ class TestBoxGrid:
             WeightedGrid(spec=spec, site_cost=np.ones((4, 4)), offset=(13, 0))
         with pytest.raises(InvalidArgument):   # costs not over a box
             WeightedGrid(spec=spec, site_cost=np.ones(16))
+        with pytest.raises(InvalidArgument):   # an empty box
+            WeightedGrid(spec=spec, site_cost=np.ones((0, 4)))
+        with pytest.raises(InvalidArgument):   # costs before the lattice's first site
+            WeightedGrid(spec=spec, site_cost=np.ones((4, 4)), offset=(-1, 0))
 
 
 class TestDistInternal:

@@ -1,6 +1,7 @@
 """Normalizer estimation: seeding, caching, fits, ratio and certificates."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -144,7 +145,7 @@ class TestEstimate:
         assert estimate_cache_key(0.5, PARAMS, par_mc) == \
                estimate_cache_key(0.5, PARAMS, SMALL_MC)
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, renorm._MAX_WORKERS + 1])
     def test_workers_must_be_positive_integer(self, workers):
         with pytest.raises(InvalidArgument):
             MCConfig(lattice=SMALL_MC.lattice, trials=24, master_seed=1,
@@ -248,6 +249,46 @@ class TestRunTrialsPoolSize:
         mc = MCConfig(lattice=SMALL_MC.lattice, trials=20, master_seed=3, workers=64)
         assert run_trials(str, mc) == [str(trial_seed(3, i)) for i in range(20)]
         assert sizes == [20]
+
+
+@st.composite
+def bootstrap_inputs(draw):
+    """(values, mc): 20..5000 positive trial values, continuous or on 1-8
+    levels (so resample medians tie), under any master seed."""
+    trials = draw(st.one_of(st.sampled_from((20, 21, 1048, 1049, 5000)),
+                            st.integers(20, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from((0, 1, 2, 8)))
+    values = (rng.integers(1, levels + 1, size=trials).astype(np.float64) if levels
+              else rng.exponential(size=trials) + 0.5)
+    return values, MCConfig(lattice=SMALL_MC.lattice, trials=trials,
+                            master_seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+class TestBootstrap:
+    """The bootstrap draws and reduces its resamples in row blocks, which
+    bounds its memory, and keeps the bits of one whole-index draw."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(bootstrap_inputs())
+    def test_ci_equals_the_one_call_reference(self, run):
+        values, mc = run
+        est = renorm._median_estimate(0.5, values, mc)
+        assert (repr((est.median, est.ci_lo, est.ci_hi))
+                == repr(oracles.bootstrap_reference(values, mc.master_seed)))
+
+    def test_memory_is_bounded_at_the_trial_cap(self):
+        """A one-call draw and gather at 2^15 trials peaks near 800 MB."""
+        trials = renorm._MAX_TRIALS
+        values = np.random.default_rng(5).exponential(size=trials) + 0.5
+        mc = MCConfig(lattice=SMALL_MC.lattice, trials=trials, master_seed=5)
+        tracemalloc.start()
+        try:
+            renorm._median_estimate(0.5, values, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
 
 @st.composite
@@ -355,16 +396,32 @@ class TestScalingRatio:
         with pytest.raises(DegenerateFit):
             scaling_ratio([1.0, 0.5], 2.0, PARAMS, SMALL_MC)
 
-    @pytest.mark.parametrize("ladder", [[1.0, 0.5], [1.0, 0.9, 0.8, 0.7]])
+    @pytest.mark.parametrize("ladder", [[1.0, 0.5], [1.0, 0.9, 0.8, 0.7], [0.5, 0.25]])
     def test_unfittable_ladder_fails_before_any_trial(self, ladder, monkeypatch):
         """Too few rungs or too narrow a span raise DegenerateFit from the
-        epsilons alone, before a single Monte Carlo trial runs."""
+        epsilons alone, before a single Monte Carlo trial runs, and before
+        a rung below the smoothing-scale floor (0.25 / 2) is reported."""
         calls = []
         monkeypatch.setattr(renorm, "run_trials",
                             lambda trial, mc: calls.append(mc.trials) or [])
         clear_estimate_cache()
         with pytest.raises(DegenerateFit):
             scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [
+        partial(scaling_ratio, [0.5], 4.0, PARAMS, q_hat=2.5),
+        partial(scale_covariance_test, 4.0, 0.5, PARAMS, q_hat=2.5),
+    ], ids=["scaling_ratio", "scale_covariance_test"])
+    def test_too_few_trials_reported_before_a_too_fine_rung(self, run, monkeypatch):
+        """Rung 0.5 / 4 is below the floor; `estimate_ladder` checks the
+        trial count first, and no trial runs."""
+        calls = []
+        monkeypatch.setattr(renorm, "run_trials",
+                            lambda trial, mc: calls.append(mc.trials) or [])
+        clear_estimate_cache()
+        with pytest.raises(InsufficientTrials):
+            run(mc=replace(SMALL_MC, trials=5))
         assert calls == []
 
     def test_non_pow2_scale_rejected(self):
