@@ -463,10 +463,10 @@ def _write_manifest(out_path: str, ns, result: dict, started_at: str,
     fieldio.atomic_write(out_path + ".manifest.json", _json_bytes(manifest))
 
 
-def parse_and_dispatch(argv: List[str]) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if getattr(ns, "handler", None) is None:
@@ -498,10 +498,6 @@ def parse_and_dispatch(argv: List[str]) -> int:
     except Exception as exc:  # anything else is a runtime failure
         print(f"lfpp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    return parse_and_dispatch(sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

@@ -99,20 +99,15 @@ def spearman_trend(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, flo
     return float(rho), float(p)
 
 
-def _non_increasing(seq: Sequence[float], allow_inversions: int = 1,
-                    slack: float = 0.05) -> bool:
-    """Monotone check tolerating a few small upticks.
-
-    An uptick larger than `slack` relative fails outright; smaller upticks
-    are counted against `allow_inversions`.
-    """
+def _non_increasing(seq: Sequence[float]) -> bool:
+    """Monotone check tolerating one uptick of at most 5 % relative."""
     bad = 0
     for prev, cur in zip(seq, seq[1:]):
         if cur > prev:
-            if cur > prev * (1.0 + slack):
+            if cur > prev * 1.05:
                 return False
             bad += 1
-    return bad <= allow_inversions
+    return bad <= 1
 
 
 def _central_quarter(spec: LatticeSpec) -> Rect:
@@ -173,9 +168,9 @@ def _check_pair_points(spec: LatticeSpec, pairs) -> None:
             raise InvalidArgument(f"pair {z}..{w} snaps to a single lattice site")
 
 
-def _validate_halving(eps_ladder: Sequence[float], min_rungs: int) -> None:
-    if len(eps_ladder) < min_rungs:
-        raise InvalidArgument(f"ladder needs >= {min_rungs} rungs, got {len(eps_ladder)}")
+def _validate_halving(eps_ladder: Sequence[float]) -> None:
+    if len(eps_ladder) < 4:
+        raise InvalidArgument(f"ladder needs >= 4 rungs, got {len(eps_ladder)}")
     for a, b in zip(eps_ladder, eps_ladder[1:]):
         if not math.isclose(b, 0.5 * a, rel_tol=1e-12):
             raise InvalidArgument(f"ladder must halve: {a} -> {b}")
@@ -233,9 +228,12 @@ def _near_pair(rng: np.random.Generator, window: Rect, sep: float):
     return (z, w) if _in_rect(w, window) else None
 
 
-def _distinct_pairs(rng: np.random.Generator, spec: LatticeSpec, window: Rect,
+def _distinct_pairs(seed: int, spec: LatticeSpec, window: Rect,
                     count: int) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    """`count` uniform pairs in `window` whose ends snap to different sites."""
+    """`count` uniform pairs in `window` whose ends snap to different sites,
+    drawn from the pair stream of `seed`."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_PAIR_KEY,)))
     return _draw_pairs(partial(_apart_pair, rng, spec, window), count, window,
                        "pairs of distinct lattice sites")
 
@@ -365,9 +363,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     _validate_decreasing(eps_ladder, min_rungs=2)
     _require_inside(window, _central_quarter(field.spec), "window")
     box, wbox = _window_box(field.spec, window)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=field.seed, spawn_key=(_PAIR_KEY,)))
-    pairs = _distinct_pairs(rng, field.spec, window, _N_GAP_PAIRS)
+    pairs = _distinct_pairs(field.seed, field.spec, window, _N_GAP_PAIRS)
 
     rows = []
     gaps = []
@@ -409,7 +405,7 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
     the Spearman rho and p of all differences against their transition
     index are reported in the stats only.
     """
-    _validate_halving(eps_ladder, min_rungs=4)
+    _validate_halving(eps_ladder)
     lat = mc.lattice
     _check_pair_points(lat, pairs)
     norms = [est.median for est in estimate_ladder(eps_ladder, params, mc)]
@@ -777,6 +773,15 @@ def _cfg_get(cfg: dict, key: str):
     return cfg[key]
 
 
+def _cfg_int(raw, what: str) -> int:
+    """A whole number; a bool or a float with a fractional part is an
+    InvalidArgument naming `what`."""
+    value = int(raw)
+    if isinstance(raw, bool) or (isinstance(raw, float) and value != raw):
+        raise InvalidArgument(f"{what} must be a whole number, got {raw!r}")
+    return value
+
+
 def _cfg_numbers(raw, count: int, what: str) -> Tuple[float, ...]:
     """The `count` numbers of a config list; InvalidArgument naming `what`
     when it holds another count."""
@@ -786,14 +791,14 @@ def _cfg_numbers(raw, count: int, what: str) -> Tuple[float, ...]:
 
 
 def _cfg_lattice(cfg: dict) -> LatticeSpec:
-    n = int(_cfg_get(cfg, "n"))
+    n = _cfg_int(_cfg_get(cfg, "n"), "n")
     return LatticeSpec(n=n, spacing=_resolve_spacing(cfg.get("spacing", "auto"), n),
                        origin=_cfg_numbers(cfg.get("origin", (0.0, 0.0)), 2, "origin"))
 
 
 def _cfg_field(cfg: dict) -> FieldSample:
     spec = _cfg_lattice(cfg)
-    seed = int(_cfg_get(cfg, "seed"))
+    seed = _cfg_int(_cfg_get(cfg, "seed"), "seed")
     kind = cfg.get("kind", "torus")
     if kind not in SAMPLERS:
         raise InvalidArgument(f"unknown field kind '{kind}'")
@@ -801,9 +806,13 @@ def _cfg_field(cfg: dict) -> FieldSample:
 
 
 def _cfg_mc(cfg: dict) -> MCConfig:
-    return MCConfig(lattice=_cfg_lattice(cfg), trials=int(_cfg_get(cfg, "trials")),
-                    master_seed=int(_cfg_get(cfg, "seed")),
-                    localized=bool(cfg.get("localized", False)))
+    localized = cfg.get("localized", False)
+    if not isinstance(localized, bool):
+        raise InvalidArgument(f"localized must be true or false, got {localized!r}")
+    return MCConfig(lattice=_cfg_lattice(cfg),
+                    trials=_cfg_int(_cfg_get(cfg, "trials"), "trials"),
+                    master_seed=_cfg_int(_cfg_get(cfg, "seed"), "seed"),
+                    localized=localized)
 
 
 def _cfg_window(w) -> Rect:
@@ -815,9 +824,8 @@ def _cfg_pairs(raw, spec: LatticeSpec):
     """An explicit pair list, or {window, seed, count} sampled on spec."""
     if isinstance(raw, dict):
         window = _cfg_window(_cfg_get(raw, "window"))
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=int(_cfg_get(raw, "seed")), spawn_key=(_PAIR_KEY,)))
-        return _distinct_pairs(rng, spec, window, int(_cfg_get(raw, "count")))
+        return _distinct_pairs(_cfg_int(_cfg_get(raw, "seed"), "seed"), spec, window,
+                               _cfg_int(_cfg_get(raw, "count"), "count"))
     point = partial(_cfg_numbers, count=2, what="a point of pairs")
     return [(point(z), point(w)) for z, w in raw]
 
@@ -836,7 +844,7 @@ _PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
         done["field"].spec if "field" in done else done["mc"].lattice)),
     "params": lambda cfg, key, done: Params(xi=float(_cfg_get(cfg, "xi"))),
     "window": _value(_cfg_window),
-    "n_ladder": _value(lambda values: [int(v) for v in values]),
+    "n_ladder": _value(lambda values: [_cfg_int(v, "n_ladder entry") for v in values]),
     **dict.fromkeys(("eps_ladder", "r_set"),
                     _value(lambda values: [float(v) for v in values])),
     **dict.fromkeys(("epsilon", "c", "a", "q_hat", "alpha", "gamma", "eta", "zeta"),

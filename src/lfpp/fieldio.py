@@ -5,7 +5,8 @@ n u32, spacing f64, seed u64, lattice origin x and y as two f64, and a flags
 u8 (bit 0 mean_removed, bit 1 derived): a 44-byte header, then n*n f64
 field values row-major.  Files are written as version 2.  Version 1 files,
 whose 27-byte header stops after the seed, still read, with the default
-origin (0, 0) and both flags False.
+origin (0, 0) and both flags False.  A header's lattice must pass
+`LatticeSpec`, which is checked before the payload is read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, InvalidSpec
 from .gff import FieldKind, FieldSample, LatticeSpec
 
 MAGIC = b"LFPF"
@@ -57,9 +58,10 @@ def write_field(field: FieldSample, path) -> None:
 
 
 def _header(path):
-    """Parse and validate the header of any known version.
+    """Parse and validate the header of any known version, its lattice
+    included.
 
-    Returns (header size, kind, n, spacing, seed, origin, flags).
+    Returns (header size, kind, lattice spec, seed, flags).
     """
     with open(path, "rb") as fh:
         raw = fh.read(max(h.size for h in _HEADERS.values()))
@@ -81,12 +83,16 @@ def _header(path):
         raise InvalidArgument(f"{path}: unknown field kind byte {kind}")
     if flags & ~(_MEAN_REMOVED | _DERIVED):
         raise InvalidArgument(f"{path}: unknown flag bits {flags:#04x}")
-    return layout.size, int(kind), int(n), float(spacing), int(seed), origin, flags
+    spec = LatticeSpec(n=int(n), spacing=float(spacing), origin=origin)
+    return layout.size, int(kind), spec, int(seed), flags
 
 
 def read_field(path) -> FieldSample:
-    """Load a field sample; truncated or malformed files raise InvalidArgument."""
-    size, kind, n, spacing, seed, origin, flags = _header(path)
+    """Load a field sample; truncated or malformed files raise InvalidArgument,
+    and a header whose lattice LatticeSpec rejects raises InvalidSpec before
+    the payload is read."""
+    size, kind, spec, seed, flags = _header(path)
+    n = spec.n
     with open(path, "rb") as fh:
         fh.seek(size)
         payload = fh.read()
@@ -95,7 +101,6 @@ def read_field(path) -> FieldSample:
         raise InvalidArgument(
             f"{path}: payload holds {len(payload)} bytes, expected {expect}")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, n)
-    spec = LatticeSpec(n=n, spacing=spacing, origin=origin)
     return FieldSample(spec=spec, kind=FieldKind(kind), seed=seed,
                        values=np.ascontiguousarray(values),
                        mean_removed=bool(flags & _MEAN_REMOVED),
@@ -105,9 +110,7 @@ def read_field(path) -> FieldSample:
 def verify_field(path) -> bool:
     """Header-plus-size integrity check that never raises."""
     try:
-        size, _, n, spacing, *_ = _header(path)
-        if not (n >= 2 and spacing > 0):
-            return False
-        return os.path.getsize(path) == size + n * n * 8
-    except (InvalidArgument, OSError, struct.error):
+        size, _, spec, *_ = _header(path)
+        return os.path.getsize(path) == size + spec.n * spec.n * 8
+    except (InvalidArgument, InvalidSpec, OSError, struct.error):
         return False

@@ -61,6 +61,11 @@ XI_CRIT_REF = 0.41
 _TILE_ROWS = 64
 _TAP_FLOOR = np.finfo(np.float64).eps
 
+# Largest sites per axis: a full-lattice graph at n = 8192 needs about 6.4 GB
+# for its data and int32 indices alone (67M sites x 8 entries x 12 B); at
+# n = 4096 it needs about 1.6 GB.
+_MAX_N = 2 ** 12
+
 # Torus sampling: half-plane wavenumbers kept per n up to _MEMO_N (1 MB at
 # n = 512; 4 MB at 1024 would stay resident for a one-field session).
 _MEMO_N = 512
@@ -97,7 +102,7 @@ class LatticeSpec:
     (origin_x + j*spacing, origin_y + i*spacing): rows run along y.
     """
 
-    n: int                                   # sites per axis, power of two
+    n: int                                   # sites per axis, power of two <= 4096
     spacing: float                           # lattice step, > 0
     origin: Tuple[float, float] = (0.0, 0.0)
 
@@ -106,6 +111,8 @@ class LatticeSpec:
             raise InvalidSpec(f"n must be an integer >= 2, got {self.n!r}")
         if self.n & (self.n - 1) != 0:
             raise InvalidSpec(f"n must be a power of two, got {self.n}")
+        if self.n > _MAX_N:
+            raise InvalidSpec(f"n must be at most {_MAX_N}, got {self.n}")
         if not (isinstance(self.spacing, (int, float))
                 and math.isfinite(self.spacing) and self.spacing > 0):
             raise InvalidSpec(f"spacing must be finite and > 0, got {self.spacing!r}")

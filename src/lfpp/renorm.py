@@ -296,15 +296,6 @@ def estimate_ladder(epsilons: Sequence[float], params: Params,
     return [estimate_a_eps(eps, params, mc) for eps in epsilons]
 
 
-def _ratio_rungs(eps_ladder: Sequence[float], r: float) -> List[float]:
-    """The rungs eps and then eps/r of a `scaling_ratio` ladder."""
-    if not eps_ladder:
-        raise InvalidArgument("ladder needs at least one rung")
-    if not _is_pow2(r):
-        raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
-    return [*eps_ladder, *(eps / r for eps in eps_ladder)]
-
-
 # ---------------------------------------------------------------------------
 # fits and diagnostics
 # ---------------------------------------------------------------------------
@@ -361,10 +352,14 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     """
     if q_hat is not None and not math.isfinite(q_hat):
         raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
-    rungs = _ratio_rungs(eps_ladder, r)
+    if not eps_ladder:
+        raise InvalidArgument("ladder needs at least one rung")
+    if not _is_pow2(r):
+        raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
     if q_hat is None:   # the fit's ladder check needs no trial
         _check_ladder(np.asarray(eps_ladder, dtype=np.float64))
-    estimates = estimate_ladder(rungs, params, mc)
+    estimates = estimate_ladder([*eps_ladder, *(eps / r for eps in eps_ladder)],
+                                params, mc)
     if q_hat is None:
         q_hat = fit_exponent(estimates[:len(eps_ladder)], params).q_hat
     expo = 1.0 - params.xi * q_hat

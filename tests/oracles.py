@@ -666,13 +666,16 @@ def weyl_shift_reference(field, epsilon: float, c: float, pairs, xi: float):
 def localized_gap_reference(field, eps_ladder, window, xi: float):
     """(rows, stats) of `localized_gap`: per rung, the window's field gap and
     the worst |d_localized / d_plain - 1| folded pair by pair."""
+    from functools import partial
+
     from lfpp import build_weighted_grid, dist_point, mollify, mollify_localized
     from lfpp import experiments
     box, wbox = experiments._window_box(field.spec, window)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=field.seed, spawn_key=(experiments._PAIR_KEY,)))
-    pairs = experiments._distinct_pairs(rng, field.spec, window,
-                                        experiments._N_GAP_PAIRS)
+    pairs = experiments._draw_pairs(
+        partial(experiments._apart_pair, rng, field.spec, window),
+        experiments._N_GAP_PAIRS, window, "pairs")
     rows = []
     for eps in eps_ladder:
         plain = mollify(field, eps)

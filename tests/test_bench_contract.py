@@ -82,6 +82,12 @@ def test_worker_attributes_exist():
     assert not missing
 
 
+def test_cli_main_takes_only_argv():
+    # the worker calls lfpp.cli.main(argv) and the tracer wraps cli.main
+    main = importlib.import_module("lfpp.cli").main
+    assert list(inspect.signature(main).parameters) == ["argv"]
+
+
 def test_box_grid_mask_is_its_box(box_grid):
     _, grid = box_grid
     n = grid.spec.n

@@ -92,6 +92,40 @@ class TestBasics:
         assert not (tmp_path / "a.json").exists()
 
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (["field", "sample", "--n", "8192", "--seed", "1", "--out", "f.lfpf"], None),
+        (["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "8192", "--trials", "20",
+          "--seed", "7", "--out", "a.json"], None),
+        (["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "1", "--q-hat", "2.5",
+          "--n", "8192", "--trials", "20", "--seed", "7", "--out", "r.json"], None),
+        (["exp", "weyl_shift_test", "--config", "cfg.json", "--out", "rep.json"],
+         {"field": {"n": 8192, "seed": 404}, "epsilon": 0.25, "c": 1.0, "xi": 0.2,
+          "pairs": [[[1.6, 1.7], [2.3, 2.2]]]}),
+        (["exp", "scale_covariance_test", "--config", "cfg.json", "--out", "rep.json"],
+         {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+          "mc": {"n": 8192, "trials": 20, "seed": 7}}),
+    ], ids=["field-sample", "a-eps", "ratio", "exp-field", "exp-mc"])
+    def test_lattice_above_the_cap_exits_one_before_any_sample(self, argv, cfg, capsys,
+                                                               tmp_path, monkeypatch):
+        import lfpp.experiments as experiments
+        import lfpp.renorm as renorm
+
+        def no_sampler(*args, **kwargs):
+            pytest.fail("a sampler or trial ran")
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "SAMPLERS",
+                                dict.fromkeys(module.SAMPLERS, no_sampler))
+        for module in (experiments, renorm):
+            monkeypatch.setattr(module, "sample_torus_gff", no_sampler)
+            monkeypatch.setattr(module, "run_trials", no_sampler)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        clear_estimate_cache()
+        assert main(argv) == 1
+        assert "n must be at most 4096, got 8192" in capsys.readouterr().err
+        assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
     @pytest.mark.parametrize("argv", [
         ["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32", "--trials", "20",
          "--seed", "7", "--out", "a.json"],
@@ -279,6 +313,23 @@ class TestDist:
     def test_point_mode_needs_endpoints(self, zero_path, tmp_path):
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
                      "--xi", "0.2", "--out", str(tmp_path / "x.json")]) == 1
+
+    def test_without_out_prints_the_document(self, zero_path, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
+                     "--xi", "0.2", "--from", "1.0,2.0", "--to", "2.0,2.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"value": 1.0, "unreachable": False, "path": None}
+        assert [p.name for p in tmp_path.iterdir()] == ["zero.lfpf"]   # no manifest
+
+    @pytest.mark.parametrize("flag, kind", [("--around", "annulus"), ("--crossing", "rect")])
+    def test_region_of_the_wrong_kind(self, flag, kind, zero_path, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
+                     "--xi", "0.2", flag, "disk:2,2,0.5", "--out", str(out)]) == 1
+        assert f"{flag} takes only {kind} regions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_region_spelling(self, zero_path, tmp_path):
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
@@ -562,6 +613,28 @@ class TestExp:
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
+    def test_missing_key_exits_one_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "w.json"
+        cfg = {k: v for k, v in self.CFG.items() if k != "epsilon"}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["exp", "weyl_shift_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")]) == 1
+        assert "experiment config is missing 'epsilon'" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_whole_floats_read_as_integers(self, tmp_path):
+        reports = []
+        for label, n, seed in (("int", 64, 404), ("float", 64.0, 404.0)):
+            cfg_path = tmp_path / f"{label}.cfg.json"
+            cfg_path.write_text(json.dumps(
+                dict(self.CFG, field=dict(self.CFG["field"], n=n, seed=seed))),
+                encoding="utf-8")
+            out = tmp_path / f"{label}.json"
+            assert main(["exp", "weyl_shift_test", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_experiment_name(self, tmp_path):
         assert main(["exp", "bogus", "--config", "x",
                      "--out", str(tmp_path / "y.json")]) == 1
@@ -628,6 +701,10 @@ class TestExp:
 
     GAP_CFG = {"field": {"n": 64, "seed": 404}, "eps_ladder": [0.25, 0.125],
                "window": [1.6, 1.6, 2.3, 2.3], "xi": 0.2}
+    SCALE_CFG = {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+                 "mc": {"n": 32, "trials": 20, "seed": 7}}
+    CONTINUITY_CFG = {"field": {"n": 64, "seed": 404, "origin": [0.5, 0.5]},
+                      "a": 0.5, "n_ladder": [8, 10, 15], "window": [1.6, 1.6, 2.3, 2.3]}
 
     @pytest.mark.parametrize("name, path, value, key", [
         ("weyl_shift_test", ("field", "n"), "abc", "field"),
@@ -638,11 +715,20 @@ class TestExp:
         ("localized_gap", ("window",), [1.6, 1.6, 2.3, 2.3, 9.0], "window"),
         ("weyl_shift_test", ("field", "origin"), [0.0, 0.0, 0.0], "origin"),
         ("weyl_shift_test", ("pairs",), [[[1.6, 1.7, 5], [2.3, 2.2]]], "pairs"),
+        ("weyl_shift_test", ("field", "n"), 64.5, "n"),
+        ("weyl_shift_test", ("field", "seed"), True, "seed"),
+        ("scale_covariance_test", ("mc", "trials"), 20.5, "trials"),
+        ("scale_covariance_test", ("mc", "localized"), "false", "localized"),
+        ("field_continuity_check", ("n_ladder",), [8, 10.5, 15], "n_ladder"),
+        ("weyl_shift_test", ("pairs",),
+         {"window": [1.6, 1.6, 2.3, 2.3], "seed": 7, "count": 2.5}, "count"),
     ])
     def test_malformed_value_exits_one_naming_key(self, name, path, value, key,
                                                   tmp_path, capsys):
-        cfg = json.loads(json.dumps(
-            self.CFG if name == "weyl_shift_test" else self.GAP_CFG))
+        cfg = json.loads(json.dumps({
+            "weyl_shift_test": self.CFG, "localized_gap": self.GAP_CFG,
+            "scale_covariance_test": self.SCALE_CFG,
+            "field_continuity_check": self.CONTINUITY_CFG}[name]))
         node = cfg
         for part in path[:-1]:
             node = node[part]

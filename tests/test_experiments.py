@@ -29,6 +29,7 @@ from lfpp import (
 from lfpp.experiments import (
     EXPERIMENTS,
     Verdict,
+    _non_increasing,
     annulus_event_stats,
     convergence_diagnostic,
     field_continuity_check,
@@ -364,6 +365,22 @@ class TestSpearmanTrend:
         rho, p = spearman_trend(xs, [1.0, 2.0, 4.0, 5.0, 7.0, 9.0])
         assert rho == pytest.approx(1.0)
         assert p > 0.10
+
+
+class TestNonIncreasing:
+    """`localized_gap`'s trend rule: at most one uptick, of at most 5 %."""
+
+    @pytest.mark.parametrize("seq, ok", [
+        ([], True),
+        ([1.0], True),
+        ([4.0, 2.0, 2.0, 1.0], True),
+        ([2.0, 1.0, 1.05, 0.5], True),      # one uptick of exactly 5 %
+        ([2.0, 1.0, 1.04, 0.5], True),
+        ([2.0, 1.0, 1.06, 0.5], False),     # one uptick above 5 %
+        ([2.0, 1.0, 1.01, 0.5, 0.505], False),   # two small upticks
+    ])
+    def test_table(self, seq, ok):
+        assert _non_increasing(seq) is ok
 
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "experiments.md"

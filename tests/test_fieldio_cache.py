@@ -1,6 +1,7 @@
 """Binary field container round trips and the verified disk cache."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfpp import (FieldKind, FieldSample, InvalidArgument, LatticeSpec, read_field,
-                  write_field)
+from lfpp import (FieldKind, FieldSample, InvalidArgument, InvalidSpec, LatticeSpec,
+                  read_field, write_field)
 from lfpp.cache import cache_entries, cache_key, cache_lookup, cache_store
 from lfpp.fieldio import MAGIC, field_bytes, verify_field
+
+
+def v2_header(n, spacing):
+    return struct.pack("<4sHBIdQddB", MAGIC, 2, int(FieldKind.TORUS_WHOLE_PLANE),
+                       n, spacing, 7, 0.0, 0.0, 0)
 
 
 class TestFieldContainer:
@@ -127,6 +133,22 @@ class TestFieldContainer:
         with pytest.raises(InvalidArgument):
             read_field(path)
         assert not verify_field(path)
+
+    def test_lattice_checked_before_the_payload(self, tmp_path):
+        # an n = 8192 payload would be 512 MiB; this file holds the header only
+        path = tmp_path / "big.lfpf"
+        path.write_bytes(v2_header(8192, 1.0))
+        with pytest.raises(InvalidSpec, match="at most 4096"):
+            read_field(path)
+        assert not verify_field(path)
+
+    @pytest.mark.parametrize("n, spacing", [(3, 0.25), (8, math.inf)])
+    def test_lattice_the_spec_rejects_fails_verification(self, n, spacing, tmp_path):
+        path = tmp_path / "bad.lfpf"
+        path.write_bytes(v2_header(n, spacing) + bytes(8 * n * n))   # payload fits
+        assert not verify_field(path)
+        with pytest.raises(InvalidSpec):
+            read_field(path)
 
     def test_verify_field(self, field64, tmp_path):
         path = tmp_path / "f.lfpf"

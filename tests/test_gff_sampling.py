@@ -52,6 +52,11 @@ class TestLatticeSpec:
         with pytest.raises(InvalidSpec):
             LatticeSpec(n=16, spacing=0.1, origin=(math.nan, 0.0))
 
+    def test_size_is_capped(self):
+        assert LatticeSpec(n=4096, spacing=1.0).n == 4096
+        with pytest.raises(InvalidSpec, match="at most 4096"):
+            LatticeSpec(n=8192, spacing=1.0)
+
     def test_side_and_coords(self):
         spec = LatticeSpec(n=8, spacing=0.25, origin=(1.0, -2.0))
         assert spec.side == 2.0
