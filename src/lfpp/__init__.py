@@ -29,8 +29,6 @@ from .gff import (
     Params,
     add_function,
     bump,
-    circle_average,
-    heat_kernel,
     mollify,
     mollify_localized,
     normalizer_Z,
@@ -58,7 +56,6 @@ from .metric import (
 )
 from .renorm import (
     ExponentFit,
-    LogCorrectionReport,
     MCConfig,
     MedianEstimate,
     RatioSeries,
@@ -68,8 +65,6 @@ from .renorm import (
     estimate_cache_key,
     estimate_ladder,
     fit_exponent,
-    ladders_overlap,
-    log_correction_check,
     scaling_ratio,
     trial_seed,
 )
@@ -100,19 +95,18 @@ __all__ = [
     "InsufficientTrials", "DegenerateFit",
     # fields
     "XI_CRIT_REF", "FieldKind", "FieldSample", "LatticeSpec", "MollifiedField",
-    "Params", "add_function", "bump", "circle_average", "heat_kernel",
-    "mollify", "mollify_localized", "normalizer_Z", "rescale_field",
-    "sample_dirichlet_gff", "sample_torus_gff",
+    "Params", "add_function", "bump", "mollify", "mollify_localized",
+    "normalizer_Z", "rescale_field", "sample_dirichlet_gff", "sample_torus_gff",
     # metric
     "Annulus", "Disk", "DistResult", "Mask", "Path", "Rect", "WeightedGrid",
     "build_weighted_grid", "dist_around_annulus", "dist_internal",
     "dist_point", "dist_sets", "edge_weight", "lr_crossing", "region_box",
     "region_mask",
     # renorm
-    "ExponentFit", "LogCorrectionReport", "MCConfig", "MedianEstimate",
-    "RatioSeries", "clear_estimate_cache", "crossing_square", "estimate_a_eps",
-    "estimate_cache_key", "estimate_ladder", "fit_exponent", "ladders_overlap",
-    "log_correction_check", "scaling_ratio", "trial_seed",
+    "ExponentFit", "MCConfig", "MedianEstimate", "RatioSeries",
+    "clear_estimate_cache", "crossing_square", "estimate_a_eps",
+    "estimate_cache_key", "estimate_ladder", "fit_exponent", "scaling_ratio",
+    "trial_seed",
     # experiments
     "EXPERIMENTS", "ExperimentReport", "Verdict",
     "annulus_event_stats", "convergence_diagnostic", "field_continuity_check",

@@ -55,7 +55,7 @@ from .renorm import (
     fit_exponent,
     scaling_ratio,
 )
-from .experiments import EXPERIMENTS, _cfg_lattice, _cfg_mc, run_experiment
+from .experiments import EXPERIMENTS, _cfg_field, _cfg_mc, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,6 +74,17 @@ def _parse_point(text: str) -> Tuple[float, float]:
         return (float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _parse_spacing(text: str):
+    """`auto` or a number, as an experiment config spells a spacing."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"spacing must be a number or 'auto', got {text!r}") from None
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -152,13 +163,14 @@ def _csv_bytes(header, rows) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _handle_field_sample(ns) -> dict:
-    spec = _cfg_lattice(vars(ns))
+    sample = _cfg_field(vars(ns))
+    spec = sample.args[0]
     # the container version is part of the key: an older layout is never served
     core = {"kind": ns.kind, "n": ns.n, "spacing": spec.spacing,
             "origin": list(spec.origin), "seed": ns.seed,
             "lfpf_version": fieldio.VERSION}
     payload = _cached(ns, cache.cache_key("field_sample", core), "field",
-                      lambda: fieldio.field_bytes(SAMPLERS[ns.kind](spec, ns.seed)))
+                      lambda: fieldio.field_bytes(sample()))
     return {"outputs": [(ns.out, payload)], "facts": {"spacing": spec.spacing}}
 
 
@@ -311,7 +323,12 @@ def _handle_exp(ns) -> dict:
     if ns.emit_gnuplot and not ns.csv:
         raise InvalidArgument("--emit-gnuplot needs --csv")
     with open(ns.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:   # an int past the interpreter's digit limit
+            raise InvalidArgument(f"experiment config: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidArgument("experiment config must be a JSON object")
     report = run_experiment(ns.name, cfg, workers=ns.threads)
@@ -352,7 +369,7 @@ def _build_parser() -> _Parser:
                         help="Monte Carlo process-pool size; never changes output bytes")
     lattice = _Parser(add_help=False)   # a LatticeSpec and the seed sampled on it
     lattice.add_argument("--n", type=int, required=True)
-    lattice.add_argument("--spacing", default="auto")
+    lattice.add_argument("--spacing", type=_parse_spacing, default="auto")
     lattice.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
     lattice.add_argument("--seed", type=int, required=True)
     mc_flags = _Parser(add_help=False, parents=[lattice, pooled])   # an MCConfig

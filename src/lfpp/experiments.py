@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field, replace
 from enum import Enum
 from functools import partial
@@ -28,12 +29,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._rules import read_real, read_whole, real, uint64, whole
 from .errors import EmptyRegion, InvalidArgument, MollificationTooFine
 from .gff import (
     SAMPLERS,
     FieldSample,
     LatticeSpec,
     Params,
+    _dyadic_exponent,
     _is_pow2,
     add_function,
     check_scale,
@@ -52,8 +55,8 @@ from .metric import (
     dist_point,
     dist_sets,
 )
-from .renorm import (MCConfig, _check_workers, crossing_square, estimate_ladder,
-                     run_trials, trial_seed)
+from .renorm import (_MAX_TRIALS, MCConfig, _check_workers, crossing_square,
+                     estimate_ladder, run_trials, trial_seed)
 
 WEYL_TOL = 1e-10
 
@@ -168,17 +171,22 @@ def _check_pair_points(spec: LatticeSpec, pairs) -> None:
             raise InvalidArgument(f"pair {z}..{w} snaps to a single lattice site")
 
 
+def _check_rungs(eps_ladder: Sequence[float], min_rungs: int) -> None:
+    if len(eps_ladder) < min_rungs:
+        raise InvalidArgument(f"ladder needs >= {min_rungs} rungs, got {len(eps_ladder)}")
+    for eps in eps_ladder:
+        real(eps, "ladder rung")
+
+
 def _validate_halving(eps_ladder: Sequence[float]) -> None:
-    if len(eps_ladder) < 4:
-        raise InvalidArgument(f"ladder needs >= 4 rungs, got {len(eps_ladder)}")
+    _check_rungs(eps_ladder, 4)
     for a, b in zip(eps_ladder, eps_ladder[1:]):
         if not math.isclose(b, 0.5 * a, rel_tol=1e-12):
             raise InvalidArgument(f"ladder must halve: {a} -> {b}")
 
 
 def _validate_decreasing(eps_ladder: Sequence[float], min_rungs: int) -> None:
-    if len(eps_ladder) < min_rungs:
-        raise InvalidArgument(f"ladder needs >= {min_rungs} rungs, got {len(eps_ladder)}")
+    _check_rungs(eps_ladder, min_rungs)
     for a, b in zip(eps_ladder, eps_ladder[1:]):
         if not b < a:
             raise InvalidArgument(f"ladder must decrease: {a} -> {b}")
@@ -249,11 +257,12 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
     Localized smoothing commutes with constants, so this is an exact
     identity checked at 1e-10 relative, not a statistical test.
     """
+    real(c, "c")
+    _check_pair_points(field.spec, pairs)
     window = crossing_square(field.spec)
     for z, w in pairs:
         if not (_in_rect(z, window) and _in_rect(w, window)):
             raise InvalidArgument(f"pair {z}..{w} leaves the central unit window")
-    _check_pair_points(field.spec, pairs)
 
     base = mollify_localized(field, epsilon)
     grid0 = build_weighted_grid(base, params.xi)
@@ -305,10 +314,9 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     two-sample Mann-Whitney p-value.  Dilations are centered at the lattice
     origin corner.
     """
-    if not _is_pow2(a):
-        raise InvalidArgument(f"scale factor a must be a power of two, got {a}")
-    if not math.isfinite(q_hat):
-        raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
+    _dyadic_exponent(a, "scale factor a")
+    real(q_hat, "q_hat")
+    real(epsilon, "epsilon")   # `estimate_ladder` checks its scale floor
     lat = mc.lattice
     ox, oy = lat.origin
     cx, cy = ox + 0.5 * lat.side, oy + 0.5 * lat.side
@@ -474,11 +482,11 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
     the zero-scale metric, labeled proxy).  Quantiles are reported; no
     bound is asserted.
     """
-    if not (0.875 < alpha < 1.0):
-        raise InvalidArgument(f"alpha must lie in (7/8, 1), got {alpha}")
+    real(alpha, "alpha", gt=0.875, lt=1.0)
     if not r_set:
         raise InvalidArgument("r_set must hold at least one radius")
     lat = mc.lattice
+    check_scale(lat, epsilon)
     delta = lat.spacing
     proxy_eps = max(2.0 * delta, epsilon / 4.0)
     cx = lat.origin[0] + 0.5 * lat.side
@@ -488,15 +496,14 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
                     np.broadcast_to(ys[:, None], (lat.n, lat.n)) - cy)
 
     annuli = []
-    grid_kind = "dyadic" if all(_is_pow2(r) for r in r_set) else "custom"
     for r in r_set:
-        if not (0 < alpha * r < r and r <= 0.5 * lat.side):
-            raise InvalidArgument(f"radius {r} does not fit the lattice domain")
+        real(r, "r_set radius", gt=0, le=0.5 * lat.side)
         inner = Mask(np.abs(dmat - alpha * r) <= _RING_HALF_WIDTH * delta)
         outer = Mask(np.abs(dmat - r) <= _RING_HALF_WIDTH * delta)
         if not (inner.mask.any() and outer.mask.any()):
             raise EmptyRegion(f"boundary ring at radius {r} captures no sites")
         annuli.append((Annulus((cx, cy), alpha * r, r), r, inner, outer))
+    grid_kind = "dyadic" if all(_is_pow2(r) for r in r_set) else "custom"
 
     trial = partial(_annulus_trial, lat=lat, epsilon=epsilon, proxy_eps=proxy_eps,
                     xi=params.xi, annuli=annuli)
@@ -532,8 +539,7 @@ def gmc_mass(field: FieldSample, gamma: float, eps_ladder: Sequence[float],
     limit integrates to the exact window area.  Pass when the final
     successive relative mass difference is below the first.
     """
-    if not (0.0 < gamma < 2.0):
-        raise InvalidArgument(f"gamma must lie in (0, 2), got {gamma}")
+    real(gamma, "gamma", gt=0.0, lt=2.0)
     _validate_decreasing(eps_ladder, min_rungs=3)
     for eps in eps_ladder:
         if not _is_pow2(eps) or eps >= 1.0:
@@ -585,12 +591,11 @@ def field_continuity_check(field: FieldSample, a: float,
     (((n+1)/n)^a - 1) across the ladder, for both smoothers; passes when a
     single finite constant works everywhere.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise InvalidArgument(f"a must be positive, got {a}")
+    real(a, "a", gt=0)
+    for m in n_ladder:   # each is taken to a float power below
+        whole(m, "n_ladder entry", 2, sys.float_info.max)
     if len(n_ladder) < 2 or any(m2 <= m1 for m1, m2 in zip(n_ladder, n_ladder[1:])):
         raise InvalidArgument("n_ladder must be a strictly increasing list of >= 2 sizes")
-    if any((not isinstance(m, int)) or m < 2 for m in n_ladder):
-        raise InvalidArgument("ladder entries must be integers >= 2")
     spec = field.spec
     check_scale(spec, (max(n_ladder) + 1) ** (-a))
     box, wbox = _window_box(spec, window)
@@ -634,8 +639,7 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     increase over the last three rungs for either smoother (the log term
     dominates as the scale shrinks).
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise InvalidArgument(f"eta must be positive, got {eta}")
+    real(eta, "eta", gt=0)
     _validate_decreasing(eps_ladder, min_rungs=3)
     _require_inside(window, _central_quarter(field.spec), "window")
     box, wbox = _window_box(field.spec, window)
@@ -674,8 +678,8 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
     Runs a halving ladder from epsilon (up to four admissible rungs) and
     passes when the per-rung maximum decreases down the ladder.
     """
-    if not (0.0 < zeta < 1.0):
-        raise InvalidArgument(f"zeta must lie in (0, 1), got {zeta}")
+    real(zeta, "zeta", gt=0.0, lt=1.0)
+    real(epsilon, "epsilon")
     spec = field.spec
     delta = spec.spacing
     if epsilon ** (1.0 - zeta) < delta:
@@ -758,13 +762,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
 
 def _resolve_spacing(raw, n: int) -> float:
     """A number, or `auto`: 4/n, which centers the unit square in the
-    central quarter (n = 0 is left for LatticeSpec to reject)."""
-    if raw == "auto":
-        return 4.0 / max(n, 1)
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"spacing must be a number or 'auto', got {raw!r}") from None
+    central quarter.  Any other n is left for LatticeSpec to reject: 4 / n
+    divides exactly rounded ints, so n = 10**400 gives 0.0, not an
+    OverflowError."""
+    return 4 / max(n, 1) if raw == "auto" else read_real(raw, "spacing")
 
 
 def _cfg_get(cfg: dict, key: str):
@@ -773,46 +774,36 @@ def _cfg_get(cfg: dict, key: str):
     return cfg[key]
 
 
-def _cfg_int(raw, what: str) -> int:
-    """A whole number; a bool or a float with a fractional part is an
-    InvalidArgument naming `what`."""
-    value = int(raw)
-    if isinstance(raw, bool) or (isinstance(raw, float) and value != raw):
-        raise InvalidArgument(f"{what} must be a whole number, got {raw!r}")
-    return value
-
-
 def _cfg_numbers(raw, count: int, what: str) -> Tuple[float, ...]:
     """The `count` numbers of a config list; InvalidArgument naming `what`
     when it holds another count."""
     if len(raw) != count:
         raise InvalidArgument(f"{what} must hold exactly {count} numbers, got {len(raw)}")
-    return tuple(float(v) for v in raw)
+    return tuple(read_real(v, what) for v in raw)
 
 
 def _cfg_lattice(cfg: dict) -> LatticeSpec:
-    n = _cfg_int(_cfg_get(cfg, "n"), "n")
+    n = read_whole(_cfg_get(cfg, "n"), "n")
     return LatticeSpec(n=n, spacing=_resolve_spacing(cfg.get("spacing", "auto"), n),
                        origin=_cfg_numbers(cfg.get("origin", (0.0, 0.0)), 2, "origin"))
 
 
-def _cfg_field(cfg: dict) -> FieldSample:
+def _cfg_field(cfg: dict) -> Callable[[], FieldSample]:
+    """The field a config names, as the call that samples it: its lattice
+    spec and seed are the call's `args`."""
     spec = _cfg_lattice(cfg)
-    seed = _cfg_int(_cfg_get(cfg, "seed"), "seed")
+    seed = uint64(read_whole(_cfg_get(cfg, "seed"), "seed"), "seed")
     kind = cfg.get("kind", "torus")
     if kind not in SAMPLERS:
         raise InvalidArgument(f"unknown field kind '{kind}'")
-    return SAMPLERS[kind](spec, seed)
+    return partial(SAMPLERS[kind], spec, seed)
 
 
 def _cfg_mc(cfg: dict) -> MCConfig:
-    localized = cfg.get("localized", False)
-    if not isinstance(localized, bool):
-        raise InvalidArgument(f"localized must be true or false, got {localized!r}")
     return MCConfig(lattice=_cfg_lattice(cfg),
-                    trials=_cfg_int(_cfg_get(cfg, "trials"), "trials"),
-                    master_seed=_cfg_int(_cfg_get(cfg, "seed"), "seed"),
-                    localized=localized)
+                    trials=read_whole(_cfg_get(cfg, "trials"), "trials"),
+                    master_seed=read_whole(_cfg_get(cfg, "seed"), "seed"),
+                    localized=cfg.get("localized", False))
 
 
 def _cfg_window(w) -> Rect:
@@ -821,34 +812,37 @@ def _cfg_window(w) -> Rect:
 
 
 def _cfg_pairs(raw, spec: LatticeSpec):
-    """An explicit pair list, or {window, seed, count} sampled on spec."""
+    """An explicit pair list, or {window, seed, count} sampled on spec, with
+    count in 1.._MAX_TRIALS so that a draw stays bounded."""
     if isinstance(raw, dict):
         window = _cfg_window(_cfg_get(raw, "window"))
-        return _distinct_pairs(_cfg_int(_cfg_get(raw, "seed"), "seed"), spec, window,
-                               _cfg_int(_cfg_get(raw, "count"), "count"))
+        seed = uint64(read_whole(_cfg_get(raw, "seed"), "seed"), "seed")
+        count = read_whole(_cfg_get(raw, "count"), "count", 1, _MAX_TRIALS)
+        return _distinct_pairs(seed, spec, window, count)
     point = partial(_cfg_numbers, count=2, what="a point of pairs")
     return [(point(z), point(w)) for z, w in raw]
 
 
 def _value(parse: Callable) -> Callable:
-    """Parser of the config value stored under the parameter's own name."""
-    return lambda cfg, key, done: parse(_cfg_get(cfg, key))
+    """Parser of a config value that needs nothing else."""
+    return lambda raw, key, done: parse(raw)
 
 
-# Runner parameter -> parser(config, key, parameters parsed so far), applied
-# in this order: `pairs` snaps to the lattice of the `field` or `mc` before it.
-_PARSERS: Dict[str, Callable[[dict, str, dict], object]] = {
+# Runner parameter -> parser(config value, parameter, parameters parsed so
+# far), applied in this order: `pairs` snaps to the lattice of the `field`
+# or `mc` before it.  A `field` is parsed into the call that samples it.
+_PARSERS: Dict[str, Callable[[object, str, dict], object]] = {
     "field": _value(_cfg_field),
     "mc": _value(_cfg_mc),
-    "pairs": lambda cfg, key, done: _cfg_pairs(_cfg_get(cfg, key), (
-        done["field"].spec if "field" in done else done["mc"].lattice)),
-    "params": lambda cfg, key, done: Params(xi=float(_cfg_get(cfg, "xi"))),
+    "pairs": lambda raw, key, done: _cfg_pairs(raw, (
+        done["field"].args[0] if "field" in done else done["mc"].lattice)),
+    "params": _value(lambda raw: Params(xi=read_real(raw, "xi"))),
     "window": _value(_cfg_window),
-    "n_ladder": _value(lambda values: [_cfg_int(v, "n_ladder entry") for v in values]),
-    **dict.fromkeys(("eps_ladder", "r_set"),
-                    _value(lambda values: [float(v) for v in values])),
+    "n_ladder": _value(lambda values: [read_whole(v, "n_ladder entry") for v in values]),
+    **dict.fromkeys(("eps_ladder", "r_set"), lambda values, key, done: [
+        read_real(v, f"{key} entry") for v in values]),
     **dict.fromkeys(("epsilon", "c", "a", "q_hat", "alpha", "gamma", "eta", "zeta"),
-                    _value(float)),
+                    lambda raw, key, done: read_real(raw, key)),
 }
 
 
@@ -857,9 +851,10 @@ def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
 
     The config keys are the runner's parameter names, except that `params`
     is read from `xi`.  A malformed value is an InvalidArgument naming its
-    key.  `workers` is the process-pool size of a parsed `mc`
-    (MCConfig.workers); it never changes the report, and every experiment
-    checks it before parsing the config, which samples any `field`.
+    key.  Every value is read and checked before any `field` is sampled.
+    `workers` is the process-pool size of a parsed `mc` (MCConfig.workers);
+    it never changes the report, and every experiment checks it before
+    parsing the config.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -870,11 +865,15 @@ def run_experiment(name: str, cfg: dict, workers: int = 1) -> ExperimentReport:
     args = {}
     for key, parse in _PARSERS.items():
         if key in wanted:
+            raw = _cfg_get(cfg, "xi" if key == "params" else key)
             try:
-                args[key] = parse(cfg, key, args)
-            except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+                args[key] = parse(raw, key, args)
+            except (TypeError, ValueError, KeyError, IndexError, OverflowError,
+                    InvalidArgument) as exc:
                 raise InvalidArgument(
                     f"experiment config key '{key}' is malformed: {exc}") from None
+    if "field" in args:
+        args["field"] = args["field"]()
     if "mc" in args:
         args["mc"] = replace(args["mc"], workers=workers)
     return run(**args)

@@ -45,6 +45,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 from scipy import fft as sfft
 
+from ._rules import real, uint64, whole
 from .errors import (
     InvalidArgument,
     InvalidSpec,
@@ -83,10 +84,7 @@ class Params:
     xi: float                      # metric coupling, > 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.xi, (int, float)) and math.isfinite(self.xi)):
-            raise InvalidSpec("xi must be a finite number")
-        if self.xi <= 0:
-            raise InvalidSpec(f"xi must be > 0, got {self.xi}")
+        real(self.xi, "xi", gt=0, error=InvalidSpec)
 
     @property
     def supercritical(self) -> bool:
@@ -107,18 +105,15 @@ class LatticeSpec:
     origin: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InvalidSpec(f"n must be an integer >= 2, got {self.n!r}")
+        whole(self.n, "n", 2, error=InvalidSpec)
         if self.n & (self.n - 1) != 0:
             raise InvalidSpec(f"n must be a power of two, got {self.n}")
         if self.n > _MAX_N:
             raise InvalidSpec(f"n must be at most {_MAX_N}, got {self.n}")
-        if not (isinstance(self.spacing, (int, float))
-                and math.isfinite(self.spacing) and self.spacing > 0):
-            raise InvalidSpec(f"spacing must be finite and > 0, got {self.spacing!r}")
+        real(self.spacing, "spacing", gt=0, error=InvalidSpec)
         ox, oy = self.origin
-        if not (math.isfinite(ox) and math.isfinite(oy)):
-            raise InvalidSpec("origin coordinates must be finite")
+        real(ox, "origin coordinate", error=InvalidSpec)
+        real(oy, "origin coordinate", error=InvalidSpec)
 
     @property
     def side(self) -> float:
@@ -143,8 +138,8 @@ class LatticeSpec:
         """
         ox, oy = self.origin
         x, y = point
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidArgument("point coordinates must be finite")
+        real(x, "point coordinate")
+        real(y, "point coordinate")
         u = (x - ox) / self.spacing - 0.5
         v = (y - oy) / self.spacing - 0.5
         # 0 <= ceil(c) < n, tested on c, which is inf for a finite point
@@ -210,8 +205,7 @@ class FieldSample:
 
     def __post_init__(self) -> None:
         _check_values(self.spec, self.values)
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
-            raise InvalidSpec(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        uint64(self.seed, "seed", error=InvalidSpec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +224,7 @@ class MollifiedField:
     def __post_init__(self) -> None:
         _check_values(self.spec, self.values, self.offset)
         check_scale(self.spec, self.epsilon)
-        if not (0.0 < self.z_epsilon <= 1.0):
-            raise InvalidSpec(f"z_epsilon must lie in (0, 1], got {self.z_epsilon}")
+        real(self.z_epsilon, "z_epsilon", gt=0, le=1, error=InvalidSpec)
 
     @property
     def box(self) -> Box:
@@ -282,8 +275,7 @@ def sample_torus_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     """
     if spec.n < 8:
         raise InvalidSpec(f"torus sampling needs n >= 8, got {spec.n}")
-    if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
-        raise InvalidArgument(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    uint64(seed, "seed")
     n = spec.n
     rng = np.random.default_rng(seed)
     modes = np.fft.rfft2(rng.standard_normal((n, n)))
@@ -303,8 +295,7 @@ def sample_dirichlet_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     """
     if spec.n < 8:
         raise InvalidSpec(f"dirichlet sampling needs n >= 8, got {spec.n}")
-    if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
-        raise InvalidArgument(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    uint64(seed, "seed")
     n = spec.n
     side = (n - 1) * spec.spacing
     modes = np.arange(1, n - 1, dtype=np.float64)
@@ -326,7 +317,7 @@ SAMPLERS: Dict[str, Callable[[LatticeSpec, int], FieldSample]] = {
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation helpers
+# interpolation
 # ---------------------------------------------------------------------------
 
 def _bilinear(values: np.ndarray, col: np.ndarray, row: np.ndarray,
@@ -356,46 +347,14 @@ def _bilinear(values: np.ndarray, col: np.ndarray, row: np.ndarray,
             + tr * ((1.0 - tc) * v10 + tc * v11))
 
 
-def circle_average(field: FieldSample, z: Tuple[float, float], r: float) -> float:
-    """Average of the field over the circle of radius r about z.
-
-    The circle is sampled at m = max(64, ceil(2*pi*r/spacing)) equally spaced
-    angles and each sample is bilinearly interpolated.  The circle must lie
-    inside the lattice domain.
-    """
-    if not (math.isfinite(r) and r > 0):
-        raise InvalidArgument(f"radius must be finite and > 0, got {r}")
-    spec = field.spec
-    ox, oy = spec.origin
-    x, y = z
-    extent = (spec.n - 1) * spec.spacing
-    if (x - r < ox or x + r > ox + extent or y - r < oy or y + r > oy + extent):
-        raise OutOfDomain(f"circle of radius {r} about {z} exits the lattice domain")
-    m = max(64, math.ceil(2.0 * np.pi * r / spec.spacing))
-    theta = 2.0 * np.pi * np.arange(m) / m
-    px = (x + r * np.cos(theta) - ox) / spec.spacing
-    py = (y + r * np.sin(theta) - oy) / spec.spacing
-    return float(_bilinear(field.values, px, py, wrap=False).mean())
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
-def heat_kernel(r, t: float):
-    """Radial planar heat kernel p_t(r) = exp(-r^2 / (2t)) / (2*pi*t)."""
-    if not (math.isfinite(t) and t > 0):
-        raise InvalidArgument(f"t must be finite and > 0, got {t}")
-    rr = np.abs(np.asarray(r, dtype=np.float64))
-    out = np.exp(-(rr * rr) / (2.0 * t)) / (2.0 * np.pi * t)
-    return float(out) if np.isscalar(r) else out
-
-
 def _window_radius(epsilon: float) -> float:
     """rho = epsilon * log(1/epsilon), the truncation window's radius, for
     0 < epsilon < 1/e, where rho > 0 and grows as epsilon shrinks."""
-    if not (0.0 < epsilon < math.exp(-1.0)):
-        raise InvalidArgument(f"epsilon must lie in (0, 1/e), got {epsilon}")
+    real(epsilon, "epsilon", gt=0, lt=math.exp(-1.0))
     return epsilon * math.log(1.0 / epsilon)
 
 
@@ -442,8 +401,7 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
     quadrature step never exceeds spacing/4.
     """
     rho = _window_radius(epsilon)
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise InvalidArgument(f"spacing must be finite and > 0, got {spacing}")
+    real(spacing, "spacing", gt=0)
     from scipy.integrate import simpson   # imported here to keep start-up light
     step = min(spacing / 4.0, rho / 8192.0)
     count = int(math.ceil((rho / 2.0) / step)) + 1
@@ -461,10 +419,9 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
 # ---------------------------------------------------------------------------
 
 def check_scale(spec: LatticeSpec, epsilon: float) -> None:
-    """The smoothing-scale floor: InvalidArgument for a non-finite epsilon,
-    MollificationTooFine below 2*spacing."""
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
-        raise InvalidArgument(f"epsilon must be finite, got {epsilon!r}")
+    """The smoothing-scale floor: InvalidArgument for an epsilon that is
+    not a finite real, MollificationTooFine below 2*spacing."""
+    real(epsilon, "epsilon")
     if epsilon < 2.0 * spec.spacing:
         raise MollificationTooFine(
             f"epsilon = {epsilon} is below 2*spacing = {2.0 * spec.spacing}")
@@ -643,14 +600,16 @@ def add_function(field: FieldSample, f: Callable) -> FieldSample:
 
 
 def _is_pow2(x: float) -> bool:
-    """True when x is exactly 2^k for an integer k."""
-    return math.isfinite(x) and x > 0 and math.frexp(x)[0] == 0.5
+    """True when x, a finite real, is exactly 2^k for an integer k (frexp's
+    mantissa is negative below 0 and 0 at 0)."""
+    return math.frexp(x)[0] == 0.5
 
 
-def _dyadic_exponent(a: float) -> int:
-    """k with a == 2^k exactly; InvalidArgument for any other a."""
-    if not (isinstance(a, (int, float)) and _is_pow2(a)):
-        raise InvalidArgument(f"scale factor must be a power of two, got {a!r}")
+def _dyadic_exponent(a: float, what: str = "scale factor") -> int:
+    """k with a == 2^k exactly; InvalidArgument naming `what` for any
+    other a."""
+    if not _is_pow2(real(a, what)):
+        raise InvalidArgument(f"{what} must be a power of two, got {a!r}")
     return math.frexp(a)[1] - 1
 
 
@@ -670,8 +629,9 @@ def rescale_field(field: FieldSample, a: float, b: Tuple[float, float],
     if abs(k) > int(math.log2(n)) - 3:
         raise InvalidArgument(
             f"|log2(a)| = {abs(k)} exceeds log2(n) - 3 = {int(math.log2(n)) - 3}")
-    if not math.isfinite(q_hat):
-        raise InvalidArgument("q_hat must be finite")
+    real(q_hat, "q_hat")
+    for c in b:
+        real(c, "b coordinate")
     ox, oy = spec.origin
     bx_f = (b[0] - ox) / delta
     by_f = (b[1] - oy) / delta

@@ -58,6 +58,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from ._rules import real
 from .errors import (
     DegenerateAnnulus,
     EmptyRegion,
@@ -76,8 +77,8 @@ _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
 
 
 def _check_finite(what: str, point: Tuple[float, float]) -> None:
-    if not all(math.isfinite(c) for c in point):
-        raise InvalidArgument(f"{what} must be finite, got {point}")
+    for c in point:
+        real(c, what)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +94,7 @@ class Disk:
 
     def __post_init__(self) -> None:
         _check_finite("disk center", self.center)
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InvalidArgument(f"disk radius must be > 0, got {self.radius}")
+        real(self.radius, "disk radius", gt=0)
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,8 @@ class Annulus:
 
     def __post_init__(self) -> None:
         _check_finite("annulus center", self.center)
-        ok = (math.isfinite(self.r_inner) and math.isfinite(self.r_outer)
-              and 0 < self.r_inner < self.r_outer)
-        if not ok:
-            raise InvalidArgument(
-                f"annulus radii must satisfy 0 < r_inner < r_outer, "
-                f"got ({self.r_inner}, {self.r_outer})")
+        real(self.r_inner, "annulus r_inner", gt=0)
+        real(self.r_outer, "annulus r_outer", gt=self.r_inner)
 
     @property
     def width(self) -> float:
@@ -301,8 +297,7 @@ def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
     The grid covers the sites `moll` covers (its box).  Queries restrict
     paths to a region through their own region arguments.
     """
-    if not (isinstance(xi, (int, float)) and math.isfinite(xi) and xi > 0):
-        raise InvalidArgument(f"xi must be a positive finite real, got {xi}")
+    real(xi, "xi", gt=0)
     site_cost = np.exp(float(xi) * moll.values)
     if not (np.isfinite(site_cost) & (site_cost > 0.0)).all():
         raise InvalidArgument(

@@ -34,12 +34,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hin
 
 import numpy as np
 
+from ._rules import boolean, real, uint64, whole
 from .cache import cache_key
 from .errors import DegenerateFit, InsufficientTrials, InvalidArgument
 from .gff import (
     LatticeSpec,
     Params,
-    _is_pow2,
+    _dyadic_exponent,
     check_scale,
     mollify,
     mollify_localized,
@@ -58,7 +59,6 @@ _BOOT_BLOCK = 2 ** 20     # bootstrap index entries drawn and gathered at a time
 _BOOT_KEY = 0xB007        # spawn key reserved for the bootstrap stream
 _FIT_MIN_POINTS = 4
 _FIT_MIN_SPAN = 8.0       # required max/min ratio of the epsilon ladder
-_CERT_SLACK = 1.05        # coarse-half certificate must extend within this
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,8 @@ _CERT_SLACK = 1.05        # coarse-half certificate must extend within this
 # ---------------------------------------------------------------------------
 
 def _check_workers(workers: int) -> None:
-    """The pool-size rule (`--threads`): an integer in 1.._MAX_WORKERS."""
-    if not (isinstance(workers, int) and 1 <= workers <= _MAX_WORKERS):
-        raise InvalidArgument(f"workers (--threads) must be in 1..{_MAX_WORKERS}, got {workers}")
+    """The pool-size rule (`--threads`): a whole number in 1.._MAX_WORKERS."""
+    whole(workers, "workers (--threads)", 1, _MAX_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,10 @@ class MCConfig:
     workers: int = 1          # process-pool size; never part of an estimate
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, int) and 1 <= self.trials <= _MAX_TRIALS):
-            raise InvalidArgument(
-                f"trials must be an integer in 1..{_MAX_TRIALS}, got {self.trials}")
+        whole(self.trials, "trials", 1, _MAX_TRIALS)
         _check_workers(self.workers)
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):
-            raise InvalidArgument("master_seed must be a uint64")
+        uint64(self.master_seed, "master_seed")
+        boolean(self.localized, "localized")
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,7 @@ class MedianEstimate:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not (self.median > 0 and math.isfinite(self.median)):
-            raise InvalidArgument(f"median must be positive, got {self.median}")
+        real(self.median, "median", gt=0)
         if not (self.ci_lo <= self.median <= self.ci_hi):
             raise InvalidArgument("confidence interval must bracket the median")
 
@@ -137,28 +133,6 @@ class RatioSeries:
     r: float
     rows: Tuple[Tuple[float, float], ...]     # (epsilon, rho)
     q_hat_used: float
-
-
-@dataclass(frozen=True)
-class LogCorrectionReport:
-    """Certificate check for power-law bounds with log-power corrections.
-
-    s(eps) = median / eps^(1 - xi * q_hat); `upper` is the ladder maximum of
-    s * (log 1/eps)^(-b), `lower` the minimum of s * (log 1/eps)^b, and
-    c_constant = max(upper, 1/lower) certifies both two-sided bounds on the
-    tested ladder.  `certified` additionally requires that the constant
-    fitted on the coarse half of the ladder keeps working on the whole
-    ladder within a 1.05 slack, so genuine extra log factors fail.
-    """
-
-    b: float
-    q_hat_used: float
-    upper: float
-    lower: float
-    c_constant: float
-    c_coarse: float
-    certified: bool
-    rows: Tuple[Tuple[float, float, float, float], ...]  # (eps, s, s_up, s_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +324,13 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     q_hat, it is `fit_exponent` of the eps rungs' estimates (DegenerateFit
     when they cannot carry a fit, raised before any trial runs).
     """
-    if q_hat is not None and not math.isfinite(q_hat):
-        raise InvalidArgument(f"q_hat must be finite, got {q_hat}")
+    if q_hat is not None:
+        real(q_hat, "q_hat")
     if not eps_ladder:
         raise InvalidArgument("ladder needs at least one rung")
-    if not _is_pow2(r):
-        raise InvalidArgument(f"scale factor r must be a power of two, got {r}")
+    _dyadic_exponent(r, "scale factor r")
+    for eps in eps_ladder:   # `estimate_ladder` checks each rung's scale floor
+        real(eps, "epsilon")
     if q_hat is None:   # the fit's ladder check needs no trial
         _check_ladder(np.asarray(eps_ladder, dtype=np.float64))
     estimates = estimate_ladder([*eps_ladder, *(eps / r for eps in eps_ladder)],
@@ -366,50 +341,3 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
     rows = [(float(eps), r ** expo * (a2.median / a1.median))
             for eps, a1, a2 in zip(eps_ladder, estimates, estimates[len(eps_ladder):])]
     return RatioSeries(r=float(r), rows=tuple(rows), q_hat_used=float(q_hat))
-
-
-def log_correction_check(estimates: Sequence[MedianEstimate], params: Params,
-                         b: float, q_hat: float) -> LogCorrectionReport:
-    """Two-sided power-law certificate with log-power slack b.
-
-    The constant is fitted on the coarse half of the ladder and must keep
-    certifying the full ladder within a 1.05 factor; exact power laws pass,
-    data with genuine extra (log 1/eps)^(2b) factors fail on wide ladders.
-    """
-    if not (math.isfinite(b) and b > 0):
-        raise InvalidArgument(f"b must be positive, got {b}")
-    eps, med = _ladder_arrays(estimates)
-    _check_ladder(eps)
-    expo = 1.0 - params.xi * q_hat
-    s = med / eps ** expo
-    logs = np.log(1.0 / eps)
-    s_up = s * logs ** (-b)
-    s_lo = s * logs ** b
-    upper = float(s_up.max())
-    lower = float(s_lo.min())
-    c_full = max(upper, 1.0 / lower)
-    # Coarse half = the largest epsilons (eps sorted ascending -> tail half).
-    half = len(eps) - (len(eps) // 2)
-    coarse = slice(len(eps) - half, len(eps))
-    c_coarse = max(float(s_up[coarse].max()), 1.0 / float(s_lo[coarse].min()))
-    certified = c_full <= _CERT_SLACK * c_coarse
-    rows = tuple(zip(eps.tolist(), s.tolist(), s_up.tolist(), s_lo.tolist()))
-    return LogCorrectionReport(b=float(b), q_hat_used=float(q_hat), upper=upper,
-                               lower=lower, c_constant=c_full, c_coarse=c_coarse,
-                               certified=bool(certified), rows=rows)
-
-
-def ladders_overlap(est_a: Sequence[MedianEstimate],
-                    est_b: Sequence[MedianEstimate]) -> bool:
-    """True when matching-epsilon estimates have overlapping 95% CIs.
-
-    Used to accept a ladder only when it is stable across lattice sizes.
-    """
-    by_eps = {e.epsilon: e for e in est_a}
-    if set(by_eps) != {e.epsilon for e in est_b}:
-        raise InvalidArgument("ladders cover different epsilon sets")
-    for e2 in est_b:
-        e1 = by_eps[e2.epsilon]
-        if max(e1.ci_lo, e2.ci_lo) > min(e1.ci_hi, e2.ci_hi):
-            return False
-    return True

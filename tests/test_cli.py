@@ -1,8 +1,10 @@
 """Command-line driver: exit codes, manifests, caching, byte determinism."""
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -754,6 +756,18 @@ class TestExp:
         assert not (tmp_path / "rep.json").exists()
 
 
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # json.load refuses an int literal of more than 4300 digits
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(self.SCALE_CFG).replace(
+            '"a": 2', '"a": 1' + "0" * 5000), encoding="utf-8")
+        code = main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "experiment config" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+
 class TestEmptyInputs:
     """An empty pair list, radius set or ladder is a validation error, never
     a report over zero rows."""
@@ -1031,17 +1045,27 @@ def _replay_argv(manifest, in_dir, out_dir):
     return argv
 
 
+def _subcommands(parser):
+    """{word: subparser} of a parser's commands; empty for a leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs[0].choices if subs else {}
+
+
+def _options(argv):
+    """{dest: action} of the options of the (sub)parser argv's leading
+    command words select."""
+    parser = cli._build_parser()
+    for word in argv:
+        if word not in _subcommands(parser):
+            break
+        parser = _subcommands(parser)[word]
+    return {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
 def _option_dests(argv):
     """The dests of the options of the (sub)parser argv's leading command
     words select, minus --threads and --cache-dir."""
-    parser = cli._build_parser()
-    for word in argv:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs or word not in subs[0].choices:
-            break
-        parser = subs[0].choices[word]
-    return {a.dest for a in parser._actions
-            if not isinstance(a, argparse._HelpAction)} - {"threads", "cache_dir"}
+    return set(_options(argv)) - {"threads", "cache_dir"}
 
 
 class TestManifestReplay:
@@ -1278,3 +1302,243 @@ class TestGoldenBytes:
                          "--seed", "28", "--out", str(tmp_path / name)] + flags) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in self.RATIO_128} == self.RATIO_128
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the largest float
+        return False
+
+
+def _commands(parser, words=()):
+    """(words, parser) of every leaf command, such as (("field", "sample"), p)."""
+    subs = _subcommands(parser)
+    if not subs:
+        return [(words, parser)]
+    return [leaf for word, sub in subs.items() for leaf in _commands(sub, words + (word,))]
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Recording fakes for every sampler, trial loop and process pool; the
+    list holds the name of each one that was called."""
+    import lfpp.experiments as experiments
+    import lfpp.renorm as renorm
+    calls = []
+
+    def fake(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "SAMPLERS",
+                            {kind: fake(kind) for kind in module.SAMPLERS})
+    for module in (experiments, renorm):
+        monkeypatch.setattr(module, "sample_torus_gff", fake("sample_torus_gff"))
+        monkeypatch.setattr(module, "run_trials", fake("run_trials"))
+    monkeypatch.setattr(renorm, "ProcessPoolExecutor", fake("ProcessPoolExecutor"))
+    monkeypatch.delenv("LFPP_CACHE", raising=False)
+    clear_estimate_cache()
+    return calls
+
+
+class TestOneNumberRule:
+    """Every number that reaches lfpp from a command line or an experiment
+    config obeys one rule: a whole number is an integer that is not a bool,
+    a finite real is a finite number that is not a bool, a boolean is
+    exactly a bool, and a string is never a number.  A value its rule
+    rejects exits 1 before any field is sampled, trial run or pool started.
+
+    The tables below state each input's rule on its own, apart from lfpp's
+    code; a value they admit may still be refused later (a pair outside the
+    lattice, a scale below its floor), and is not run here."""
+
+    VALUES = [-1, 0, math.nan, math.inf, 1e308, 2 ** 63, True, False, "64", "0.25",
+              [], 10 ** 400]
+
+    # -- the command line: argparse parses a flag's text by its type first
+    WHOLE_FLAGS = {
+        "n": lambda v: 2 <= v <= 4096 and v & (v - 1) == 0,
+        "seed": lambda v: 0 <= v < 2 ** 64,
+        "trials": lambda v: 1 <= v <= 2 ** 15,
+        "threads": lambda v: 1 <= v <= 256,
+    }
+    REAL_FLAGS = {   # every base command smooths at spacing 4/32: floor 0.25
+        "xi": lambda v: v > 0, "eps": lambda v: v >= 0.25,
+        "r": lambda v: math.frexp(v)[0] == 0.5, "q_hat": lambda v: True,
+        "spacing": lambda v: v > 0,
+        "origin": lambda v: True, "from": lambda v: True, "to": lambda v: True,
+    }
+    POINT_FLAGS = {"origin", "from", "to"}   # the value goes in as "v,1.0"
+    TEXT_FLAGS = {"out", "field", "config", "csv", "in", "cache_dir", "kind", "name",
+                  "within", "around", "crossing", "emit_path", "emit_gnuplot",
+                  "localized"}
+    BASE = {   # {dir} is the test's directory
+        ("field", "sample"): ["--n", "32", "--seed", "1", "--out", "{dir}/o.lfpf"],
+        ("dist",): ["--field", "{dir}/f.lfpf", "--eps", "0.5", "--xi", "0.2",
+                    "--from", "1,1", "--to", "2,2", "--out", "{dir}/o.json"],
+        ("a-eps",): ["--xi", "0.2", "--eps", "0.5", "--n", "32", "--trials", "20",
+                     "--seed", "7", "--out", "{dir}/o.json"],
+        ("fit",): ["--in", "{dir}/est", "--xi", "0.2", "--out", "{dir}/o.json"],
+        ("ratio",): ["--xi", "0.2", "--eps", "0.5", "--r", "1", "--q-hat", "2.5",
+                     "--n", "32", "--trials", "20", "--seed", "7",
+                     "--out", "{dir}/o.json"],
+        ("exp",): ["weyl_shift_test", "--config", "{dir}/cfg.json",
+                   "--out", "{dir}/o.json"],
+        ("cache-info",): ["--cache-dir", "{dir}/cache"],
+    }
+
+    @classmethod
+    def _flag_admits(cls, dest, text):
+        try:
+            value = int(text) if dest in cls.WHOLE_FLAGS else float(text)
+        except ValueError:
+            return False
+        rule = cls.WHOLE_FLAGS.get(dest) or cls.REAL_FLAGS[dest]
+        return (dest in cls.WHOLE_FLAGS or _finite(value)) and rule(value)
+
+    @classmethod
+    @functools.cache
+    def _flag_cases(cls):
+        """(command words, option string, text) for every numeric option
+        of every command and every value its rule rejects."""
+        cases = []
+        for words, parser in _commands(cli._build_parser()):
+            for dest, action in _options(words).items():
+                if dest in cls.TEXT_FLAGS:
+                    continue
+                for value in cls.VALUES:
+                    text = str(value) + (",1.0" if dest in cls.POINT_FLAGS else "")
+                    if not cls._flag_admits(dest, str(value)):
+                        cases.append((words, action.option_strings[0], text))
+        return cases
+
+    # -- experiment configs: JSON values as json.load reads them
+    WHOLE_KEYS = {
+        "n": lambda v: 2 <= v <= 4096 and v & (v - 1) == 0,
+        "seed": lambda v: 0 <= v < 2 ** 64,
+        "trials": lambda v: 1 <= v <= 2 ** 15,
+        "count": lambda v: 1 <= v <= 2 ** 15,
+        "n_ladder": lambda v: True,
+    }
+    REAL_KEYS = {"xi": lambda v: v > 0, "spacing": lambda v: v > 0,
+                 **dict.fromkeys(("origin", "window", "pairs", "eps_ladder", "r_set",
+                                  "epsilon", "c", "a", "q_hat", "alpha", "gamma",
+                                  "eta", "zeta"), lambda v: True)}
+
+    @classmethod
+    def _key_admits(cls, key, value):
+        if key == "localized":
+            return isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        if key in cls.WHOLE_KEYS:
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)   # JSON's 64.0 reads as 64
+            return isinstance(value, int) and cls.WHOLE_KEYS[key](value)
+        return _finite(value) and cls.REAL_KEYS[key](value)
+
+    @staticmethod
+    def _filled(cfg):
+        """The config with every optional lattice and Monte Carlo key spelled
+        out at its default, so that each is a path to replace."""
+        cfg = json.loads(json.dumps(cfg))
+        for key in ("field", "mc"):
+            if key in cfg:
+                cfg[key] = {"spacing": 4.0 / cfg[key]["n"], "origin": [0.0, 0.0],
+                            **cfg[key]}
+        if "mc" in cfg:
+            cfg["mc"].setdefault("localized", False)
+        return cfg
+
+    @classmethod
+    def _leaves(cls, node, path=(), key=None):
+        """(path, key) of every number and bool in a config, key being the
+        last dict key on the path."""
+        if isinstance(node, dict):
+            return [leaf for k, v in node.items() for leaf in cls._leaves(v, path + (k,), k)]
+        if isinstance(node, list):
+            return [leaf for i, v in enumerate(node)
+                    for leaf in cls._leaves(v, path + (i,), key)]
+        return [(path, key)] if isinstance(node, (bool, int, float)) else []
+
+    @classmethod
+    @functools.cache
+    def _config_cases(cls):
+        cases = []
+        for name, (cfg, *_) in TestExperimentGoldenBytes.CASES.items():
+            for path, key in cls._leaves(cls._filled(cfg)):
+                cases += [(name, path, value) for value in cls.VALUES
+                          if not cls._key_admits(key, value)]
+        return cases
+
+    def test_every_input_has_a_rule(self):
+        flags = {dest for words, _ in _commands(cli._build_parser())
+                 for dest in _options(words)}
+        assert flags == set(self.WHOLE_FLAGS) | set(self.REAL_FLAGS) | self.TEXT_FLAGS
+        assert set(self.BASE) == {words for words, _ in _commands(cli._build_parser())}
+        from lfpp.experiments import _PARSERS
+        keys = {key for cfg, *_ in TestExperimentGoldenBytes.CASES.values()
+                for _, key in self._leaves(self._filled(cfg))}
+        assert keys == set(self.WHOLE_KEYS) | set(self.REAL_KEYS) | {"localized"}
+        top = {key for cfg, *_ in TestExperimentGoldenBytes.CASES.values() for key in cfg}
+        assert top == {"xi" if key == "params" else key for key in _PARSERS}
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory holding the files the base commands read."""
+        d = tmp_path_factory.mktemp("inputs")
+        assert main(["field", "sample", "--n", "32", "--seed", "3",
+                     "--out", str(d / "f.lfpf")]) == 0
+        (d / "est").mkdir()
+        for k, eps in enumerate((0.5, 0.25, 0.125, 0.0625)):
+            (d / "est" / f"e{k}.json").write_text(json.dumps(
+                {"epsilon": eps, "median": eps ** 0.5, "trials": 20, "ci_lo": 0.9 * eps ** 0.5,
+                 "ci_hi": 1.1 * eps ** 0.5, "master_seed": 1}), encoding="utf-8")
+        (d / "cfg.json").write_text(json.dumps(
+            TestExperimentGoldenBytes.CASES["weyl_shift_test"][0]), encoding="utf-8")
+        return d
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_rejected_flag_exits_one_before_any_work(self, inputs, no_work, data):
+        words, option, text = data.draw(st.sampled_from(self._flag_cases()))
+        argv = [*words, *(a.format(dir=inputs) for a in self.BASE[words]),
+                f"{option}={text}"]
+        no_work.clear()
+        assert main(argv) == 1, argv
+        assert no_work == [], argv
+        assert not (inputs / "o.json").exists() and not (inputs / "o.lfpf").exists()
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_rejected_config_value_exits_one_before_any_work(self, tmp_path, no_work,
+                                                             data):
+        name, path, value = data.draw(st.sampled_from(self._config_cases()))
+        cfg = self._filled(TestExperimentGoldenBytes.CASES[name][0])
+        node = cfg
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        no_work.clear()
+        assert main(["exp", name, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o.json")]) == 1, (name, path, value)
+        assert no_work == [], (name, path, value)
+        assert not (tmp_path / "o.json").exists()
+
+    def test_pair_count_above_the_cap_exits_one_before_any_draw(self, tmp_path,
+                                                               monkeypatch, capsys):
+        import lfpp.experiments as experiments
+        draws = []
+        monkeypatch.setattr(experiments, "_draw_pairs",
+                            lambda *args: draws.append(args) or [])
+        cfg = dict(TestExperimentGoldenBytes.CASES["weyl_shift_test"][0])
+        cfg["pairs"] = dict(cfg["pairs"], count=2 ** 40)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["exp", "weyl_shift_test", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert draws == []
+        assert "count must be a whole number in 1..32768" in capsys.readouterr().err

@@ -211,6 +211,8 @@ class TestFieldContinuity:
             field_continuity_check(field64, 0.5, [10, 8], WINDOW)
         with pytest.raises(MollificationTooFine):
             field_continuity_check(field64, 0.5, [8, 100], WINDOW)
+        with pytest.raises(InvalidArgument):   # no float holds it
+            field_continuity_check(field64, 0.5, [8, 10 ** 400], WINDOW)
 
 
 class TestFieldSupBound:

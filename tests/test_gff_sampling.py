@@ -1,4 +1,4 @@
-"""Field samplers: determinism, covariance structure, evaluation helpers."""
+"""Field samplers: determinism, covariance structure, field arithmetic."""
 
 import math
 
@@ -15,8 +15,6 @@ from lfpp import (
     OutOfDomain,
     Params,
     add_function,
-    circle_average,
-    heat_kernel,
     rescale_field,
     sample_dirichlet_gff,
     sample_torus_gff,
@@ -224,38 +222,6 @@ class TestDirichletSampler:
             vals = np.array(prods[(a, b)])
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - frozen) <= 4.0 * se
-
-
-class TestEvaluationHelpers:
-    def test_circle_average_is_linear_in_shifts(self):
-        spec = LatticeSpec(n=32, spacing=0.125)
-        f = sample_torus_gff(spec, 5)
-        base = circle_average(f, (2.0, 2.0), 0.5)
-        assert math.isfinite(base)
-        shifted = circle_average(add_function(f, lambda x, y: x - 1.0), (2.0, 2.0), 0.5)
-        # bilinear sampling is linear, so the plane shift passes through;
-        # the x part averages to the center abscissa over the full circle
-        assert shifted == pytest.approx(base + 2.0 - 1.0, abs=1e-9)
-
-    def test_circle_average_domain_check(self):
-        spec = LatticeSpec(n=32, spacing=0.125)
-        f = sample_torus_gff(spec, 5)
-        with pytest.raises(OutOfDomain):
-            circle_average(f, (0.1, 2.0), 0.5)
-        with pytest.raises(InvalidArgument):
-            circle_average(f, (2.0, 2.0), -0.1)
-
-    def test_heat_kernel_shape(self):
-        assert heat_kernel(0.0, 0.5) == pytest.approx(1.0 / (2.0 * math.pi * 0.5))
-        r = np.array([0.0, 0.3, 1.0])
-        out = heat_kernel(r, 0.02)
-        assert out.shape == (3,) and np.all(np.diff(out) < 0)
-        # unit mass: 2*pi*int r p_t(r) dr = 1
-        rr = np.linspace(0.0, 3.0, 20001)
-        mass = np.trapezoid(2.0 * math.pi * rr * heat_kernel(rr, 0.02), rr)
-        assert mass == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(InvalidArgument):
-            heat_kernel(1.0, 0.0)
 
 
 class TestAddFunction:

@@ -25,8 +25,6 @@ from lfpp import (
     estimate_a_eps,
     estimate_ladder,
     fit_exponent,
-    ladders_overlap,
-    log_correction_check,
     scaling_ratio,
 )
 from lfpp import annulus_event_stats, cache, renorm, scale_covariance_test
@@ -61,12 +59,12 @@ KEY_MOVES = {
 }
 
 
-def synthetic_ladder(eps_list, med_fn, rel_ci=0.05):
+def synthetic_ladder(eps_list, med_fn):
     out = []
     for e in eps_list:
         m = med_fn(e)
         out.append(MedianEstimate(epsilon=e, median=m, trials=50,
-                                  ci_lo=m * (1 - rel_ci), ci_hi=m * (1 + rel_ci),
+                                  ci_lo=0.95 * m, ci_hi=1.05 * m,
                                   master_seed=1))
     return out
 
@@ -442,46 +440,3 @@ class TestScalingRatio:
                             lambda *args: pytest.fail("an estimate ran"))
         with pytest.raises(error):
             scaling_ratio(ladder, 2.0, PARAMS, SMALL_MC, q_hat=2.5)
-
-
-class TestLogCorrection:
-    LADDER = [2.0 ** -k for k in range(2, 10)]
-
-    def test_pure_power_law_certifies(self):
-        est = synthetic_ladder(self.LADDER, lambda e: 3.0 * e ** 0.5)
-        rep = log_correction_check(est, PARAMS, b=0.5, q_hat=2.5)
-        assert rep.certified
-        assert rep.c_constant == rep.c_coarse
-        assert len(rep.rows) == len(self.LADDER)
-
-    def test_genuine_log_factor_fails(self):
-        est = synthetic_ladder(
-            self.LADDER, lambda e: 3.0 * e ** 0.5 * math.log(1.0 / e))
-        rep = log_correction_check(est, PARAMS, b=0.5, q_hat=2.5)
-        assert not rep.certified
-        assert rep.c_constant > 1.05 * rep.c_coarse
-
-    def test_b_must_be_positive(self):
-        est = synthetic_ladder(self.LADDER, lambda e: e ** 0.5)
-        with pytest.raises(InvalidArgument):
-            log_correction_check(est, PARAMS, b=0.0, q_hat=2.5)
-
-
-class TestLaddersOverlap:
-    EPS = [0.5, 0.25, 0.125]
-
-    def test_overlapping_true(self):
-        a = synthetic_ladder(self.EPS, lambda e: e ** 0.4, rel_ci=0.10)
-        b = synthetic_ladder(self.EPS, lambda e: 1.05 * e ** 0.4, rel_ci=0.10)
-        assert ladders_overlap(a, b)
-
-    def test_disjoint_false(self):
-        a = synthetic_ladder(self.EPS, lambda e: e ** 0.4, rel_ci=0.01)
-        b = synthetic_ladder(self.EPS, lambda e: 2.0 * e ** 0.4, rel_ci=0.01)
-        assert not ladders_overlap(a, b)
-
-    def test_mismatched_epsilons_raise(self):
-        a = synthetic_ladder([0.5, 0.25], lambda e: e ** 0.4)
-        b = synthetic_ladder([0.5, 0.125], lambda e: e ** 0.4)
-        with pytest.raises(InvalidArgument):
-            ladders_overlap(a, b)
