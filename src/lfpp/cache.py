@@ -6,7 +6,7 @@ of (operation, NUMERICS_VERSION, numpy and scipy versions, fully resolved
 params) with floats as their hex bit pattern: a 1-ulp change in any
 parameter is a different key, and a new NUMERICS_VERSION, numpy or scipy
 retires every entry.  Hits are verified against the artifact itself (binary
-header for field files, `MedianEstimate.from_dict` for estimates); anything
+header for field files, `renorm._read_estimate` for estimates); anything
 that fails verification is deleted and reported as a miss.  Every store goes
 through `fieldio.atomic_write`, so concurrent runs on one root never see a
 torn artifact and never lose each other's entries.
@@ -31,10 +31,10 @@ NUMERICS_VERSION = 3
 
 
 def _estimate_ok(path: Path) -> bool:
-    from .renorm import MedianEstimate   # renorm imports this module
+    from .renorm import _read_estimate   # renorm imports this module
     try:
-        MedianEstimate.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, KeyError, TypeError, ValueError, InvalidArgument):
+        _read_estimate(path)
+    except InvalidArgument:
         return False
     return True
 

@@ -50,20 +50,13 @@ from .metric import (
 from .renorm import (
     MCConfig,
     MedianEstimate,
+    _read_estimate,
     estimate_a_eps,
     estimate_cache_key,
     fit_exponent,
     scaling_ratio,
 )
 from .experiments import EXPERIMENTS, _cfg_field, _cfg_mc, run_experiment
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _parse_point(text: str) -> Tuple[float, float]:
@@ -281,9 +274,8 @@ def _load_estimates(dir_path: str) -> List[MedianEstimate]:
         if path.name.endswith(".manifest.json"):
             continue
         try:
-            found.append(MedianEstimate.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))))
-        except (KeyError, TypeError, ValueError):   # not an estimate document
+            found.append(_read_estimate(path))
+        except InvalidArgument:   # not an estimate document
             continue
     if not found:
         raise InvalidArgument(f"no estimate JSON files found under {dir_path!r}")
@@ -359,24 +351,24 @@ def _handle_cache_info(ns) -> dict:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lfpp", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lfpp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lfpp {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    pooled = _Parser(add_help=False)
+    pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument("--threads", type=int, default=1,
                         help="Monte Carlo process-pool size; never changes output bytes")
-    lattice = _Parser(add_help=False)   # a LatticeSpec and the seed sampled on it
+    lattice = argparse.ArgumentParser(add_help=False)   # a LatticeSpec and the seed sampled on it
     lattice.add_argument("--n", type=int, required=True)
     lattice.add_argument("--spacing", type=_parse_spacing, default="auto")
     lattice.add_argument("--origin", type=_parse_point, default=(0.0, 0.0))
     lattice.add_argument("--seed", type=int, required=True)
-    mc_flags = _Parser(add_help=False, parents=[lattice, pooled])   # an MCConfig
+    mc_flags = argparse.ArgumentParser(add_help=False, parents=[lattice, pooled])   # an MCConfig
     mc_flags.add_argument("--xi", type=float, required=True)
     mc_flags.add_argument("--trials", type=int, required=True)
     mc_flags.add_argument("--localized", action="store_true")
-    cached = _Parser(add_help=False)
+    cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--cache-dir", default=None,
                         help="cache root (overrides LFPP_CACHE)")
 
@@ -484,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
+    except SystemExit as exc:   # --help and --version exit 0, a usage error 2
         return 0 if exc.code in (0, None) else 1
     if getattr(ns, "handler", None) is None:
         parser.print_usage(sys.stderr)

@@ -37,7 +37,6 @@ steps, `ifft` along the rows axis and `irfft` of each row (see `mollify`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Dict, Optional, Tuple
@@ -163,11 +162,12 @@ def _box_bounds(spec: LatticeSpec, box: Box) -> Tuple[Tuple[int, int], Tuple[int
     not wrap around the lattice."""
     try:
         rows, cols = box
-        bounds = tuple((operator.index(sl.start), operator.index(sl.stop))
-                       for sl in (rows, cols))
+        ends = [(sl.start, sl.stop) for sl in (rows, cols)]
         ok = all(sl.step in (None, 1) for sl in (rows, cols))
     except (TypeError, ValueError, AttributeError):
         raise InvalidArgument(f"box must be a pair of slices, got {box!r}")
+    bounds = tuple((int(whole(lo, "box start")), int(whole(hi, "box stop")))
+                   for lo, hi in ends)
     if not (ok and all(0 <= lo < hi <= spec.n for lo, hi in bounds)):
         raise InvalidArgument(f"box {box!r} is not a non-empty block of the "
                               f"{spec.n} x {spec.n} lattice")

@@ -58,7 +58,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from ._rules import real
+from ._rules import real, whole
 from .errors import (
     DegenerateAnnulus,
     EmptyRegion,
@@ -308,6 +308,9 @@ def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
 
 def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> float:
     """Weight of the grid edge between 8-neighbor sites u and v of its box."""
+    for c in (*u, *v):
+        if type(c) is not int:   # a path's own sites skip the rule's ABC check
+            whole(c, "site index")
     di, dj = v[0] - u[0], v[1] - u[1]
     if max(abs(di), abs(dj)) != 1:
         raise InvalidArgument(f"{u} and {v} are not 8-neighbors")

@@ -26,11 +26,13 @@ identity.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +101,12 @@ class MedianEstimate:
     master_seed: int
 
     def __post_init__(self) -> None:
+        real(self.epsilon, "epsilon", gt=0)
         real(self.median, "median", gt=0)
+        whole(self.trials, "trials", 1, _MAX_TRIALS)
+        real(self.ci_lo, "ci_lo")
+        real(self.ci_hi, "ci_hi")
+        uint64(self.master_seed, "master_seed")
         if not (self.ci_lo <= self.median <= self.ci_hi):
             raise InvalidArgument("confidence interval must bracket the median")
 
@@ -109,10 +116,28 @@ class MedianEstimate:
 
     @classmethod
     def from_dict(cls, doc) -> "MedianEstimate":
-        """Inverse of to_dict; KeyError, TypeError or ValueError when doc
-        lacks a field or holds a value of the wrong kind."""
-        types = get_type_hints(cls)
-        return cls(**{f.name: types[f.name](doc[f.name]) for f in fields(cls)})
+        """Inverse of to_dict: the fields of `doc`, unchanged and checked by
+        the constructor; InvalidArgument when doc is not a dict holding
+        every field."""
+        if not isinstance(doc, dict):
+            raise InvalidArgument(f"an estimate must be a JSON object, got {type(doc).__name__}")
+        for f in fields(cls):
+            if f.name not in doc:
+                raise InvalidArgument(f"estimate is missing {f.name!r}")
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
+
+def _read_estimate(path) -> MedianEstimate:
+    """The estimate a JSON file holds, by `MedianEstimate.from_dict`;
+    InvalidArgument when the file cannot be read or holds no estimate.  The
+    one reader of estimate files: the disk cache's entry check and
+    `lfpp fit --in` both use it."""
+    # unreadable, not UTF-8, not JSON, or nested past the parser's recursion limit
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidArgument(f"{path} holds no estimate: {exc}") from None
+    return MedianEstimate.from_dict(doc)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import re
@@ -17,6 +16,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import golden
 from conftest import LFPP, lfpp_env
 
 from lfpp import (
@@ -77,6 +77,17 @@ class TestBasics:
     def test_unknown_flag_is_usage_error(self):
         assert main(["dist", "--nonsense"]) == 1
 
+    @pytest.mark.parametrize("argv, stderr", [
+        (["--bogus"], "usage: lfpp [-h] [--version] {field,dist,a-eps,fit,ratio,exp,cache-info} "
+                      "...\nlfpp: error: unrecognized arguments: --bogus\n"),
+        (["fit", "--xi", "0.2"], "usage: lfpp fit [-h] --in IN --xi XI --out OUT\nlfpp fit: "
+                                 "error: the following arguments are required: --in, --out\n"),
+    ], ids=["top-level", "subcommand"])
+    def test_usage_error_prints_usage_and_message(self, argv, stderr, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")   # argparse wraps usage to the terminal
+        assert main(argv) == 1
+        assert capsys.readouterr().err == stderr
+
     def test_import_leaves_scipy_stats_and_integrate_unloaded(self):
         # each is imported by the one function that uses it
         code = ("import sys, lfpp.cli; print([m for m in ('scipy.stats', "
@@ -92,7 +103,6 @@ class TestBasics:
                      "--out", str(tmp_path / "a.json")])
         assert code == 1
         assert not (tmp_path / "a.json").exists()
-
 
     @pytest.mark.parametrize("argv, cfg", [
         (["field", "sample", "--n", "8192", "--seed", "1", "--out", "f.lfpf"], None),
@@ -148,7 +158,7 @@ class TestBasics:
         monkeypatch.setattr(renorm, "ProcessPoolExecutor", no_pool)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(
-            TestExperimentGoldenBytes.CASES["annulus_event_stats"][0]), encoding="utf-8")
+            golden.EXP_STEPS["annulus_event_stats"].config), encoding="utf-8")
         clear_estimate_cache()
         assert main(argv + ["--threads", str(renorm._MAX_WORKERS + 1)]) == 1
         assert asked == []
@@ -505,18 +515,9 @@ class TestAEps:
 
 
 class TestFit:
-    def write_estimates(self, root, slope=0.45):
-        root.mkdir(exist_ok=True)
-        for k in range(1, 6):
-            eps = 2.0 ** -k
-            med = 3.0 * eps ** slope
-            doc = {"epsilon": eps, "median": med, "trials": 50,
-                   "ci_lo": med * 0.9, "ci_hi": med * 1.1, "master_seed": 1}
-            (root / f"a{k}.json").write_text(json.dumps(doc), encoding="utf-8")
-
     def test_fit_recovers_slope(self, tmp_path):
         est_dir = tmp_path / "est"
-        self.write_estimates(est_dir)
+        golden.write_estimates(est_dir)
         # distractors that the loader must skip
         (est_dir / "a1.json.manifest.json").write_text('{"command": "a-eps"}')
         (est_dir / "junk.json").write_text("{not json")
@@ -530,7 +531,7 @@ class TestFit:
 
     def test_missing_xi_is_usage_error(self, tmp_path):
         est_dir = tmp_path / "est"
-        self.write_estimates(est_dir)
+        golden.write_estimates(est_dir)
         assert main(["fit", "--in", str(est_dir),
                      "--out", str(tmp_path / "f.json")]) == 1
 
@@ -576,6 +577,8 @@ class TestExp:
     CFG = {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
            "epsilon": 0.25, "c": 1.0, "xi": 0.2,
            "pairs": [[[1.6, 1.7], [2.3, 2.2]], [[1.5, 1.6], [2.4, 2.3]]]}
+    SCALE_CFG = {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
+                 "mc": {"n": 32, "trials": 20, "seed": 7}}
 
     def test_report_csv_and_gnuplot(self, tmp_path):
         cfg_path = tmp_path / "w.json"
@@ -647,8 +650,7 @@ class TestExp:
                       "gamma": 1.0, "eps_ladder": [0.5, 0.25, 0.125],
                       "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.5}, 404, False),
         ("weyl_shift_test", dict(CFG, xi=0.45), 404, True),
-        ("scale_covariance_test", {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
-                                   "mc": {"n": 32, "trials": 20, "seed": 7}}, 7, False),
+        ("scale_covariance_test", SCALE_CFG, 7, False),
     ], ids=["gmc-stray-xi", "weyl-xi-0.45", "covariance-mc-seed"])
     def test_manifest_facts_come_from_the_report(self, name, cfg, seed, flagged,
                                                  tmp_path):
@@ -664,9 +666,7 @@ class TestExp:
 
     def test_threads_reach_the_runner_pools(self, tmp_path, pool_sizes):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(
-            {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
-             "mc": {"n": 32, "trials": 20, "seed": 7}}), encoding="utf-8")
+        cfg_path.write_text(json.dumps(self.SCALE_CFG), encoding="utf-8")
         # one pool for the estimates at eps and eps/a, one for the trials
         for threads, want in (("1", []), ("2", [2, 2])):
             clear_estimate_cache()
@@ -677,15 +677,13 @@ class TestExp:
 
     def test_report_bytes_independent_of_pool_size(self, tmp_path):
         # `--threads` and the retired `mc.parallel` key never reach the report
-        mc = {"n": 32, "trials": 20, "seed": 7}
+        mc = self.SCALE_CFG["mc"]
         runs = {"t1": (mc, "1"), "t2": (mc, "2"),
                 "old_key": (dict(mc, parallel=True), "1")}
         reports = {}
         for label, (mc_cfg, threads) in runs.items():
             cfg_path = tmp_path / f"{label}.cfg.json"
-            cfg_path.write_text(json.dumps(
-                {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5, "mc": mc_cfg}),
-                encoding="utf-8")
+            cfg_path.write_text(json.dumps(dict(self.SCALE_CFG, mc=mc_cfg)), encoding="utf-8")
             out = tmp_path / f"{label}.json"
             clear_estimate_cache()
             assert main(["exp", "scale_covariance_test", "--config", str(cfg_path),
@@ -700,13 +698,6 @@ class TestExp:
         assert main(["exp", "weyl_shift_test", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rep.json"), "--emit-gnuplot"]) == 1
         assert not (tmp_path / "rep.json").exists()
-
-    GAP_CFG = {"field": {"n": 64, "seed": 404}, "eps_ladder": [0.25, 0.125],
-               "window": [1.6, 1.6, 2.3, 2.3], "xi": 0.2}
-    SCALE_CFG = {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
-                 "mc": {"n": 32, "trials": 20, "seed": 7}}
-    CONTINUITY_CFG = {"field": {"n": 64, "seed": 404, "origin": [0.5, 0.5]},
-                      "a": 0.5, "n_ladder": [8, 10, 15], "window": [1.6, 1.6, 2.3, 2.3]}
 
     @pytest.mark.parametrize("name, path, value, key", [
         ("weyl_shift_test", ("field", "n"), "abc", "field"),
@@ -727,10 +718,7 @@ class TestExp:
     ])
     def test_malformed_value_exits_one_naming_key(self, name, path, value, key,
                                                   tmp_path, capsys):
-        cfg = json.loads(json.dumps({
-            "weyl_shift_test": self.CFG, "localized_gap": self.GAP_CFG,
-            "scale_covariance_test": self.SCALE_CFG,
-            "field_continuity_check": self.CONTINUITY_CFG}[name]))
+        cfg = json.loads(json.dumps(golden.EXP_STEPS[name].config))
         node = cfg
         for part in path[:-1]:
             node = node[part]
@@ -755,11 +743,10 @@ class TestExp:
         assert "config key 'a' is malformed" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
-
     def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
         # json.load refuses an int literal of more than 4300 digits
         cfg_path = tmp_path / "huge.json"
-        cfg_path.write_text(json.dumps(self.SCALE_CFG).replace(
+        cfg_path.write_text(json.dumps(golden.EXP_STEPS["scale_covariance_test"].config).replace(
             '"a": 2', '"a": 1' + "0" * 5000), encoding="utf-8")
         code = main(["exp", "scale_covariance_test", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rep.json")])
@@ -772,32 +759,26 @@ class TestEmptyInputs:
     """An empty pair list, radius set or ladder is a validation error, never
     a report over zero rows."""
 
-    W = [1.6, 1.6, 2.3, 2.3]
-    FIELD = {"field": {"n": 64, "seed": 404}, "epsilon": 0.25, "c": 1.0, "xi": 0.2}
-    LADDER = {"eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
-              "mc": {"n": 256, "trials": 20, "seed": 11}}
+    NO_PAIRS = {"window": [1.6, 1.6, 2.3, 2.3], "seed": 7, "count": 0}
     RATIO = ["ratio", "--xi", "0.2", "--r", "0.5", "--n", "32", "--spacing", "0.125",
              "--trials", "20", "--seed", "7", "--q-hat", "1"]
 
-    @pytest.mark.parametrize("argv, cfg", [
-        (["exp", "weyl_shift_test"], dict(FIELD, pairs=[])),
-        (["exp", "weyl_shift_test"],
-         dict(FIELD, pairs={"window": W, "seed": 7, "count": 0})),
-        (["exp", "convergence_diagnostic"], dict(LADDER, pairs=[])),
-        (["exp", "convergence_diagnostic"],
-         dict(LADDER, pairs={"window": W, "seed": 7, "count": 0})),
-        (["exp", "annulus_event_stats"],
-         {"epsilon": 0.25, "r_set": [], "alpha": 0.9, "xi": 0.2,
-          "mc": {"n": 64, "trials": 20, "seed": 13}}),
+    @pytest.mark.parametrize("argv, empty", [   # empty: the golden config's keys it empties
+        (["exp", "weyl_shift_test"], {"pairs": []}),
+        (["exp", "weyl_shift_test"], {"pairs": NO_PAIRS}),
+        (["exp", "convergence_diagnostic"], {"pairs": []}),
+        (["exp", "convergence_diagnostic"], {"pairs": NO_PAIRS}),
+        (["exp", "annulus_event_stats"], {"r_set": []}),
         (RATIO + ["--eps", ","], None),
     ], ids=["weyl-pairs", "weyl-count-0", "convergence-pairs", "convergence-count-0",
             "annulus-r-set", "ratio-eps"])
-    def test_exits_one_and_writes_nothing(self, argv, cfg, tmp_path):
+    def test_exits_one_and_writes_nothing(self, argv, empty, tmp_path):
         out = tmp_path / "out.json"
         argv = argv + ["--out", str(out)]
-        if cfg is not None:
+        if empty is not None:
             cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            cfg_path.write_text(json.dumps({**golden.EXP_STEPS[argv[1]].config, **empty}),
+                                encoding="utf-8")
             argv += ["--config", str(cfg_path), "--csv", str(tmp_path / "out.csv")]
         clear_estimate_cache()
         assert main(argv) == 1
@@ -805,80 +786,14 @@ class TestEmptyInputs:
 
 
 class TestExperimentGoldenBytes:
-    # sha256 of (report JSON, CSV rows) for one small admissible config per
-    # experiment, run through `lfpp exp`.  A change to any of them changes
-    # an experiment's numerics or its output schema and must be deliberate.
-    W = [1.6, 1.6, 2.3, 2.3]
-    F64 = {"n": 64, "seed": 404}
-    CASES = {
-        "weyl_shift_test": (
-            {"field": F64, "epsilon": 0.25, "c": 1.0, "xi": 0.2,
-             "pairs": {"window": W, "seed": 7, "count": 3}},
-            "6a426f8754d066c21f846b9bc889b2b26c480599286d6277d89d64e70740e27e",
-            "7794f220b486e5d44be482e94dfa017c8aa085e04bda2dbc8b406837b6057067"),
-        "scale_covariance_test": (
-            {"a": 2, "epsilon": 0.5, "xi": 0.2, "q_hat": 2.5,
-             "mc": {"n": 64, "trials": 20, "seed": 7}},
-            "8a51a51b993dc31da12e1a13c1afe64e711f6aa80ed408850d5720157bd4ff50",
-            "a8ce6d5293703787b3bbccc944a09440d11ac24e87644a2ea7f746d4cccc3b63"),
-        "localized_gap": (
-            {"field": {"n": 64, "spacing": 0.0625, "seed": 404},
-             "eps_ladder": [0.25, 0.125], "window": W, "xi": 0.2},
-            "58af7a23502f7f19d84f1ec643bdbda8d87ec93e3bbf780fe3b175161375f1b6",
-            "0f5e068a7529c7ce963baf9e334ea6c1eeb24cd6ffc566c137fbe35ffb31eb0a"),
-        "convergence_diagnostic": (
-            {"pairs": [[[1.6, 1.7], [2.3, 2.2]], [[1.5, 1.5], [2.4, 2.4]]],
-             "eps_ladder": [0.25, 0.125, 0.0625, 0.03125], "xi": 0.2,
-             "mc": {"n": 256, "trials": 20, "seed": 11}},
-            "2873d970186db35862baf27874f2cde78bd0b73b32026b220302e842ac7ae930",
-            "371f0706f4ec676abba911b01f51e42b9fd4cd03ee2767b86cf3f1c2e934f121"),
-        "annulus_event_stats": (
-            {"epsilon": 0.25, "r_set": [2.0], "alpha": 0.9, "xi": 0.2,
-             "mc": {"n": 64, "trials": 20, "seed": 13}},
-            "7c83131dcb12f444020f7bbf55606e2eea9b4e3ff526b28ed96c474ae36f19ef",
-            "1604cebf39cb242d574ff495396394bf951866845d621eef20394fffe755ecf8"),
-        "gmc_mass": (
-            {"field": {"n": 64, "seed": 404, "kind": "dirichlet"}, "gamma": 1.0,
-             "eps_ladder": [0.5, 0.25, 0.125], "window": [1.5, 1.5, 2.5, 2.5]},
-            "da7742f0ddc609d1343a3914ee9d0ae6fa6d412f4a607e4e499319bfc1e9ba13",
-            "58e90e6cb6cf6bc37643001df93d88572dfb423028dca047eea17de7272518fe"),
-        "field_continuity_check": (
-            {"field": {"n": 64, "seed": 404, "origin": [0.5, 0.5]},
-             "a": 0.5, "n_ladder": [8, 10, 15], "window": W},
-            "b3a535080a57a69742d5fdd17fd8e112c4f045fef00b59f54a63c75013151744",
-            "3ea434a6c384617b0dfc112b5cc83ba3d4b0f7c95d87ad11935b7d3c9051d422"),
-        "field_sup_bound_check": (
-            {"field": {"n": 64, "spacing": 0.03125, "seed": 404},
-             "eps_ladder": [0.25, 0.125, 0.0625], "eta": 0.1,
-             "window": [0.6, 0.6, 1.4, 1.4]},
-            "6fbb56f21d904aa1e8606c27b4b27f5dd84ae299e19d62e93132c1c18143a673",
-            "0c8fae266c6f40d66eab82896d6294cdf35f4cde0d1af00f71881d3ffd682e94"),
-        "small_segment_sup": (
-            {"field": F64, "epsilon": 0.25, "zeta": 0.5,
-             "window": [1.5, 1.5, 2.5, 2.5], "xi": 0.2,
-             "mc": {"n": 64, "trials": 20, "seed": 17}},
-            "443d4a5971930ce9d1f7b38fe5d74443752858c41ab2a20c8233ae54cd53da39",
-            "e0c1fb86aeeef9be431cd15a22823af5f064d9aeee3ddc382e843f6c4f7ea125"),
-    }
+    """The golden table's experiment steps (TestGoldenBytes checks their digests)."""
 
     def test_every_experiment_has_a_case(self):
-        assert set(self.CASES) == set(EXPERIMENTS)
+        assert set(golden.EXP_STEPS) == set(EXPERIMENTS)
+        # and no output name is recorded twice
+        assert len(golden.DIGESTS) == sum(len(step.digests) for step in golden.STEPS)
 
-    def _digests(self, name, tmp_path, *flags):
-        clear_estimate_cache()
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(self.CASES[name][0]), encoding="utf-8")
-        assert main(["exp", name, "--config", str(cfg_path),
-                     "--out", str(tmp_path / "r.json"),
-                     "--csv", str(tmp_path / "r.csv"), *flags]) == 0
-        return [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                for f in ("r.json", "r.csv")]
-
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_report_and_csv_match_golden_hashes(self, name, tmp_path):
-        assert self._digests(name, tmp_path) == list(self.CASES[name][1:])
-
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(golden.EXP_STEPS))
     def test_pool_size_checked_before_the_config_is_parsed(self, name, monkeypatch):
         """Every experiment, with or without an `mc` block, rejects a bad
         pool size before its config is parsed, which samples any `field`."""
@@ -894,11 +809,11 @@ class TestExperimentGoldenBytes:
             monkeypatch.setattr(module, "sample_torus_gff", no_sampler)
             monkeypatch.setattr(module, "run_trials", no_sampler)
         with pytest.raises(InvalidArgument):
-            run_experiment(name, self.CASES[name][0], workers=0)
+            run_experiment(name, golden.EXP_STEPS[name].config, workers=0)
 
     def test_trial_pool_keeps_annulus_bytes(self, tmp_path, pool_sizes):
-        assert (self._digests("annulus_event_stats", tmp_path, "--threads", "2")
-                == list(self.CASES["annulus_event_stats"][1:]))
+        step = golden.EXP_STEPS["annulus_event_stats"]
+        assert golden.run(tmp_path / "run", [step], {"exp": ["--threads", "2"]}) == step.digests
         assert pool_sizes == [2]    # its per-trial loop ran in the pool
 
 
@@ -1121,7 +1036,6 @@ class TestManifestReplay:
                                       "e.csv", "e.csv.gnu"}
         assert outputs(replay) == outputs(orig)
 
-
     # Flag combinations of the replay property: each `dist` mode's flags,
     # and two experiments, one of which runs its trials in the pool.
     DIST_MODES = {
@@ -1184,124 +1098,30 @@ class TestManifestReplay:
         assert "out.json" in outputs(orig)
 
 
+# variant -> the golden steps it runs.  The cache variants add --cache-dir
+# to the commands that take it, cache_hit on the root cache_miss filled.
+GOLDEN_VARIANTS = {"plain": golden.STEPS, "cache_miss": golden.PIPELINE,
+                   "cache_hit": golden.PIPELINE}
+
+
+@pytest.fixture(scope="module")
+def golden_digests(tmp_path_factory):
+    """variant -> {output name: sha256}, each variant run once, in order."""
+    cache = ["--cache-dir", str(tmp_path_factory.mktemp("golden-cache"))]
+    cached = {"field": cache, "a-eps": cache}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("LFPP_CACHE", raising=False)
+        return {variant: golden.run(tmp_path_factory.mktemp(variant), steps,
+                                    {} if variant == "plain" else cached)
+                for variant, steps in GOLDEN_VARIANTS.items()}
+
+
 class TestGoldenBytes:
-    # sha256 of small fixed-seed primary outputs, one `dist` per mode.  A
-    # change to the float bits of any of them is a numerics change and must
-    # bump lfpp.cache.NUMERICS_VERSION; a deliberate format change (such as
-    # a new LFPF header or a key leaving a JSON document) is re-recorded
-    # here and listed in CHANGES.md.
-    GOLDEN = {
-        "f.lfpf": "6929a8c51271c54445e6f5734b89e38a29e2ebb9c0cd869933e1b05a3836fcc0",
-        "a.json": "86c9a760191f91e2d6b6b9a63f9e39a1acc56479b41104d30e16a8ca7c9e906c",
-        "la.json": "789ec6809e58ae271d02f095fdd53a8a3cd056dd97b0c63553d8c57e0b5aa85c",
-        "d.json": "81546350ce48fa432a05ec652c195564dc336058f77babd37d84081766d292cf",
-        "p.csv": "8c9bb20fa36b44877922d532b8015272447f62c969cce5f69e78bd8b543e9109",
-        "c.json": "932eab7de64e1f3c7561f1b1a6a8dfc1bfe03d88ecb0a274bd6748c482d6d465",
-        "w.json": "88f08217bceada70f2bc1a2d8984d078157864d32ace8e15bd41f58ec626020d",
-        "wp.csv": "92edd4da9f0630ac2bfbb418e7d2c38eec97a03ad4631a9ce6f7a88739721830",
-        "r.json": "928ad9327865a025863a2551ee42d77dfd3b3ef966b62292ce94aed2baf2d7c4",
-        "rp.csv": "697da152b13abf612f780de044d22084da09c73d7667efe52d15a679e942167c",
-        "ld.json": "bf015f5aabefe32c293ca4905d0d2c3d73871e74ee18d75b0f1224fbc28898dc",
-        "ldp.csv": "095c17a4bed0988d16beeab557ced5feb923bd36bcb891384c3bf83cae151d28",
-        "lc.json": "b9efe6efec8cba30d66ef098c4296c4d88c6585ab35897b85f462dcbf4fe6ee1",
-        "lcp.csv": "349cd4e1a40be5b656645bab29b755203b8a5c89f0347d2a961a9b996a7314c1",
-        "lw.json": "b933e0a789da58b6a718561a7d04e674312e82f4954fdc37deed182cd9449c3d",
-        "lwp.csv": "dc24cad06abe4477bd5661b9fce9ec652597aa6e375df2bd898065b0b1595488",
-        "lr.json": "89854f157bd6420772d4edbd504cc5143978339af202a92bcd588904e83558c4",
-        "lrp.csv": "615628338d8d79229d1af6a058cd35d47664e1183348a4eebe08e45dedb5c671",
-    }
-    DIST = {
-        "d.json": ["--from", "1.2,1.5", "--to", "2.6,2.4", "--emit-path", "p.csv"],
-        "c.json": ["--crossing", "rect:1.5,1.5,2.5,2.5"],
-        "w.json": ["--from", "1.5,1.8", "--to", "2.5,2.2",
-                   "--within", "disk:2,2,0.75", "--emit-path", "wp.csv"],
-        "r.json": ["--around", "annulus:2,2,0.4,0.8", "--emit-path", "rp.csv"],
-        # localized smoothing; each region plus the stencil margin (6 sites
-        # at eps 0.25) is strictly smaller than the 64-site lattice
-        "ld.json": ["--localized", "--from", "1.2,1.5", "--to", "2.6,2.4",
-                    "--emit-path", "ldp.csv"],
-        "lc.json": ["--localized", "--crossing", "rect:1.5,1.5,2.5,2.5",
-                    "--emit-path", "lcp.csv"],
-        "lw.json": ["--localized", "--from", "1.5,1.8", "--to", "2.5,2.2",
-                    "--within", "disk:2,2,0.75", "--emit-path", "lwp.csv"],
-        "lr.json": ["--localized", "--around", "annulus:2,2,0.4,0.8",
-                    "--emit-path", "lrp.csv"],
-    }
-
-    def _run(self, d, cache):
-        d.mkdir()
-        f = str(d / "f.lfpf")
-        assert main(["field", "sample", "--n", "64", "--seed", "11",
-                     "--out", f] + cache) == 0
-        assert main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
-                     "--trials", "20", "--seed", "5",
-                     "--out", str(d / "a.json")] + cache) == 0
-        assert main(["a-eps", "--xi", "0.2", "--eps", "0.25", "--n", "32",
-                     "--trials", "20", "--seed", "5", "--localized",
-                     "--out", str(d / "la.json")] + cache) == 0
-        for out, flags in self.DIST.items():
-            flags = [str(d / v) if v.endswith(".csv") else v for v in flags]
-            assert main(["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
-                         "--out", str(d / out)] + flags) == 0
-        return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
-                for name in self.GOLDEN}
-
-    @pytest.mark.parametrize("runs", [("plain",), ("miss", "hit")])
-    def test_primary_outputs_match_golden_hashes(self, runs, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.delenv("LFPP_CACHE", raising=False)
-        for label in runs:
-            clear_estimate_cache()
-            cache = [] if label == "plain" else ["--cache-dir",
-                                                 str(tmp_path / "cache")]
-            assert self._run(tmp_path / label, cache) == self.GOLDEN, label
-
-    # `fit` on TestFit's synthetic estimates; `ratio` fitting q_hat from its
-    # ladder, then at a given q_hat
-    FIT_RATIO = {
-        "fit.json": "69befd5443c274d7141b4b07a80c876bb79df4f925d7bd70453632caa3b5dbf6",
-        "ratio.json": "8afa9663fe9b47b1018955cc44f47ffa69f1e65ee82888d29ef9cf0b859b2a86",
-        "ratio_q.json": "c87e7d6dc62b4ca065fe7a6cbf6122af8b042ab4f164e5eef8431bd8ecba289f",
-    }
-
-    def test_fit_and_ratio_match_golden_hashes(self, tmp_path):
-        clear_estimate_cache()
-        TestFit().write_estimates(tmp_path / "est")
-        assert main(["fit", "--in", str(tmp_path / "est"), "--xi", "0.2",
-                     "--out", str(tmp_path / "fit.json")]) == 0
-        ratio = ["ratio", "--xi", "0.2", "--eps", "2,1,0.5,0.25", "--r", "2",
-                 "--n", "64", "--trials", "20", "--seed", "5"]
-        assert main(ratio + ["--out", str(tmp_path / "ratio.json")]) == 0
-        assert main(ratio + ["--q-hat", "2.5", "--out", str(tmp_path / "ratio_q.json")]) == 0
-        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in self.FIT_RATIO} == self.FIT_RATIO
-
-    # `ratio` at n = 128: fitted, at a given q_hat, and localized, on a
-    # larger lattice than the n = 64 outputs above.  exp(xi * h) absorbs most
-    # one-ulp moves of h, so these bytes rarely show a last-bit slip in
-    # sampling or smoothing; the bitwise properties against tests/oracles.py
-    # (TestTorusSamplerMatchesReference, TestPlainMatchesReference) are the
-    # detectors for that.
-    RATIO_128 = {
-        "ratio128.json": "3643dd862073d498ba970cfe6833c69f35bc2a6197dc2059263f206adcb2d155",
-        "ratio128_q.json": "70ff56d70a68291f496aaa62be7e91ede0895fbd9796126072cdb3805eda568d",
-        "ratio128_loc.json": "03469e6d27515f1ee1f962062cbf38981cefc00f419e5048d70f32bed15115d2",
-    }
-    RATIO_128_ARGV = {
-        "ratio128.json": ["--eps", "0.5,0.25,0.125,0.0625", "--r", "0.5"],
-        "ratio128_q.json": ["--eps", "0.5,0.25,0.125,0.0625", "--r", "0.5",
-                            "--q-hat", "2.5"],
-        "ratio128_loc.json": ["--eps", "0.25,0.125", "--r", "2", "--q-hat", "2.5",
-                              "--localized"],
-    }
-
-    def test_ratio_at_n128_matches_golden_hashes(self, tmp_path):
-        clear_estimate_cache()
-        for name, flags in self.RATIO_128_ARGV.items():
-            assert main(["ratio", "--xi", "0.2", "--n", "128", "--trials", "20",
-                         "--seed", "28", "--out", str(tmp_path / name)] + flags) == 0
-        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in self.RATIO_128} == self.RATIO_128
+    @pytest.mark.parametrize("variant, output", [
+        (variant, output) for variant, steps in GOLDEN_VARIANTS.items()
+        for step in steps for output in step.digests])
+    def test_output_matches_its_digest(self, golden_digests, variant, output):
+        assert golden_digests[variant][output] == golden.DIGESTS[output]
 
 
 def _finite(value) -> bool:
@@ -1466,8 +1286,8 @@ class TestOneNumberRule:
     @functools.cache
     def _config_cases(cls):
         cases = []
-        for name, (cfg, *_) in TestExperimentGoldenBytes.CASES.items():
-            for path, key in cls._leaves(cls._filled(cfg)):
+        for name, step in golden.EXP_STEPS.items():
+            for path, key in cls._leaves(cls._filled(step.config)):
                 cases += [(name, path, value) for value in cls.VALUES
                           if not cls._key_admits(key, value)]
         return cases
@@ -1478,10 +1298,10 @@ class TestOneNumberRule:
         assert flags == set(self.WHOLE_FLAGS) | set(self.REAL_FLAGS) | self.TEXT_FLAGS
         assert set(self.BASE) == {words for words, _ in _commands(cli._build_parser())}
         from lfpp.experiments import _PARSERS
-        keys = {key for cfg, *_ in TestExperimentGoldenBytes.CASES.values()
-                for _, key in self._leaves(self._filled(cfg))}
+        configs = [step.config for step in golden.EXP_STEPS.values()]
+        keys = {key for cfg in configs for _, key in self._leaves(self._filled(cfg))}
         assert keys == set(self.WHOLE_KEYS) | set(self.REAL_KEYS) | {"localized"}
-        top = {key for cfg, *_ in TestExperimentGoldenBytes.CASES.values() for key in cfg}
+        top = {key for cfg in configs for key in cfg}
         assert top == {"xi" if key == "params" else key for key in _PARSERS}
 
     @pytest.fixture(scope="class")
@@ -1496,7 +1316,7 @@ class TestOneNumberRule:
                 {"epsilon": eps, "median": eps ** 0.5, "trials": 20, "ci_lo": 0.9 * eps ** 0.5,
                  "ci_hi": 1.1 * eps ** 0.5, "master_seed": 1}), encoding="utf-8")
         (d / "cfg.json").write_text(json.dumps(
-            TestExperimentGoldenBytes.CASES["weyl_shift_test"][0]), encoding="utf-8")
+            golden.EXP_STEPS["weyl_shift_test"].config), encoding="utf-8")
         return d
 
     @settings(max_examples=300, deadline=None,
@@ -1517,7 +1337,7 @@ class TestOneNumberRule:
     def test_rejected_config_value_exits_one_before_any_work(self, tmp_path, no_work,
                                                              data):
         name, path, value = data.draw(st.sampled_from(self._config_cases()))
-        cfg = self._filled(TestExperimentGoldenBytes.CASES[name][0])
+        cfg = self._filled(golden.EXP_STEPS[name].config)
         node = cfg
         for part in path[:-1]:
             node = node[part]
@@ -1535,7 +1355,7 @@ class TestOneNumberRule:
         draws = []
         monkeypatch.setattr(experiments, "_draw_pairs",
                             lambda *args: draws.append(args) or [])
-        cfg = dict(TestExperimentGoldenBytes.CASES["weyl_shift_test"][0])
+        cfg = dict(golden.EXP_STEPS["weyl_shift_test"].config)
         cfg["pairs"] = dict(cfg["pairs"], count=2 ** 40)
         (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["exp", "weyl_shift_test", "--config", str(tmp_path / "cfg.json"),

@@ -1,5 +1,6 @@
 """Binary field container round trips and the verified disk cache."""
 
+import hashlib
 import json
 import math
 import struct
@@ -9,10 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from lfpp import (FieldKind, FieldSample, InvalidArgument, InvalidSpec, LatticeSpec,
                   read_field, write_field)
 from lfpp.cache import cache_entries, cache_key, cache_lookup, cache_store
+from lfpp.cli import main
 from lfpp.fieldio import MAGIC, field_bytes, verify_field
+
+# A valid estimate document, and files no estimate reader may accept: each
+# breaks one field's rule, the document's shape or the JSON parser's depth.
+GOOD_ESTIMATE = {"epsilon": 0.25, "median": 1.0, "trials": 20, "ci_lo": 0.9,
+                 "ci_hi": 1.1, "master_seed": 7}
+BAD_ESTIMATES = {name: json.dumps(doc).encode() for name, doc in {
+    "strings-and-bool": dict(GOOD_ESTIMATE, epsilon="0.25", trials=True, master_seed="7"),
+    "fractional-trials": dict(GOOD_ESTIMATE, trials=20.9),
+    "negative-seed": dict(GOOD_ESTIMATE, master_seed=-3),
+    "nan-epsilon": dict(GOOD_ESTIMATE, epsilon=math.nan),
+    "infinite-ci": dict(GOOD_ESTIMATE, ci_lo=-math.inf),
+    "negative-median": dict(GOOD_ESTIMATE, median=-1.0),
+    "missing-key": {k: v for k, v in GOOD_ESTIMATE.items() if k != "trials"},
+    "not-an-object": [GOOD_ESTIMATE],
+}.items()}
+BAD_ESTIMATES["too-deep"] = b"[" * 100_000 + b"]" * 100_000
 
 
 def v2_header(n, spacing):
@@ -211,15 +230,27 @@ class TestCacheStore:
 
     def test_json_artifact_needs_required_keys(self, tmp_path):
         root = tmp_path / "cache"
-        good = {"epsilon": 0.125, "median": 1.0, "trials": 50,
-                "ci_lo": 0.9, "ci_hi": 1.1, "master_seed": 1}
         k1 = cache_key("a_eps", {"v": 1})
-        cache_store(root, k1, "a_eps", json.dumps(good).encode())
+        cache_store(root, k1, "a_eps", json.dumps(GOOD_ESTIMATE).encode())
         assert cache_lookup(root, k1, "a_eps") is not None
         bad = {"epsilon": 0.125}
         k2 = cache_key("a_eps", {"v": 2})
         cache_store(root, k2, "a_eps", json.dumps(bad).encode())
         assert cache_lookup(root, k2, "a_eps") is None
+
+    @pytest.mark.parametrize("payload", BAD_ESTIMATES.values(), ids=BAD_ESTIMATES)
+    def test_bad_estimate_evicted_and_skipped_by_fit(self, payload, tmp_path, capsys):
+        root = tmp_path / "cache"
+        stored = cache_store(root, cache_key("a_eps", {"v": 1}), "a_eps", payload)
+        assert cache_lookup(root, stored.stem, "a_eps") is None
+        assert "evicted" in capsys.readouterr().err and not stored.exists()
+        # read, it would move the fit of the golden estimates
+        golden.write_estimates(tmp_path / "est")
+        (tmp_path / "est" / "bad.json").write_bytes(payload)
+        assert main(["fit", "--in", str(tmp_path / "est"), "--xi", "0.2",
+                     "--out", str(tmp_path / "fit.json")]) == 0
+        assert (hashlib.sha256((tmp_path / "fit.json").read_bytes()).hexdigest()
+                == golden.DIGESTS["fit.json"])
 
     def test_unknown_kind_rejected(self, tmp_path):
         key = cache_key("x", {})

@@ -20,6 +20,7 @@ from lfpp import (
     LatticeSpec,
     LfppError,
     MCConfig,
+    MedianEstimate,
     Params,
     Rect,
     build_weighted_grid,
@@ -36,6 +37,8 @@ SPEC = LatticeSpec(n=8, spacing=0.5)
 MC = MCConfig(lattice=SPEC, trials=20, master_seed=1)
 ZERO = FieldSample(spec=SPEC, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
                    values=np.zeros((8, 8)), mean_removed=True)
+EST = MedianEstimate(epsilon=0.5, median=1.0, trials=20, ci_lo=0.9, ci_hi=1.1,
+                     master_seed=1)
 
 
 def _finite(value) -> bool:
@@ -133,6 +136,16 @@ INPUTS = {
                         lambda v: _is_real(v) and v > 0.5),
     "Rect.hi": (lambda v: Rect(lo=(0.0, 0.0), hi=(1.0, v)),
                 lambda v: _is_real(v) and v > 0),
+    "MedianEstimate.epsilon": (lambda v: replace(EST, epsilon=v),
+                               lambda v: _is_real(v) and v > 0),
+    "MedianEstimate.median": (lambda v: replace(EST, median=v),   # inside [ci_lo, ci_hi]
+                              lambda v: _is_real(v) and 0.9 <= v <= 1.1),
+    "MedianEstimate.trials": (lambda v: replace(EST, trials=v),
+                              lambda v: _is_whole(v) and 1 <= v <= 2 ** 15),
+    "MedianEstimate.ci_lo": (lambda v: replace(EST, ci_lo=v), lambda v: _is_real(v) and v <= 1),
+    "MedianEstimate.ci_hi": (lambda v: replace(EST, ci_hi=v), lambda v: _is_real(v) and v >= 1),
+    "MedianEstimate.master_seed": (lambda v: replace(EST, master_seed=v),
+                                   lambda v: _is_whole(v) and 0 <= v < 2 ** 64),
 }
 VALUES = [-1, 0, math.nan, math.inf, 1e308, 2 ** 63, True, False, "64", "0.25", [],
           10 ** 400, np.float64(0.5)]

@@ -120,6 +120,9 @@ class TestGridConstruction:
         assert edge_weight(grid, (0, 0), (1, 1)) == 0.25 * math.sqrt(2.0)
         with pytest.raises(InvalidArgument):
             edge_weight(grid, (0, 0), (0, 2))
+        for site in [("0", 0), (0.0, 0), (True, 0)]:   # a string, a float, a bool
+            with pytest.raises(InvalidArgument):
+                edge_weight(grid, site, (1, 1))
 
 
 class TestOracleEquivalence:

@@ -184,11 +184,16 @@ class TestPlainBox:
 
     @pytest.mark.parametrize("box", [
         (slice(0, 0), slice(0, 4)), (slice(0, 65), slice(0, 4)),
-        (slice(0, 4, 2), slice(0, 4)), "rows",
-    ], ids=["empty", "past-edge", "strided", "not-slices"])
+        (slice(0, 4, 2), slice(0, 4)), "rows", (slice(True, 5), slice(0, 4)),
+    ], ids=["empty", "past-edge", "strided", "not-slices", "bool-start"])
     def test_bad_boxes_rejected(self, field64, box):
         with pytest.raises(InvalidArgument):
             mollify(field64, 0.25, box=box)
+
+    def test_numpy_integer_bounds_are_whole_numbers(self, field64):
+        box = (slice(np.int64(3), np.int32(9)), slice(np.uint8(0), np.int64(4)))
+        part = mollify(field64, 0.25, box=box)
+        assert part.offset == (3, 0) and part.values.shape == (6, 4)
 
 
 class TestLocalizedMollify:
