@@ -34,11 +34,16 @@ from typing import Callable, List, Optional, Tuple
 
 from . import __version__, cache, fieldio
 from .errors import InvalidArgument, LfppError
-from .gff import SAMPLERS, XI_CRIT_REF, Params, mollify, mollify_localized
+from .gff import (SAMPLERS, XI_CRIT_REF, Params, _localized_range, mollify,
+                  mollify_localized)
 from .metric import (
     Annulus,
     Disk,
     Rect,
+    _cost_floor,
+    _dist_in_crop,
+    _pair_box,
+    _point_crop,
     build_weighted_grid,
     dist_around_annulus,
     dist_internal,
@@ -190,6 +195,35 @@ def _region_from_flag(text: Optional[str], kind=object, flag: str = ""):
     return region
 
 
+def _point_query(field, eps: float, xi: float, localized: bool, src, dst,
+                 want_path: bool):
+    """(grid, result) of a point query: `dist_point` on the full lattice's
+    grid, bit for bit but for `settled`, solved on the crop that
+    `metric._point_crop` certifies.
+
+    Plain smoothing runs on the whole lattice (0.05 s at 1024^2), and the
+    crop's floor is the grid's least cost.  Localized smoothing runs on the
+    pair's box plus 2 sites, whose distance is the upper bound, and then on
+    the crop only; the floor comes from the raw field's value range
+    (`gff._localized_range`).  When that range allows a cost that would
+    overflow or vanish, the whole lattice is smoothed as before, so such a
+    field is refused as before.
+    """
+    spec = field.spec
+    if localized:
+        floor = _cost_floor(xi, *_localized_range(field, eps))
+        if floor is not None:
+            lattice = (slice(0, spec.n), slice(0, spec.n))
+            a, b = spec.index_of(src), spec.index_of(dst)
+            seed = mollify_localized(field, eps, box=_pair_box(lattice, a, b, 2))
+            upper = dist_point(build_weighted_grid(seed, xi), src, dst).value
+            box = _point_crop(spec, lattice, a, b, upper, floor)
+            grid = build_weighted_grid(mollify_localized(field, eps, box=box), xi)
+            return grid, dist_point(grid, src, dst, want_path=want_path)
+    grid = build_weighted_grid((mollify_localized if localized else mollify)(field, eps), xi)
+    return grid, _dist_in_crop(grid, src, dst, want_path)
+
+
 def _handle_dist(ns) -> dict:
     within = _region_from_flag(ns.within)
     around = _region_from_flag(ns.around, Annulus, "--around")
@@ -210,21 +244,23 @@ def _handle_dist(ns) -> dict:
     # A region query reads only the sites of its region, and either
     # smoother's values on their box are bitwise the full lattice's there.
     region = around or crossing or within
-    box = None if region is None else region_box(field.spec, region)
-    smooth = mollify_localized if ns.localized else mollify
-    grid = build_weighted_grid(smooth(field, ns.eps, box=box), params.xi)
-    if around:
-        res = dist_around_annulus(grid, around, want_path=want_path)
-        mode = "around"
-    elif crossing:
-        res = lr_crossing(grid, crossing, want_path=want_path)
-        mode = "crossing"
-    elif within:
-        res = dist_internal(grid, src, dst, within, want_path=want_path)
-        mode = "internal"
-    else:
-        res = dist_point(grid, src, dst, want_path=want_path)
+    if region is None:
+        grid, res = _point_query(field, ns.eps, params.xi, ns.localized,
+                                 src, dst, want_path)
         mode = "point"
+    else:
+        smooth = mollify_localized if ns.localized else mollify
+        grid = build_weighted_grid(
+            smooth(field, ns.eps, box=region_box(field.spec, region)), params.xi)
+        if around:
+            res = dist_around_annulus(grid, around, want_path=want_path)
+            mode = "around"
+        elif crossing:
+            res = lr_crossing(grid, crossing, want_path=want_path)
+            mode = "crossing"
+        else:
+            res = dist_internal(grid, src, dst, within, want_path=want_path)
+            mode = "internal"
 
     doc = {
         "value": _json_num(res.value),
@@ -319,7 +355,9 @@ def _handle_exp(ns) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:   # an int past the interpreter's digit limit
+        # an int past the interpreter's digit limit, or nesting past the
+        # parser's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgument(f"experiment config: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidArgument("experiment config must be a JSON object")

@@ -49,10 +49,10 @@ from .metric import (
     Annulus,
     Mask,
     Rect,
+    _dist_in_crop,
     _region_crop,
     build_weighted_grid,
     dist_around_annulus,
-    dist_point,
     dist_sets,
 )
 from .renorm import (_MAX_TRIALS, MCConfig, _check_workers, crossing_square,
@@ -159,8 +159,10 @@ def _pairs_json(pairs) -> list:
 
 
 def _pair_dists(grid, pairs) -> np.ndarray:
-    """dist_point(grid, z, w).value for each pair, in pair order."""
-    return np.array([dist_point(grid, z, w).value for z, w in pairs], dtype=np.float64)
+    """dist_point(grid, z, w).value for each pair, in pair order, each
+    solved on its certified crop of the grid (`metric._point_crop`)."""
+    return np.array([_dist_in_crop(grid, z, w).value for z, w in pairs],
+                    dtype=np.float64)
 
 
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
@@ -298,9 +300,9 @@ def _covariance_trial(seed: int, lat: LatticeSpec, epsilon: float, a: float,
     """One trial's D between the scaled endpoints on the field and D between
     the unit endpoints on its rescaling, both unnormalized."""
     h = sample_torus_gff(lat, seed)
-    d_l = dist_point(build_weighted_grid(mollify(h, epsilon), xi), *scaled).value
+    d_l = _dist_in_crop(build_weighted_grid(mollify(h, epsilon), xi), *scaled).value
     ht = rescale_field(h, a, lat.origin, q_hat)
-    d_r = dist_point(build_weighted_grid(mollify(ht, epsilon / a), xi), *unit).value
+    d_r = _dist_in_crop(build_weighted_grid(mollify(ht, epsilon / a), xi), *unit).value
     return d_l, d_r
 
 
@@ -464,7 +466,7 @@ def _annulus_trial(seed: int, lat: LatticeSpec, epsilon: float, proxy_eps: float
         across_p = dist_sets(grid_p, inner, outer).value
         u = grid_e.spec.point_of(*across_e.path.sites[0])
         v = grid_e.spec.point_of(*across_e.path.sites[-1])
-        d_uv_proxy = dist_point(grid_p, u, v).value
+        d_uv_proxy = _dist_in_crop(grid_p, u, v).value
         rows.append((float(r), around_e, across_e.value, around_e / across_e.value,
                      around_p, across_p, around_p / across_p,
                      across_e.value / d_uv_proxy))

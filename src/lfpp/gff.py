@@ -491,6 +491,53 @@ def mollify(field: FieldSample, epsilon: float,
                           z_epsilon=1.0, source_seed=field.seed, offset=(r0, c0))
 
 
+def _stencil_reach(spec: LatticeSpec, epsilon: float) -> Tuple[float, int]:
+    """(rho, m): the localized window's radius and its stencil half-width
+    m = ceil(rho / spacing) in sites, checking the scale as
+    `mollify_localized` does."""
+    check_scale(spec, epsilon)
+    rho = _window_radius(epsilon)
+    m = int(math.ceil(rho / spec.spacing))
+    if 2 * m + 1 > spec.n:
+        raise InvalidArgument(
+            f"truncation window radius {rho} exceeds the torus half-width")
+    return rho, m
+
+
+def _localized_range(field: FieldSample, epsilon: float) -> Tuple[float, float]:
+    """(lo, hi) with lo <= v <= hi for every value v that
+    `mollify_localized(field, epsilon)` returns, on any box, read from the
+    raw field alone; checks the scale as the smoother does.
+
+    With A = max |h| over the field, lo = min(min(h), 0) - slack and
+    hi = max(max(h), 0) + slack, slack = 2 * ((2m + 1)^2 + 4) * eps * A
+    (eps the float64 epsilon, u = eps / 2 the unit roundoff).  Each value
+    is acc / S_f, S_f the float sum of the (2m + 1)^2 mirrored stencil
+    entries and acc the float sum of T <= (m + 1)^2 kept terms, tap s times
+    the sum of the 1, 2 or 4 field values it weighs (`mollify_localized`
+    states the order).
+    - Exact arithmetic: the kept taps weigh K <= S_e, the exact sum of the
+      stencil's float entries, because `_TAP_FLOOR` only drops positive
+      taps.  So the exact acc lies in [m0 * K, M0 * K], hence in
+      [m0 * S_e, M0 * S_e], with m0 = min(min(h), 0) <= 0 <= M0 =
+      max(max(h), 0).  So min(h) itself is no bound: on a positive
+      constant field h, dropped taps and rounding leave values below h.
+    - Rounding: forming one term rounds at most three times, and the left
+      fold of T terms from zero at most T - 1 more, so the float acc is
+      within gamma_(T+2) * A * S_e of the exact one, gamma_k = k u / (1 - k u).
+      S_e / S_f <= 1 + gamma_(L), L = (2m + 1)^2 (any summation order), and
+      the division rounds once more.
+    - Together v >= (m0 - gamma_(T+2) A)(1 + gamma_L)(1 + u), which is above
+      lo since |m0| <= A and gamma_k < 1.01 k u while k u < 1e-8 (m <= n/2
+      <= 2048); hi is the mirror image.
+    """
+    _, m = _stencil_reach(field.spec, epsilon)
+    values = field.values
+    low, high = float(values.min()), float(values.max())
+    slack = 2.0 * ((2 * m + 1) ** 2 + 4) * np.finfo(np.float64).eps * max(-low, high)
+    return min(low, 0.0) - slack, max(high, 0.0) + slack
+
+
 def mollify_localized(field: FieldSample, epsilon: float,
                       box: Optional[Box] = None) -> MollifiedField:
     """Heat-kernel smoothing through the compact truncation window.
@@ -520,14 +567,9 @@ def mollify_localized(field: FieldSample, epsilon: float,
     operations in any block, so a box holds its full-lattice values bit for
     bit.  Verified on x86-64 only.
     """
-    check_scale(field.spec, epsilon)
-    rho = _window_radius(epsilon)
     spec = field.spec
     n, delta = spec.n, spec.spacing
-    m = int(math.ceil(rho / delta))
-    if 2 * m + 1 > n:
-        raise InvalidArgument(
-            f"truncation window radius {rho} exceeds the torus half-width")
+    rho, m = _stencil_reach(spec, epsilon)
     if box is None:
         box = (slice(0, n), slice(0, n))
     (r0, r1), (c0, c1) = _box_bounds(spec, box)

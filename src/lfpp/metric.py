@@ -20,6 +20,9 @@ reverse; a crossing's left column comes first, so it starts there.  A solve
 without a region runs Dijkstra over the whole box on the grid's graph,
 built on first use and kept with the grid, so every point query on a grid
 costs the same whatever the pair; a solve in a region runs on its crop.
+A caller that wants one pair's distance can solve it on a smaller box that
+`_point_crop` certifies gives the same float and path (`_dist_in_crop`);
+the experiments' pair sweeps and `lfpp dist` point queries do.
 
 Every graph, of a grid's box or of a region's crop, comes from one rule:
 `_mask_graph` fills a CSR skeleton of the crop (`indptr` and `indices`,
@@ -74,6 +77,8 @@ _FILL_SITES = 1 << 14     # sites per block of a weight fill (cache-sized slots)
 _CACHED_SITES = 1 << 17   # full crops up to this size keep their skeleton
 
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)   # the smallest normal float64
 
 
 def _check_finite(what: str, point: Tuple[float, float]) -> None:
@@ -217,6 +222,11 @@ class WeightedGrid:
         return mask
 
     @cached_property
+    def _least_cost(self) -> float:
+        """The least site cost, the floor of the grid's point crops."""
+        return float(self.site_cost.min())
+
+    @cached_property
     def _full_graph(self):
         """CSR graph of the whole box, built on first use."""
         return _mask_graph(self, self.box, np.ones(self.site_cost.shape, dtype=bool))
@@ -304,6 +314,19 @@ def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
             "site cost exp(xi * value) overflowed or vanished on the grid")
     site_cost.flags.writeable = False
     return WeightedGrid(spec=moll.spec, site_cost=site_cost, offset=moll.offset)
+
+
+def _cost_floor(xi: float, low: float, high: float) -> Optional[float]:
+    """A lower bound on every site cost `build_weighted_grid` makes from
+    values in [low, high], or None when such a cost could overflow or
+    vanish (xi * value above 709 or below -708), so that the grid could be
+    refused.  fl(xi * v) is nondecreasing in v for xi > 0; the scalar exp
+    at fl(xi * low) less 16 eps relative leaves room for numpy's vector
+    exp, which may round an ulp or so below the scalar one."""
+    lo, hi = float(xi) * low, float(xi) * high
+    if not (-708.0 <= lo and hi <= 709.0):
+        return None
+    return math.exp(lo) * (1.0 - 16.0 * _EPS)
 
 
 def edge_weight(grid: WeightedGrid, u: Tuple[int, int], v: Tuple[int, int]) -> float:
@@ -561,6 +584,105 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
         raise InvalidArgument("crossing square spans a single lattice column")
     return _between(grid, sites[sites[:, 1] == jl], sites[sites[:, 1] == jr],
                     region, want_path)
+
+
+# ---------------------------------------------------------------------------
+# point crops
+# ---------------------------------------------------------------------------
+
+def _pair_box(within: Box, a: Tuple[int, int], b: Tuple[int, int], pad: int) -> Box:
+    """The bounding box of sites a and b grown by `pad` sites on each side,
+    cut to `within`."""
+    return tuple(slice(max(min(a[k], b[k]) - pad, w.start),
+                       min(max(a[k], b[k]) + pad + 1, w.stop))
+                 for k, w in enumerate(within))
+
+
+def _point_crop(spec: LatticeSpec, within: Box, a: Tuple[int, int],
+                b: Tuple[int, int], upper: float, floor: float) -> Box:
+    """A box in `within` on which a point solve between sites a and b gives
+    the value and geodesic that it gives on the grid G over all of
+    `within`, bit for bit, given upper >= D, G's float distance, and
+    0 <= floor <= every site cost of G.
+
+    The box is the ellipse of sites s with
+    floor * spacing * (|s - a| + |s - b|) * (1 - 4 N eps) <= upper
+    (lengths in sites, N = n^2 >= G's node count, eps the float64
+    epsilon, u = eps / 2), cut by floor and ceil and padded by one site.
+    It is `within` when the reach upper / (floor * spacing * (1 - 4 N eps))
+    passes 4n sites, where the ellipse's box covers the lattice anyway, or
+    when floor * spacing / 2 or spacing / 2 is below the smallest normal
+    float, so that every weight below is a normal float.
+
+    Why it is exact.  Say s is the solve's start (the smaller of a and b),
+    t the other end, and B the grid over the box; B's weights are G's,
+    bit for bit.
+    - Labels.  fl(x + w) is nondecreasing in x and at least x, so
+      Dijkstra's label of a site v is F(v), the least left-fold float sum
+      over walks from s to v, whatever the heap's order: by induction in
+      settle order, a walk with a smaller sum would leave the settled set
+      at a site with a smaller label.  Cutting a loop never raises a fold,
+      so some path attains F(v); and F_B >= F_G on B, as B's walks are G's.
+    - The ellipse.  A walk of at most 2N - 1 edges from s to t whose float
+      sum is at most upper stays in it.  A weight is at least
+      floor * spacing * |step| * (1 - u)^4 (fl(c_u + c_v) >= 2 * floor;
+      hypot and two products round), the fold of k weights loses at most
+      (1 - u)^(k - 1), the steps before and after a site r span at least
+      |r - s| and |t - r|, and (1 - u)^(2N + 2) >= 1 - 4 N eps.  The box's
+      own arithmetic is off by a few eps of a reach below 4n sites, far
+      inside the pad.
+    - Value.  A path with sum D lies in B, so F_B(t) <= D = F_G(t).
+    - Geodesic.  Both walk-backs (`_walk_back`) start at t.  Say they agree
+      up to v, with F_B(v) = F_G(v), along a chain Q from v to t of
+      distinct sites whose every step is tight, so a walk that reaches v
+      with sum F_G(v) and goes on along Q sums to D.  If u is a neighbour
+      with F_G(u) + w == F_G(v) in G, a G-optimal path P to u (fewer than
+      N edges), then w, then Q sums to D, so it lies in B: u is in B and
+      F_B(u) <= fold(P) = F_G(u).  If instead F_B(u) + w == F_B(v) in B,
+      then F_G(v) <= fl(F_G(u) + w) <= fl(F_B(u) + w) = F_G(v).  Either way
+      F_B(u) = F_G(u) and u is a candidate in both graphs.  Both take the
+      smallest node index, which in either grid is the lexicographically
+      smallest site, so they step to the same u (or both lose the trail).
+    """
+    slack = 1.0 - 4.0 * spec.n ** 2 * _EPS
+    scale = floor * spec.spacing * slack
+    if not 0.5 * min(spec.spacing, scale) >= _TINY:
+        return within
+    reach = upper / scale
+    if not reach <= 4.0 * spec.n:
+        return within
+    half2 = 0.25 * reach * reach
+    di, dj = b[0] - a[0], b[1] - a[1]
+    # the ellipse's half-extent along one axis is sqrt(half^2 - (other axis' gap / 2)^2)
+    extents = (math.sqrt(max(half2 - 0.25 * dj * dj, 0.0)),
+               math.sqrt(max(half2 - 0.25 * di * di, 0.0)))
+    return tuple(slice(max(math.floor(0.5 * (a[k] + b[k]) - e) - 1, w.start),
+                       min(math.ceil(0.5 * (a[k] + b[k]) + e) + 2, w.stop))
+                 for k, (e, w) in enumerate(zip(extents, within)))
+
+
+def _crop_grid(grid: WeightedGrid, box: Box) -> WeightedGrid:
+    """The grid over a box inside `grid`'s box, with its site costs."""
+    if box == grid.box:
+        return grid
+    (rs, cs), (i, j) = box, grid.offset
+    return WeightedGrid(spec=grid.spec, offset=(rs.start, cs.start),
+                        site_cost=grid.site_cost[rs.start - i:rs.stop - i,
+                                                 cs.start - j:cs.stop - j])
+
+
+def _dist_in_crop(grid: WeightedGrid, z: Tuple[float, float], w: Tuple[float, float],
+                  want_path: bool = False) -> DistResult:
+    """`dist_point(grid, z, w, want_path)`, bit for bit but for `settled`,
+    solved on the crop `_point_crop` certifies with the grid's least cost
+    as the floor.  The upper bound is the distance on the pair's box plus 2
+    sites, whose paths are the grid's."""
+    a, b = grid.spec.index_of(z), grid.spec.index_of(w)
+    _check_in(grid, a, None, "source")
+    _check_in(grid, b, None, "target")
+    upper = dist_point(_crop_grid(grid, _pair_box(grid.box, a, b, 2)), z, w).value
+    box = _point_crop(grid.spec, grid.box, a, b, upper, grid._least_cost)
+    return dist_point(_crop_grid(grid, box), z, w, want_path)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfpp import Rect, build_weighted_grid, metric, mollify_localized, region_box
+from lfpp import (Rect, build_weighted_grid, cli, experiments, metric,
+                  mollify_localized, region_box, write_field)
 from lfpp.metric import region_mask
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -107,3 +108,47 @@ def test_traced_region_solve_counts_its_sites(tracer, box_grid):
     assert spans.counters["metric.settled"] == res.settled
     assert spans.counters["metric.active"] == int(region_mask(grid.spec, square).sum())
     assert spans.summary(0.0)["layers"]["metric.lr_crossing"]["calls"] == 1
+
+
+def _record_point_solves(monkeypatch, modules):
+    """Every result of `dist_point` looked up in `modules`, in call order;
+    the tracer then wraps the recorder under the same names."""
+    results = []
+    real = metric.dist_point
+
+    def recorder(grid, z, w, want_path=False):
+        results.append(real(grid, z, w, want_path))
+        return results[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "dist_point", recorder)
+    return results
+
+
+def test_traced_pair_sweep_counts_every_solve(tracer, monkeypatch, field64):
+    # each pair is two point solves: the pair's box for the upper bound,
+    # then its certified crop
+    grid = build_weighted_grid(mollify_localized(field64, 0.25), 0.2)
+    pairs = [((1.0, 2.0), (3.0, 2.5)), ((2.0, 2.0), (2.25, 1.875))]
+    results = _record_point_solves(monkeypatch, [metric])
+    spans = tracer.Tracer()
+    with spans.active():
+        experiments._pair_dists(grid, pairs)
+    calls = spans.summary(0.0)["layers"]["metric.dist_point"]["calls"]
+    assert calls == len(results) == 2 * len(pairs)
+    assert spans.counters["metric.settled"] == sum(r.settled for r in results)
+
+
+@pytest.mark.parametrize("smoother", [[], ["--localized"]], ids=["plain", "localized"])
+def test_traced_cli_point_query_counts_every_solve(tracer, monkeypatch, tmp_path,
+                                                   field64, smoother):
+    path = tmp_path / "f.lfpf"
+    write_field(field64, path)
+    results = _record_point_solves(monkeypatch, [metric, cli])
+    spans = tracer.Tracer()
+    with spans.active():
+        assert cli.main(["dist", "--field", str(path), "--eps", "0.25", "--xi", "0.2",
+                         "--from", "1.0,2.0", "--to", "3.0,2.5",
+                         "--out", str(tmp_path / "d.json"), *smoother]) == 0
+    assert spans.summary(0.0)["layers"]["metric.dist_point"]["calls"] == len(results) == 2
+    assert spans.counters["metric.settled"] == sum(r.settled for r in results)

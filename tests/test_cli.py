@@ -271,7 +271,13 @@ class TestDist:
         # one manifest per output file; solver statistics live there only
         assert "settled" not in doc
         manifest = load_json(tmp_path / "d.json.manifest.json")
-        assert manifest["stats"]["settled"] == 64 * 64
+        # The solve ran on its certified crop.  Every cost is 1 = the least
+        # cost and the pair's box gives D = 1.0 exactly, so the ellipse of
+        # sites with |s - a| + |s - b| <= D / spacing (16 sites, a touch more
+        # for rounding) is the segment on row 32 from column 16 to 32; floor
+        # and ceil of its hair-thin extents take one site more each way and
+        # the pad one more: rows 30..34, columns 14..34, all settled.
+        assert manifest["stats"]["settled"] == 5 * 21
         assert (tmp_path / "path.csv.manifest.json").is_file()
 
     def test_crossing_mode(self, zero_path, tmp_path):
@@ -299,28 +305,31 @@ class TestDist:
         assert code == 0
         assert load_json(out)["value"] == 1.0
 
-    @pytest.mark.parametrize("flags, box", [
-        (["--crossing", "rect:1.5,1.5,2.5,2.5"], (slice(24, 41), slice(24, 41))),
-        (["--around", "annulus:2,2,0.4,0.8"], (slice(20, 45), slice(20, 45))),
+    @pytest.mark.parametrize("flags, boxes", [
+        (["--crossing", "rect:1.5,1.5,2.5,2.5"], [(slice(24, 41), slice(24, 41))]),
+        (["--around", "annulus:2,2,0.4,0.8"], [(slice(20, 45), slice(20, 45))]),
         (["--from", "1.5,2.0", "--to", "2.5,2.0", "--within", "disk:2,2,0.75"],
-         (slice(20, 45), slice(20, 45))),
-        (["--from", "1.0,2.0", "--to", "2.0,2.0"], None),
+         [(slice(20, 45), slice(20, 45))]),
+        # the pair's box plus 2 sites for the upper bound, then the crop,
+        # here the same box (see test_point_mode_json_and_path_csv)
+        (["--from", "1.0,2.0", "--to", "2.0,2.0"],
+         [(slice(30, 35), slice(14, 35))] * 2),
     ], ids=["crossing", "around", "within", "point"])
     def test_localized_regions_smooth_only_their_box(self, zero_path, tmp_path,
-                                                     monkeypatch, flags, box):
+                                                     monkeypatch, flags, boxes):
         import lfpp.cli as cli
-        boxes = []
+        seen = []
         real = cli.mollify_localized
 
         def spy(field, eps, box=None):
-            boxes.append(box)
+            seen.append(box)
             return real(field, eps, box=box)
 
         monkeypatch.setattr(cli, "mollify_localized", spy)
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
                      "--xi", "0.2", "--localized", "--out",
                      str(tmp_path / "x.json")] + flags) == 0
-        assert boxes == [box]
+        assert seen == boxes
 
     def test_point_mode_needs_endpoints(self, zero_path, tmp_path):
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
@@ -749,6 +758,17 @@ class TestExp:
         cfg_path.write_text(json.dumps(golden.EXP_STEPS["scale_covariance_test"].config).replace(
             '"a": 2', '"a": 1' + "0" * 5000), encoding="utf-8")
         code = main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "experiment config" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_nesting_past_the_recursion_limit_exits_one(self, tmp_path, capsys):
+        # json.load raises RecursionError on arrays nested 100000 deep
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"a": ' + "[" * 100000 + "]" * 100000 + "}",
+                            encoding="utf-8")
+        code = main(["exp", "weyl_shift_test", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rep.json")])
         assert code == 1
         assert "experiment config" in capsys.readouterr().err

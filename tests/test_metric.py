@@ -361,6 +361,58 @@ class TestPointSolveMatchesOracle:
 
 
 @st.composite
+def crop_cases(draw):
+    """(grid, site a, site b): xi = 1 costs on n = 8..64 from a normal field
+    at scale 1 or 3, a constant field (every path of one shape ties), or
+    sites of cost 1 and 1.2e6 at random (a maze of cheap sites); the sites
+    lie anywhere, on edges and corners often."""
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    spec = LatticeSpec(n=n, spacing=1.0 / n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["normal", "constant", "maze"]))
+    if kind == "constant":
+        vals = np.full((n, n), draw(st.floats(-5.0, 5.0)))
+    elif kind == "maze":
+        vals = 14.0 * (rng.random(size=(n, n)) < draw(st.floats(0.2, 0.6)))
+    else:
+        vals = draw(st.sampled_from([1.0, 3.0])) * rng.normal(size=(n, n))
+    coord = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    a, b = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+    return build_weighted_grid(make_moll(spec, vals), 1.0), a, b
+
+
+class TestPointCrop:
+    """A point solve on its certified crop of the grid (`metric._point_crop`,
+    through `metric._dist_in_crop`) equals the full solve in
+    tests/oracles.py bit for bit."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(crop_cases())
+    def test_crop_solve_matches_full_solve(self, case):
+        grid, a, b = case
+        spec = grid.spec
+        res = metric._dist_in_crop(grid, spec.point_of(*a), spec.point_of(*b),
+                                   want_path=True)
+        if a == b:
+            assert res.value == 0.0 and res.path.sites == (a,)
+            return
+        lo, hi = min(a, b), max(a, b)
+        dist, chain = oracles.full_point_solve(grid.site_cost, grid.mask,
+                                               spec.spacing, lo, hi)
+        assert res.value == dist[hi[0] * spec.n + hi[1]]
+        assert list(res.path.sites) == (chain if a == lo else chain[::-1])
+
+    def test_crop_is_smaller_than_the_lattice(self):
+        # a near pair on a mildly rough field needs only a few rows
+        spec, grid = random_grid(np.random.default_rng(3), 64, 1.0 / 64, scale=0.5)
+        z, w = spec.point_of(30, 20), spec.point_of(32, 40)
+        res = metric._dist_in_crop(grid, z, w, want_path=True)
+        full = dist_point(grid, z, w, want_path=True)
+        assert (res.value, res.path) == (full.value, full.path)
+        assert res.settled < full.settled == 64 * 64
+
+
+@st.composite
 def set_queries(draw):
     """(grid, site mask a, site mask b, rect): a walled grid's costs over the
     whole lattice or a box of it, disjoint masks with a site of each on the

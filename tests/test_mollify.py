@@ -22,7 +22,7 @@ from lfpp import (
     normalizer_Z,
     sample_torus_gff,
 )
-from lfpp.gff import FieldKind
+from lfpp.gff import FieldKind, FieldSample, _localized_range
 
 # Retained-mass values frozen from the 2-D Cartesian Simpson oracle in
 # tests/oracles.py (z_quadrature); the implementation integrates radially.
@@ -326,6 +326,47 @@ class TestBoxSmoothing:
             MollifiedField(spec=field64.spec, kind=FieldKind.TORUS_WHOLE_PLANE,
                            epsilon=0.25, values=np.zeros((4, 4)), localized=True,
                            z_epsilon=0.5, source_seed=0, offset=(62, 0))
+
+
+class TestLocalizedRange:
+    """`gff._localized_range` bounds every value the localized smoother
+    returns from the raw field alone; `lfpp dist --localized` point queries
+    take their cost floor from it."""
+
+    @staticmethod
+    def check(spec, values, eps):
+        """The smoothed values, once checked against the bounds."""
+        field = FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
+                            values=values, mean_removed=False, derived=True)
+        lo, hi = _localized_range(field, eps)
+        out = mollify_localized(field, eps).values
+        assert lo <= out.min() and out.max() <= hi
+        return out
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(localized_fields(), st.sampled_from(["field", "shifted", "constant"]),
+           st.integers(-3, 250), st.floats(-1.0, 1.0))
+    def test_range_holds_every_value(self, case, kind, power, t):
+        # sampled fields, fields moved off zero, and constants of either
+        # sign, at magnitudes from 1e-3 to 1e250
+        field, eps = case
+        size = 10.0 ** power
+        if kind == "constant":
+            values = np.full_like(field.values, size * t)
+        else:
+            values = size * (field.values + (5.0 * t if kind == "shifted" else 0.0))
+        self.check(field.spec, values, eps)
+
+    def test_positive_constant_smooths_below_itself(self):
+        # rounding takes every value an ulp below h, so min(h) is no bound
+        out = self.check(LatticeSpec(n=64, spacing=1.0 / 64.0), np.full((64, 64), 7.0), 0.05)
+        assert out.max() < 7.0
+
+    def test_checks_the_scale_as_the_smoother_does(self, field64):
+        with pytest.raises(MollificationTooFine):
+            _localized_range(field64, 1.9 * field64.spec.spacing)
+        with pytest.raises(InvalidArgument):
+            _localized_range(field64, 0.4)
 
 
 class TestFoldMatchesCorrelate:
