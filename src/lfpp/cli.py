@@ -29,6 +29,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -41,13 +42,11 @@ from .metric import (
     Disk,
     Rect,
     _cost_floor,
+    _crop_grid,
     _dist_in_crop,
-    _pair_box,
-    _point_crop,
     build_weighted_grid,
     dist_around_annulus,
     dist_internal,
-    dist_point,
     edge_weight,
     lr_crossing,
     region_box,
@@ -198,30 +197,25 @@ def _region_from_flag(text: Optional[str], kind=object, flag: str = ""):
 def _point_query(field, eps: float, xi: float, localized: bool, src, dst,
                  want_path: bool):
     """(grid, result) of a point query: `dist_point` on the full lattice's
-    grid, bit for bit but for `settled`, solved on the crop that
-    `metric._point_crop` certifies.
+    grid, bit for bit but for `settled`, solved on its certified crop
+    (`metric._dist_in_crop`).
 
     Plain smoothing runs on the whole lattice (0.05 s at 1024^2), and the
-    crop's floor is the grid's least cost.  Localized smoothing runs on the
-    pair's box plus 2 sites, whose distance is the upper bound, and then on
-    the crop only; the floor comes from the raw field's value range
-    (`gff._localized_range`).  When that range allows a cost that would
-    overflow or vanish, the whole lattice is smoothed as before, so such a
-    field is refused as before.
+    crop's floor is the grid's least cost.  Localized smoothing runs only on
+    the boxes `_dist_in_crop` asks for, with the floor from the raw field's
+    value range (`gff._localized_range`).  When that range allows a cost
+    that would overflow or vanish, the whole lattice is smoothed as before,
+    so such a field is refused as before.
     """
-    spec = field.spec
-    if localized:
-        floor = _cost_floor(xi, *_localized_range(field, eps))
-        if floor is not None:
-            lattice = (slice(0, spec.n), slice(0, spec.n))
-            a, b = spec.index_of(src), spec.index_of(dst)
-            seed = mollify_localized(field, eps, box=_pair_box(lattice, a, b, 2))
-            upper = dist_point(build_weighted_grid(seed, xi), src, dst).value
-            box = _point_crop(spec, lattice, a, b, upper, floor)
-            grid = build_weighted_grid(mollify_localized(field, eps, box=box), xi)
-            return grid, dist_point(grid, src, dst, want_path=want_path)
-    grid = build_weighted_grid((mollify_localized if localized else mollify)(field, eps), xi)
-    return grid, _dist_in_crop(grid, src, dst, want_path)
+    lattice = (slice(0, field.spec.n), slice(0, field.spec.n))
+    floor = _cost_floor(xi, *_localized_range(field, eps)) if localized else None
+    if floor is not None:
+        def grid_over(box):
+            return build_weighted_grid(mollify_localized(field, eps, box=box), xi)
+    else:
+        grid = build_weighted_grid((mollify_localized if localized else mollify)(field, eps), xi)
+        grid_over, floor = partial(_crop_grid, grid), float(grid.site_cost.min())
+    return _dist_in_crop(field.spec, grid_over, lattice, floor, src, dst, want_path)
 
 
 def _handle_dist(ns) -> dict:

@@ -49,11 +49,12 @@ from .metric import (
     Annulus,
     Mask,
     Rect,
+    _crop_grid,
     _dist_in_crop,
-    _region_crop,
     build_weighted_grid,
     dist_around_annulus,
     dist_sets,
+    region_box,
 )
 from .renorm import (_MAX_TRIALS, MCConfig, _check_workers, crossing_square,
                      estimate_ladder, run_trials, trial_seed)
@@ -125,13 +126,13 @@ def _require_inside(window: Rect, outer: Rect, what: str) -> None:
                               f"{outer.lo}..{outer.hi}")
 
 
-def _window_box(spec: LatticeSpec, window: Rect) -> Tuple[Tuple[slice, slice], np.ndarray]:
-    """(box, mask): the smallest box of lattice sites holding the window's
-    sites and the window's sites within it; EmptyRegion when it holds none."""
-    box, mask = _region_crop(spec, window, (slice(0, spec.n), slice(0, spec.n)))
-    if not mask.size:
+def _window_box(spec: LatticeSpec, window: Rect) -> Tuple[slice, slice]:
+    """The box of the window's lattice sites, which a rect's sites fill;
+    EmptyRegion when it holds none."""
+    box = region_box(spec, window)
+    if box is None:
         raise EmptyRegion("window contains no lattice sites")
-    return box, mask
+    return box
 
 
 def _lattice_dict(spec: LatticeSpec) -> Dict[str, object]:
@@ -160,9 +161,10 @@ def _pairs_json(pairs) -> list:
 
 def _pair_dists(grid, pairs) -> np.ndarray:
     """dist_point(grid, z, w).value for each pair, in pair order, each
-    solved on its certified crop of the grid (`metric._point_crop`)."""
-    return np.array([_dist_in_crop(grid, z, w).value for z, w in pairs],
-                    dtype=np.float64)
+    solved on its certified crop of the grid (`metric._dist_in_crop`)."""
+    grid_over, floor = partial(_crop_grid, grid), float(grid.site_cost.min())
+    return np.array([_dist_in_crop(grid.spec, grid_over, grid.box, floor, z, w)[1].value
+                     for z, w in pairs], dtype=np.float64)
 
 
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
@@ -300,10 +302,10 @@ def _covariance_trial(seed: int, lat: LatticeSpec, epsilon: float, a: float,
     """One trial's D between the scaled endpoints on the field and D between
     the unit endpoints on its rescaling, both unnormalized."""
     h = sample_torus_gff(lat, seed)
-    d_l = _dist_in_crop(build_weighted_grid(mollify(h, epsilon), xi), *scaled).value
+    d_l = _pair_dists(build_weighted_grid(mollify(h, epsilon), xi), [scaled])
     ht = rescale_field(h, a, lat.origin, q_hat)
-    d_r = _dist_in_crop(build_weighted_grid(mollify(ht, epsilon / a), xi), *unit).value
-    return d_l, d_r
+    d_r = _pair_dists(build_weighted_grid(mollify(ht, epsilon / a), xi), [unit])
+    return float(d_l[0]), float(d_r[0])
 
 
 def scale_covariance_test(a: float, epsilon: float, params: Params,
@@ -372,7 +374,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     """
     _validate_decreasing(eps_ladder, min_rungs=2)
     _require_inside(window, _central_quarter(field.spec), "window")
-    box, wbox = _window_box(field.spec, window)
+    box = _window_box(field.spec, window)
     pairs = _distinct_pairs(field.seed, field.spec, window, _N_GAP_PAIRS)
 
     rows = []
@@ -381,7 +383,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     for eps in eps_ladder:
         plain = mollify(field, eps)
         loc = mollify_localized(field, eps)
-        gap = float(np.abs(loc.values[box][wbox] - plain.values[box][wbox]).max())
+        gap = float(np.abs(loc.values[box] - plain.values[box]).max())
         dp = _pair_dists(build_weighted_grid(plain, params.xi), pairs)
         dl = _pair_dists(build_weighted_grid(loc, params.xi), pairs)
         dev = float(np.abs(dl / dp - 1.0).max())
@@ -466,7 +468,7 @@ def _annulus_trial(seed: int, lat: LatticeSpec, epsilon: float, proxy_eps: float
         across_p = dist_sets(grid_p, inner, outer).value
         u = grid_e.spec.point_of(*across_e.path.sites[0])
         v = grid_e.spec.point_of(*across_e.path.sites[-1])
-        d_uv_proxy = _dist_in_crop(grid_p, u, v).value
+        d_uv_proxy = float(_pair_dists(grid_p, [(u, v)])[0])
         rows.append((float(r), around_e, across_e.value, around_e / across_e.value,
                      around_p, across_p, around_p / across_p,
                      across_e.value / d_uv_proxy))
@@ -600,7 +602,7 @@ def field_continuity_check(field: FieldSample, a: float,
         raise InvalidArgument("n_ladder must be a strictly increasing list of >= 2 sizes")
     spec = field.spec
     check_scale(spec, (max(n_ladder) + 1) ** (-a))
-    box, wbox = _window_box(spec, window)
+    box = _window_box(spec, window)
 
     rows = []
     c_plain = []
@@ -609,9 +611,9 @@ def field_continuity_check(field: FieldSample, a: float,
         e_hi = float(m) ** (-a)
         e_lo = float(m + 1) ** (-a)
         gp = float(np.abs(mollify(field, e_hi, box=box).values
-                          - mollify(field, e_lo, box=box).values)[wbox].max())
+                          - mollify(field, e_lo, box=box).values).max())
         gl = float(np.abs(mollify_localized(field, e_hi, box).values
-                          - mollify_localized(field, e_lo, box).values)[wbox].max())
+                          - mollify_localized(field, e_lo, box).values).max())
         unit = a * math.log(m + 1) * (((m + 1) / m) ** a - 1.0)
         rows.append((m, e_hi, e_lo, gp, gl, unit, gp / unit, gl / unit))
         c_plain.append(gp / unit)
@@ -644,15 +646,15 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     real(eta, "eta", gt=0)
     _validate_decreasing(eps_ladder, min_rungs=3)
     _require_inside(window, _central_quarter(field.spec), "window")
-    box, wbox = _window_box(field.spec, window)
+    box = _window_box(field.spec, window)
 
     coef = (1.0 + eta) * (2.0 + eta)
     rows = []
     cps = []
     cls = []
     for eps in eps_ladder:
-        sp = float(np.abs(mollify(field, eps, box=box).values)[wbox].max())
-        sl = float(np.abs(mollify_localized(field, eps, box).values)[wbox].max())
+        sp = float(np.abs(mollify(field, eps, box=box).values).max())
+        sl = float(np.abs(mollify_localized(field, eps, box).values).max())
         budget = coef * math.log(1.0 / eps)
         rows.append((float(eps), sp, sl, sp - budget, sl - budget))
         cps.append(sp - budget)

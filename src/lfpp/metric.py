@@ -20,9 +20,9 @@ reverse; a crossing's left column comes first, so it starts there.  A solve
 without a region runs Dijkstra over the whole box on the grid's graph,
 built on first use and kept with the grid, so every point query on a grid
 costs the same whatever the pair; a solve in a region runs on its crop.
-A caller that wants one pair's distance can solve it on a smaller box that
-`_point_crop` certifies gives the same float and path (`_dist_in_crop`);
-the experiments' pair sweeps and `lfpp dist` point queries do.
+One routine, `_dist_in_crop`, solves one pair on the crop `_point_crop`
+certifies gives the same float and path, from a floor on every site cost;
+it builds grids through its caller, on the pair's box and on the crop only.
 
 Every graph, of a grid's box or of a region's crop, comes from one rule:
 `_mask_graph` fills a CSR skeleton of the crop (`indptr` and `indices`,
@@ -34,8 +34,10 @@ all active has one skeleton per shape, kept for the process while the crop
 is small (the crossing square of every Monte Carlo trial), so a query
 fills weights only.  Geodesics are deterministic too: ties break by walking
 back from the target, in the graph the solve ran on, through the
-smallest-index predecessor u with dist[u] + weight == dist[v]; within a
-crop that is the lexicographically smallest (i, j).
+smallest-index predecessor u with dist[u] + weight == dist[v] not yet
+visited, stepping back from a dead end (a depth-first search, which finds a
+path even when weights below half an ulp of a label tie sites in a loop);
+within a crop the smallest index is the lexicographically smallest (i, j).
 
 `dist_around_annulus` finds the shortest cycle separating the two boundary
 circles of an annulus by lifting the annulus graph to a two-sheet cover in
@@ -55,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -220,11 +222,6 @@ class WeightedGrid:
         mask[self.box] = True
         mask.flags.writeable = False
         return mask
-
-    @cached_property
-    def _least_cost(self) -> float:
-        """The least site cost, the floor of the grid's point crops."""
-        return float(self.site_cost.min())
 
     @cached_property
     def _full_graph(self):
@@ -459,11 +456,17 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
                sources, crop) -> List[Tuple[int, int]]:
     """Deterministic geodesic from a source node to `target`, as lattice sites.
 
-    From each node v it steps to the smallest-index neighbor u with
-    dist[u] + weight == dist[v], reading neighbors and weights from v's row
-    of the graph the solve ran on, so the sums are the solver's own.  Node c
-    is site divmod(c % (h * w), w) of the (h, w) crop, so on the annulus
-    cover both sheets map to the same sites.
+    A tight step from node v goes to a neighbour u with
+    dist[u] + weight == dist[v], reading neighbours and weights from v's row
+    of the graph the solve ran on, so the sums are the solver's own, and a
+    chain of tight steps from a source folds to dist[target] bit for bit.
+    The walk steps to the smallest-index tight neighbour not yet visited and
+    steps back from a dead end (a depth-first search).  A weight below half
+    an ulp of a label leaves tight steps between equal labels, which can
+    lead back to a visited node; the step Dijkstra labelled each node by is
+    tight and comes from a node settled before it, so a source is always
+    reached.  Node c is site divmod(c % (h * w), w) of the (h, w) crop, so
+    on the annulus cover both sheets map to the same sites.
     """
     rs, cs = crop
     w = cs.stop - cs.start
@@ -475,12 +478,13 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
         v = chain[-1]
         row = slice(indptr[v], indptr[v + 1])
         nbrs = indices[row]
-        opt = nbrs[dist[nbrs] + weights[row] == dist[v]]
-        u = int(opt.min()) if opt.size else None
-        if u is None or u in seen:
-            raise RuntimeError("geodesic reconstruction lost the trail")
-        seen.add(u)
-        chain.append(u)
+        tight = nbrs[dist[nbrs] + weights[row] == dist[v]].tolist()
+        u = min((c for c in tight if c not in seen), default=None)
+        if u is None:
+            chain.pop()
+        else:
+            seen.add(u)
+            chain.append(u)
     return [(i + rs.start, j + cs.start)
             for i, j in (divmod(c % n_base, w) for c in reversed(chain))]
 
@@ -632,17 +636,20 @@ def _point_crop(spec: LatticeSpec, within: Box, a: Tuple[int, int],
       own arithmetic is off by a few eps of a reach below 4n sites, far
       inside the pad.
     - Value.  A path with sum D lies in B, so F_B(t) <= D = F_G(t).
-    - Geodesic.  Both walk-backs (`_walk_back`) start at t.  Say they agree
-      up to v, with F_B(v) = F_G(v), along a chain Q from v to t of
-      distinct sites whose every step is tight, so a walk that reaches v
-      with sum F_G(v) and goes on along Q sums to D.  If u is a neighbour
-      with F_G(u) + w == F_G(v) in G, a G-optimal path P to u (fewer than
-      N edges), then w, then Q sums to D, so it lies in B: u is in B and
-      F_B(u) <= fold(P) = F_G(u).  If instead F_B(u) + w == F_B(v) in B,
-      then F_G(v) <= fl(F_G(u) + w) <= fl(F_B(u) + w) = F_G(v).  Either way
-      F_B(u) = F_G(u) and u is a candidate in both graphs.  Both take the
-      smallest node index, which in either grid is the lexicographically
-      smallest site, so they step to the same u (or both lose the trail).
+    - Geodesic.  Both walk-backs (`_walk_back`) start at t and take the
+      same steps, forward and back.  Say they have so far, so both hold
+      the same visited sites and the same walk Q from its head v to t, of
+      distinct sites with F_B = F_G on each and every step tight, so a
+      walk that reaches v with sum F_G(v) and goes on along Q sums to D.
+      If u is a neighbour with F_G(u) + w == F_G(v) in G, a G-optimal
+      path P to u (fewer than N edges), then w, then Q sums to D, so it
+      lies in B: u is in B and F_B(u) <= fold(P) = F_G(u).  If instead
+      F_B(u) + w == F_B(v) in B, then
+      F_G(v) <= fl(F_G(u) + w) <= fl(F_B(u) + w) = F_G(v).  Either way
+      F_B(u) = F_G(u) and u is a candidate in both graphs.  So both see
+      the same unvisited candidates; both step to the smallest node index,
+      which in either grid is the lexicographically smallest site, or both
+      step back to the same walk, and the claim holds after the step.
     """
     slack = 1.0 - 4.0 * spec.n ** 2 * _EPS
     scale = floor * spec.spacing * slack
@@ -671,18 +678,20 @@ def _crop_grid(grid: WeightedGrid, box: Box) -> WeightedGrid:
                                                  cs.start - j:cs.stop - j])
 
 
-def _dist_in_crop(grid: WeightedGrid, z: Tuple[float, float], w: Tuple[float, float],
-                  want_path: bool = False) -> DistResult:
-    """`dist_point(grid, z, w, want_path)`, bit for bit but for `settled`,
-    solved on the crop `_point_crop` certifies with the grid's least cost
-    as the floor.  The upper bound is the distance on the pair's box plus 2
-    sites, whose paths are the grid's."""
-    a, b = grid.spec.index_of(z), grid.spec.index_of(w)
-    _check_in(grid, a, None, "source")
-    _check_in(grid, b, None, "target")
-    upper = dist_point(_crop_grid(grid, _pair_box(grid.box, a, b, 2)), z, w).value
-    box = _point_crop(grid.spec, grid.box, a, b, upper, grid._least_cost)
-    return dist_point(_crop_grid(grid, box), z, w, want_path)
+def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
+                  within: Box, floor: float, z: Tuple[float, float],
+                  w: Tuple[float, float], want_path: bool = False
+                  ) -> Tuple[WeightedGrid, DistResult]:
+    """(grid, result): `dist_point(G, z, w, want_path)` for the grid G over
+    the box `within`, bit for bit but for `settled`, solved on the grid over
+    the crop `_point_crop` certifies.  `grid_over(box)` is the grid over a
+    box in `within` with G's costs there, and `floor` is at most every cost
+    of G.  The upper bound is the distance on the pair's box plus 2 sites,
+    whose paths are G's; that solve refuses a site outside `within`."""
+    a, b = spec.index_of(z), spec.index_of(w)
+    upper = dist_point(grid_over(_pair_box(within, a, b, 2)), z, w).value
+    grid = grid_over(_point_crop(spec, within, a, b, upper, floor))
+    return grid, dist_point(grid, z, w, want_path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,16 @@ than the package's solvers: shortest paths come from a sorted-edge
 relaxation fixpoint (so the floating-point sums associate exactly like a
 label-setting solver's left-to-right accumulation), separating cycles come
 from exhaustive DFS enumeration with cost pruning, and geodesics from a walk
-back over an adjacency list under the smallest-index tie rule.  Localized
-smoothing is checked against scipy's own wrap-mode correlation, the torus
-sampler and plain smoothing against one real-input spectral expression each
-(and, to rounding, against the complex full-plane transforms they replaced),
-ladder estimates against rung-by-rung estimates that sample every
-trial's field afresh, the blocked bootstrap against one draw of its whole
-index, lattice graphs and the annulus cover against the
-COO edge-list builders that CSR skeletons replaced, and the fixed-field
-experiments' rows and stats against one scalar solve per pair, reduced in
-Python floats as the pairs go by.
+back over an adjacency list under the smallest-index tie rule, stepping back
+from dead ends.  Localized smoothing is checked against scipy's own
+wrap-mode correlation, the torus sampler and plain smoothing against one
+real-input spectral expression each (and, to rounding, against the complex
+full-plane transforms they replaced), ladder estimates against rung-by-rung
+estimates that sample every trial's field afresh, the blocked bootstrap
+against one draw of its whole index, lattice graphs and the annulus cover
+against the COO edge-list builders that CSR skeletons replaced, and the
+fixed-field experiments' rows and stats against one scalar solve per pair,
+reduced in Python floats as the pairs go by.
 """
 
 from __future__ import annotations
@@ -397,16 +397,23 @@ def walk_back(edges, dist: np.ndarray, target: int, sources) -> List[int]:
     """Node chain from a source to `target` under the geodesic tie rule.
 
     From each node v it steps to the smallest-index neighbor u with
-    dist[u] + w == dist[v], scanning a plain adjacency list.
+    dist[u] + w == dist[v] that it has not visited, scanning a plain
+    adjacency list, and steps back from v when there is none.
     """
     nbrs: Dict[int, List[Tuple[int, float]]] = {}
     for u, v, w in edges:
         nbrs.setdefault(u, []).append((v, w))
         nbrs.setdefault(v, []).append((u, w))
     chain = [target]
+    visited = {target}
     while chain[-1] not in sources:
         v = chain[-1]
-        chain.append(min(u for u, w in nbrs[v] if dist[u] + w == dist[v]))
+        fresh = [u for u, w in nbrs[v] if dist[u] + w == dist[v] and u not in visited]
+        if fresh:
+            chain.append(min(fresh))
+            visited.add(chain[-1])
+        else:
+            chain.pop()
     return chain[::-1]
 
 
@@ -670,7 +677,8 @@ def localized_gap_reference(field, eps_ladder, window, xi: float):
 
     from lfpp import build_weighted_grid, dist_point, mollify, mollify_localized
     from lfpp import experiments
-    box, wbox = experiments._window_box(field.spec, window)
+    from lfpp.metric import region_mask
+    sites = region_mask(field.spec, window)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=field.seed, spawn_key=(experiments._PAIR_KEY,)))
     pairs = experiments._draw_pairs(
@@ -680,7 +688,7 @@ def localized_gap_reference(field, eps_ladder, window, xi: float):
     for eps in eps_ladder:
         plain = mollify(field, eps)
         loc = mollify_localized(field, eps)
-        gap = float(np.abs(loc.values[box][wbox] - plain.values[box][wbox]).max())
+        gap = float(np.abs(loc.values[sites] - plain.values[sites]).max())
         grid_p = build_weighted_grid(plain, xi)
         grid_l = build_weighted_grid(loc, xi)
         dev = 0.0

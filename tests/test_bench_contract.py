@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,9 @@ def test_traced_region_solve_counts_its_sites(tracer, box_grid):
     assert spans.summary(0.0)["layers"]["metric.lr_crossing"]["calls"] == 1
 
 
-def _record_point_solves(monkeypatch, modules):
-    """Every result of `dist_point` looked up in `modules`, in call order;
+def _record_point_solves(monkeypatch):
+    """Every result of `dist_point`, in call order, recorded wherever an
+    `lfpp` module holds the function, as the tracer installs its wrappers;
     the tracer then wraps the recorder under the same names."""
     results = []
     real = metric.dist_point
@@ -120,8 +122,11 @@ def _record_point_solves(monkeypatch, modules):
         results.append(real(grid, z, w, want_path))
         return results[-1]
 
-    for module in modules:
-        monkeypatch.setattr(module, "dist_point", recorder)
+    for name, module in list(sys.modules.items()):
+        if name == "lfpp" or name.startswith("lfpp."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recorder)
     return results
 
 
@@ -130,7 +135,7 @@ def test_traced_pair_sweep_counts_every_solve(tracer, monkeypatch, field64):
     # then its certified crop
     grid = build_weighted_grid(mollify_localized(field64, 0.25), 0.2)
     pairs = [((1.0, 2.0), (3.0, 2.5)), ((2.0, 2.0), (2.25, 1.875))]
-    results = _record_point_solves(monkeypatch, [metric])
+    results = _record_point_solves(monkeypatch)
     spans = tracer.Tracer()
     with spans.active():
         experiments._pair_dists(grid, pairs)
@@ -144,7 +149,7 @@ def test_traced_cli_point_query_counts_every_solve(tracer, monkeypatch, tmp_path
                                                    field64, smoother):
     path = tmp_path / "f.lfpf"
     write_field(field64, path)
-    results = _record_point_solves(monkeypatch, [metric, cli])
+    results = _record_point_solves(monkeypatch)
     spans = tracer.Tracer()
     with spans.active():
         assert cli.main(["dist", "--field", str(path), "--eps", "0.25", "--xi", "0.2",

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import LFPP, lfpp_env
+import oracles
+from conftest import LFPP, lfpp_env, localized_fields
 
 from lfpp import (
     Annulus,
@@ -39,6 +40,8 @@ from lfpp import (
 from lfpp import cli
 from lfpp.cli import main
 from lfpp.errors import InvalidArgument
+from lfpp.gff import _localized_range
+from lfpp.metric import _cost_floor
 from lfpp.experiments import EXPERIMENTS, run_experiment
 
 
@@ -382,6 +385,43 @@ class TestDist:
         manifest = load_json(tmp_path / "s.json.manifest.json")
         assert manifest["supercritical_xi"] is True
         assert any("0.41" in w for w in manifest["warnings"])
+
+
+class TestLocalizedPointQuery:
+    """A localized point query smooths only the boxes its crop asks for
+    (`cli._point_query`), with the floor from the raw field, and gives the
+    value and path of `oracles.full_point_solve` on the whole localized
+    grid."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(localized_fields(), st.sampled_from(["field", "shifted", "constant"]),
+           st.floats(-1.0, 1.0), st.sampled_from([0.5, 2.0, 8.0]), st.data())
+    def test_matches_full_solve(self, case, kind, t, size, data):
+        # sampled fields, fields moved off zero, and constants of either
+        # sign, whose floor is the least cost itself when negative
+        field, eps = case
+        if kind == "constant":
+            values = np.full_like(field.values, size * t)
+        else:
+            values = size * (field.values + (5.0 * t if kind == "shifted" else 0.0))
+        field = FieldSample(spec=field.spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
+                            values=values, mean_removed=False, derived=True)
+        spec, xi = field.spec, 1.0
+        assert _cost_floor(xi, *_localized_range(field, eps)) is not None
+        coord = st.one_of(st.sampled_from([0, spec.n - 1]), st.integers(0, spec.n - 1))
+        a, b = data.draw(st.tuples(coord, coord)), data.draw(st.tuples(coord, coord))
+        grid, res = cli._point_query(field, eps, xi, True, spec.point_of(*a),
+                                     spec.point_of(*b), True)
+        full = build_weighted_grid(mollify_localized(field, eps), xi)
+        assert np.array_equal(grid.site_cost, full.site_cost[grid.box])
+        if a == b:
+            assert res.value == 0.0 and res.path.sites == (a,)
+            return
+        lo, hi = min(a, b), max(a, b)
+        dist, chain = oracles.full_point_solve(full.site_cost, full.mask,
+                                               spec.spacing, lo, hi)
+        assert res.value == dist[hi[0] * spec.n + hi[1]]
+        assert list(res.path.sites) == (chain if a == lo else chain[::-1])
 
 
 class TestDistErrorPaths:

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -363,22 +364,32 @@ class TestPointSolveMatchesOracle:
 @st.composite
 def crop_cases(draw):
     """(grid, site a, site b): xi = 1 costs on n = 8..64 from a normal field
-    at scale 1 or 3, a constant field (every path of one shape ties), or
-    sites of cost 1 and 1.2e6 at random (a maze of cheap sites); the sites
-    lie anywhere, on edges and corners often."""
+    at scale 1 or 3, a constant field (every path of one shape ties), sites
+    of cost 1 and 1.2e6 at random (a maze of cheap sites), or a normal field
+    at scale 40, whose costs span far more than 2^53, so that weights vanish
+    against labels and tie sites in loops; the sites lie anywhere, on edges
+    and corners often."""
     n = draw(st.sampled_from([8, 16, 32, 64]))
     spec = LatticeSpec(n=n, spacing=1.0 / n)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["normal", "constant", "maze"]))
+    kind = draw(st.sampled_from(["normal", "constant", "maze", "wide"]))
     if kind == "constant":
         vals = np.full((n, n), draw(st.floats(-5.0, 5.0)))
     elif kind == "maze":
         vals = 14.0 * (rng.random(size=(n, n)) < draw(st.floats(0.2, 0.6)))
+    elif kind == "wide":
+        vals = 40.0 * rng.normal(size=(n, n))
     else:
         vals = draw(st.sampled_from([1.0, 3.0])) * rng.normal(size=(n, n))
     coord = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
     a, b = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
     return build_weighted_grid(make_moll(spec, vals), 1.0), a, b
+
+
+def crop_solve(grid, z, w):
+    """The point solve of z and w on its certified crop of `grid`."""
+    return metric._dist_in_crop(grid.spec, partial(metric._crop_grid, grid), grid.box,
+                                float(grid.site_cost.min()), z, w, want_path=True)[1]
 
 
 class TestPointCrop:
@@ -391,8 +402,7 @@ class TestPointCrop:
     def test_crop_solve_matches_full_solve(self, case):
         grid, a, b = case
         spec = grid.spec
-        res = metric._dist_in_crop(grid, spec.point_of(*a), spec.point_of(*b),
-                                   want_path=True)
+        res = crop_solve(grid, spec.point_of(*a), spec.point_of(*b))
         if a == b:
             assert res.value == 0.0 and res.path.sites == (a,)
             return
@@ -406,7 +416,7 @@ class TestPointCrop:
         # a near pair on a mildly rough field needs only a few rows
         spec, grid = random_grid(np.random.default_rng(3), 64, 1.0 / 64, scale=0.5)
         z, w = spec.point_of(30, 20), spec.point_of(32, 40)
-        res = metric._dist_in_crop(grid, z, w, want_path=True)
+        res = crop_solve(grid, z, w)
         full = dist_point(grid, z, w, want_path=True)
         assert (res.value, res.path) == (full.value, full.path)
         assert res.settled < full.settled == 64 * 64
