@@ -194,30 +194,6 @@ def _region_from_flag(text: Optional[str], kind=object, flag: str = ""):
     return region
 
 
-def _point_query(field, eps: float, xi: float, localized: bool, src, dst,
-                 want_path: bool):
-    """(grid, result) of a point query: `dist_point` on the full lattice's
-    grid, bit for bit but for `settled`, solved on its certified crop
-    (`metric._dist_in_crop`).
-
-    Plain smoothing runs on the whole lattice (0.05 s at 1024^2), and the
-    crop's floor is the grid's least cost.  Localized smoothing runs only on
-    the boxes `_dist_in_crop` asks for, with the floor from the raw field's
-    value range (`gff._localized_range`).  When that range allows a cost
-    that would overflow or vanish, the whole lattice is smoothed as before,
-    so such a field is refused as before.
-    """
-    lattice = (slice(0, field.spec.n), slice(0, field.spec.n))
-    floor = _cost_floor(xi, *_localized_range(field, eps)) if localized else None
-    if floor is not None:
-        def grid_over(box):
-            return build_weighted_grid(mollify_localized(field, eps, box=box), xi)
-    else:
-        grid = build_weighted_grid((mollify_localized if localized else mollify)(field, eps), xi)
-        grid_over, floor = partial(_crop_grid, grid), float(grid.site_cost.min())
-    return _dist_in_crop(field.spec, grid_over, lattice, floor, src, dst, want_path)
-
-
 def _handle_dist(ns) -> dict:
     within = _region_from_flag(ns.within)
     around = _region_from_flag(ns.around, Annulus, "--around")
@@ -234,18 +210,32 @@ def _handle_dist(ns) -> dict:
         raise InvalidArgument("--emit-gnuplot needs --emit-path")
 
     field = fieldio.read_field(ns.field)
-    params = Params(xi=ns.xi)
-    # A region query reads only the sites of its region, and either
-    # smoother's values on their box are bitwise the full lattice's there.
+    spec, xi = field.spec, Params(xi=ns.xi).xi
+    smooth = mollify_localized if ns.localized else mollify
+
+    def grid_over(box):
+        return build_weighted_grid(smooth(field, ns.eps, box=box), xi)
+
+    # Either smoother's values on a box are bitwise the full lattice's there,
+    # so each query smooths only the sites it reads.
     region = around or crossing or within
     if region is None:
-        grid, res = _point_query(field, ns.eps, params.xi, ns.localized,
-                                 src, dst, want_path)
+        # `dist_point` on the whole lattice's grid, solved on its certified
+        # crop.  Localized smoothing runs on the boxes the crop asks for, with
+        # the floor from the raw field's value range (0 when a cost could
+        # overflow or vanish, which certifies only the whole lattice); plain
+        # smoothing runs once on the whole lattice, floored by its least cost.
+        lattice = (slice(0, spec.n), slice(0, spec.n))
+        if ns.localized:
+            floor = _cost_floor(xi, *_localized_range(field, ns.eps))
+        else:
+            whole = grid_over(lattice)
+            grid_over, floor = partial(_crop_grid, whole), float(whole.site_cost.min())
+        grid, res = _dist_in_crop(spec, grid_over, lattice, floor, src, dst, want_path)
         mode = "point"
     else:
-        smooth = mollify_localized if ns.localized else mollify
-        grid = build_weighted_grid(
-            smooth(field, ns.eps, box=region_box(field.spec, region)), params.xi)
+        # a region with no site smooths one, and its query reports it empty
+        grid = grid_over(region_box(spec, region) or (slice(0, 1), slice(0, 1)))
         if around:
             res = dist_around_annulus(grid, around, want_path=want_path)
             mode = "around"
@@ -347,8 +337,9 @@ def _handle_exp(ns) -> dict:
     with open(ns.config, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as exc:
+            raise InvalidArgument(f"malformed JSON at line {exc.lineno} "
+                                  f"column {exc.colno}: {exc.msg}") from None
         # an int past the interpreter's digit limit, or nesting past the
         # parser's recursion limit
         except (ValueError, RecursionError) as exc:
@@ -526,10 +517,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if result.get("stdout"):
             print(result["stdout"])
         return 0
-    except json.JSONDecodeError as exc:
-        print(f"lfpp: error: malformed JSON at line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 1
     except LfppError as exc:
         print(f"lfpp: error: {exc}", file=sys.stderr)
         return 1

@@ -21,8 +21,9 @@ without a region runs Dijkstra over the whole box on the grid's graph,
 built on first use and kept with the grid, so every point query on a grid
 costs the same whatever the pair; a solve in a region runs on its crop.
 One routine, `_dist_in_crop`, solves one pair on the crop `_point_crop`
-certifies gives the same float and path, from a floor on every site cost;
-it builds grids through its caller, on the pair's box and on the crop only.
+certifies gives the same float and path, from a floor on every site cost
+(a zero floor certifies only the whole box); it builds grids through its
+caller, on the pair's box and on the crop only.
 
 Every graph, of a grid's box or of a region's crop, comes from one rule:
 `_mask_graph` fills a CSR skeleton of the crop (`indptr` and `indices`,
@@ -313,16 +314,18 @@ def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
     return WeightedGrid(spec=moll.spec, site_cost=site_cost, offset=moll.offset)
 
 
-def _cost_floor(xi: float, low: float, high: float) -> Optional[float]:
+def _cost_floor(xi: float, low: float, high: float) -> float:
     """A lower bound on every site cost `build_weighted_grid` makes from
-    values in [low, high], or None when such a cost could overflow or
-    vanish (xi * value above 709 or below -708), so that the grid could be
-    refused.  fl(xi * v) is nondecreasing in v for xi > 0; the scalar exp
-    at fl(xi * low) less 16 eps relative leaves room for numpy's vector
-    exp, which may round an ulp or so below the scalar one."""
+    values in [low, high]; 0.0 when such a cost could overflow or vanish
+    (xi * value above 709 or below -708): a zero floor certifies only the
+    whole box (`_point_crop`), so a grid that could be refused is built
+    whole and refused as it would be.  fl(xi * v) is nondecreasing in v
+    for xi > 0; the scalar exp at fl(xi * low) less 16 eps relative leaves
+    room for numpy's vector exp, which may round an ulp or so below the
+    scalar one."""
     lo, hi = float(xi) * low, float(xi) * high
     if not (-708.0 <= lo and hi <= 709.0):
-        return None
+        return 0.0
     return math.exp(lo) * (1.0 - 16.0 * _EPS)
 
 
@@ -365,7 +368,9 @@ class _Skeleton:
     those are the entries.  `indptr` and `indices` list them row by row in
     site order (node i * w + j), and _OFFSETS runs in node order, so each
     row's columns come out sorted.  All three arrays are read-only, so
-    graphs can share them.
+    graphs can share them.  Indices are int32: a crop holds at most
+    `gff._MAX_N`^2 = 2^24 sites, so a skeleton has at most 2^27 entries and
+    the annulus cover twice that.
     """
 
     keep: np.ndarray
@@ -378,11 +383,10 @@ class _Skeleton:
         keep = np.empty((h, w, 8), dtype=bool)
         for k, nbr in enumerate(_neighbours(active)):
             np.logical_and(active, nbr, out=keep[..., k])
-        itype = np.int32 if 8 * h * w <= np.iinfo(np.int32).max else np.int64
-        step = np.array([di * w + dj for di, dj in _OFFSETS], dtype=itype)
-        indices = (np.arange(h * w, dtype=itype)[:, None] + step)[keep.reshape(h * w, 8)]
-        indptr = np.zeros(h * w + 1, dtype=itype)
-        np.cumsum(keep.sum(axis=2, dtype=itype).ravel(), out=indptr[1:])
+        step = np.array([di * w + dj for di, dj in _OFFSETS], dtype=np.int32)
+        indices = (np.arange(h * w, dtype=np.int32)[:, None] + step)[keep.reshape(h * w, 8)]
+        indptr = np.zeros(h * w + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
         for arr in (keep, indptr, indices):
             arr.flags.writeable = False
         return cls(keep=keep, indptr=indptr, indices=indices)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from lfpp import (
     Params,
     build_weighted_grid,
     dist_around_annulus,
+    edge_weight,
     mollify,
     mollify_localized,
     read_field,
@@ -387,11 +389,51 @@ class TestDist:
         assert any("0.41" in w for w in manifest["warnings"])
 
 
+def _point_through_main(field, eps, xi, a, b, *flags):
+    """(exit code, JSON document, path CSV rows as floats) of `lfpp dist`
+    from site a to site b of a field written to a fresh directory."""
+    spec = field.spec
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_field(field, tmp / "f.lfpf")
+        ends = ["%r,%r" % spec.point_of(*site) for site in (a, b)]
+        code = main(["dist", "--field", str(tmp / "f.lfpf"), "--eps", repr(eps),
+                     "--xi", repr(xi), "--from", ends[0], "--to", ends[1],
+                     "--out", str(tmp / "d.json"), "--emit-path", str(tmp / "p.csv"),
+                     *flags])
+        if code:
+            return code, None, None
+        rows = [[float(v) for v in line.split(",")]
+                for line in (tmp / "p.csv").read_text().splitlines()[1:]]
+        return code, load_json(tmp / "d.json"), rows
+
+
+def _assert_full_solve(field, eps, xi, a, b, doc, rows):
+    """The document and path CSV of a point query from site a to site b are
+    `oracles.full_point_solve`'s value and path on the whole localized
+    grid, with the cumulative lengths of that grid's edge weights."""
+    spec = field.spec
+    full = build_weighted_grid(mollify_localized(field, eps), xi)
+    if a == b:
+        assert doc["value"] == 0.0 and doc["path"]["sites"] == [list(a)]
+        return
+    lo, hi = min(a, b), max(a, b)
+    dist, chain = oracles.full_point_solve(full.site_cost, full.mask,
+                                           spec.spacing, lo, hi)
+    sites = chain if a == lo else chain[::-1]
+    assert doc["value"] == dist[hi[0] * spec.n + hi[1]]
+    assert doc["path"]["sites"] == [list(s) for s in sites]
+    cum = [0.0]
+    for u, v in zip(sites, sites[1:]):
+        cum.append(cum[-1] + edge_weight(full, u, v))
+    assert rows == [[k, *spec.point_of(*s), c]
+                    for k, (s, c) in enumerate(zip(sites, cum))]
+
+
 class TestLocalizedPointQuery:
-    """A localized point query smooths only the boxes its crop asks for
-    (`cli._point_query`), with the floor from the raw field, and gives the
-    value and path of `oracles.full_point_solve` on the whole localized
-    grid."""
+    """`lfpp dist --localized` in point mode smooths only the boxes its crop
+    asks for, with the floor from the raw field, and gives the value and
+    path of `oracles.full_point_solve` on the whole localized grid."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(localized_fields(), st.sampled_from(["field", "shifted", "constant"]),
@@ -407,21 +449,42 @@ class TestLocalizedPointQuery:
         field = FieldSample(spec=field.spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
                             values=values, mean_removed=False, derived=True)
         spec, xi = field.spec, 1.0
-        assert _cost_floor(xi, *_localized_range(field, eps)) is not None
+        assert _cost_floor(xi, *_localized_range(field, eps)) > 0
         coord = st.one_of(st.sampled_from([0, spec.n - 1]), st.integers(0, spec.n - 1))
         a, b = data.draw(st.tuples(coord, coord)), data.draw(st.tuples(coord, coord))
-        grid, res = cli._point_query(field, eps, xi, True, spec.point_of(*a),
-                                     spec.point_of(*b), True)
-        full = build_weighted_grid(mollify_localized(field, eps), xi)
-        assert np.array_equal(grid.site_cost, full.site_cost[grid.box])
-        if a == b:
-            assert res.value == 0.0 and res.path.sites == (a,)
-            return
-        lo, hi = min(a, b), max(a, b)
-        dist, chain = oracles.full_point_solve(full.site_cost, full.mask,
-                                               spec.spacing, lo, hi)
-        assert res.value == dist[hi[0] * spec.n + hi[1]]
-        assert list(res.path.sites) == (chain if a == lo else chain[::-1])
+        code, doc, rows = _point_through_main(field, eps, xi, a, b, "--localized")
+        assert code == 0
+        _assert_full_solve(field, eps, xi, a, b, doc, rows)
+
+    @staticmethod
+    def _well(depth):
+        """A 64^2 zero field at spacing 1/16 with one site at `depth`."""
+        field = zero_field()
+        values = field.values.copy()
+        values[20, 30] = depth
+        return replace(field, values=values, mean_removed=False, derived=True)
+
+    @pytest.mark.parametrize("a, b", [((20, 10), (20, 50)), ((50, 5), (3, 60)),
+                                      ((40, 40), (45, 44))],
+                             ids=["through-the-well", "across", "away"])
+    def test_field_whose_range_could_vanish_a_cost(self, a, b):
+        """The raw range allows a cost that vanishes, so no floor above 0
+        bounds the costs and the crop is the whole lattice; the smoothed
+        field itself is accepted, and the query gives the full solve."""
+        field, eps, xi = self._well(-900.0), 0.25, 1.0
+        assert not _cost_floor(xi, *_localized_range(field, eps))
+        code, doc, rows = _point_through_main(field, eps, xi, a, b, "--localized")
+        assert code == 0
+        _assert_full_solve(field, eps, xi, a, b, doc, rows)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @pytest.mark.parametrize("smoother", [[], ["--localized"]], ids=["plain", "localized"])
+    def test_field_whose_costs_overflow_is_refused(self, smoother, capsys):
+        field = replace(zero_field(), values=np.full((64, 64), 800.0),
+                        mean_removed=False, derived=True)
+        code, _, _ = _point_through_main(field, 0.25, 1.0, (20, 10), (20, 50), *smoother)
+        assert code == 1
+        assert "overflowed or vanished" in capsys.readouterr().err
 
 
 class TestDistErrorPaths:
@@ -487,6 +550,28 @@ class TestDistErrorPaths:
         code = self._dist(field_path, tmp_path, *smoother, "--crossing", rect)
         assert code == 1
         assert "crossing square contains no active sites" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @SMOOTHERS
+    @pytest.mark.parametrize("flags, message", [
+        (["--crossing", "rect:10,10,11,11"], "crossing square contains no active sites"),
+        (["--around", "annulus:10,10,0.2,0.5"], "annulus contains no lattice sites"),
+        (["--within", "disk:10,10,0.5", "--from", "1.0,2.0", "--to", "2.0,2.0"],
+         "source site (32, 16) is outside the active region"),
+    ], ids=["crossing", "around", "within"])
+    def test_empty_region_smooths_one_site(self, field_path, tmp_path, capsys,
+                                           monkeypatch, smoother, flags, message):
+        seen = []
+        for name in ("mollify", "mollify_localized"):
+            def spy(field, eps, box=None, _real=getattr(cli, name)):
+                seen.append(box)
+                return _real(field, eps, box=box)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert self._dist(field_path, tmp_path, *smoother, *flags) == 1
+        assert capsys.readouterr().err == f"lfpp: error: {message}\n"
+        assert seen and all(box is not None and all(s.stop - s.start == 1 for s in box)
+                            for box in seen)
         assert not (tmp_path / "x.json").exists()
 
     @SMOOTHERS

@@ -36,7 +36,7 @@ from lfpp import (
     region_box,
     sample_torus_gff,
 )
-from lfpp import metric
+from lfpp import gff, metric
 from lfpp.metric import region_mask
 
 # Shortest separating cycle of the zero-field 32x32 annulus (0.18, 0.30)
@@ -619,6 +619,13 @@ class TestSkeletonMatchesReference:
         value, sites, settled = oracles.around_reference(grid, ann)
         assert (res.value, res.settled) == (value, settled)
         assert (None if res.path is None else list(res.path.sites)) == sites
+
+    def test_lattice_cap_keeps_indices_in_int32(self):
+        """Skeletons index in int32: the annulus cover of the largest crop,
+        two sheets of 8 entries per site, fits; raising the cap fails here."""
+        assert 16 * gff._MAX_N ** 2 <= np.iinfo(np.int32).max
+        skel = metric._Skeleton.of(np.ones((3, 4), dtype=bool))
+        assert skel.indptr.dtype == skel.indices.dtype == np.int32
 
 
 def _tie_ring(cost: np.ndarray, rows, cols, lower: float, upper: float) -> None:
