@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -374,7 +374,10 @@ def _handle_cache_info(ns) -> dict:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` is also the
+    in-process entry point, and parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="lfpp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lfpp {__version__}")
     sub = parser.add_subparsers(dest="command")

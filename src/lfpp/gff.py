@@ -56,9 +56,9 @@ from .errors import (
 # regime this package is calibrated for.
 XI_CRIT_REF = 0.41
 
-# Localized fold: output rows per tile; quadrant taps at or below the floor
-# are skipped.
-_TILE_ROWS = 64
+# Localized fold: padded-block lanes per tile (64 rows of 512); quadrant taps
+# at or below the floor are skipped.
+_TILE_SITES = 64 * 512
 _TAP_FLOOR = np.finfo(np.float64).eps
 
 # Largest sites per axis: a full-lattice graph at n = 8192 needs about 6.4 GB
@@ -561,11 +561,14 @@ def mollify_localized(field: FieldSample, epsilon: float,
     values x: acc = 0; for p = 0..m in order, V = x[r-p] + x[r+p] as rows
     (x[r] at p = 0); for each kept q = 0..m in order,
     acc = acc + s[p, q] * (V[c-q] + V[c+q]) (V[c] at q = 0); the value is
-    acc / stencil_sum, the sum of the mirrored (2m+1)^2 stencil.  Each
-    64-row tile forms V once per p in one buffer and each pair in another,
-    three element passes per four taps.  Every site runs the same
-    operations in any block, so a box holds its full-lattice values bit for
-    bit.  Verified on x86-64 only.
+    acc / stencil_sum, the sum of the mirrored (2m+1)^2 stencil.  The block
+    is flat with row stride w + 2m, and each tile of rows (`_TILE_SITES`
+    lanes) forms V once per p in one buffer and each pair in another, each
+    step one contiguous 1-D pass over the tile's lanes: three element passes
+    per four taps.  A row's last 2m lanes are pad lanes, summed across the
+    row boundary and dropped.  Every site runs the same operations in any
+    block, so a box holds its full-lattice values bit for bit.  Verified on
+    x86-64 only.
     """
     spec = field.spec
     n, delta = spec.n, spec.spacing
@@ -582,32 +585,32 @@ def mollify_localized(field: FieldSample, epsilon: float,
     stencil_sum = quad[np.ix_(fold, fold)].sum()
     # Full-torus kernel sum for the retained-mass diagnostic.
     full_sum = _axis_kernel(spec, epsilon).sum() ** 2
-    block = field.values[np.ix_(np.arange(r0 - m, r1 + m) % n,
-                                np.arange(c0 - m, c1 + m) % n)]
     h, w = r1 - r0, c1 - c0
-    taps = [(p, [(q, quad[p, q]) for q in np.flatnonzero(quad[p] > _TAP_FLOOR)])
-            for p in range(m + 1)]
-    values = np.zeros((h, w))
-    mirrored = np.empty((min(h, _TILE_ROWS), w + 2 * m))
-    pair = np.empty((min(h, _TILE_ROWS), w))
-    for t in range(0, h, _TILE_ROWS):
-        tile = values[t:t + _TILE_ROWS]
-        th = len(tile)
-        here, out = block[t + m:t + m + th], pair[:th]
-        for p, row in taps:
-            if not row:
-                continue
-            v = here if p == 0 else np.add(block[t + m - p:t + m - p + th],
-                                           block[t + m + p:t + m + p + th],
-                                           out=mirrored[:th])
-            for q, s in row:
-                if q == 0:
-                    np.multiply(v[:, m:m + w], s, out=out)
-                else:
-                    np.add(v[:, m - q:m - q + w], v[:, m + q:m + q + w], out=out)
-                    out *= s
-                tile += out
-    values /= stencil_sum
+    wide = w + 2 * m   # the flat padded block's row stride
+    flat = field.values[np.ix_(np.arange(r0 - m, r1 + m) % n,
+                               np.arange(c0 - m, c1 + m) % n)].ravel()
+    taps = [(p, row) for p in range(m + 1)
+            if (row := [(q, quad[p, q]) for q in np.flatnonzero(quad[p] > _TAP_FLOOR)])]
+    padded = np.zeros(h * wide)
+    rows = min(h, max(1, _TILE_SITES // wide))
+    mirrored, pair = np.empty(rows * wide), np.empty(rows * wide)
+    with np.errstate(over="ignore", invalid="ignore"):   # pad lanes may overflow
+        for t in range(0, h, rows):
+            th = min(rows, h - t)
+            lanes, here = (th - 1) * wide + w, (t + m) * wide
+            out, sums = pair[:lanes], padded[t * wide:t * wide + lanes]
+            for p, row in taps:
+                v = flat[here:here + th * wide] if p == 0 else np.add(
+                    flat[here - p * wide:here + (th - p) * wide],
+                    flat[here + p * wide:here + (th + p) * wide], out=mirrored[:th * wide])
+                for q, s in row:
+                    if q == 0:
+                        np.multiply(v[m:m + lanes], s, out=out)
+                    else:
+                        np.add(v[m - q:m - q + lanes], v[m + q:m + q + lanes], out=out)
+                        out *= s
+                    sums += out
+    values = padded.reshape(h, wide)[:, :w] / stencil_sum
     return MollifiedField(spec=spec, kind=field.kind, epsilon=float(epsilon),
                           values=values, localized=True,
                           z_epsilon=float(stencil_sum / full_sum),

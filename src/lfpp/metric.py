@@ -56,6 +56,7 @@ walked back by the same rule, in (sheet, i, j) order on the cover.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Tuple, Union
@@ -78,6 +79,10 @@ _OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
                                          (0, 1), (1, -1), (1, 0), (1, 1))
 _FILL_SITES = 1 << 14     # sites per block of a weight fill (cache-sized slots)
 _CACHED_SITES = 1 << 17   # full crops up to this size keep their skeleton
+# The label a point solve may stop at.  `_dist_in_crop` sets it around its
+# crop solve only, which stays a `dist_point` call, so whatever wraps
+# `dist_point` (the benchmark's tracer) still sees every solve.
+_CROP_LIMIT: ContextVar[float] = ContextVar("_CROP_LIMIT", default=math.inf)
 
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
 _EPS = float(np.finfo(np.float64).eps)
@@ -494,21 +499,25 @@ def _walk_back(graph: csr_matrix, dist: np.ndarray, target: int,
 
 
 def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
-             region, want_path: bool) -> DistResult:
+             region, want_path: bool, limit: float = math.inf) -> DistResult:
     """Distance between two (k, 2) site arrays in lexicographic order, along
     paths through the active sites of `region`, a (crop, active) pair (the
     whole box when None, on the grid's own graph).
 
     The solve starts from the array whose first site is smaller; the target
     is the first minimum among the other's sites, and the path walked back
-    from it is reversed when the start was b.
+    from it is reversed when the start was b.  `limit`, at least the
+    distance, stops the solve at that label: labels at or below it are the
+    unbounded solve's, and the walk-back reads only those (a neighbour
+    above the limit is never tight), so only `settled` drops.
     """
     swapped = tuple(b_sites[0]) < tuple(a_sites[0])
     sources, targets = (b_sites, a_sites) if swapped else (a_sites, b_sites)
     crop, graph = ((grid.box, grid._full_graph) if region is None
                    else (region[0], _mask_graph(grid, *region)))
     s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
-    dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True)
+    dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True,
+                             limit=limit)
     settled = int(np.isfinite(dist).sum())
     t_dist = dist[t_flat]
     best = int(np.argmin(t_dist))  # first minimum = lexicographically smallest
@@ -538,7 +547,7 @@ def dist_point(grid: WeightedGrid, z: Tuple[float, float], w: Tuple[float, float
                want_path: bool = False) -> DistResult:
     """Distance between the sites nearest to the plane points z and w;
     bitwise symmetric in (z, w)."""
-    return _point_dist(grid, z, w, None, want_path)
+    return _point_dist(grid, z, w, None, want_path, _CROP_LIMIT.get())
 
 
 def dist_internal(grid: WeightedGrid, z: Tuple[float, float],
@@ -548,14 +557,15 @@ def dist_internal(grid: WeightedGrid, z: Tuple[float, float],
     return _point_dist(grid, z, w, _region_crop(grid.spec, sub, grid.box), want_path)
 
 
-def _point_dist(grid: WeightedGrid, z, w, region, want_path: bool) -> DistResult:
+def _point_dist(grid: WeightedGrid, z, w, region, want_path: bool,
+                limit: float = math.inf) -> DistResult:
     sz = grid.spec.index_of(z)
     sw = grid.spec.index_of(w)
     _check_in(grid, sz, region, "source")
     _check_in(grid, sw, region, "target")
     if sz == sw:
         return _trivial_zero(sz, want_path)
-    return _between(grid, np.array([sz]), np.array([sw]), region, want_path)
+    return _between(grid, np.array([sz]), np.array([sw]), region, want_path, limit)
 
 
 def dist_sets(grid: WeightedGrid, region_a: Region, region_b: Region,
@@ -691,11 +701,16 @@ def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
     the crop `_point_crop` certifies.  `grid_over(box)` is the grid over a
     box in `within` with G's costs there, and `floor` is at most every cost
     of G.  The upper bound is the distance on the pair's box plus 2 sites,
-    whose paths are G's; that solve refuses a site outside `within`."""
+    whose paths are G's; that solve refuses a site outside `within`.  The
+    crop's solve stops at the upper bound (`_between`'s `limit`)."""
     a, b = spec.index_of(z), spec.index_of(w)
     upper = dist_point(grid_over(_pair_box(within, a, b, 2)), z, w).value
     grid = grid_over(_point_crop(spec, within, a, b, upper, floor))
-    return grid, dist_point(grid, z, w, want_path)
+    bound = _CROP_LIMIT.set(upper)
+    try:
+        return grid, dist_point(grid, z, w, want_path)
+    finally:
+        _CROP_LIMIT.reset(bound)
 
 
 # ---------------------------------------------------------------------------

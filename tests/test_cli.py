@@ -281,8 +281,11 @@ class TestDist:
         # sites with |s - a| + |s - b| <= D / spacing (16 sites, a touch more
         # for rounding) is the segment on row 32 from column 16 to 32; floor
         # and ceil of its hair-thin extents take one site more each way and
-        # the pad one more: rows 30..34, columns 14..34, all settled.
-        assert manifest["stats"]["settled"] == 5 * 21
+        # the pad one more: rows 30..34, columns 14..34.  The solve stops at
+        # D, 16 axis steps from (32, 16): row 32 settles columns 14..32 and
+        # each other row columns 14..31, as leaving row 32 takes a diagonal
+        # step (sqrt 2 axis steps) per row, which puts column 32 beyond D.
+        assert manifest["stats"]["settled"] == 19 + 4 * 18
         assert (tmp_path / "path.csv.manifest.json").is_file()
 
     def test_crossing_mode(self, zero_path, tmp_path):

@@ -412,6 +412,33 @@ class TestPointCrop:
         assert res.value == dist[hi[0] * spec.n + hi[1]]
         assert list(res.path.sites) == (chain if a == lo else chain[::-1])
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(crop_cases())
+    def test_crop_solve_stops_at_the_upper_bound(self, case):
+        # The crop's solve stops at U, the distance on the pair's box: its
+        # value and path are the full solve's, and it settles exactly the
+        # crop sites whose unbounded labels are at most U.
+        grid, a, b = case
+        if a == b:
+            return
+        spec = grid.spec
+        z, w = spec.point_of(*a), spec.point_of(*b)
+        upper = dist_point(metric._crop_grid(grid, metric._pair_box(grid.box, a, b, 2)),
+                           z, w).value
+        (rs, cs) = crop = metric._point_crop(spec, grid.box, a, b, upper,
+                                             float(grid.site_cost.min()))
+        res = crop_solve(grid, z, w)
+        lo, hi = min(a, b), max(a, b)
+        dist, chain = oracles.full_point_solve(grid.site_cost, grid.mask,
+                                               spec.spacing, lo, hi)
+        assert res.value == dist[hi[0] * spec.n + hi[1]] <= upper
+        assert list(res.path.sites) == (chain if a == lo else chain[::-1])
+        cost = metric._crop_grid(grid, crop).site_cost
+        labels, _ = oracles.full_point_solve(cost, np.ones(cost.shape, dtype=bool),
+                                             spec.spacing, (lo[0] - rs.start, lo[1] - cs.start),
+                                             (hi[0] - rs.start, hi[1] - cs.start))
+        assert res.settled == int((labels <= upper).sum())
+
     def test_crop_is_smaller_than_the_lattice(self):
         # a near pair on a mildly rough field needs only a few rows
         spec, grid = random_grid(np.random.default_rng(3), 64, 1.0 / 64, scale=0.5)

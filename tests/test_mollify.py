@@ -1,6 +1,7 @@
 """Smoothing kernels: normalization, locality, retained-mass accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from lfpp import (
     normalizer_Z,
     sample_torus_gff,
 )
-from lfpp.gff import FieldKind, FieldSample, _localized_range
+from lfpp import gff
+from lfpp.gff import FieldKind, FieldSample, _localized_range, _stencil_reach
 
 # Retained-mass values frozen from the 2-D Cartesian Simpson oracle in
 # tests/oracles.py (z_quadrature); the implementation integrates radially.
@@ -406,3 +408,55 @@ class TestFoldMatchesCorrelate:
         spec = LatticeSpec(n=256, spacing=4.0 / 256)
         self.check(sample_torus_gff(spec, 21), 0.125,
                    [(slice(0, 256), slice(0, 256)), (slice(90, 170), slice(0, 40))])
+
+
+class TestFoldTiles:
+    """The fold runs tile by tile over the flat padded block, `_TILE_SITES`
+    lanes at a time; where the tiles end moves no bit, and the pad lanes
+    between rows print no floating-point warning."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(localized_fields(), st.data())
+    def test_tile_budgets_equal_reference(self, case, data):
+        # one padded row per tile; three rows per tile, which leaves a
+        # partial last tile on the whole lattice (n is a power of 2); and
+        # one tile for the whole box
+        field, eps = case
+        n = field.spec.n
+        _, m = _stencil_reach(field.spec, eps)
+        for box in [(slice(0, n), slice(0, n)), data.draw(boxes(n))]:
+            h, wide = box[0].stop - box[0].start, box[1].stop - box[1].start + 2 * m
+            want = oracles.localized_reference(field, eps, box)
+            for budget in (1, 4 * wide - 1, (h + 1) * wide):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(gff, "_TILE_SITES", budget)
+                    assert np.array_equal(mollify_localized(field, eps, box=box).values, want)
+
+    def test_huge_values_warn_nowhere(self):
+        # A few values of +-1.7e308: sums over pad lanes may overflow where
+        # no real lane does.  Each field smooths to the quadrant rule bit for
+        # bit, or is refused when a real lane overflows, and never warns.
+        rng = np.random.default_rng(31)
+        spec = LatticeSpec(n=32, spacing=1.0 / 64.0)
+        outcomes = set()
+        for _ in range(60):
+            values = rng.normal(size=(32, 32))
+            huge = rng.choice(values.size, size=rng.integers(1, 4), replace=False)
+            values.flat[huge] = 1.7e308 * rng.choice([-1.0, 1.0], size=huge.size)
+            field = FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
+                                values=values, mean_removed=False, derived=True)
+            eps = rng.uniform(2.0 / 64.0, widest_localized_eps(32, 1.0 / 64.0) * (1.0 - 1e-12))
+            lo = rng.integers(0, 32, size=2)
+            box = (slice(lo[0], rng.integers(lo[0] + 1, 33)),
+                   slice(lo[1], rng.integers(lo[1] + 1, 33)))
+            with np.errstate(all="ignore"):
+                want = oracles.localized_reference(field, eps, box)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if np.isfinite(want).all():
+                    assert np.array_equal(mollify_localized(field, eps, box=box).values, want)
+                else:
+                    with pytest.raises(InvalidSpec):
+                        mollify_localized(field, eps, box=box)
+            outcomes.add(bool(np.isfinite(want).all()))
+        assert outcomes == {True, False}
