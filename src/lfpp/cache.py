@@ -2,14 +2,15 @@
 
 An entry is the file `<root>/<key><suffix>`, with the suffix fixed by the
 artifact kind, so the directory is its own index.  Keys are sha256 digests
-of (operation, NUMERICS_VERSION, numpy and scipy versions, fully resolved
-params) with floats as their hex bit pattern: a 1-ulp change in any
-parameter is a different key, and a new NUMERICS_VERSION, numpy or scipy
-retires every entry.  Hits are verified against the artifact itself (binary
-header for field files, `renorm._read_estimate` for estimates); anything
-that fails verification is deleted and reported as a miss.  Every store goes
-through `fieldio.atomic_write`, so concurrent runs on one root never see a
-torn artifact and never lose each other's entries.
+of (operation, NUMERICS_VERSION, numpy and scipy versions, numpy's enabled
+dispatch targets, fully resolved params) with floats as their hex bit
+pattern: a 1-ulp change in any parameter is a different key, and a new
+NUMERICS_VERSION, numpy, scipy or dispatch level retires every entry.  Hits
+are verified against the artifact itself (binary header for field files,
+`renorm._read_estimate` for estimates); anything that fails verification is
+deleted and reported as a miss.  Every store goes through
+`fieldio.atomic_write`, so concurrent runs on one root never see a torn
+artifact and never lose each other's entries.
 """
 
 from __future__ import annotations
@@ -56,9 +57,17 @@ def _canon(value):
     raise InvalidArgument(f"cannot build a cache key from a {type(value).__name__}")
 
 
-def library_versions() -> Dict[str, str]:
-    """numpy's and scipy's versions: their FFTs and `exp` set an artifact's bits."""
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+def library_versions() -> Dict[str, object]:
+    """numpy's and scipy's versions and the numpy dispatch targets enabled in
+    this process, from numpy's runtime table: the FFTs and `exp` set an
+    artifact's bits, and some outputs differ between an AVX-512 and an AVX2
+    target of one numpy."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_dispatch": dispatch}
 
 
 def cache_key(operation: str, params: dict) -> str:

@@ -727,37 +727,43 @@ def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
     An edge straddles when its endpoints lie on either side of the
     horizontal line y = center_y (one at or above, one strictly below); a
     straddling edge is a cut edge when its segment meets that line strictly
-    right of the center.  A cut edge leads to the other sheet, so
-    traversing it switches sheets.  Sheet s's rows are the crop's rows with
-    columns moved by s * h * w, or by the other sheet's for a cut entry.
-    The flags are exactly the crossings of a fixed arc from the inner hole
-    to the outside, so a cycle's flag parity equals its winding parity
-    around the center.  The upper cut sites are the upper ends of the cut
-    edges; the upper uncut sites, the upper ends of the straddling edges
-    that are not cut, are the sources of `_cut_bounds`.
+    right of the center.  The crop's row y values ys ascend, and every edge
+    joins two sites of one row or of adjacent rows.  So with k the first
+    row at or above the line (`searchsorted`), the straddling edges are
+    those from row k - 1 to row k: among the entries of those two rows'
+    nodes, one slice of the CSR arrays, the ones with a < k * w <= b.  No
+    edge straddles when k is 0 or h.  Every straddling edge meets the line
+    at the same fraction t = (center_y - ys[k - 1]) / (ys[k] - ys[k - 1])
+    of the way from a to b, and is cut when xa + (xb - xa) * t > center_x.
+    A cut edge leads to the other sheet, so traversing it switches sheets:
+    sheet s's rows are the crop's rows with columns moved by s * h * w, or
+    by the other sheet's for a cut entry.  The flags are exactly the
+    crossings of a fixed arc from the inner hole to the outside, so a
+    cycle's flag parity equals its winding parity around the center.  The
+    upper end of a straddling edge is b: the upper cut sites are the b ends
+    of the cut edges, and the upper uncut sites, the b ends of the
+    straddling edges that are not cut, are the sources of `_cut_bounds`.
     """
     rs, cs = crop
-    w = cs.stop - cs.start
-    n_base = graph.shape[0]
-    indptr, col = graph.indptr, graph.indices
-    row = np.repeat(np.arange(n_base, dtype=col.dtype), np.diff(indptr))
-    a, b = np.minimum(row, col), np.maximum(row, col)
+    h, w = rs.stop - rs.start, cs.stop - cs.start
+    n_base, indptr, col = graph.shape[0], graph.indptr, graph.indices
     cx, cy = center
-    ya, yb = (spec.origin[1] + (c // w + rs.start) * spec.spacing for c in (a, b))
+    ys = spec.origin[1] + np.arange(rs.start, rs.stop) * spec.spacing
+    k = int(np.searchsorted(ys, cy))
+    lo, hi = ((k - 1) * w, (k + 1) * w) if 0 < k < h else (0, 0)
+    band = slice(indptr[lo], indptr[hi])
+    row = np.repeat(np.arange(lo, hi, dtype=col.dtype), np.diff(indptr[lo:hi + 1]))
+    a, b = np.minimum(row, col[band]), np.maximum(row, col[band])
+    straddle = (a < k * w) & (k * w <= b)
+    t = (cy - ys[k - 1]) / (ys[k] - ys[k - 1]) if lo < hi else 0.0
     xa, xb = (spec.origin[0] + (c % w + cs.start) * spec.spacing for c in (a, b))
-    straddle = ((ya >= cy) & (yb < cy)) | ((yb >= cy) & (ya < cy))
-    t = np.divide(cy - ya, yb - ya, out=np.zeros_like(ya), where=straddle)
     cut = straddle & (xa + (xb - xa) * t > cx)
-    shift = cut.astype(col.dtype) * n_base
-    cover = csr_matrix((np.concatenate((graph.data, graph.data)),
-                        np.concatenate((col + shift, col + (n_base - shift))),
+    cols = np.stack((col, col + n_base))
+    cols[:, band][:, cut] = cols[::-1, band][:, cut]   # a cut entry swaps sheets
+    cover = csr_matrix((np.concatenate((graph.data, graph.data)), cols.ravel(),
                         np.concatenate((indptr, indptr[1:] + indptr[-1]))),
                        shape=(2 * n_base, 2 * n_base))
-
-    def upper_ends(edges):
-        return np.unique(np.concatenate((a[edges & (ya >= cy)], b[edges & (yb >= cy)])))
-
-    return cover, upper_ends(cut), upper_ends(straddle & ~cut)
+    return cover, np.unique(b[cut]), np.unique(b[straddle & ~cut])
 
 
 def _cut_bounds(cover: csr_matrix, cut_sites: np.ndarray,
@@ -812,7 +818,10 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     once for the minimizer); it is walked back on the cover from the twin
     of the minimizing site, with the module's tie rule.  `settled` counts
     the base sites with a label at most the cycle's length, on either
-    sheet, in the minimizer's solve.
+    sheet, in the minimizer's solve.  The cover's cut is read off the one
+    row pair that straddles the ray's line, so beyond the graph the peak
+    memory is the cover's two sheets of entries and the solves' labels:
+    about 330 bytes per annulus site on a lattice-wide annulus.
     """
     spec = grid.spec
     delta = spec.spacing

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import subprocess
+import sys
 import weakref
 from functools import partial
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import localized_fields, make_moll, random_grid, zero_grid
+from conftest import lfpp_env, localized_fields, make_moll, random_grid, zero_grid
 from lfpp import (
     Annulus,
     DegenerateAnnulus,
@@ -558,20 +560,25 @@ def graph_arrays(graph):
 
 def annulus_case(case, on_box, data, spread: float = 1.0, small_holes: bool = False):
     """(grid, annulus) for the annulus properties: lognormal costs of the
-    given spread on the whole lattice, or on the annulus's box; a center on
-    a site or half-way between two; an inner radius of whole spacings, or
-    with `small_holes` also of a fraction of one."""
-    spec, rng = case[0].spec, case[1]
-    n, d = spec.n, spec.spacing
+    given spread on the whole lattice, or on the annulus's box; a lattice
+    origin of 0, a fraction of a spacing, or about +-1e3 plus a fraction, so
+    row y values carry rounding; a center on a site or half-way between two,
+    its row maybe at or past either end of the lattice, where no edge
+    straddles the ray's line; an inner radius of whole spacings, or with
+    `small_holes` also of a fraction of one."""
+    n, d, rng = case[0].spec.n, case[0].spec.spacing, case[1]
+    origins = st.sampled_from([0.0, 0.375 * d, -0.625 * d, 1e3 + 0.3, -1e3 - 0.7])
+    spec = LatticeSpec(n=n, spacing=d, origin=(data.draw(origins), data.draw(origins)))
     grid = WeightedGrid(spec=spec, site_cost=np.exp(spread * rng.normal(size=(n, n))))
 
-    def coord():
-        return (data.draw(st.integers(0, n - 1)) * d
-                + data.draw(st.sampled_from([0.0, 0.5 * d])))
+    def coord(o, index):
+        return o + (data.draw(index) + data.draw(st.sampled_from([0.0, 0.5]))) * d
 
     steps = st.integers(1, n // 4)
     r_in = data.draw(st.sampled_from([0.25, 0.5, 0.75]) | steps if small_holes else steps) * d
-    ann = Annulus(center=(coord(), coord()), r_inner=r_in,
+    center = (coord(spec.origin[0], st.integers(0, n - 1)),
+              coord(spec.origin[1], st.integers(0, n - 1) | st.sampled_from([-1, n])))
+    ann = Annulus(center=center, r_inner=r_in,
                   r_outer=r_in + data.draw(st.integers(4, n // 2)) * d)
     if on_box:
         box = region_box(spec, ann)
@@ -1140,3 +1147,42 @@ class TestAroundAnnulus:
         with pytest.raises(OutOfRegion):
             dist_around_annulus(grid, Annulus(center=(2.0, 2.0),
                                               r_inner=0.3, r_outer=0.8))
+
+
+# One query's peak RSS above the process's peak once its grid is built, in
+# bytes per site, from a fresh interpreter: the query runs once on a 16^2
+# grid first, so lazy imports and first-call set-up are not counted.
+_PEAK_CODE = """
+import resource, sys
+import numpy as np
+from lfpp import Annulus, LatticeSpec, WeightedGrid, dist_around_annulus, dist_point
+from lfpp.metric import region_mask
+
+kind, n = sys.argv[1], int(sys.argv[2])
+ann = Annulus(center=(2.0, 2.0), r_inner=0.5, r_outer=1.99)
+if kind == "around":
+    query = lambda g: dist_around_annulus(g, ann)
+    sites = int(region_mask(LatticeSpec(n=n, spacing=4.0 / n), ann).sum())
+else:
+    query = lambda g: dist_point(g, (0.0, 0.0), (4.0 - g.spec.spacing,) * 2)
+    sites = n * n
+for m in (16, n):
+    grid = WeightedGrid(spec=LatticeSpec(n=m, spacing=4.0 / m), site_cost=np.ones((m, m)))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    query(grid)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / sites)
+"""
+
+
+class TestPeakMemory:
+    """Peak bytes per site at n = 512, unit costs on the 4 x 4 domain, at
+    figures that keep n = 4096 (64x the sites) under 6 GB: per annulus site
+    for the lattice-wide annulus (2, 2) with radii 0.5 and 1.99, and per
+    lattice site for a corner-to-corner `dist_point` on the full grid."""
+
+    @pytest.mark.parametrize("kind, bound", [("around", 450.0), ("point", 200.0)])
+    def test_peak_bytes_per_site(self, kind, bound):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_CODE, kind, "512"],
+                              env=lfpp_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= bound

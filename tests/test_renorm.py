@@ -167,6 +167,18 @@ class TestEstimate:
         monkeypatch.setattr(library, "__version__", library.__version__ + ".post1")
         assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
 
+    def test_cache_key_tracks_numpy_dispatch(self, monkeypatch):
+        # numpy's vector kernels round differently on different targets,
+        # so an AVX2 host must not hit an AVX-512 host's entries
+        from numpy._core import _multiarray_umath as umath
+        if not umath.__cpu_dispatch__:
+            pytest.skip("this numpy dispatches to no target")
+        key = estimate_cache_key(0.5, PARAMS, SMALL_MC)
+        target = umath.__cpu_dispatch__[-1]
+        monkeypatch.setitem(umath.__cpu_features__, target,
+                            not umath.__cpu_features__.get(target))
+        assert estimate_cache_key(0.5, PARAMS, SMALL_MC) != key
+
 
 @st.composite
 def small_mc(draw, n, min_trials):
