@@ -9,12 +9,12 @@ one of three rules, so an input means the same thing wherever it enters:
   int too large for a float is not);
 - a boolean is exactly a bool.
 
-A string is never a number, and neither is a bool.  Each rule takes the
-range its caller admits and the error class its caller raises, and returns
-the value unchanged: constructors check but never convert.  The config
-readers `read_whole` and `read_real` convert after the check, and admit one
-more spelling: a float with no fractional part, such as JSON's 64.0, is a
-whole number.
+A string is never a number, and neither is a bool.  Each number rule takes
+the range its caller admits and the error class its caller raises; every
+rule returns the value unchanged: constructors check but never convert.
+The config readers `read_whole` and `read_real` convert after the check,
+and admit one more spelling: a float with no fractional part, such as
+JSON's 64.0, is a whole number.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def real(value, what: str, *, gt=None, lt=None, le=None, error=InvalidArgument):
                 f"got {_shown(value)}")
 
 
-def boolean(value, what: str, error=InvalidArgument) -> bool:
-    """`value` when it is exactly a bool; `error` naming `what` otherwise."""
+def boolean(value, what: str) -> bool:
+    """`value` when it is exactly a bool; InvalidArgument naming `what`
+    otherwise."""
     if isinstance(value, bool):
         return value
-    raise error(f"{what} must be true or false, got {_shown(value)}")
+    raise InvalidArgument(f"{what} must be true or false, got {_shown(value)}")
 
 
 def uint64(value, what: str, error=InvalidArgument) -> int:

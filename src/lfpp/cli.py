@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -71,6 +72,18 @@ def _parse_point(text: str) -> Tuple[float, float]:
         return (float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _glued(argv: List[str]) -> List[str]:
+    """argv with each value that starts with a minus sign and then a digit
+    or a point, such as the point -2,-2, glued to the flag before it
+    (`--origin=-2,-2`).  argparse reads a dash-led token as a flag unless it
+    looks like one negative number, and what looks like one differs between
+    Python versions; the `=` spelling reads the same on every version."""
+    for k in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--\w[-\w]*", argv[k - 1]) and re.match(r"-\.?\d", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+    return argv
 
 
 def _parse_spacing(text: str):
@@ -149,8 +162,7 @@ def _csv_bytes(header, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -172,15 +184,11 @@ def _handle_field_sample(ns) -> dict:
 
 
 def _path_csv_rows(grid, path):
-    rows = []
-    cum = 0.0
-    prev = None
+    rows, cum = [], 0.0
     for k, site in enumerate(path.sites):
-        if prev is not None:
-            cum += edge_weight(grid, prev, site)
-        x, y = grid.spec.point_of(*site)
-        rows.append((k, x, y, cum))
-        prev = site
+        if k:
+            cum += edge_weight(grid, path.sites[k - 1], site)
+        rows.append((k, *grid.spec.point_of(*site), cum))
     return rows
 
 
@@ -254,12 +262,8 @@ def _handle_dist(ns) -> dict:
             "length": _json_num(res.path.length),
         },
     }
-    outputs = []
-    stdout = None
-    if ns.out:
-        outputs.append((ns.out, _json_bytes(doc)))
-    else:
-        stdout = json.dumps(doc, indent=2)
+    outputs = [(ns.out, _json_bytes(doc))] if ns.out else []
+    stdout = None if ns.out else json.dumps(doc, indent=2)
     if want_path:
         if res.path is None:
             raise InvalidArgument("no path to emit: the target is unreachable")
@@ -501,7 +505,7 @@ def _write_manifest(out_path: str, ns, result: dict, started_at: str,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = parser.parse_args(_glued(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:   # --help and --version exit 0, a usage error 2
         return 0 if exc.code in (0, None) else 1
     if getattr(ns, "handler", None) is None:

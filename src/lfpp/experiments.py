@@ -120,9 +120,9 @@ def _central_quarter(spec: LatticeSpec) -> Rect:
     return Rect(lo=(ox + q, oy + q), hi=(ox + 3 * q, oy + 3 * q))
 
 
-def _require_inside(window: Rect, outer: Rect, what: str) -> None:
+def _require_inside(window: Rect, outer: Rect) -> None:
     if not (_in_rect(window.lo, outer) and _in_rect(window.hi, outer)):
-        raise InvalidArgument(f"{what} {window.lo}..{window.hi} must lie inside "
+        raise InvalidArgument(f"window {window.lo}..{window.hi} must lie inside "
                               f"{outer.lo}..{outer.hi}")
 
 
@@ -373,7 +373,7 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     uptick within 5% is tolerated per sequence.
     """
     _validate_decreasing(eps_ladder, min_rungs=2)
-    _require_inside(window, _central_quarter(field.spec), "window")
+    _require_inside(window, _central_quarter(field.spec))
     box = _window_box(field.spec, window)
     pairs = _distinct_pairs(field.seed, field.spec, window, _N_GAP_PAIRS)
 
@@ -645,7 +645,7 @@ def field_sup_bound_check(field: FieldSample, eps_ladder: Sequence[float],
     """
     real(eta, "eta", gt=0)
     _validate_decreasing(eps_ladder, min_rungs=3)
-    _require_inside(window, _central_quarter(field.spec), "window")
+    _require_inside(window, _central_quarter(field.spec))
     box = _window_box(field.spec, window)
 
     coef = (1.0 + eta) * (2.0 + eta)

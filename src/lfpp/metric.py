@@ -33,12 +33,14 @@ both active, weighing entry (u, v) as
 so both directions of an edge hold the same bits.  A crop whose sites are
 all active has one skeleton per shape, kept for the process while the crop
 is small (the crossing square of every Monte Carlo trial), so a query
-fills weights only.  Geodesics are deterministic too: ties break by walking
-back from the target, in the graph the solve ran on, through the
-smallest-index predecessor u with dist[u] + weight == dist[v] not yet
-visited, stepping back from a dead end (a depth-first search, which finds a
-path even when weights below half an ulp of a label tie sites in a loop);
-within a crop the smallest index is the lexicographically smallest (i, j).
+fills weights only.  The annulus cover is the same rule's graph laid out
+on two copies of the crop, its cut entries then moved across.  Geodesics
+are deterministic too: ties break by walking back from the target, in the
+graph the solve ran on, through the smallest-index predecessor u with
+dist[u] + weight == dist[v] not yet visited, stepping back from a dead end
+(a depth-first search, which finds a path even when weights below half an
+ulp of a label tie sites in a loop); within a crop the smallest index is
+the lexicographically smallest (i, j).
 
 `dist_around_annulus` finds the shortest cycle separating the two boundary
 circles of an annulus by lifting the annulus graph to a two-sheet cover in
@@ -89,11 +91,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)   # the smallest normal float64
 
 
-def _check_finite(what: str, point: Tuple[float, float]) -> None:
-    for c in point:
-        real(c, what)
-
-
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
@@ -106,7 +103,8 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        _check_finite("disk center", self.center)
+        for c in self.center:
+            real(c, "disk center")
         real(self.radius, "disk radius", gt=0)
 
 
@@ -119,7 +117,8 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self) -> None:
-        _check_finite("annulus center", self.center)
+        for c in self.center:
+            real(c, "annulus center")
         real(self.r_inner, "annulus r_inner", gt=0)
         real(self.r_outer, "annulus r_outer", gt=self.r_inner)
 
@@ -136,7 +135,8 @@ class Rect:
     hi: Tuple[float, float]
 
     def __post_init__(self) -> None:
-        _check_finite("rect corner", (*self.lo, *self.hi))
+        for c in (*self.lo, *self.hi):
+            real(c, "rect corner")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise InvalidArgument(f"rect must have lo < hi, got {self.lo}, {self.hi}")
 
@@ -396,18 +396,22 @@ class _Skeleton:
             arr.flags.writeable = False
         return cls(keep=keep, indptr=indptr, indices=indices)
 
-    def fill(self, cost: np.ndarray, spacing: float) -> csr_matrix:
+    def fill(self, cost: np.ndarray, spacing: float, sheets: int = 1) -> csr_matrix:
         """The graph with entry (u, v) weighted (cost[u] + cost[v]) * pref,
-        pref = 0.5 * spacing * |offset| of the entry's direction.
+        pref = 0.5 * spacing * |offset| of the entry's direction, laid out on
+        `sheets` copies of the crop: sheet s holds node s * h * w + u with
+        u's entries, their columns moved by s * h * w too (the annulus
+        cover before its cut).  One sheet shares the skeleton's read-only
+        `indices` and `indptr`.
 
         Float addition commutes, so an edge weighs the same bits from either
         end.  Slots are filled in blocks of about _FILL_SITES sites, which
-        stay in cache, and gathered through `keep`.
+        stay in cache, and gathered through `keep` into every sheet.
         """
-        h, w, _ = self.keep.shape
+        (h, w, _), indices, indptr = self.keep.shape, self.indices, self.indptr
         nbrs = _neighbours(cost)
         prefs = [0.5 * spacing * math.hypot(di, dj) for di, dj in _OFFSETS]
-        data = np.empty(self.indices.size)
+        data = np.empty((sheets, indices.size))
         rows = max(1, _FILL_SITES // w)
         slots = np.empty((min(rows, h), w, 8))
         for r0 in range(0, h, rows):
@@ -416,8 +420,13 @@ class _Skeleton:
             for k, nbr in enumerate(nbrs):
                 np.add(cost[r0:r1], nbr[r0:r1], out=block[..., k])
                 block[..., k] *= prefs[k]
-            data[self.indptr[r0 * w]:self.indptr[r1 * w]] = block[self.keep[r0:r1]]
-        return csr_matrix((data, self.indices, self.indptr), shape=(h * w, h * w))
+            data[:, indptr[r0 * w]:indptr[r1 * w]] = block[self.keep[r0:r1]]
+        if sheets > 1:   # sheet s's nodes and columns move by s * h * w
+            move = np.arange(sheets, dtype=np.int32)[:, None]
+            indptr = np.zeros(sheets * h * w + 1, dtype=np.int32)
+            np.add(self.indptr[1:], move * indices.size, out=indptr[1:].reshape(sheets, -1))
+            indices = (indices + move * (h * w)).ravel()
+        return csr_matrix((data.ravel(), indices, indptr), shape=(sheets * h * w,) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -435,11 +444,12 @@ def _skeleton(active: np.ndarray) -> _Skeleton:
     return _Skeleton.of(active)
 
 
-def _mask_graph(grid: WeightedGrid, crop: Box, active: np.ndarray):
-    """CSR graph of the active sites of a crop inside the grid's box."""
+def _mask_graph(grid: WeightedGrid, crop: Box, active: np.ndarray, sheets: int = 1):
+    """CSR graph of the active sites of a crop inside the grid's box, on
+    `sheets` copies of the crop (`_Skeleton.fill`)."""
     (rs, cs), (i, j) = crop, grid.offset
     cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
-    return _skeleton(active).fill(cost, grid.spec.spacing)
+    return _skeleton(active).fill(cost, grid.spec.spacing, sheets)
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -608,11 +618,11 @@ def lr_crossing(grid: WeightedGrid, square: Rect,
 # point crops
 # ---------------------------------------------------------------------------
 
-def _pair_box(within: Box, a: Tuple[int, int], b: Tuple[int, int], pad: int) -> Box:
-    """The bounding box of sites a and b grown by `pad` sites on each side,
-    cut to `within`."""
-    return tuple(slice(max(min(a[k], b[k]) - pad, w.start),
-                       min(max(a[k], b[k]) + pad + 1, w.stop))
+def _pair_box(within: Box, a: Tuple[int, int], b: Tuple[int, int]) -> Box:
+    """The bounding box of sites a and b grown by 2 sites on each side, cut
+    to `within`."""
+    return tuple(slice(max(min(a[k], b[k]) - 2, w.start),
+                       min(max(a[k], b[k]) + 3, w.stop))
                  for k, w in enumerate(within))
 
 
@@ -704,7 +714,7 @@ def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
     whose paths are G's; that solve refuses a site outside `within`.  The
     crop's solve stops at the upper bound (`_between`'s `limit`)."""
     a, b = spec.index_of(z), spec.index_of(w)
-    upper = dist_point(grid_over(_pair_box(within, a, b, 2)), z, w).value
+    upper = dist_point(grid_over(_pair_box(within, a, b)), z, w).value
     grid = grid_over(_point_crop(spec, within, a, b, upper, floor))
     bound = _CROP_LIMIT.set(upper)
     try:
@@ -717,36 +727,37 @@ def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
 # separating cycles
 # ---------------------------------------------------------------------------
 
-def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
+def _annulus_cover(spec: LatticeSpec, crop, cover: csr_matrix,
                    center: Tuple[float, float]):
-    """Two-sheet cover of the annulus graph, cut along the rightward ray.
+    """Cut the crop's two-sheet graph along the rightward ray, in place.
 
-    Takes the crop's CSR graph and returns (csr cover graph on 2*h*w nodes,
-    sorted upper cut site array, sorted upper uncut site array).  Each entry
-    is read as its edge a -> b with a < b (the entry itself when row < col).
-    An edge straddles when its endpoints lie on either side of the
-    horizontal line y = center_y (one at or above, one strictly below); a
-    straddling edge is a cut edge when its segment meets that line strictly
-    right of the center.  The crop's row y values ys ascend, and every edge
-    joins two sites of one row or of adjacent rows.  So with k the first
-    row at or above the line (`searchsorted`), the straddling edges are
-    those from row k - 1 to row k: among the entries of those two rows'
-    nodes, one slice of the CSR arrays, the ones with a < k * w <= b.  No
+    Takes the crop's graph on two sheets (`_mask_graph(..., sheets=2)`),
+    moves its cut entries to the other sheet, and returns (sorted upper cut
+    site array, sorted upper uncut site array).  Each entry is read as its
+    edge a -> b with a < b (the entry itself when row < col).  An edge
+    straddles when its endpoints lie on either side of the horizontal line
+    y = center_y (one at or above, one strictly below); a straddling edge
+    is a cut edge when its segment meets that line strictly right of the
+    center.  The crop's row y values ys ascend, and every edge joins two
+    sites of one row or of adjacent rows.  So with k the first row at or
+    above the line (`searchsorted`), the straddling edges are those from
+    row k - 1 to row k: among the entries of those two rows' nodes, one
+    slice of each sheet's CSR arrays, the ones with a < k * w <= b.  No
     edge straddles when k is 0 or h.  Every straddling edge meets the line
     at the same fraction t = (center_y - ys[k - 1]) / (ys[k] - ys[k - 1])
     of the way from a to b, and is cut when xa + (xb - xa) * t > center_x.
     A cut edge leads to the other sheet, so traversing it switches sheets:
-    sheet s's rows are the crop's rows with columns moved by s * h * w, or
-    by the other sheet's for a cut entry.  The flags are exactly the
-    crossings of a fixed arc from the inner hole to the outside, so a
-    cycle's flag parity equals its winding parity around the center.  The
-    upper end of a straddling edge is b: the upper cut sites are the b ends
-    of the cut edges, and the upper uncut sites, the b ends of the
-    straddling edges that are not cut, are the sources of `_cut_bounds`.
+    a cut entry's column moves by h * w up on sheet 0 and down on sheet 1.
+    The flags are exactly the crossings of a fixed arc from the inner hole
+    to the outside, so a cycle's flag parity equals its winding parity
+    around the center.  The upper end of a straddling edge is b: the upper
+    cut sites are the b ends of the cut edges, and the upper uncut sites,
+    the b ends of the straddling edges that are not cut, are the sources of
+    `_cut_bounds`.
     """
     rs, cs = crop
     h, w = rs.stop - rs.start, cs.stop - cs.start
-    n_base, indptr, col = graph.shape[0], graph.indptr, graph.indices
+    n_base, indptr, col = h * w, cover.indptr, cover.indices
     cx, cy = center
     ys = spec.origin[1] + np.arange(rs.start, rs.stop) * spec.spacing
     k = int(np.searchsorted(ys, cy))
@@ -758,12 +769,9 @@ def _annulus_cover(spec: LatticeSpec, crop, graph: csr_matrix,
     t = (cy - ys[k - 1]) / (ys[k] - ys[k - 1]) if lo < hi else 0.0
     xa, xb = (spec.origin[0] + (c % w + cs.start) * spec.spacing for c in (a, b))
     cut = straddle & (xa + (xb - xa) * t > cx)
-    cols = np.stack((col, col + n_base))
-    cols[:, band][:, cut] = cols[::-1, band][:, cut]   # a cut entry swaps sheets
-    cover = csr_matrix((np.concatenate((graph.data, graph.data)), cols.ravel(),
-                        np.concatenate((indptr, indptr[1:] + indptr[-1]))),
-                       shape=(2 * n_base, 2 * n_base))
-    return cover, np.unique(b[cut]), np.unique(b[straddle & ~cut])
+    col[band][cut] += n_base
+    col[indptr[n_base]:][band][cut] -= n_base
+    return np.unique(b[cut]), np.unique(b[straddle & ~cut])
 
 
 def _cut_bounds(cover: csr_matrix, cut_sites: np.ndarray,
@@ -794,8 +802,7 @@ def _cut_bounds(cover: csr_matrix, cut_sites: np.ndarray,
     """
     n_base = cover.shape[0] // 2
     d_t = _csgraph_dijkstra(cover, directed=True, indices=uncut_sites, min_only=True)
-    slack = 1.0 - 4.0 * cover.shape[0] * np.finfo(float).eps
-    return (d_t[cut_sites] + d_t[cut_sites + n_base]) * slack
+    return (d_t[cut_sites] + d_t[cut_sites + n_base]) * (1.0 - 4.0 * cover.shape[0] * _EPS)
 
 
 def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
@@ -818,24 +825,24 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
     once for the minimizer); it is walked back on the cover from the twin
     of the minimizing site, with the module's tie rule.  `settled` counts
     the base sites with a label at most the cycle's length, on either
-    sheet, in the minimizer's solve.  The cover's cut is read off the one
-    row pair that straddles the ray's line, so beyond the graph the peak
-    memory is the cover's two sheets of entries and the solves' labels:
-    about 330 bytes per annulus site on a lattice-wide annulus.
+    sheet, in the minimizer's solve.  The crop's graph is filled once,
+    straight onto two sheets, and cut in place along the one row pair that
+    straddles the ray's line, so the peak memory is the cover's two sheets
+    of entries while the skeleton they came from is alive: about 255 bytes
+    per annulus site on a lattice-wide annulus at n = 512 (245 at 1024).
     """
     spec = grid.spec
-    delta = spec.spacing
-    if ann.width < 3.0 * delta:
+    if ann.width < 3.0 * spec.spacing:
         raise DegenerateAnnulus(
-            f"annulus width {ann.width} is below 3*spacing = {3.0 * delta}")
+            f"annulus width {ann.width} is below 3*spacing = {3.0 * spec.spacing}")
     crop, active = _region_crop(spec, ann, (slice(0, spec.n), slice(0, spec.n)))
     if not active.size:
         raise EmptyRegion("annulus contains no lattice sites")
     if not all(g.start <= b.start and b.stop <= g.stop for b, g in zip(crop, grid.box)):
         raise OutOfRegion("annulus leaves the grid's active region")
-    graph = _mask_graph(grid, crop, active)
-    n_base = graph.shape[0]
-    cover, cut_sites, uncut_sites = _annulus_cover(spec, crop, graph, ann.center)
+    cover = _mask_graph(grid, crop, active, sheets=2)
+    n_base = cover.shape[0] // 2
+    cut_sites, uncut_sites = _annulus_cover(spec, crop, cover, ann.center)
     if cut_sites.size == 0:
         raise DegenerateAnnulus("cut ray does not cross the annulus graph")
 

@@ -198,6 +198,27 @@ class TestBasics:
         assert load_json(tmp_path / f"{out}.manifest.json")["threads"] == 1
 
 
+class TestMalformedInput:
+    """Each spelling error exits 1 with a message naming what is wrong,
+    before any field is read."""
+
+    DIST = ["dist", "--field", "{tmp}/absent.lfpf", "--eps", "0.25", "--xi", "0.2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (DIST + ["--from", "1,2,3", "--to", "2,2"], "expected 'x,y'"),
+        (DIST + ["--from", "1,2", "--to", "2,2", "--within", "blob:1,2"],
+         "region must be disk"),
+        (["fit", "--in", "{tmp}/absent", "--xi", "0.2"], "does not exist"),
+        (["exp", "weyl_shift_test", "--config", "{tmp}/list.json"],
+         "must be a JSON object"),
+    ], ids=["point-arity", "region-kind", "fit-dir", "config-list"])
+    def test_exits_one_naming_it(self, argv, message, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x.json")]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestFieldSample:
     def test_round_trip_and_manifest(self, tmp_path):
         out = tmp_path / "f.lfpf"
@@ -247,6 +268,33 @@ class TestFieldSample:
                      "--from", "4.9,4.9", "--to", "3,3",
                      "--out", str(tmp_path / "d.json")]) == 0
         assert load_json(tmp_path / "d.json")["value"] > 0
+
+    @pytest.mark.parametrize("flags", [
+        ["field", "sample", "--n", "64", "--seed", "5", "--origin", "-2,-2"],
+        ["dist", "--field", "{field}", "--eps", "0.25", "--xi", "0.2",
+         "--from", "-1,-1", "--to", "1,1"],
+        ["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.5", "--q-hat", "2.5",
+         "--n", "32", "--trials", "20", "--seed", "5", "--origin", "-2,-2"]],
+        ids=["field-origin", "dist-from-to", "ratio-origin"])
+    def test_negative_coordinates_after_a_space(self, flags, tmp_path):
+        """A point flag's negative value may follow the flag as its own
+        word, and reads as the `=` spelling does, byte for byte."""
+        field = tmp_path / "g.lfpf"
+        assert main(["field", "sample", "--n", "64", "--seed", "5",
+                     "--origin=-2,-2", "--out", str(field)]) == 0
+        flags = [f.format(field=field) for f in flags]
+        glued = []   # the same flags, each negative value spelled --flag=value
+        for word in flags:
+            if word[0] == "-" and word[1].isdigit():
+                glued[-1] += "=" + word
+            else:
+                glued.append(word)
+        outs = []
+        for k, argv in enumerate((flags, glued)):
+            clear_estimate_cache()
+            outs.append(tmp_path / f"out{k}")
+            assert main(argv + ["--out", str(outs[-1])]) == 0, argv
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unwritable_output_exits_two(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "f.lfpf"
@@ -1187,6 +1235,28 @@ class TestManifestReplay:
         assert set(outputs(orig)) == {*runs, "p.csv", "p.csv.gnu", "cp.csv",
                                       "e.csv", "e.csv.gnu"}
         assert outputs(replay) == outputs(orig)
+
+    def test_negative_coordinates_replay(self, tmp_path, monkeypatch):
+        """A manifest holding negative coordinates (a lattice origin, a
+        point query's ends) replays as flag and value words."""
+        monkeypatch.delenv("LFPP_CACHE", raising=False)
+        orig, replay = tmp_path / "orig", tmp_path / "replay"
+        orig.mkdir()
+        replay.mkdir()
+        f = str(orig / "g.lfpf")
+        runs = {"g.lfpf": ["field", "sample", "--n", "64", "--seed", "5", "--origin=-2,-2"],
+                "d.json": ["dist", "--field", f, "--eps", "0.25", "--xi", "0.2",
+                           "--from=-1,-1", "--to=1,-0.5"]}
+        for out, argv in runs.items():
+            assert main(argv + ["--out", str(orig / out)]) == 0, out
+        for out, point, value in (("g.lfpf", "origin", -2.0), ("d.json", "from", -1.0)):
+            manifest = load_json(orig / f"{out}.manifest.json")
+            assert manifest["resolved_params"][point] == [value, value]
+            argv = _replay_argv(manifest, tmp_path, replay)
+            assert f"--{point}" in argv and argv[argv.index(f"--{point}") + 1][0] == "-"
+            assert main(argv) == 0, out
+        for out in runs:
+            assert (replay / out).read_bytes() == (orig / out).read_bytes(), out
 
     # Flag combinations of the replay property: each `dist` mode's flags,
     # and two experiments, one of which runs its trials in the pool.

@@ -355,6 +355,37 @@ class TestDispatch:
         assert not (tmp_path / "rep.json").exists()
 
 
+class TestErrorExits:
+    """Each runner's argument checks raise an error naming what is wrong."""
+
+    MC = MCConfig(lattice=LatticeSpec(n=64, spacing=0.0625), trials=20, master_seed=17)
+
+    @pytest.mark.parametrize("run, error, message", [
+        (lambda f, mc: localized_gap(f, [0.25, 0.125],   # a window between sites
+                                     Rect(lo=(2.01, 2.01), hi=(2.04, 2.04)), PARAMS),
+         EmptyRegion, "no lattice sites"),
+        (lambda f, mc: localized_gap(f, [0.125, 0.25], WINDOW, PARAMS),
+         InvalidArgument, "must decrease"),
+        (lambda f, mc: weyl_shift_test(f, 0.25, 1.0, [((2.0, 2.0), (2.001, 2.001))],
+                                       PARAMS),
+         InvalidArgument, "single lattice site"),
+        (lambda f, mc: small_segment_sup(f, 0.001, 0.5, UNIT, PARAMS, mc),
+         MollificationTooFine, "below 4\\*spacing"),
+        (lambda f, mc: small_segment_sup(f, 0.1, 0.5, UNIT, PARAMS, mc),
+         InvalidArgument, "at least 2 rungs"),
+    ], ids=["empty-window", "rising-ladder", "one-site-pair", "too-fine",
+            "too-coarse"])
+    def test_runner_rejects(self, run, error, message, field64):
+        with pytest.raises(error, match=message):
+            run(field64, self.MC)
+
+    def test_unknown_field_kind_names_its_key(self):
+        cfg = {"field": {"n": 64, "spacing": 0.0625, "seed": 404, "kind": "cubic"},
+               "epsilon": 0.25, "c": 1.0, "xi": 0.2, "pairs": [[[1.6, 1.7], [2.3, 2.2]]]}
+        with pytest.raises(InvalidArgument, match="'field'.*unknown field kind 'cubic'"):
+            run_experiment("weyl_shift_test", cfg)
+
+
 class TestSpearmanTrend:
     def test_decreasing_sequence_detected(self):
         xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

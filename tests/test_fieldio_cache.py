@@ -259,6 +259,14 @@ class TestCacheStore:
         with pytest.raises(InvalidArgument):
             cache_lookup(tmp_path / "cache", key, "mystery")
 
+    def test_entries_skip_temp_and_foreign_files(self, tmp_path):
+        root = tmp_path / "cache"
+        key = cache_key("a_eps", {"v": 1})
+        cache_store(root, key, "a_eps", json.dumps(GOOD_ESTIMATE).encode())
+        for name in (key[:63] + ".json", key + ".txt", "notes", ".a.json.tmp"):
+            (root / name).write_bytes(b"{}")
+        assert [e[:3] for e in cache_entries(root)] == [(key, "a_eps", key + ".json")]
+
     def test_no_temp_files_left_behind(self, field64, tmp_path):
         root = tmp_path / "cache"
         cache_store(root, cache_key("sample", {"seed": 1}), "field",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lfpp import (
+    FieldSample,
     InvalidArgument,
     InvalidSpec,
     LatticeSpec,
@@ -300,6 +301,21 @@ class TestRescaleField:
         for k in range(-3, 4):                   # |k| <= log2(64) - 3
             assert rescale_field(field64, 2.0 ** k, b, 0.0).spec.n == 64 >> max(k, 0)
         assert [_dyadic_exponent(2.0 ** k) for k in range(-60, 61)] == list(range(-60, 61))
+
+    @pytest.mark.parametrize("b", [(0.0, 0.0), (1.0, 0.5)])
+    def test_refined_square_field_interpolates_exactly(self, b):
+        """A Dirichlet square field refines inside the domain (no wrap); on
+        an affine field with dyadic slopes bilinear interpolation is exact."""
+        spec = LatticeSpec(n=16, spacing=0.25)
+        i, j = np.mgrid[0:16, 0:16].astype(np.float64)
+        field = FieldSample(spec=spec, kind=FieldKind.DIRICHLET_SQUARE, seed=0,
+                            values=0.25 + 1.5 * i - 0.75 * j, mean_removed=False)
+        got = rescale_field(field, 0.5, b, 0.0)
+        bi, bj = b[1] / 0.25, b[0] / 0.25
+        want = 0.25 + 1.5 * (0.5 * i + bi) - 0.75 * (0.5 * j + bj)
+        assert got.spec.n == 16 and np.max(np.abs(got.values - want)) == 0.0
+        with pytest.raises(OutOfDomain):
+            rescale_field(field, 0.5, (2.0, 2.0), 0.0)
 
     def test_q_hat_shift_enters_additively(self, field64):
         b = field64.spec.origin

@@ -85,6 +85,14 @@ def test_bools_and_strings_are_not_numbers(make, error):
         make()
 
 
+def test_an_int_past_the_digit_limit_is_named_briefly():
+    """An int whose repr the interpreter refuses (past 4300 digits) is
+    still reported in a short message."""
+    with pytest.raises(InvalidSpec, match="^n must be a whole number >= 2, got ") as exc:
+        LatticeSpec(n=-10 ** 5000, spacing=0.5)
+    assert len(str(exc.value)) < 200
+
+
 def test_constructors_check_but_never_convert():
     assert type(LatticeSpec(n=8, spacing=1).spacing) is int
     assert type(Params(xi=1).xi) is int

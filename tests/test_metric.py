@@ -60,6 +60,10 @@ class TestRegions:
         with pytest.raises(InvalidArgument):
             Mask(mask=np.zeros((4, 4), dtype=np.int64))
 
+    def test_unknown_region_type_rejected(self):
+        with pytest.raises(InvalidArgument, match="unknown region type: tuple"):
+            region_mask(LatticeSpec(n=8, spacing=0.5), (0.0, 0.0, 1.0))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coordinates_rejected(self, bad):
         for make in (lambda: Disk(center=(bad, 0.0), radius=0.5),
@@ -425,7 +429,7 @@ class TestPointCrop:
             return
         spec = grid.spec
         z, w = spec.point_of(*a), spec.point_of(*b)
-        upper = dist_point(metric._crop_grid(grid, metric._pair_box(grid.box, a, b, 2)),
+        upper = dist_point(metric._crop_grid(grid, metric._pair_box(grid.box, a, b)),
                            z, w).value
         (rs, cs) = crop = metric._point_crop(spec, grid.box, a, b, upper,
                                              float(grid.site_cost.min()))
@@ -635,8 +639,8 @@ class TestSkeletonMatchesReference:
         grid, ann = annulus_case(case, on_box, data)
         spec = grid.spec
         crop, active = metric._region_crop(spec, ann, grid.box)
-        graph = metric._mask_graph(grid, crop, active)
-        cover, cut, uncut = metric._annulus_cover(spec, crop, graph, ann.center)
+        cover = metric._mask_graph(grid, crop, active, sheets=2)
+        cut, uncut = metric._annulus_cover(spec, crop, cover, ann.center)
         ref_crop, m, cost = oracles.reference_crop(grid, region_mask(spec, ann))
         edges = oracles.edge_arrays_reference(cost, m, spec.spacing)
         want, want_cut, want_uncut = oracles.annulus_cover_reference(
@@ -687,8 +691,8 @@ class TestCutBounds:
         grid, ann = annulus_case(case, on_box, data, spread, small_holes=True)
         spec = grid.spec
         crop, active = metric._region_crop(spec, ann, grid.box)
-        cover, cut, uncut = metric._annulus_cover(
-            spec, crop, metric._mask_graph(grid, crop, active), ann.center)
+        cover = metric._mask_graph(grid, crop, active, sheets=2)
+        cut, uncut = metric._annulus_cover(spec, crop, cover, ann.center)
         if cut.size == 0:
             return
         bounds = metric._cut_bounds(cover, cut, uncut)
@@ -723,8 +727,9 @@ class TestCutBounds:
         inner, outer = (at[(32 - crop[0].start, j - crop[1].start)] for j in (36, 43))
         assert twin[inner] == twin[outer] == 33.375 * d == min(twin)
         active = region_mask(spec, ann)[crop]
-        bounds = metric._cut_bounds(*metric._annulus_cover(
-            spec, crop, metric._mask_graph(grid, crop, active), ann.center))
+        cover = metric._mask_graph(grid, crop, active, sheets=2)
+        bounds = metric._cut_bounds(cover, *metric._annulus_cover(
+            spec, crop, cover, ann.center))
         assert bounds[outer] < bounds[inner]
 
         res = dist_around_annulus(grid, ann, want_path=True)
@@ -1180,9 +1185,15 @@ class TestPeakMemory:
     for the lattice-wide annulus (2, 2) with radii 0.5 and 1.99, and per
     lattice site for a corner-to-corner `dist_point` on the full grid."""
 
-    @pytest.mark.parametrize("kind, bound", [("around", 450.0), ("point", 200.0)])
+    @pytest.mark.parametrize("kind, bound", [("around", 300.0), ("point", 200.0)])
     def test_peak_bytes_per_site(self, kind, bound):
-        proc = subprocess.run([sys.executable, "-c", _PEAK_CODE, kind, "512"],
+        # Linux carries the peak RSS of the address space a process leaves at
+        # exec into its own ru_maxrss, so a child of this (large) test process
+        # would count from the test's peak: the query runs in a grandchild,
+        # started by a small interpreter.
+        launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", launch,
+                               sys.executable, "-c", _PEAK_CODE, kind, "512"],
                               env=lfpp_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) <= bound

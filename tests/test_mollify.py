@@ -79,6 +79,16 @@ class TestNormalizerZ:
         assert normalizer_Z(0.1, 1.0 / 128.0) == pytest.approx(
             oracles.z_quadrature(0.1), abs=1e-12)
 
+    def test_even_point_count_made_odd(self, monkeypatch):
+        """A step that puts an even number of points on [rho/2, rho] gets
+        one more for composite Simpson: 15352 -> 15353 at spacing 3e-5."""
+        import scipy.integrate
+        sizes, simpson = [], scipy.integrate.simpson
+        monkeypatch.setattr(scipy.integrate, "simpson",
+                            lambda y, x: sizes.append(x.size) or simpson(y, x=x))
+        assert normalizer_Z(0.1, 3e-5) == pytest.approx(Z_FROZEN[0.1], abs=1e-6)
+        assert sizes == [15353]
+
     def test_complement_bound(self):
         # 1 - Z is controlled by the Gaussian tail beyond the plateau
         for eps in Z_FROZEN:

@@ -376,6 +376,13 @@ class TestFitExponent:
             fit_exponent(est, PARAMS)
 
 
+    def test_vanishing_xi_gives_no_finite_q_hat(self):
+        """xi = 5e-324, the least subnormal, is admitted; (1 - slope) / xi
+        overflows, and the fit says so."""
+        est = synthetic_ladder(self.LADDER, lambda e: e ** 0.45)
+        with pytest.raises(DegenerateFit, match="not finite"):
+            fit_exponent(est, Params(xi=5e-324))
+
 class TestScalingRatio:
     def test_r_one_is_exactly_one(self):
         clear_estimate_cache()
