@@ -56,8 +56,8 @@ from .metric import (
     dist_sets,
     region_box,
 )
-from .renorm import (_MAX_TRIALS, MCConfig, _check_workers, crossing_square,
-                     estimate_ladder, run_trials, trial_seed)
+from .renorm import (_MAX_TRIALS, MCConfig, _check_workers, _scale_power,
+                     crossing_square, estimate_ladder, run_trials, trial_seed)
 
 WEYL_TOL = 1e-10
 
@@ -321,6 +321,7 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
     _dyadic_exponent(a, "scale factor a")
     real(q_hat, "q_hat")
     real(epsilon, "epsilon")   # `estimate_ladder` checks its scale floor
+    power = _scale_power(a, params.xi, q_hat, "a")
     lat = mc.lattice
     ox, oy = lat.origin
     cx, cy = ox + 0.5 * lat.side, oy + 0.5 * lat.side
@@ -333,7 +334,7 @@ def scale_covariance_test(a: float, epsilon: float, params: Params,
         w_pt = (ox + (aw_pt[0] - ox) / a, oy + (aw_pt[1] - oy) / a)
 
     a_big, a_small = estimate_ladder([epsilon, epsilon / a], params, mc)
-    prefactor = a ** (1.0 - params.xi * q_hat) * (a_small.median / a_big.median)
+    prefactor = power * (a_small.median / a_big.median)
 
     trial = partial(_covariance_trial, lat=lat, epsilon=epsilon, a=a, q_hat=q_hat,
                     xi=params.xi, scaled=(az_pt, aw_pt), unit=(z_pt, w_pt))
@@ -499,13 +500,17 @@ def annulus_event_stats(epsilon: float, r_set: Sequence[float], alpha: float,
     dmat = np.hypot(np.broadcast_to(xs[None, :], (lat.n, lat.n)) - cx,
                     np.broadcast_to(ys[:, None], (lat.n, lat.n)) - cy)
 
+    # Each ring holds a site: n is a power of two, so the centre is the site
+    # n/2 spacings from the origin along each axis; the sites on its row lie
+    # k spacings from it for k = 0..n/2; every radius here, r <= side/2 and
+    # alpha * r below it, is within half a spacing of one of them (up to
+    # rounding), inside the ring's half-width of 0.75 spacing.  An empty
+    # ring would still exit as `dist_sets`' EmptyRegion.
     annuli = []
     for r in r_set:
         real(r, "r_set radius", gt=0, le=0.5 * lat.side)
         inner = Mask(np.abs(dmat - alpha * r) <= _RING_HALF_WIDTH * delta)
         outer = Mask(np.abs(dmat - r) <= _RING_HALF_WIDTH * delta)
-        if not (inner.mask.any() and outer.mask.any()):
-            raise EmptyRegion(f"boundary ring at radius {r} captures no sites")
         annuli.append((Annulus((cx, cy), alpha * r, r), r, inner, outer))
     grid_kind = "dyadic" if all(_is_pow2(r) for r in r_set) else "custom"
 

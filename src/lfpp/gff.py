@@ -21,7 +21,11 @@ values are bitwise equal to the full-lattice values on the box.
 
 Both the torus sampler and plain smoothing run on real-input transforms
 (`rfft2` / `irfft2`, half-plane spectra of shape (n, n//2 + 1)); spectral
-synthesis follows Dietrich & Newsam (SIAM J. Sci. Comput. 1997).
+synthesis follows Dietrich & Newsam (SIAM J. Sci. Comput. 1997).  Those
+transforms are numpy's, so this module imports no scipy module at load:
+the Dirichlet sampler's DST-I imports `scipy.fft` (which loads
+`scipy.special`) on its first call, and `normalizer_Z` imports
+`scipy.integrate` the same way.
 
 The localized golden bytes depend on one summation rule over that padded
 block, which uses the stencil's mirror symmetry: from zero, for row offset
@@ -42,7 +46,6 @@ from enum import IntEnum
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from ._rules import real, uint64, whole
 from .errors import (
@@ -66,10 +69,10 @@ _TAP_FLOOR = np.finfo(np.float64).eps
 # n = 4096 it needs about 1.6 GB.
 _MAX_N = 2 ** 12
 
-# Torus sampling: half-plane wavenumbers kept per n up to _MEMO_N (1 MB at
+# Torus sampling: half-plane amplitudes kept per n up to _MEMO_N (1 MB at
 # n = 512; 4 MB at 1024 would stay resident for a one-field session).
 _MEMO_N = 512
-_WAVENUMBERS: Dict[int, np.ndarray] = {}
+_AMPLITUDES: Dict[int, np.ndarray] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +240,23 @@ class MollifiedField:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _half_plane_wavenumbers(n: int) -> np.ndarray:
-    """|k| over the `rfft2` half plane of the integer wavevector grid: rows
-    fold to +-n/2, columns run 0..n/2.  The zero mode reads inf, so any
-    amplitude c/|k| drops it exactly.  Read-only: kept for the process up
-    to n = _MEMO_N, where Monte Carlo trials sample many fields of one
-    size, and built per call above it, where one field is the norm."""
-    kmag = _WAVENUMBERS.get(n)
-    if kmag is None:
+def _half_plane_amplitude(n: int) -> np.ndarray:
+    """n/(2*pi*|k|) over the `rfft2` half plane of the integer wavevector
+    grid: rows fold to +-n/2, columns run 0..n/2.  |k| reads inf at the
+    zero mode, so its amplitude is exactly 0.  Read-only: kept for the
+    process up to n = _MEMO_N, where Monte Carlo trials sample many fields
+    of one size, and built per call above it, where one field is the norm."""
+    amp = _AMPLITUDES.get(n)
+    if amp is None:
         ky = np.fft.fftfreq(n, d=1.0 / n)   # 0, 1, ..., n/2-1, -n/2, ..., -1
         kx = np.fft.rfftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2
         kmag = np.hypot(ky[:, None], kx[None, :])
         kmag[0, 0] = np.inf
-        kmag.flags.writeable = False
+        amp = n / (2.0 * np.pi * kmag)
+        amp.flags.writeable = False
         if n <= _MEMO_N:
-            _WAVENUMBERS[n] = kmag
-    return kmag
+            _AMPLITUDES[n] = amp
+    return amp
 
 
 def _remove_mean(values: np.ndarray) -> np.ndarray:
@@ -279,7 +283,7 @@ def sample_torus_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     n = spec.n
     rng = np.random.default_rng(seed)
     modes = np.fft.rfft2(rng.standard_normal((n, n)))
-    modes *= n / (2.0 * np.pi * _half_plane_wavenumbers(n))   # zero mode to 0
+    modes *= _half_plane_amplitude(n)   # zero mode to 0
     values = _remove_mean(np.fft.irfft2(modes, s=(n, n)))
     return FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=seed,
                        values=values, mean_removed=True)
@@ -302,9 +306,10 @@ def sample_dirichlet_gff(spec: LatticeSpec, seed: int) -> FieldSample:
     lam = (np.pi / side) ** 2 * (modes[:, None] ** 2 + modes[None, :] ** 2)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((n - 2, n - 2)) / np.sqrt(lam)
+    from scipy import fft   # imported here to keep start-up light
     # DST-I applies a factor 2 per axis relative to the plain sine sum, and
     # the continuum-normalized eigenfunctions carry 2/side.
-    interior = sfft.dstn(coeff, type=1) / (2.0 * side)
+    interior = fft.dstn(coeff, type=1) / (2.0 * side)
     values = np.zeros((n, n), dtype=np.float64)
     values[1:-1, 1:-1] = interior
     return FieldSample(spec=spec, kind=FieldKind.DIRICHLET_SQUARE, seed=seed,

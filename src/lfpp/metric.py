@@ -25,6 +25,10 @@ certifies gives the same float and path, from a floor on every site cost
 (a zero floor certifies only the whole box); it builds grids through its
 caller, on the pair's box and on the crop only.
 
+Graphs are scipy CSR matrices solved by scipy's csgraph Dijkstra; both
+are imported on the first graph fill or solve (`_sparse`), so a process
+that builds grids but never solves loads neither.
+
 Every graph, of a grid's box or of a region's crop, comes from one rule:
 `_mask_graph` fills a CSR skeleton of the crop (`indptr` and `indices`,
 rows in site order, columns sorted) holding the entries whose two ends are
@@ -61,11 +65,9 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from ._rules import real, whole
 from .errors import (
@@ -75,6 +77,9 @@ from .errors import (
     OutOfRegion,
 )
 from .gff import Box, LatticeSpec, MollifiedField, _box_bounds
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # A site's 8 neighbour offsets in node order, so in CSR column order.
 _OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -89,6 +94,16 @@ _CROP_LIMIT: ContextVar[float] = ContextVar("_CROP_LIMIT", default=math.inf)
 _RECT_TOL = 1e-9   # relative to spacing; admits exactly aligned rect edges
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)   # the smallest normal float64
+
+
+@lru_cache(maxsize=None)
+def _sparse():
+    """(csr_matrix, dijkstra), imported on the first graph fill or solve
+    to keep start-up light: a process that never solves loads neither
+    scipy.sparse nor its csgraph.  Later calls are one cache hit."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    return csr_matrix, dijkstra
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +326,8 @@ def build_weighted_grid(moll: MollifiedField, xi: float) -> WeightedGrid:
     paths to a region through their own region arguments.
     """
     real(xi, "xi", gt=0)
-    site_cost = np.exp(float(xi) * moll.values)
+    with np.errstate(over="ignore", under="ignore"):   # refused just below
+        site_cost = np.exp(float(xi) * moll.values)
     if not (np.isfinite(site_cost) & (site_cost > 0.0)).all():
         raise InvalidArgument(
             "site cost exp(xi * value) overflowed or vanished on the grid")
@@ -426,7 +442,8 @@ class _Skeleton:
             indptr = np.zeros(sheets * h * w + 1, dtype=np.int32)
             np.add(self.indptr[1:], move * indices.size, out=indptr[1:].reshape(sheets, -1))
             indices = (indices + move * (h * w)).ravel()
-        return csr_matrix((data.ravel(), indices, indptr), shape=(sheets * h * w,) * 2)
+        csr, _ = _sparse()
+        return csr((data.ravel(), indices, indptr), shape=(sheets * h * w,) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -526,8 +543,8 @@ def _between(grid: WeightedGrid, a_sites: np.ndarray, b_sites: np.ndarray,
     crop, graph = ((grid.box, grid._full_graph) if region is None
                    else (region[0], _mask_graph(grid, *region)))
     s_flat, t_flat = _flat(sources, crop), _flat(targets, crop)
-    dist = _csgraph_dijkstra(graph, directed=True, indices=s_flat, min_only=True,
-                             limit=limit)
+    _, dijkstra = _sparse()
+    dist = dijkstra(graph, directed=True, indices=s_flat, min_only=True, limit=limit)
     settled = int(np.isfinite(dist).sum())
     t_dist = dist[t_flat]
     best = int(np.argmin(t_dist))  # first minimum = lexicographically smallest
@@ -801,7 +818,8 @@ def _cut_bounds(cover: csr_matrix, cut_sites: np.ndarray,
       takes back more than that.
     """
     n_base = cover.shape[0] // 2
-    d_t = _csgraph_dijkstra(cover, directed=True, indices=uncut_sites, min_only=True)
+    _, dijkstra = _sparse()
+    d_t = dijkstra(cover, directed=True, indices=uncut_sites, min_only=True)
     return (d_t[cut_sites] + d_t[cut_sites + n_base]) * (1.0 - 4.0 * cover.shape[0] * _EPS)
 
 
@@ -847,12 +865,13 @@ def dist_around_annulus(grid: WeightedGrid, ann: Annulus,
         raise DegenerateAnnulus("cut ray does not cross the annulus graph")
 
     bounds = _cut_bounds(cover, cut_sites, uncut_sites)
+    _, dijkstra = _sparse()
     best, best_site, best_dist = math.inf, -1, None
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] > best or bounds[k] == math.inf:
             break
         s = int(cut_sites[k])
-        dist = _csgraph_dijkstra(cover, directed=True, indices=s, limit=best)
+        dist = dijkstra(cover, directed=True, indices=s, limit=best)
         d = float(dist[s + n_base])
         if d < best or (d == best and s < best_site):
             best, best_site, best_dist = d, s, dist

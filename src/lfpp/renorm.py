@@ -48,7 +48,7 @@ from .gff import (
     mollify_localized,
     sample_torus_gff,
 )
-from .metric import Rect, build_weighted_grid, lr_crossing, region_box
+from .metric import Rect, _sparse, build_weighted_grid, lr_crossing, region_box
 
 _MIN_TRIALS = 20          # floor for any CI-bearing estimate
 # Trial i runs on spawn key (i,) of the master seed.  The cap keeps i below
@@ -202,9 +202,11 @@ def _crossing_trial(seed: int, lattice: LatticeSpec, epsilons: Tuple[float, ...]
 def run_trials(trial: Callable[[int], object], mc: MCConfig) -> list:
     """[trial(trial_seed(mc.master_seed, i)) for i in range(mc.trials)], in a
     pool of min(mc.workers, mc.trials) processes when both exceed 1 (a pool
-    starts all its workers up front); results keep trial order."""
+    starts all its workers up front); results keep trial order.  The parent
+    loads the solver first, so forked workers share its import."""
     seeds = [trial_seed(mc.master_seed, i) for i in range(mc.trials)]
     if mc.workers > 1 and mc.trials > 1:
+        _sparse()
         with ProcessPoolExecutor(max_workers=min(mc.workers, mc.trials)) as pool:
             return list(pool.map(trial, seeds))
     return list(map(trial, seeds))
@@ -338,6 +340,19 @@ def fit_exponent(estimates: Sequence[MedianEstimate], params: Params) -> Exponen
                        q_hat=q_hat, points=points)
 
 
+def _scale_power(base: float, xi: float, q_hat: float, what: str) -> float:
+    """base ** (1 - xi*q_hat), the dilation factor of a D ratio at scale
+    `base`; InvalidArgument naming `what` when it overflows a float."""
+    expo = 1.0 - xi * q_hat
+    try:
+        power = base ** expo
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise InvalidArgument(f"{what} ** (1 - xi*q_hat) = {base} ** {expo} overflows")
+    return power
+
+
 def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
                   mc: MCConfig, q_hat: Optional[float] = None) -> RatioSeries:
     """rho(eps, r) = r^(1 - xi*q_hat) * median(eps/r) / median(eps).
@@ -358,11 +373,13 @@ def scaling_ratio(eps_ladder: Sequence[float], r: float, params: Params,
         real(eps, "epsilon")
     if q_hat is None:   # the fit's ladder check needs no trial
         _check_ladder(np.asarray(eps_ladder, dtype=np.float64))
+    else:   # nor does the power of a given q_hat
+        power = _scale_power(r, params.xi, q_hat, "r")
     estimates = estimate_ladder([*eps_ladder, *(eps / r for eps in eps_ladder)],
                                 params, mc)
     if q_hat is None:
         q_hat = fit_exponent(estimates[:len(eps_ladder)], params).q_hat
-    expo = 1.0 - params.xi * q_hat
-    rows = [(float(eps), r ** expo * (a2.median / a1.median))
+        power = _scale_power(r, params.xi, q_hat, "r")
+    rows = [(float(eps), power * (a2.median / a1.median))
             for eps, a1, a2 in zip(eps_ladder, estimates, estimates[len(eps_ladder):])]
     return RatioSeries(r=float(r), rows=tuple(rows), q_hat_used=float(q_hat))

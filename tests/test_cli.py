@@ -58,6 +58,10 @@ def load_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def no_trial(*args, **kwargs):
+    pytest.fail("a trial ran")
+
+
 @pytest.fixture()
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool lfpp starts, in order."""
@@ -95,13 +99,60 @@ class TestBasics:
         assert capsys.readouterr().err == stderr
 
     def test_import_leaves_scipy_stats_and_integrate_unloaded(self):
-        # each is imported by the one function that uses it
+        # each is imported by the code that uses it
         code = ("import sys, lfpp.cli; print([m for m in ('scipy.stats', "
-                "'scipy.integrate') if m in sys.modules])")
+                "'scipy.integrate', 'scipy.fft', 'scipy.special', 'scipy.sparse', "
+                "'scipy.sparse.csgraph') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], env=lfpp_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, loaded, unloaded", [
+        (["--version"], [], ["scipy.fft", "scipy.sparse"]),
+        (["field", "sample", "--n", "16", "--seed", "1", "--out", "g.lfpf"], [],
+         ["scipy.fft", "scipy.sparse"]),
+        (["dist", "--field", "f.lfpf", "--eps", "0.5", "--xi", "0.2", "--from", "1,1",
+          "--to", "2,2"], ["scipy.sparse.csgraph"], ["scipy.fft"]),
+        (["field", "sample", "--kind", "dirichlet", "--n", "16", "--seed", "1",
+          "--out", "g.lfpf"], ["scipy.fft"], []),
+    ], ids=["version", "field-sample", "dist", "dirichlet"])
+    def test_commands_load_only_the_scipy_they_use(self, argv, loaded, unloaded,
+                                                  tmp_path):
+        assert main(["field", "sample", "--n", "16", "--seed", "1",
+                     "--out", str(tmp_path / "f.lfpf")]) == 0
+        code = ("import json, sys; from lfpp.cli import main; code = main(sys.argv[1:]); "
+                "print(json.dumps([code, sorted(m for m in sys.modules "
+                "if m.startswith('scipy.'))]))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=lfpp_env(),
+                              capture_output=True, text=True, timeout=120, cwd=tmp_path)
+        status, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert status == 0, proc.stderr
+        assert set(loaded) <= set(modules)
+        assert not set(unloaded) & set(modules)
+
+    def test_a_pool_starts_after_the_solver_is_loaded(self, tmp_path, monkeypatch):
+        """Forked workers share the parent's csgraph instead of each
+        importing it: the parent has it when the pool is asked for."""
+        import lfpp.metric as metric
+        import lfpp.renorm as renorm
+        loaded = []
+
+        def no_pool(max_workers=None, **kwargs):   # records, starts nothing
+            loaded.append("scipy.sparse.csgraph" in sys.modules)
+            raise RuntimeError("a process pool was asked for")
+
+        monkeypatch.setattr(renorm, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph", raising=False)
+        metric._sparse.cache_clear()
+        clear_estimate_cache()
+        try:
+            assert main(["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.5",
+                         "--q-hat", "2.5", "--n", "32", "--trials", "20", "--seed", "7",
+                         "--threads", "2", "--out", str(tmp_path / "r.json")]) == 2
+        finally:
+            metric._sparse.cache_clear()
+        assert loaded == [True]
 
     def test_bad_threads_rejected(self, tmp_path):
         code = main(["a-eps", "--xi", "0.2", "--eps", "0.5", "--n", "32",
@@ -532,7 +583,7 @@ class TestLocalizedPointQuery:
         assert code == 0
         _assert_full_solve(field, eps, xi, a, b, doc, rows)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("smoother", [[], ["--localized"]], ids=["plain", "localized"])
     def test_field_whose_costs_overflow_is_refused(self, smoother, capsys):
         field = replace(zero_field(), values=np.full((64, 64), 800.0),
@@ -566,6 +617,16 @@ class TestDistErrorPaths:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "snaps outside the lattice" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_coupling_whose_costs_overflow_exits_one_quietly(self, field_path, tmp_path,
+                                                            capsys):
+        code = main(["dist", "--field", str(field_path), "--eps", "0.125",
+                     "--xi", "1e300", "--from", "1,1", "--to", "2,2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "overflowed or vanished" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("flags, what", [
@@ -755,6 +816,18 @@ class TestRatio:
                      "--seed", "7", "--out", str(out)]) == 1
         assert calls == [] and not out.exists()
 
+    def test_overflowing_power_exits_one_before_any_trial(self, tmp_path, capsys,
+                                                            monkeypatch):
+        import lfpp.renorm as renorm
+        monkeypatch.setattr(renorm, "run_trials", no_trial)
+        clear_estimate_cache()
+        out = tmp_path / "r.json"
+        assert main(["ratio", "--xi", "0.2", "--eps", "0.125,0.0625", "--r", "0.5",
+                     "--q-hat", "1e308", "--n", "128", "--trials", "20", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert "r ** (1 - xi*q_hat)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_pow2_r_exits_one(self, tmp_path):
         assert main(["ratio", "--xi", "0.2", "--eps", "0.5", "--r", "0.3",
                      "--n", "32", "--spacing", "0.125", "--trials", "20",
@@ -918,6 +991,22 @@ class TestExp:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 1
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_overflowing_prefactor_exits_one_before_any_trial(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import lfpp.experiments as experiments
+        import lfpp.renorm as renorm
+        for module in (experiments, renorm):
+            monkeypatch.setattr(module, "run_trials", no_trial)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.SCALE_CFG, "q_hat": -1e308}),
+                            encoding="utf-8")
+        clear_estimate_cache()
+        code = main(["exp", "scale_covariance_test", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "a ** (1 - xi*q_hat)" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
     def test_oversize_integer_exits_one_naming_key(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,7 @@ from lfpp import (
     clear_estimate_cache,
     sample_torus_gff,
 )
+from lfpp import experiments
 from lfpp.experiments import (
     EXPERIMENTS,
     Verdict,
@@ -163,6 +165,30 @@ class TestAnnulusEventStats:
             assert math.isfinite(rep.stats[key])
         # ratio1 compares a distance against a finer-scale proxy of itself
         assert 0.1 < rep.stats["ratio1_q50"] < 10.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32, 64, 128, 256, 512]),
+           spacing=st.floats(1e-3, 10.0),
+           origin=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+           t=st.floats(1e-9, 1.0), alpha=st.floats(0.875, 1.0, exclude_min=True,
+                                                    exclude_max=True))
+    def test_both_rings_hold_sites(self, n, spacing, origin, t, alpha):
+        """The boundary rings of every admissible radius are non-empty, so
+        no ring check runs before the trials."""
+        lat = LatticeSpec(n=n, spacing=spacing, origin=origin)
+        r = t * 0.5 * lat.side
+        seen = []
+
+        def spy(trial, mc):
+            seen.extend(trial.keywords["annuli"])
+            raise StopIteration
+
+        with mock.patch.object(experiments, "run_trials", spy), \
+                pytest.raises(StopIteration):
+            annulus_event_stats(2.0 * spacing, [r], alpha, PARAMS,
+                                MCConfig(lattice=lat, trials=20, master_seed=1))
+        (_, _, inner, outer), = seen
+        assert inner.mask.any() and outer.mask.any()
 
     def test_alpha_range_enforced(self):
         with pytest.raises(InvalidArgument):
