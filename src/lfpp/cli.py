@@ -45,6 +45,7 @@ from .metric import (
     _cost_floor,
     _crop_grid,
     _dist_in_crop,
+    _least_cost,
     build_weighted_grid,
     dist_around_annulus,
     dist_internal,
@@ -230,15 +231,17 @@ def _handle_dist(ns) -> dict:
     if region is None:
         # `dist_point` on the whole lattice's grid, solved on its certified
         # crop.  Localized smoothing runs on the boxes the crop asks for, with
-        # the floor from the raw field's value range (0 when a cost could
-        # overflow or vanish, which certifies only the whole lattice); plain
-        # smoothing runs once on the whole lattice, floored by its least cost.
+        # floors from the raw field's value range over each box's padded
+        # block (0 when a cost could overflow or vanish, which certifies only
+        # the whole lattice); plain smoothing runs once on the whole lattice,
+        # floored by its least cost over each box.
         lattice = (slice(0, spec.n), slice(0, spec.n))
         if ns.localized:
-            floor = _cost_floor(xi, *_localized_range(field, ns.eps))
+            def floor(box):
+                return _cost_floor(xi, *_localized_range(field, ns.eps, box))
         else:
             whole = grid_over(lattice)
-            grid_over, floor = partial(_crop_grid, whole), float(whole.site_cost.min())
+            grid_over, floor = partial(_crop_grid, whole), partial(_least_cost, whole)
         grid, res = _dist_in_crop(spec, grid_over, lattice, floor, src, dst, want_path)
         mode = "point"
     else:

@@ -38,6 +38,7 @@ from .gff import (
     Params,
     _dyadic_exponent,
     _is_pow2,
+    _localized_range,
     add_function,
     check_scale,
     mollify,
@@ -49,8 +50,10 @@ from .metric import (
     Annulus,
     Mask,
     Rect,
+    _cost_floor,
     _crop_grid,
-    _dist_in_crop,
+    _dists_in_crops,
+    _least_cost,
     build_weighted_grid,
     dist_around_annulus,
     dist_sets,
@@ -159,12 +162,33 @@ def _pairs_json(pairs) -> list:
             for z, w in pairs]
 
 
+def _values(solves) -> np.ndarray:
+    return np.array([res.value for _, res in solves], dtype=np.float64)
+
+
 def _pair_dists(grid, pairs) -> np.ndarray:
     """dist_point(grid, z, w).value for each pair, in pair order, each
-    solved on its certified crop of the grid (`metric._dist_in_crop`)."""
-    grid_over, floor = partial(_crop_grid, grid), float(grid.site_cost.min())
-    return np.array([_dist_in_crop(grid.spec, grid_over, grid.box, floor, z, w)[1].value
-                     for z, w in pairs], dtype=np.float64)
+    solved on its certified crop of the grid (`metric._dists_in_crops`),
+    floored by the grid's least cost over each box."""
+    return _values(_dists_in_crops(grid.spec, partial(_crop_grid, grid), grid.box,
+                                   partial(_least_cost, grid), pairs))
+
+
+def _field_dists(field: FieldSample, epsilon: float, xi: float, pairs) -> np.ndarray:
+    """`_pair_dists` on the grid of `mollify_localized(field, epsilon)` over
+    the whole lattice, which is never built: each grid smooths only its
+    box, and each floor comes from the raw field's range over the box's
+    padded block (`gff._localized_range`)."""
+    spec = field.spec
+
+    def grid_over(box):
+        return build_weighted_grid(mollify_localized(field, epsilon, box=box), xi)
+
+    def floor_over(box):
+        return _cost_floor(xi, *_localized_range(field, epsilon, box))
+
+    lattice = (slice(0, spec.n), slice(0, spec.n))
+    return _values(_dists_in_crops(spec, grid_over, lattice, floor_over, pairs))
 
 
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
@@ -268,15 +292,12 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
         if not (_in_rect(z, window) and _in_rect(w, window)):
             raise InvalidArgument(f"pair {z}..{w} leaves the central unit window")
 
-    base = mollify_localized(field, epsilon)
-    grid0 = build_weighted_grid(base, params.xi)
     shifted = add_function(field, lambda x, y: c)
-    moved = mollify_localized(shifted, epsilon)
-    grid1 = build_weighted_grid(moved, params.xi)
     target = math.exp(params.xi * c)
 
-    d0 = _pair_dists(grid0, pairs)
-    d1 = _pair_dists(grid1, pairs)
+    # each field smooths only the boxes its pairs' crops ask for
+    d0 = _field_dists(field, epsilon, params.xi, pairs)
+    d1 = _field_dists(shifted, epsilon, params.xi, pairs)
     ratio = d1 / d0
     rel = ratio / target - 1.0
     worst = float(np.abs(rel).max())

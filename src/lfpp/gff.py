@@ -509,18 +509,36 @@ def _stencil_reach(spec: LatticeSpec, epsilon: float) -> Tuple[float, int]:
     return rho, m
 
 
-def _localized_range(field: FieldSample, epsilon: float) -> Tuple[float, float]:
-    """(lo, hi) with lo <= v <= hi for every value v that
-    `mollify_localized(field, epsilon)` returns, on any box, read from the
-    raw field alone; checks the scale as the smoother does.
+def _wrapped(start: int, stop: int, m: int, n: int) -> Tuple[slice, ...]:
+    """Slices holding the sites start - m .. stop + m - 1 taken mod n, the
+    rows or columns of a box's padded block, each site once."""
+    lo, hi = start - m, stop + m
+    if hi - lo >= n:
+        return (slice(0, n),)
+    if lo < 0:
+        return (slice(lo + n, n), slice(0, hi))
+    if hi > n:
+        return (slice(lo, n), slice(0, hi - n))
+    return (slice(lo, hi),)
 
-    With A = max |h| over the field, lo = min(min(h), 0) - slack and
-    hi = max(max(h), 0) + slack, slack = 2 * ((2m + 1)^2 + 4) * eps * A
-    (eps the float64 epsilon, u = eps / 2 the unit roundoff).  Each value
-    is acc / S_f, S_f the float sum of the (2m + 1)^2 mirrored stencil
-    entries and acc the float sum of T <= (m + 1)^2 kept terms, tap s times
-    the sum of the 1, 2 or 4 field values it weighs (`mollify_localized`
-    states the order).
+
+def _localized_range(field: FieldSample, epsilon: float,
+                     box: Optional[Box] = None) -> Tuple[float, float]:
+    """(lo, hi) with lo <= v <= hi for every value v that
+    `mollify_localized(field, epsilon, box=box)` returns, read from the raw
+    field alone; checks the scale as the smoother does.  With `box` the raw
+    values are read over its padded block (the box plus m sites on each
+    side, wrapped around the torus), which holds every value a box site
+    weighs; without it, over the whole field, which bounds every box.
+
+    With h the raw values read and A = max |h| over them,
+    lo = min(min(h), 0) - slack and hi = max(max(h), 0) + slack,
+    slack = 2 * ((2m + 1)^2 + 4) * eps * A (eps the float64 epsilon,
+    u = eps / 2 the unit roundoff).  Each value is acc / S_f, S_f the
+    float sum of the (2m + 1)^2 mirrored stencil entries and acc the float
+    sum of T <= (m + 1)^2 kept terms, tap s times the sum of the 1, 2 or 4
+    field values it weighs (`mollify_localized` states the order), all
+    within m sites of the output site.
     - Exact arithmetic: the kept taps weigh K <= S_e, the exact sum of the
       stencil's float entries, because `_TAP_FLOOR` only drops positive
       taps.  So the exact acc lies in [m0 * K, M0 * K], hence in
@@ -537,8 +555,14 @@ def _localized_range(field: FieldSample, epsilon: float) -> Tuple[float, float]:
       <= 2048); hi is the mirror image.
     """
     _, m = _stencil_reach(field.spec, epsilon)
-    values = field.values
-    low, high = float(values.min()), float(values.max())
+    n, values = field.spec.n, field.values
+    blocks = [values]
+    if box is not None:
+        (r0, r1), (c0, c1) = _box_bounds(field.spec, box)
+        blocks = [values[rs, cs] for rs in _wrapped(r0, r1, m, n)
+                  for cs in _wrapped(c0, c1, m, n)]
+    low = min(float(b.min()) for b in blocks)
+    high = max(float(b.max()) for b in blocks)
     slack = 2.0 * ((2 * m + 1) ** 2 + 4) * np.finfo(np.float64).eps * max(-low, high)
     return min(low, 0.0) - slack, max(high, 0.0) + slack
 

@@ -20,10 +20,15 @@ reverse; a crossing's left column comes first, so it starts there.  A solve
 without a region runs Dijkstra over the whole box on the grid's graph,
 built on first use and kept with the grid, so every point query on a grid
 costs the same whatever the pair; a solve in a region runs on its crop.
-One routine, `_dist_in_crop`, solves one pair on the crop `_point_crop`
-certifies gives the same float and path, from a floor on every site cost
-(a zero floor certifies only the whole box); it builds grids through its
-caller, on the pair's box and on the crop only.
+One routine, `_dists_in_crops`, solves each of a list of pairs on the
+crop `_point_crop` certifies gives the same float and path.  A floor on
+the site costs over a box certifies a smaller box (a zero floor only the
+whole one), so each crop is refined to a fixpoint by floors its caller
+reads over the crop itself (before smoothing, the raw field's range over
+the box's padded block; on a grid, its least cost there), then cut once
+more by the built crop's own least cost.  It builds grids through its
+caller twice: over the hull of the pairs' boxes and over the hull of
+their crops.
 
 Graphs are scipy CSR matrices solved by scipy's csgraph Dijkstra; both
 are imported on the first graph fill or solve (`_sparse`), so a process
@@ -64,7 +69,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -86,8 +91,8 @@ _OFFSETS: Tuple[Tuple[int, int], ...] = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
                                          (0, 1), (1, -1), (1, 0), (1, 1))
 _FILL_SITES = 1 << 14     # sites per block of a weight fill (cache-sized slots)
 _CACHED_SITES = 1 << 17   # full crops up to this size keep their skeleton
-# The label a point solve may stop at.  `_dist_in_crop` sets it around its
-# crop solve only, which stays a `dist_point` call, so whatever wraps
+# The label a point solve may stop at.  `_dists_in_crops` sets it around
+# each crop solve only, which stays a `dist_point` call, so whatever wraps
 # `dist_point` (the benchmark's tracer) still sees every solve.
 _CROP_LIMIT: ContextVar[float] = ContextVar("_CROP_LIMIT", default=math.inf)
 
@@ -461,12 +466,16 @@ def _skeleton(active: np.ndarray) -> _Skeleton:
     return _Skeleton.of(active)
 
 
+def _view(grid: WeightedGrid, box: Box) -> np.ndarray:
+    """The read-only view of `grid`'s site costs over a box inside its box."""
+    (rs, cs), (i, j) = box, grid.offset
+    return grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
+
+
 def _mask_graph(grid: WeightedGrid, crop: Box, active: np.ndarray, sheets: int = 1):
     """CSR graph of the active sites of a crop inside the grid's box, on
     `sheets` copies of the crop (`_Skeleton.fill`)."""
-    (rs, cs), (i, j) = crop, grid.offset
-    cost = grid.site_cost[rs.start - i:rs.stop - i, cs.start - j:cs.stop - j]
-    return _skeleton(active).fill(cost, grid.spec.spacing, sheets)
+    return _skeleton(active).fill(_view(grid, crop), grid.spec.spacing, sheets)
 
 
 def _flat(sites: np.ndarray, crop) -> np.ndarray:
@@ -645,37 +654,44 @@ def _pair_box(within: Box, a: Tuple[int, int], b: Tuple[int, int]) -> Box:
 
 def _point_crop(spec: LatticeSpec, within: Box, a: Tuple[int, int],
                 b: Tuple[int, int], upper: float, floor: float) -> Box:
-    """A box in `within` on which a point solve between sites a and b gives
-    the value and geodesic that it gives on the grid G over all of
-    `within`, bit for bit, given upper >= D, G's float distance, and
-    0 <= floor <= every site cost of G.
+    """A box B in the box `within`, C, on which a point solve between
+    sites a and b gives the value and geodesic that it gives on the grid G,
+    bit for bit, given upper >= D, G's float distance, and
+    0 <= floor <= every site cost of G on C, where C holds every walk of G
+    from a to b of at most 2N - 1 edges whose float sum is at most upper
+    (N = n^2 >= G's node count, the walks that matter); B holds every such
+    walk too.  G's whole box is such a C, so a floor over all of G
+    certifies a crop, and a floor read over that crop certifies its own cut
+    of it (`_refined_crop`).
 
-    The box is the ellipse of sites s with
+    B is C cut to the ellipse of sites s with
     floor * spacing * (|s - a| + |s - b|) * (1 - 4 N eps) <= upper
-    (lengths in sites, N = n^2 >= G's node count, eps the float64
-    epsilon, u = eps / 2), cut by floor and ceil and padded by one site.
-    It is `within` when the reach upper / (floor * spacing * (1 - 4 N eps))
-    passes 4n sites, where the ellipse's box covers the lattice anyway, or
-    when floor * spacing / 2 or spacing / 2 is below the smallest normal
-    float, so that every weight below is a normal float.
+    (lengths in sites, eps the float64 epsilon, u = eps / 2), cut by floor
+    and ceil and padded by one site.  It is C when the reach
+    upper / (floor * spacing * (1 - 4 N eps)) passes 4n sites, where the
+    ellipse's box covers the lattice anyway, or when floor * spacing / 2 or
+    spacing / 2 is below the smallest normal float, so that every weight
+    below is a normal float.
 
     Why it is exact.  Say s is the solve's start (the smaller of a and b),
-    t the other end, and B the grid over the box; B's weights are G's,
+    t the other end, and B the grid over the box too; B's weights are G's,
     bit for bit.
+    - The ellipse.  A walk of at most 2N - 1 edges from s to t whose float
+      sum is at most upper lies in C, so each of its sites costs at least
+      floor.  A weight is then at least floor * spacing * |step| * (1 - u)^4
+      (fl(c_u + c_v) >= 2 * floor; hypot and two products round), the fold
+      of k weights loses at most (1 - u)^(k - 1), the steps before and
+      after a site r span at least |r - s| and |t - r|, and
+      (1 - u)^(2N + 2) >= 1 - 4 N eps, so the walk stays in the ellipse,
+      and so in B.  The box's own arithmetic is off by a few eps of a reach
+      below 4n sites, far inside the pad.  The rest needs only that B
+      holds every such walk.
     - Labels.  fl(x + w) is nondecreasing in x and at least x, so
       Dijkstra's label of a site v is F(v), the least left-fold float sum
       over walks from s to v, whatever the heap's order: by induction in
       settle order, a walk with a smaller sum would leave the settled set
       at a site with a smaller label.  Cutting a loop never raises a fold,
       so some path attains F(v); and F_B >= F_G on B, as B's walks are G's.
-    - The ellipse.  A walk of at most 2N - 1 edges from s to t whose float
-      sum is at most upper stays in it.  A weight is at least
-      floor * spacing * |step| * (1 - u)^4 (fl(c_u + c_v) >= 2 * floor;
-      hypot and two products round), the fold of k weights loses at most
-      (1 - u)^(k - 1), the steps before and after a site r span at least
-      |r - s| and |t - r|, and (1 - u)^(2N + 2) >= 1 - 4 N eps.  The box's
-      own arithmetic is off by a few eps of a reach below 4n sites, far
-      inside the pad.
     - Value.  A path with sum D lies in B, so F_B(t) <= D = F_G(t).
     - Geodesic.  Both walk-backs (`_walk_back`) start at t and take the
       same steps, forward and back.  Say they have so far, so both hold
@@ -709,35 +725,84 @@ def _point_crop(spec: LatticeSpec, within: Box, a: Tuple[int, int],
                  for k, (e, w) in enumerate(zip(extents, within)))
 
 
+def _refined_crop(spec: LatticeSpec, box: Box, a: Tuple[int, int],
+                  b: Tuple[int, int], upper: float,
+                  floor_over: Callable[[Box], float]) -> Box:
+    """The fixpoint of `_point_crop` from `box`, each step cut from the
+    last with the floor `floor_over` reads over it: given a box that holds
+    every walk `_point_crop` names, every step holds them too."""
+    while True:
+        crop = _point_crop(spec, box, a, b, upper, floor_over(box))
+        if crop == box:
+            return box
+        box = crop
+
+
+def _hull(boxes: List[Box]) -> Box:
+    """The smallest box holding every one of `boxes`."""
+    return tuple(slice(min(b[k].start for b in boxes), max(b[k].stop for b in boxes))
+                 for k in range(2))
+
+
 def _crop_grid(grid: WeightedGrid, box: Box) -> WeightedGrid:
     """The grid over a box inside `grid`'s box, with its site costs."""
     if box == grid.box:
         return grid
-    (rs, cs), (i, j) = box, grid.offset
-    return WeightedGrid(spec=grid.spec, offset=(rs.start, cs.start),
-                        site_cost=grid.site_cost[rs.start - i:rs.stop - i,
-                                                 cs.start - j:cs.stop - j])
+    return WeightedGrid(spec=grid.spec, offset=(box[0].start, box[1].start),
+                        site_cost=_view(grid, box))
+
+
+def _least_cost(grid: WeightedGrid, box: Box) -> float:
+    """The least site cost of `grid` over a box inside its box: the exact
+    floor there."""
+    return float(_view(grid, box).min())
+
+
+def _dists_in_crops(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
+                    within: Box, floor_over: Callable[[Box], float], pairs,
+                    want_path: bool = False) -> List[Tuple[WeightedGrid, DistResult]]:
+    """[(grid, result)] per pair (z, w) in order: `dist_point(G, z, w,
+    want_path)` for the grid G over the box `within`, bit for bit but for
+    `settled`, solved on the grid over the pair's certified crop.
+
+    `grid_over(box)` is the grid over a box in `within` with G's costs
+    there, and `floor_over(box)` is at most every cost of G on the box.
+    Each pair's upper bound is its distance on the pair's box plus 2 sites,
+    whose paths are G's (that solve refuses a site outside `within`), all
+    read from one grid over the hull of those boxes.  Its crop is the
+    fixpoint of `_point_crop` from `within` with `floor_over`'s floors
+    (`_refined_crop`), then cut again, on one grid over the hull of those
+    crops, by that grid's least cost over each; the pair is solved on that
+    crop, stopping at its upper bound (`_between`'s `limit`).
+    """
+    ends = [(spec.index_of(z), spec.index_of(w)) for z, w in pairs]
+    boxes = [_pair_box(within, a, b) for a, b in ends]
+    near = grid_over(_hull(boxes))
+    uppers = [dist_point(_crop_grid(near, box), z, w).value
+              for box, (z, w) in zip(boxes, pairs)]
+    crops = [_refined_crop(spec, within, a, b, upper, floor_over)
+             for (a, b), upper in zip(ends, uppers)]
+    hull = grid_over(_hull(crops))
+    out = []
+    for crop, (a, b), (z, w), upper in zip(crops, ends, pairs, uppers):
+        grid = _crop_grid(hull, _refined_crop(spec, crop, a, b, upper,
+                                               partial(_least_cost, hull)))
+        bound = _CROP_LIMIT.set(upper)
+        try:
+            out.append((grid, dist_point(grid, z, w, want_path)))
+        finally:
+            _CROP_LIMIT.reset(bound)
+    return out
 
 
 def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
-                  within: Box, floor: float, z: Tuple[float, float],
-                  w: Tuple[float, float], want_path: bool = False
-                  ) -> Tuple[WeightedGrid, DistResult]:
-    """(grid, result): `dist_point(G, z, w, want_path)` for the grid G over
-    the box `within`, bit for bit but for `settled`, solved on the grid over
-    the crop `_point_crop` certifies.  `grid_over(box)` is the grid over a
-    box in `within` with G's costs there, and `floor` is at most every cost
-    of G.  The upper bound is the distance on the pair's box plus 2 sites,
-    whose paths are G's; that solve refuses a site outside `within`.  The
-    crop's solve stops at the upper bound (`_between`'s `limit`)."""
-    a, b = spec.index_of(z), spec.index_of(w)
-    upper = dist_point(grid_over(_pair_box(within, a, b)), z, w).value
-    grid = grid_over(_point_crop(spec, within, a, b, upper, floor))
-    bound = _CROP_LIMIT.set(upper)
-    try:
-        return grid, dist_point(grid, z, w, want_path)
-    finally:
-        _CROP_LIMIT.reset(bound)
+                  within: Box, floor: Union[float, Callable[[Box], float]],
+                  z: Tuple[float, float], w: Tuple[float, float],
+                  want_path: bool = False) -> Tuple[WeightedGrid, DistResult]:
+    """(grid, result) of `_dists_in_crops` for the one pair (z, w), with
+    `floor` its `floor_over` or a float at most every cost of G."""
+    floor_over = floor if callable(floor) else (lambda box: floor)
+    return _dists_in_crops(spec, grid_over, within, floor_over, [(z, w)], want_path)[0]
 
 
 # ---------------------------------------------------------------------------

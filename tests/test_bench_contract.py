@@ -11,7 +11,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -132,16 +134,45 @@ def _record_point_solves(monkeypatch):
 
 def test_traced_pair_sweep_counts_every_solve(tracer, monkeypatch, field64):
     # each pair is two point solves: the pair's box for the upper bound,
-    # then its certified crop
+    # then its certified crop; on a grid (`_pair_dists`) and from the raw
+    # field, smoothing only the crops (`_field_dists`, weyl_shift_test's)
     grid = build_weighted_grid(mollify_localized(field64, 0.25), 0.2)
     pairs = [((1.0, 2.0), (3.0, 2.5)), ((2.0, 2.0), (2.25, 1.875))]
     results = _record_point_solves(monkeypatch)
-    spans = tracer.Tracer()
-    with spans.active():
-        experiments._pair_dists(grid, pairs)
-    calls = spans.summary(0.0)["layers"]["metric.dist_point"]["calls"]
-    assert calls == len(results) == 2 * len(pairs)
-    assert spans.counters["metric.settled"] == sum(r.settled for r in results)
+    for sweep in (partial(experiments._pair_dists, grid, pairs),
+                  partial(experiments._field_dists, field64, 0.25, 0.2, pairs)):
+        results.clear()
+        spans = tracer.Tracer()
+        with spans.active():
+            sweep()
+        calls = spans.summary(0.0)["layers"]["metric.dist_point"]["calls"]
+        assert calls == len(results) == 2 * len(pairs)
+        assert spans.counters["metric.settled"] == sum(r.settled for r in results)
+
+
+def test_weyl_smooths_only_its_crops(monkeypatch, tmp_path):
+    # the cli_session weyl config (bench/worker.py `session_script`): each
+    # field is smoothed on boxes only, fewer than n^2 sites in all
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    _, _, cfg = worker.session_script(str(tmp_path), 3701)
+    n = cfg["field"]["n"]
+    assert (n, cfg["epsilon"], len(cfg["pairs"])) == (512, 1.0 / 32.0, 3)
+    smoothed = {}
+    real = experiments.mollify_localized
+
+    def spy(field, epsilon, box=None):
+        assert box is not None
+        (rs, cs) = box
+        smoothed[id(field)] = smoothed.get(id(field), 0) + (rs.stop - rs.start) * (cs.stop - cs.start)
+        return real(field, epsilon, box=box)
+
+    monkeypatch.setattr(experiments, "mollify_localized", spy)
+    rep = experiments.run_experiment("weyl_shift_test", json.loads(json.dumps(cfg)))
+    assert rep.verdict is experiments.Verdict.PASS
+    assert len(smoothed) == 2 and max(smoothed.values()) < n * n
 
 
 @pytest.mark.parametrize("smoother", [[], ["--localized"]], ids=["plain", "localized"])

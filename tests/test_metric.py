@@ -393,9 +393,10 @@ def crop_cases(draw):
 
 
 def crop_solve(grid, z, w):
-    """The point solve of z and w on its certified crop of `grid`."""
+    """(crop grid, result): the point solve of z and w on its certified crop
+    of `grid`."""
     return metric._dist_in_crop(grid.spec, partial(metric._crop_grid, grid), grid.box,
-                                float(grid.site_cost.min()), z, w, want_path=True)[1]
+                                float(grid.site_cost.min()), z, w, want_path=True)
 
 
 class TestPointCrop:
@@ -408,7 +409,7 @@ class TestPointCrop:
     def test_crop_solve_matches_full_solve(self, case):
         grid, a, b = case
         spec = grid.spec
-        res = crop_solve(grid, spec.point_of(*a), spec.point_of(*b))
+        _, res = crop_solve(grid, spec.point_of(*a), spec.point_of(*b))
         if a == b:
             assert res.value == 0.0 and res.path.sites == (a,)
             return
@@ -423,7 +424,8 @@ class TestPointCrop:
     def test_crop_solve_stops_at_the_upper_bound(self, case):
         # The crop's solve stops at U, the distance on the pair's box: its
         # value and path are the full solve's, and it settles exactly the
-        # crop sites whose unbounded labels are at most U.
+        # sites of the crop it ran on (inside the crop the lattice's least
+        # cost certifies) whose unbounded labels there are at most U.
         grid, a, b = case
         if a == b:
             return
@@ -431,15 +433,16 @@ class TestPointCrop:
         z, w = spec.point_of(*a), spec.point_of(*b)
         upper = dist_point(metric._crop_grid(grid, metric._pair_box(grid.box, a, b)),
                            z, w).value
-        (rs, cs) = crop = metric._point_crop(spec, grid.box, a, b, upper,
-                                             float(grid.site_cost.min()))
-        res = crop_solve(grid, z, w)
+        first = metric._point_crop(spec, grid.box, a, b, upper, float(grid.site_cost.min()))
+        crop_grid, res = crop_solve(grid, z, w)
+        (rs, cs) = crop = crop_grid.box
+        assert _inside(crop, first)
         lo, hi = min(a, b), max(a, b)
         dist, chain = oracles.full_point_solve(grid.site_cost, grid.mask,
                                                spec.spacing, lo, hi)
         assert res.value == dist[hi[0] * spec.n + hi[1]] <= upper
         assert list(res.path.sites) == (chain if a == lo else chain[::-1])
-        cost = metric._crop_grid(grid, crop).site_cost
+        cost = crop_grid.site_cost
         labels, _ = oracles.full_point_solve(cost, np.ones(cost.shape, dtype=bool),
                                              spec.spacing, (lo[0] - rs.start, lo[1] - cs.start),
                                              (hi[0] - rs.start, hi[1] - cs.start))
@@ -449,10 +452,92 @@ class TestPointCrop:
         # a near pair on a mildly rough field needs only a few rows
         spec, grid = random_grid(np.random.default_rng(3), 64, 1.0 / 64, scale=0.5)
         z, w = spec.point_of(30, 20), spec.point_of(32, 40)
-        res = crop_solve(grid, z, w)
+        _, res = crop_solve(grid, z, w)
         full = dist_point(grid, z, w, want_path=True)
         assert (res.value, res.path) == (full.value, full.path)
         assert res.settled < full.settled == 64 * 64
+
+
+@st.composite
+def crop_sweeps(draw):
+    """(field, eps, site pairs): a torus field at n 64 or 128 on the 4 x 4
+    torus, scaled, at times flattened and dug with a few deep one-site
+    wells, and moved by a constant c; an eps that `mollify_localized`
+    admits; and 1 to 4 pairs of sites, lattice corners included."""
+    n = draw(st.sampled_from([64, 128]))
+    spec = LatticeSpec(n=n, spacing=4.0 / n)
+    values = draw(st.sampled_from([0.5, 2.0, 8.0])) * sample_torus_gff(
+        spec, draw(st.integers(0, 2 ** 16))).values
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = 0.1 * values
+        wells = rng.integers(0, n, size=(draw(st.integers(1, 6)), 2))
+        values[wells[:, 0], wells[:, 1]] = -draw(st.floats(5.0, 60.0))
+    field = gff.FieldSample(spec=spec, kind=gff.FieldKind.TORUS_WHOLE_PLANE, seed=0,
+                            values=values + draw(st.floats(-3.0, 3.0)),
+                            mean_removed=False, derived=True)
+    lo, hi = 2.0 * spec.spacing, math.exp(-1.0) - 1e-9
+    eps = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    coord = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    site = st.tuples(coord, coord)
+    return field, eps, draw(st.lists(st.tuples(site, site), min_size=1, max_size=4))
+
+
+def _inside(box, outer) -> bool:
+    return all(o.start <= b.start and b.stop <= o.stop for b, o in zip(box, outer))
+
+
+class TestDistsInCrops:
+    """`metric._dists_in_crops` gives each pair the value and path of
+    `oracles.full_point_solve` on the whole lattice's grid, bit for bit,
+    with its floors read over each crop from the raw field before smoothing
+    (`gff._localized_range`), from the whole grid's costs, or from those
+    costs loosened on every other read (a floor still, but one that can
+    fall as the box shrinks)."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(crop_sweeps(), st.sampled_from(["raw field", "grid", "loose grid"]),
+           st.sampled_from([0.2, 1.0]))
+    def test_sweep_matches_full_solve(self, case, source, xi):
+        field, eps, sites = case
+        spec = field.spec
+        full = build_weighted_grid(mollify_localized(field, eps), xi)
+        reads = []
+
+        def floor_over(box):
+            # every floor lies at or below the grid's costs on its box, and
+            # each pair's boxes nest from the whole lattice down
+            if source == "raw field":
+                floor = metric._cost_floor(xi, *gff._localized_range(field, eps, box))
+            else:
+                floor = metric._least_cost(full, box) * (0.25 if len(reads) % 2 else 1.0)
+            assert floor <= metric._least_cost(full, box)
+            reads.append(box)
+            if box == full.box:
+                assert reads.count(box) <= len(sites)
+            else:
+                assert _inside(box, reads[-2])
+            return floor
+
+        if source == "raw field":
+            def grid_over(box):
+                return build_weighted_grid(mollify_localized(field, eps, box=box), xi)
+        else:
+            grid_over = partial(metric._crop_grid, full)
+        pairs = [(spec.point_of(*a), spec.point_of(*b)) for a, b in sites]
+        solves = metric._dists_in_crops(spec, grid_over, full.box, floor_over, pairs,
+                                        want_path=True)
+        assert len(solves) == len(pairs)
+        for (a, b), (grid, res) in zip(sites, solves):
+            assert np.array_equal(grid.site_cost, metric._view(full, grid.box))
+            if a == b:
+                assert res.value == 0.0 and res.path.sites == (a,)
+                continue
+            lo, hi = min(a, b), max(a, b)
+            dist, chain = oracles.full_point_solve(full.site_cost, full.mask,
+                                                   spec.spacing, lo, hi)
+            assert res.value.hex() == float(dist[hi[0] * spec.n + hi[1]]).hex()
+            assert list(res.path.sites) == (chain if a == lo else chain[::-1])
 
 
 @st.composite

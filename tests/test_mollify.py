@@ -346,13 +346,17 @@ class TestLocalizedRange:
     take their cost floor from it."""
 
     @staticmethod
-    def check(spec, values, eps):
-        """The smoothed values, once checked against the bounds."""
+    def check(spec, values, eps, box=None):
+        """The smoothed values of the box (the whole lattice by default),
+        once checked against the box's bounds, which lie inside the whole
+        field's."""
         field = FieldSample(spec=spec, kind=FieldKind.TORUS_WHOLE_PLANE, seed=0,
                             values=values, mean_removed=False, derived=True)
-        lo, hi = _localized_range(field, eps)
-        out = mollify_localized(field, eps).values
+        lo, hi = _localized_range(field, eps, box)
+        out = mollify_localized(field, eps, box=box).values
         assert lo <= out.min() and out.max() <= hi
+        whole_lo, whole_hi = _localized_range(field, eps)
+        assert whole_lo <= lo and hi <= whole_hi
         return out
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -369,10 +373,49 @@ class TestLocalizedRange:
             values = size * (field.values + (5.0 * t if kind == "shifted" else 0.0))
         self.check(field.spec, values, eps)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(localized_fields(), st.sampled_from(["field", "shifted", "constant"]),
+           st.integers(-3, 250), st.floats(-1.0, 1.0), st.data())
+    def test_box_range_holds_every_box_value(self, case, kind, power, t, data):
+        # boxes whose padded block wraps the torus when they touch its edge
+        field, eps = case
+        n = field.spec.n
+        size = 10.0 ** power
+        if kind == "constant":
+            values = np.full_like(field.values, size * t)
+        else:
+            values = size * (field.values + (5.0 * t if kind == "shifted" else 0.0))
+        box = []
+        for _ in range(2):
+            start = data.draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+            box.append(slice(start, data.draw(st.one_of(st.just(n), st.integers(start + 1, n)))))
+        self.check(field.spec, values, eps, tuple(box))
+
     def test_positive_constant_smooths_below_itself(self):
-        # rounding takes every value an ulp below h, so min(h) is no bound
-        out = self.check(LatticeSpec(n=64, spacing=1.0 / 64.0), np.full((64, 64), 7.0), 0.05)
-        assert out.max() < 7.0
+        # rounding takes every value an ulp below h, so min(h) is no bound,
+        # on the lattice and on boxes whose padded block wraps the torus
+        for box in (None, (slice(0, 5), slice(60, 64)), (slice(30, 34), slice(0, 64))):
+            out = self.check(LatticeSpec(n=64, spacing=1.0 / 64.0), np.full((64, 64), 7.0),
+                             0.05, box)
+            assert out.max() < 7.0
+
+    @pytest.mark.parametrize("well", [(10, 3), (62, 20), (1, 63)],
+                             ids=["beside", "wrapped-row", "wrapped-column"])
+    def test_box_range_reads_the_stencil_margin(self, well):
+        # a deep site m sites or fewer outside the box, across the torus's
+        # edge for some, pulls the box's values below any raw value in it
+        spec, eps = LatticeSpec(n=64, spacing=1.0 / 64.0), 0.05
+        _, m = _stencil_reach(spec, eps)
+        values = np.zeros((64, 64))
+        values[well] = -100.0
+        box = (slice(5, 20), slice(5, 20))
+        (i, j), (rs, cs) = well, box
+        gaps = [0 if s.start <= k < s.stop else min((k - s.stop + 1) % 64, (s.start - k) % 64)
+                for k, s in zip(well, box)]
+        assert not (rs.start <= i < rs.stop and cs.start <= j < cs.stop)
+        assert max(gaps) <= m
+        out = self.check(spec, values, eps, box)
+        assert out.min() < 0.0
 
     def test_checks_the_scale_as_the_smoother_does(self, field64):
         with pytest.raises(MollificationTooFine):
