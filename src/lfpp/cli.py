@@ -30,22 +30,17 @@ import sys
 import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import __version__, cache, fieldio
 from .errors import InvalidArgument, LfppError
-from .gff import (SAMPLERS, XI_CRIT_REF, Params, _localized_range, mollify,
-                  mollify_localized)
+from .gff import SAMPLERS, XI_CRIT_REF, Params, mollify, mollify_localized
 from .metric import (
     Annulus,
     Disk,
     Rect,
-    _cost_floor,
-    _crop_grid,
-    _dist_in_crop,
-    _least_cost,
     build_weighted_grid,
     dist_around_annulus,
     dist_internal,
@@ -62,7 +57,7 @@ from .renorm import (
     fit_exponent,
     scaling_ratio,
 )
-from .experiments import EXPERIMENTS, _cfg_field, _cfg_mc, run_experiment
+from .experiments import EXPERIMENTS, _cfg_field, _cfg_mc, _field_dists, run_experiment
 
 
 def _parse_point(text: str) -> Tuple[float, float]:
@@ -220,33 +215,18 @@ def _handle_dist(ns) -> dict:
 
     field = fieldio.read_field(ns.field)
     spec, xi = field.spec, Params(xi=ns.xi).xi
-    smooth = mollify_localized if ns.localized else mollify
-
-    def grid_over(box):
-        return build_weighted_grid(smooth(field, ns.eps, box=box), xi)
-
-    # Either smoother's values on a box are bitwise the full lattice's there,
-    # so each query smooths only the sites it reads.
     region = around or crossing or within
     if region is None:
-        # `dist_point` on the whole lattice's grid, solved on its certified
-        # crop.  Localized smoothing runs on the boxes the crop asks for, with
-        # floors from the raw field's value range over each box's padded
-        # block (0 when a cost could overflow or vanish, which certifies only
-        # the whole lattice); plain smoothing runs once on the whole lattice,
-        # floored by its least cost over each box.
-        lattice = (slice(0, spec.n), slice(0, spec.n))
-        if ns.localized:
-            def floor(box):
-                return _cost_floor(xi, *_localized_range(field, ns.eps, box))
-        else:
-            whole = grid_over(lattice)
-            grid_over, floor = partial(_crop_grid, whole), partial(_least_cost, whole)
-        grid, res = _dist_in_crop(spec, grid_over, lattice, floor, src, dst, want_path)
+        # `dist_point` on the whole lattice's grid, solved on its certified crop
+        grid, res = _field_dists(field, ns.eps, xi, [(src, dst)], ns.localized, want_path)[0]
         mode = "point"
     else:
-        # a region with no site smooths one, and its query reports it empty
-        grid = grid_over(region_box(spec, region) or (slice(0, 1), slice(0, 1)))
+        # Either smoother's values on a box are bitwise the full lattice's
+        # there, so a region query smooths only its region's box; a region
+        # with no site smooths one, and its query reports it empty.
+        smooth = mollify_localized if ns.localized else mollify
+        box = region_box(spec, region) or (slice(0, 1), slice(0, 1))
+        grid = build_weighted_grid(smooth(field, ns.eps, box=box), xi)
         if around:
             res = dist_around_annulus(grid, around, want_path=want_path)
             mode = "around"

@@ -166,20 +166,25 @@ def _values(solves) -> np.ndarray:
     return np.array([res.value for _, res in solves], dtype=np.float64)
 
 
-def _pair_dists(grid, pairs) -> np.ndarray:
-    """dist_point(grid, z, w).value for each pair, in pair order, each
-    solved on its certified crop of the grid (`metric._dists_in_crops`),
-    floored by the grid's least cost over each box."""
-    return _values(_dists_in_crops(grid.spec, partial(_crop_grid, grid), grid.box,
-                                   partial(_least_cost, grid), pairs))
+def _pair_dists(grid, pairs, want_path: bool = False) -> list:
+    """[(grid, result)] of `dist_point(grid, z, w, want_path)` for each pair,
+    in pair order, each solved on its certified crop of the grid
+    (`metric._dists_in_crops`), floored by the grid's least cost over each
+    box."""
+    return _dists_in_crops(grid.spec, partial(_crop_grid, grid), grid.box,
+                           partial(_least_cost, grid), pairs, want_path)
 
 
-def _field_dists(field: FieldSample, epsilon: float, xi: float, pairs) -> np.ndarray:
-    """`_pair_dists` on the grid of `mollify_localized(field, epsilon)` over
-    the whole lattice, which is never built: each grid smooths only its
-    box, and each floor comes from the raw field's range over the box's
-    padded block (`gff._localized_range`)."""
-    spec = field.spec
+def _field_dists(field: FieldSample, epsilon: float, xi: float, pairs,
+                 localized: bool = True, want_path: bool = False) -> list:
+    """`_pair_dists` on the grid of the field smoothed at `epsilon` over the
+    whole lattice, by `mollify_localized` or else by `mollify`: the one place
+    that knows how a smoother feeds the certified-crop sweep.  Plain
+    smoothing builds that grid once.  Localized smoothing never builds it:
+    each grid smooths only its box, and each floor comes from the raw
+    field's range over the box's padded block (`gff._localized_range`)."""
+    if not localized:
+        return _pair_dists(build_weighted_grid(mollify(field, epsilon), xi), pairs, want_path)
 
     def grid_over(box):
         return build_weighted_grid(mollify_localized(field, epsilon, box=box), xi)
@@ -187,8 +192,8 @@ def _field_dists(field: FieldSample, epsilon: float, xi: float, pairs) -> np.nda
     def floor_over(box):
         return _cost_floor(xi, *_localized_range(field, epsilon, box))
 
-    lattice = (slice(0, spec.n), slice(0, spec.n))
-    return _values(_dists_in_crops(spec, grid_over, lattice, floor_over, pairs))
+    lattice = (slice(0, field.spec.n), slice(0, field.spec.n))
+    return _dists_in_crops(field.spec, grid_over, lattice, floor_over, pairs, want_path)
 
 
 def _check_pair_points(spec: LatticeSpec, pairs) -> None:
@@ -296,8 +301,8 @@ def weyl_shift_test(field: FieldSample, epsilon: float, c: float,
     target = math.exp(params.xi * c)
 
     # each field smooths only the boxes its pairs' crops ask for
-    d0 = _field_dists(field, epsilon, params.xi, pairs)
-    d1 = _field_dists(shifted, epsilon, params.xi, pairs)
+    d0 = _values(_field_dists(field, epsilon, params.xi, pairs))
+    d1 = _values(_field_dists(shifted, epsilon, params.xi, pairs))
     ratio = d1 / d0
     rel = ratio / target - 1.0
     worst = float(np.abs(rel).max())
@@ -323,9 +328,9 @@ def _covariance_trial(seed: int, lat: LatticeSpec, epsilon: float, a: float,
     """One trial's D between the scaled endpoints on the field and D between
     the unit endpoints on its rescaling, both unnormalized."""
     h = sample_torus_gff(lat, seed)
-    d_l = _pair_dists(build_weighted_grid(mollify(h, epsilon), xi), [scaled])
+    d_l = _values(_field_dists(h, epsilon, xi, [scaled], localized=False))
     ht = rescale_field(h, a, lat.origin, q_hat)
-    d_r = _pair_dists(build_weighted_grid(mollify(ht, epsilon / a), xi), [unit])
+    d_r = _values(_field_dists(ht, epsilon / a, xi, [unit], localized=False))
     return float(d_l[0]), float(d_r[0])
 
 
@@ -404,10 +409,10 @@ def localized_gap(field: FieldSample, eps_ladder: Sequence[float],
     devs = []
     for eps in eps_ladder:
         plain = mollify(field, eps)
-        loc = mollify_localized(field, eps)
-        gap = float(np.abs(loc.values[box] - plain.values[box]).max())
-        dp = _pair_dists(build_weighted_grid(plain, params.xi), pairs)
-        dl = _pair_dists(build_weighted_grid(loc, params.xi), pairs)
+        loc = mollify_localized(field, eps, box)
+        gap = float(np.abs(loc.values - plain.values[box]).max())
+        dp = _values(_pair_dists(build_weighted_grid(plain, params.xi), pairs))
+        dl = _values(_field_dists(field, eps, params.xi, pairs))
         dev = float(np.abs(dl / dp - 1.0).max())
         rows.append((float(eps), gap, dev))
         gaps.append(gap)
@@ -448,8 +453,8 @@ def convergence_diagnostic(pairs, eps_ladder: Sequence[float], params: Params,
 
     # values[k, j]: pair k at rung j; diffs[k, j]: pair k from rung j to j + 1
     values = np.column_stack([
-        _pair_dists(build_weighted_grid(mollify_localized(fld, eps), params.xi), pairs)
-        / norm for eps, norm in zip(eps_ladder, norms)])
+        _values(_field_dists(fld, eps, params.xi, pairs)) / norm
+        for eps, norm in zip(eps_ladder, norms)])
     diffs = np.abs(values[:, 1:] - values[:, :-1])
     max_diffs = diffs.max(axis=0).tolist()
     n_pairs, n_trans = diffs.shape
@@ -480,6 +485,9 @@ def _annulus_trial(seed: int, lat: LatticeSpec, epsilon: float, proxy_eps: float
     """One trial's rows less the trial index, one per (annulus, r, inner
     ring, outer ring)."""
     h = sample_torus_gff(lat, seed)
+    # Whole-lattice grids, not the crop sweep: `dist_sets` between the two
+    # rings is unconstrained, so its path may leave any box; around and
+    # across share a grid, and no certificate covers set solves.
     grid_e = build_weighted_grid(mollify_localized(h, epsilon), xi)
     grid_p = build_weighted_grid(mollify_localized(h, proxy_eps), xi)
     rows = []
@@ -490,7 +498,7 @@ def _annulus_trial(seed: int, lat: LatticeSpec, epsilon: float, proxy_eps: float
         across_p = dist_sets(grid_p, inner, outer).value
         u = grid_e.spec.point_of(*across_e.path.sites[0])
         v = grid_e.spec.point_of(*across_e.path.sites[-1])
-        d_uv_proxy = float(_pair_dists(grid_p, [(u, v)])[0])
+        d_uv_proxy = _pair_dists(grid_p, [(u, v)])[0][1].value
         rows.append((float(r), around_e, across_e.value, around_e / across_e.value,
                      around_p, across_p, around_p / across_p,
                      across_e.value / d_uv_proxy))
@@ -737,9 +745,8 @@ def small_segment_sup(field: FieldSample, epsilon: float, zeta: float,
     rows = []
     vals = []
     for eps_k, sep, pairs, a_hat in zip(ladder, seps, pair_sets, a_hats):
-        grid = build_weighted_grid(mollify_localized(field, eps_k), params.xi)
         # division by a_hat > 0 is monotone, so this is the max of d / a_hat
-        worst = float(_pair_dists(grid, pairs).max() / a_hat)
+        worst = float(_values(_field_dists(field, eps_k, params.xi, pairs)).max() / a_hat)
         rows.append((eps_k, sep, worst))
         vals.append(worst)
     ok = all(b < a for a, b in zip(vals, vals[1:]))

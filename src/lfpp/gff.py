@@ -423,13 +423,23 @@ def normalizer_Z(epsilon: float, spacing: float) -> float:
 # smoothing
 # ---------------------------------------------------------------------------
 
-def check_scale(spec: LatticeSpec, epsilon: float) -> None:
+def _scale_floor(spec: LatticeSpec, epsilon: float) -> None:
     """The smoothing-scale floor: InvalidArgument for an epsilon that is
     not a finite real, MollificationTooFine below 2*spacing."""
     real(epsilon, "epsilon")
     if epsilon < 2.0 * spec.spacing:
         raise MollificationTooFine(
             f"epsilon = {epsilon} is below 2*spacing = {2.0 * spec.spacing}")
+
+
+def check_scale(spec: LatticeSpec, epsilon: float) -> None:
+    """The smoothing-scale floor (`_scale_floor`), then InvalidArgument for
+    an epsilon whose square overflows, which the plain kernel
+    exp(-d^2/eps^2) divides by."""
+    _scale_floor(spec, epsilon)
+    if float(epsilon) * float(epsilon) == math.inf:
+        raise InvalidArgument(
+            f"epsilon = {epsilon} is too large: the kernel's epsilon ** 2 overflows")
 
 
 def _torus_distances(spec: LatticeSpec) -> np.ndarray:
@@ -499,8 +509,9 @@ def mollify(field: FieldSample, epsilon: float,
 def _stencil_reach(spec: LatticeSpec, epsilon: float) -> Tuple[float, int]:
     """(rho, m): the localized window's radius and its stencil half-width
     m = ceil(rho / spacing) in sites, checking the scale as
-    `mollify_localized` does."""
-    check_scale(spec, epsilon)
+    `mollify_localized` does: the floor, then the window's eps < 1/e, which
+    is below any scale `check_scale` refuses as too large."""
+    _scale_floor(spec, epsilon)
     rho = _window_radius(epsilon)
     m = int(math.ceil(rho / spec.spacing))
     if 2 * m + 1 > spec.n:

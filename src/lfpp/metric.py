@@ -28,7 +28,11 @@ reads over the crop itself (before smoothing, the raw field's range over
 the box's padded block; on a grid, its least cost there), then cut once
 more by the built crop's own least cost.  It builds grids through its
 caller twice: over the hull of the pairs' boxes and over the hull of
-their crops.
+their crops.  Its callers are the two sweeps in `experiments`:
+`_pair_dists` on a grid its caller holds, and `_field_dists`, the one
+place that knows how a smoother feeds it (localized smoothing of boxes
+only, floored by the raw range; one plain smooth of the lattice, floored
+by its grid's least cost).
 
 Graphs are scipy CSR matrices solved by scipy's csgraph Dijkstra; both
 are imported on the first graph fill or solve (`_sparse`), so a process
@@ -793,16 +797,6 @@ def _dists_in_crops(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
         finally:
             _CROP_LIMIT.reset(bound)
     return out
-
-
-def _dist_in_crop(spec: LatticeSpec, grid_over: Callable[[Box], WeightedGrid],
-                  within: Box, floor: Union[float, Callable[[Box], float]],
-                  z: Tuple[float, float], w: Tuple[float, float],
-                  want_path: bool = False) -> Tuple[WeightedGrid, DistResult]:
-    """(grid, result) of `_dists_in_crops` for the one pair (z, w), with
-    `floor` its `floor_over` or a float at most every cost of G."""
-    floor_over = floor if callable(floor) else (lambda box: floor)
-    return _dists_in_crops(spec, grid_over, within, floor_over, [(z, w)], want_path)[0]
 
 
 # ---------------------------------------------------------------------------

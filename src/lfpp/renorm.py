@@ -43,6 +43,7 @@ from .gff import (
     LatticeSpec,
     Params,
     _dyadic_exponent,
+    _stencil_reach,
     check_scale,
     mollify,
     mollify_localized,
@@ -259,7 +260,9 @@ def _fill_estimates(epsilons: Sequence[float], params: Params, mc: MCConfig) -> 
         raise InsufficientTrials(
             f"{mc.trials} trials requested; CI-bearing estimates need >= {_MIN_TRIALS}")
     for eps in epsilons:
-        check_scale(mc.lattice, eps)
+        # a localized rung is checked as its smoother checks it, whose
+        # window bounds eps below 1/e
+        (_stencil_reach if mc.localized else check_scale)(mc.lattice, eps)
     keys = [estimate_cache_key(eps, params, mc) for eps in epsilons]
     missing = {key: float(eps) for key, eps in zip(keys, epsilons)
                if key not in _est_cache}

@@ -429,6 +429,7 @@ class TestDist:
     def test_localized_regions_smooth_only_their_box(self, zero_path, tmp_path,
                                                      monkeypatch, flags, boxes):
         import lfpp.cli as cli
+        import lfpp.experiments as experiments
         seen = []
         real = cli.mollify_localized
 
@@ -436,7 +437,10 @@ class TestDist:
             seen.append(box)
             return real(field, eps, box=box)
 
-        monkeypatch.setattr(cli, "mollify_localized", spy)
+        # a region query smooths in `cli`, a point query in the sweep
+        # `experiments._field_dists`
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "mollify_localized", spy)
         assert main(["dist", "--field", str(zero_path), "--eps", "0.25",
                      "--xi", "0.2", "--localized", "--out",
                      str(tmp_path / "x.json")] + flags) == 0
@@ -619,6 +623,33 @@ class TestDistErrorPaths:
         assert "snaps outside the lattice" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("eps", ["1e308", "1.4e154"])
+    def test_eps_whose_kernel_overflows_exits_one(self, field_path, tmp_path, capsys, eps):
+        # the plain kernel exp(-d^2/eps^2) needs a finite eps^2
+        code = main(["dist", "--field", str(field_path), "--eps", eps, "--xi", "0.2",
+                     "--from", "1,1", "--to", "2,2", "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"lfpp: error: epsilon = {float(eps)} is too large: "
+            "the kernel's epsilon ** 2 overflows\n")
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("eps", ["0.5", "1e308"])
+    def test_localized_eps_at_or_past_one_over_e_keeps_its_message(self, field_path,
+                                                                    tmp_path, capsys, eps):
+        code = main(["dist", "--field", str(field_path), "--eps", eps, "--xi", "0.2",
+                     "--localized", "--from", "1,1", "--to", "2,2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert f"epsilon must be finite, real, > 0 and < {math.exp(-1.0)}, got {float(eps)}" \
+            in capsys.readouterr().err
+
+    def test_largest_eps_whose_square_is_finite_smooths(self, field_path, tmp_path):
+        # 1.3e154^2 ~ 1.69e308 is finite: the kernel is 1 at every offset,
+        # so the smoothed field is the field's mean
+        assert main(["dist", "--field", str(field_path), "--eps", "1.3e154", "--xi", "0.2",
+                     "--from", "1,1", "--to", "2,2", "--out", str(tmp_path / "x.json")]) == 0
+
     @pytest.mark.filterwarnings("error")
     def test_coupling_whose_costs_overflow_exits_one_quietly(self, field_path, tmp_path,
                                                             capsys):
@@ -762,6 +793,23 @@ class TestAEps:
         args[args.index("--eps") + 1] = eps
         assert main(args + ["--out", str(tmp_path / "a.json")]) == 1
         assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("smoother, message", [
+        ([], "epsilon = 1e+308 is too large: the kernel's epsilon ** 2 overflows"),
+        (["--localized"], f"epsilon must be finite, real, > 0 and < {math.exp(-1.0)}, "
+                          "got 1e+308"),
+    ], ids=["plain", "localized"])
+    def test_eps_whose_kernel_overflows_exits_one_before_any_trial(self, tmp_path, capsys,
+                                                                   no_work, smoother,
+                                                                   message):
+        # eps^2 overflows the plain kernel exp(-d^2/eps^2); the localized
+        # window refuses any eps >= 1/e.  Both are refused when the ladder
+        # is checked, before any trial.
+        args = list(self.ARGS)
+        args[args.index("--eps") + 1] = "1e308"
+        assert main(args + smoother + ["--out", str(tmp_path / "a.json")]) == 1
+        assert capsys.readouterr().err == f"lfpp: error: {message}\n"
+        assert no_work == [] and not (tmp_path / "a.json").exists()
 
 
 class TestFit:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import golden
 import oracles
 from conftest import LFPP, lfpp_env
 
@@ -350,6 +351,27 @@ class TestPairSweepMatchesScalarLoops:
         rep = small_segment_sup(field, eps, zeta, window, PARAMS, mc)
         assert _same_bits(rep, *oracles.small_segment_reference(
             field, rep.params["ladder"], zeta, window, 0.2, mc))
+
+
+class TestLocalizedSmoothsOnlyBoxes:
+    """The fixed-field runners hand every `mollify_localized` call a box: the
+    window a gap is read over, or a hull that the pair sweep
+    `experiments._field_dists` asks for; none smooths the whole lattice
+    to read a part of it."""
+
+    @pytest.mark.parametrize("name", ["localized_gap", "convergence_diagnostic",
+                                      "small_segment_sup"])
+    def test_every_localized_smooth_has_a_box(self, monkeypatch, name):
+        boxes = []
+        real = experiments.mollify_localized
+
+        def spy(field, epsilon, box=None):
+            boxes.append(box)
+            return real(field, epsilon, box=box)
+
+        monkeypatch.setattr(experiments, "mollify_localized", spy)
+        run_experiment(name, json.loads(json.dumps(golden.EXP_STEPS[name].config)))
+        assert boxes and all(box is not None for box in boxes)
 
 
 class TestDispatch:

@@ -395,13 +395,14 @@ def crop_cases(draw):
 def crop_solve(grid, z, w):
     """(crop grid, result): the point solve of z and w on its certified crop
     of `grid`."""
-    return metric._dist_in_crop(grid.spec, partial(metric._crop_grid, grid), grid.box,
-                                float(grid.site_cost.min()), z, w, want_path=True)
+    floor = float(grid.site_cost.min())
+    return metric._dists_in_crops(grid.spec, partial(metric._crop_grid, grid), grid.box,
+                                  lambda box: floor, [(z, w)], want_path=True)[0]
 
 
 class TestPointCrop:
     """A point solve on its certified crop of the grid (`metric._point_crop`,
-    through `metric._dist_in_crop`) equals the full solve in
+    through `metric._dists_in_crops`) equals the full solve in
     tests/oracles.py bit for bit."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
